@@ -6,7 +6,6 @@ cutoffs, Euler-Maclaurin remainder tracking, and the parallel-plate Casimir
 energy computed through smoothed zero-point sums.
 """
 
-from ._backend import BACKEND
 from .exact import Rational, bernoulli, bernoulli_table, binomial, faulhaber, genfun_coefficients
 from .cutoffs import Cutoff, make_cutoff, parse_cutoff, sharp_indicator
 from .series import SeriesOracle, get_series
@@ -33,7 +32,6 @@ from .smoothed import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "__version__",
     "Rational",
     "bernoulli",

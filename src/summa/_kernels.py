@@ -1,15 +1,13 @@
-"""Hot numeric kernels in two lanes: numba-jitted loops and vectorized numpy.
+"""Hot numeric kernels: the smoothed sums, moment integrals and plate-energy sweep.
 
-Cutoff functions are addressed by integer codes so the jitted lane never has
-to call back into Python:
+Cutoff functions are addressed by integer codes:
 
     KIND_BUMP      exp(1 - 1/(1-x^2)) on [0, 1), 0 beyond
     KIND_POLY      (1 - x)^p on [0, 1], 0 beyond
     KIND_INDICATOR sharp characteristic function of [0, 1]
 
-The lane is fixed at import time by ``summa._backend`` (env SUMMA_NUMBA).
-Each lane is deterministic on its own; the two lanes may differ at roundoff
-level because summation orders differ.
+Sums are vectorized numpy; integrals run on the one adaptive Gauss-Kronrod
+core in ``summa.quadrature``.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ import math
 
 import numpy as np
 
-from ._backend import USE_NUMBA, njit
-from .errors import QuadratureError
-from .quadrature import integrate
+from .quadrature import MID_NODE, _adapt, integrate
 
 __all__ = [
     "KIND_BUMP",
@@ -43,39 +39,9 @@ KIND_INDICATOR = 2
 # avoids inf * 0 = nan.
 BUMP_EDGE = 1.0 - 1e-12
 
-# 15-point Kronrod nodes/weights with the embedded 7-point Gauss weights.
-_XGK = np.array(
-    [
-        -0.991455371120813, -0.949107912342759, -0.864864423359769,
-        -0.741531185599394, -0.586087235467691, -0.405845151377397,
-        -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-        0.586087235467691, 0.741531185599394, 0.864864423359769,
-        0.949107912342759, 0.991455371120813,
-    ]
-)
-_WGK = np.array(
-    [
-        0.022935322010529, 0.063092092629979, 0.104790010322250,
-        0.140653259715526, 0.169004726639267, 0.190350578064785,
-        0.204432940075298, 0.209482141084728, 0.204432940075298,
-        0.190350578064785, 0.169004726639267, 0.140653259715526,
-        0.104790010322250, 0.063092092629979, 0.022935322010529,
-    ]
-)
-_WG = np.array(
-    [
-        0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-        0.381830050505119, 0.0, 0.417959183673469, 0.0,
-        0.381830050505119, 0.0, 0.279705391489277, 0.0,
-        0.129484966168870, 0.0,
-    ]
-)
-
-_MAX_STACK = 4096
-
 
 def eta_array(kind: int, p: int, x) -> np.ndarray:
-    """Vectorized cutoff evaluation for x >= 0 (numpy lane and plotting)."""
+    """Vectorized cutoff evaluation for x >= 0."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -93,327 +59,68 @@ def eta_array(kind: int, p: int, x) -> np.ndarray:
     return out[0] if scalar else out
 
 
-# --- scalar cores (compiled on the numba lane) -------------------------------
+def smoothed_sum_value(s: int, kind: int, p: int, N: float) -> float:
+    """sum_{n=1}^{ceil(N)} eta(n/N) n^s."""
+    N = float(N)
+    n = np.arange(1, math.ceil(N) + 1, dtype=float)
+    return float(np.sum(eta_array(kind, p, n / N) * n**s))
 
 
-def _eta_scalar(kind, p, x):
-    if kind == KIND_INDICATOR:
-        return 1.0 if x <= 1.0 else 0.0
-    if x >= 1.0:
-        return 0.0
-    if kind == KIND_BUMP:
-        if x > BUMP_EDGE:
-            return 0.0
-        t = 1.0 - x * x
-        return math.exp(1.0 - 1.0 / t)
-    return (1.0 - x) ** p
+def alternating_smoothed_value(kind: int, p: int, N: float) -> float:
+    """sum_{n=1}^{ceil(N)} (-1)^(n-1) eta(n/N)."""
+    N = float(N)
+    M = math.ceil(N)
+    n = np.arange(1, M + 1, dtype=float)
+    signs = np.where(np.arange(1, M + 1) % 2 == 1, 1.0, -1.0)
+    return float(np.sum(signs * eta_array(kind, p, n / N)))
 
 
-def _smoothed_sum_loop(s, kind, p, N):
-    M = int(math.ceil(N))
-    acc = 0.0
-    for n in range(1, M + 1):
-        e = _eta_scalar(kind, p, n / N)
-        if e != 0.0:
-            acc += e * float(n) ** s
-    return acc
+def doubled_smoothed_value(kind: int, p: int, N: float) -> float:
+    """sum_n (2n) eta(2n/N); the support ends at 2n >= N."""
+    N = float(N)
+    n = np.arange(1, math.ceil(N / 2.0) + 1, dtype=float)
+    return float(np.sum(2.0 * n * eta_array(kind, p, 2.0 * n / N)))
 
 
-def _alternating_smoothed_loop(kind, p, N):
-    M = int(math.ceil(N))
-    acc = 0.0
-    sign = 1.0
-    for n in range(1, M + 1):
-        acc += sign * _eta_scalar(kind, p, n / N)
-        sign = -sign
-    return acc
-
-
-def _doubled_smoothed_loop(kind, p, N):
-    # sum over n of (2n) * eta(2n / N); support ends at 2n >= N
-    M = int(math.ceil(N / 2.0))
-    acc = 0.0
-    for n in range(1, M + 1):
-        acc += 2.0 * n * _eta_scalar(kind, p, 2.0 * n / N)
-    return acc
-
-
-_EPS_FLOOR = 2.0 * 2.220446049250313e-16
-
-
-def _moment_gk15(kind, p, m, c, lo, hi):
-    """(value, error, roundoff_floor) of one Kronrod panel, scaled estimate."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    ys = np.empty(15)
-    for i in range(15):
-        x = mid + half * _XGK[i]
-        ys[i] = x**m * _eta_scalar(kind, p, c * x)
-    resk = 0.0
-    resg = 0.0
-    resabs = 0.0
-    for i in range(15):
-        resk += _WGK[i] * ys[i]
-        resg += _WG[i] * ys[i]
-        resabs += _WGK[i] * abs(ys[i])
-    reskh = 0.5 * resk
-    resasc = 0.0
-    for i in range(15):
-        resasc += _WGK[i] * abs(ys[i] - reskh)
-    resasc *= half
-    resabs *= half
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        scaled = (200.0 * err / resasc) ** 1.5
-        err = resasc * (scaled if scaled < 1.0 else 1.0)
-    floor = _EPS_FLOOR * resabs
-    if err < floor:
-        err = floor
-    return half * resk, err, floor
-
-
-def _moment_quad_loop(kind, p, m, c, a, b, tol, budget):
-    """Adaptive GK15 of x^m * eta(c x) over [a, b]; local error splitting.
-
-    Returns (value, error, status): status 0 ok, 1 budget, 2 stack overflow.
-    """
+def moment_quad(kind: int, p: int, m: int, c: float, a: float, b: float,
+                tol: float, budget: int = 10**6):
+    """Integral of x^m * eta(c x) over [a, b]; returns (value, error_estimate)."""
     if b <= a:
-        return 0.0, 0.0, 0
-    span = b - a
-    min_w = 1e-13 * span
-    stack_lo = np.empty(_MAX_STACK)
-    stack_hi = np.empty(_MAX_STACK)
-    stack_lo[0] = a
-    stack_hi[0] = b
-    top = 1
-    acc = 0.0
-    err_acc = 0.0
-    nev = 0
-    while top > 0:
-        top -= 1
-        lo = stack_lo[top]
-        hi = stack_hi[top]
-        v, e, floor = _moment_gk15(kind, p, m, c, lo, hi)
-        nev += 15
-        if nev > budget:
-            return acc, err_acc, 1
-        if e <= tol * (hi - lo) / span or e <= 2.0 * floor or (hi - lo) <= min_w:
-            acc += v
-            err_acc += e
-        else:
-            if top + 2 > _MAX_STACK:
-                return acc, err_acc, 2
-            mid = 0.5 * (lo + hi)
-            stack_lo[top] = lo
-            stack_hi[top] = mid
-            stack_lo[top + 1] = mid
-            stack_hi[top + 1] = hi
-            top += 2
-    return acc, err_acc, 0
+        return 0.0, 0.0
+    res = integrate(lambda x: x**m * eta_array(kind, p, c * x), a, b, tol=tol, budget=budget)
+    return res.value, res.error
 
 
-def _saw_gk15(kind, p, c, kfloor, lo, hi):
-    """Kronrod panel of v^2 eta(c v) (kfloor + 1/2 - v) inside one unit cell."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    ys = np.empty(15)
-    for i in range(15):
-        v = mid + half * _XGK[i]
-        ys[i] = v * v * _eta_scalar(kind, p, c * v) * (kfloor + 0.5 - v)
-    resk = 0.0
-    resg = 0.0
-    resabs = 0.0
-    for i in range(15):
-        resk += _WGK[i] * ys[i]
-        resg += _WG[i] * ys[i]
-        resabs += _WGK[i] * abs(ys[i])
-    reskh = 0.5 * resk
-    resasc = 0.0
-    for i in range(15):
-        resasc += _WGK[i] * abs(ys[i] - reskh)
-    resasc *= half
-    resabs *= half
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        scaled = (200.0 * err / resasc) ** 1.5
-        err = resasc * (scaled if scaled < 1.0 else 1.0)
-    floor = _EPS_FLOOR * resabs
-    if err < floor:
-        err = floor
-    return half * resk, err, floor
-
-
-def _ut_loop(kind, p, lam, N, tol, budget):
-    """Dimensionless plate-energy combination sum + half-term - integral.
+def ut_value(kind: int, p: int, lam: float, N: float, tol: float, budget: int = 10**6):
+    """Dimensionless plate-energy combination sum + half-term - integral at scale N.
 
     Evaluated through the exact regrouping
 
         sum_{n>=1} F(n) + F(0)/2 - int_0^{N/lam} F(s) ds
             = int_0^{N/lam} v^2 eta(lam v/N) (floor(v) + 1/2 - v) dv,
 
-    one adaptive panel pass per unit cell (the sawtooth is linear inside a
-    cell, so every cell integrand is smooth).  The naive sum-minus-integral
-    form subtracts two O(N^4) quantities to produce an O(1) value and loses
-    ~N^3 * eps to correlated roundoff; this form never holds a large
-    intermediate.  Returns (value, error, status).
+    with the unit cells as the initial panels of the adaptive quadrature
+    (the sawtooth is linear inside a cell, so every cell integrand is
+    smooth).  The naive sum-minus-integral form subtracts two O(N^4)
+    quantities to produce an O(1) value and loses ~N^3 * eps to correlated
+    roundoff; this form never holds a large intermediate.  ``budget`` caps
+    the evaluations spent refining cells beyond the first panel of each.
+    Returns (value, error_estimate).
     """
     c = lam / N
     support = N / lam
-    ncells = int(math.ceil(support))
-    acc = 0.0
-    err_acc = 0.0
-    nev = 0
-    stack_lo = np.empty(64)
-    stack_hi = np.empty(64)
-    for kc in range(ncells):
-        clo = float(kc)
-        chi = support if support < kc + 1.0 else kc + 1.0
-        cell_tol = tol * (chi - clo) / support
-        min_w = 1e-13 * (chi - clo)
-        stack_lo[0] = clo
-        stack_hi[0] = chi
-        top = 1
-        while top > 0:
-            top -= 1
-            lo = stack_lo[top]
-            hi = stack_hi[top]
-            v, e, floor = _saw_gk15(kind, p, c, float(kc), lo, hi)
-            nev += 15
-            if nev > budget:
-                return acc, err_acc, 1
-            if e <= cell_tol * (hi - lo) / (chi - clo) or e <= 2.0 * floor or (hi - lo) <= min_w:
-                acc += v
-                err_acc += e
-            else:
-                if top + 2 > 64:
-                    return acc, err_acc, 2
-                mid = 0.5 * (lo + hi)
-                stack_lo[top] = lo
-                stack_hi[top] = mid
-                stack_lo[top + 1] = mid
-                stack_hi[top + 1] = hi
-                top += 2
-    return acc, err_acc, 0
+    lo = np.arange(math.ceil(support), dtype=float)
+    hi = np.minimum(lo + 1.0, support)
 
+    def saw(v):
+        # a panel's midpoint lies strictly inside its unit cell, so its floor
+        # is the cell index even where an end node rounds onto the boundary
+        cell = np.floor(v[:, MID_NODE, None])
+        y = eta_array(kind, p, c * v)
+        y *= v  # in place: fewer node-sized temporaries live at the peak
+        y *= v
+        y *= cell + 0.5 - v
+        return y
 
-# --- numpy-lane equivalents ---------------------------------------------------
-
-
-def _smoothed_sum_numpy(s, kind, p, N):
-    M = int(math.ceil(N))
-    n = np.arange(1, M + 1, dtype=float)
-    return float(np.sum(eta_array(kind, p, n / N) * n**s))
-
-
-def _alternating_smoothed_numpy(kind, p, N):
-    M = int(math.ceil(N))
-    n = np.arange(1, M + 1, dtype=float)
-    signs = np.where(np.arange(1, M + 1) % 2 == 1, 1.0, -1.0)
-    return float(np.sum(signs * eta_array(kind, p, n / N)))
-
-
-def _doubled_smoothed_numpy(kind, p, N):
-    M = int(math.ceil(N / 2.0))
-    n = np.arange(1, M + 1, dtype=float)
-    return float(np.sum(2.0 * n * eta_array(kind, p, 2.0 * n / N)))
-
-
-def _moment_quad_numpy(kind, p, m, c, a, b, tol, budget):
-    if b <= a:
-        return 0.0, 0.0, 0
-    res = integrate(lambda x: x**m * eta_array(kind, p, c * x), a, b, tol=tol, budget=budget)
-    return res.value, res.error, 0
-
-
-def _ut_numpy(kind, p, lam, N, tol, budget):
-    # Same sawtooth regrouping as the jitted lane (see _ut_loop); first a
-    # vectorized panel per unit cell, then per-cell adaptive refinement for
-    # the few cells whose estimate misses their share of the tolerance.
-    c = lam / N
-    support = N / lam
-    ncells = int(math.ceil(support))
-    k = np.arange(ncells, dtype=float)
-    lo = k
-    hi = np.minimum(k + 1.0, support)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    v = mid[:, None] + half[:, None] * _XGK[None, :]
-    y = v * v * eta_array(kind, p, c * v) * (k[:, None] + 0.5 - v)
-    resk = y @ _WGK
-    resg = y @ _WG
-    resabs = np.abs(y) @ _WGK * half
-    resasc = np.abs(y - 0.5 * resk[:, None]) @ _WGK * half
-    vals = resk * half
-    errs = np.abs((resk - resg) * half)
-    mask = (resasc != 0.0) & (errs != 0.0)
-    errs[mask] = resasc[mask] * np.minimum(1.0, (200.0 * errs[mask] / resasc[mask]) ** 1.5)
-    floors = _EPS_FLOOR * resabs
-    errs = np.maximum(errs, floors)
-
-    cell_tol = tol * (hi - lo) / support
-    refine = (errs > cell_tol) & (errs > 2.0 * floors)
-    for idx in np.nonzero(refine)[0]:
-        kk = float(idx)
-        res = integrate(
-            lambda x, kk=kk: x * x * eta_array(kind, p, c * x) * (kk + 0.5 - x),
-            float(lo[idx]), float(hi[idx]), tol=float(cell_tol[idx]), budget=budget,
-        )
-        vals[idx] = res.value
-        errs[idx] = res.error
-    return float(math.fsum(vals)), float(math.fsum(errs)), 0
-
-
-# --- lane selection -----------------------------------------------------------
-
-if USE_NUMBA:
-    # Rebind the module-level names themselves: jitted callees resolve their
-    # globals at first compilation, so the jitted _ut_loop must find the
-    # jitted _moment_quad_loop under the original name.
-    _eta_scalar = njit(_eta_scalar)
-    _moment_gk15 = njit(_moment_gk15)
-    _moment_quad_loop = njit(_moment_quad_loop)
-    _saw_gk15 = njit(_saw_gk15)
-    _ut_loop = njit(_ut_loop)
-    _smoothed_sum_impl = njit(_smoothed_sum_loop)
-    _alternating_impl = njit(_alternating_smoothed_loop)
-    _doubled_impl = njit(_doubled_smoothed_loop)
-    _moment_quad_impl = _moment_quad_loop
-    _ut_impl = _ut_loop
-else:
-    _smoothed_sum_impl = _smoothed_sum_numpy
-    _alternating_impl = _alternating_smoothed_numpy
-    _doubled_impl = _doubled_smoothed_numpy
-    _moment_quad_impl = _moment_quad_numpy
-    _ut_impl = _ut_numpy
-
-
-def smoothed_sum_value(s: int, kind: int, p: int, N: float) -> float:
-    return float(_smoothed_sum_impl(s, kind, p, float(N)))
-
-
-def alternating_smoothed_value(kind: int, p: int, N: float) -> float:
-    return float(_alternating_impl(kind, p, float(N)))
-
-
-def doubled_smoothed_value(kind: int, p: int, N: float) -> float:
-    return float(_doubled_impl(kind, p, float(N)))
-
-
-_STATUS_MSG = {1: "evaluation budget exhausted", 2: "subdivision stack overflow"}
-
-
-def moment_quad(kind: int, p: int, m: int, c: float, a: float, b: float,
-                tol: float, budget: int = 10**6):
-    """Integral of x^m * eta(c x) over [a, b]; returns (value, error_estimate)."""
-    v, e, st = _moment_quad_impl(kind, p, m, c, float(a), float(b), float(tol), budget)
-    if st != 0:
-        raise QuadratureError(f"moment quadrature failed: {_STATUS_MSG[st]}")
-    return v, e
-
-
-def ut_value(kind: int, p: int, lam: float, N: float, tol: float, budget: int = 10**6):
-    """One evaluation of the dimensionless plate-energy combination at scale N."""
-    v, e, st = _ut_impl(kind, p, float(lam), float(N), float(tol), budget)
-    if st != 0:
-        raise QuadratureError(f"plate-energy quadrature failed: {_STATUS_MSG[st]}")
-    return v, e
+    value, error, _, _ = _adapt(saw, lo, hi, support, tol, budget + 15 * lo.size)
+    return value, error

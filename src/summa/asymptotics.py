@@ -120,25 +120,16 @@ def optimal_truncation(alpha) -> int:
     """Exact argmin over N >= 1 of the remainder model N! alpha^N.
 
     ``alpha`` in (0, 1) as a float, Fraction, or string like "1/137"; floats
-    are dyadic rationals, so the scan runs in exact arithmetic either way.
-    Ties (exact when 1/alpha is an integer: the terms at N and N+1 coincide)
+    are dyadic rationals, so the answer is exact either way.  The term ratio
+    is (N+1)! alpha^(N+1) / (N! alpha^N) = (N+1) alpha, so the terms fall
+    while N alpha <= 1 and rise after: the argmin is floor(1/alpha).  Ties
+    (exact when 1/alpha is an integer: the terms at N - 1 and N coincide)
     resolve to the larger index, the plateau end.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    limit = int(1 / alpha) + 5
-    best_n = 1
-    best = alpha  # 1! alpha^1
-    term = alpha
-    for n in range(2, limit + 1):
-        term = term * n * alpha
-        if term <= best:
-            best = term
-            best_n = n
-        elif term > best:
-            break
-    return best_n
+    return alpha.denominator // alpha.numerator
 
 
 def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:

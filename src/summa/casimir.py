@@ -12,7 +12,7 @@ is exactly the smoothed-sum tail object.  As the smoothing scale N grows,
 u_N -> B_4/12 = -1/360 (with B_4 = -1/30), independent of the cutoff shape
 and of lam -- the dimensionless content of the plate-energy theorem.  The
 physical energy per unit area follows by the prefactor pi^2 hbar c / (2 d^3),
-giving -pi^2 hbar c / (720 d^3), and the force by differentiation in d.
+giving -pi^2 hbar c / (720 d^3), and the force -d/dd of it, 3 E / d.
 
 Derivatives of F have closed forms (Leibniz on -d/ds of s^2 G(s) with
 G(s) = eta(lam s / N)):
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "derivative_identities",
     "UtResult",
     "u_t_dimensionless",
+    "u_t_ladder",
     "energy_density",
     "casimir_force",
     "closed_form_energy_density",
@@ -185,6 +186,32 @@ class UtResult(NamedTuple):
     error_estimate: float
 
 
+def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: bool):
+    """One plate-energy sweep per smoothing scale in ``scales``."""
+    if enforce_smoothness and cfg.cutoff.smoothness_order < 5:
+        raise CutoffSmoothnessError(
+            f"cutoff {cfg.cutoff.label!r} is below C^5; pass enforce_smoothness=False "
+            "to run the non-stabilizing demonstration anyway"
+        )
+    kind, p = cfg.cutoff.kernel_code
+    return [_kernels.ut_value(kind, p, cfg.lam, N, cfg.quad_tol)[0] for N in scales]
+
+
+def u_t_ladder(cfg: CasimirConfig, levels: int, *,
+               enforce_smoothness: bool = True) -> List[Tuple[float, UtResult]]:
+    """u_t at N / 2^k for k = levels-1 .. 0 (scales below 10 dropped), ascending N.
+
+    Each row's error estimate is its N-halving difference.  Neighbouring rows
+    share their sweeps, so ``levels`` rows cost levels + 1 of them.
+    """
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
+    scales = [cfg.N / 2**k for k in range(levels) if cfg.N / 2**k >= 10]
+    values = _ut_values(cfg, scales + [scales[-1] / 2.0], enforce_smoothness)
+    rows = [(N, UtResult(v, abs(v - half))) for N, v, half in zip(scales, values, values[1:])]
+    return rows[::-1]
+
+
 def u_t_dimensionless(cfg: CasimirConfig, *, enforce_smoothness: bool = True) -> UtResult:
     """sum_{n>=1} F(n) + F(0)/2 - integral_0^{N/lam} F(s) ds, plus N-halving error.
 
@@ -195,15 +222,7 @@ def u_t_dimensionless(cfg: CasimirConfig, *, enforce_smoothness: bool = True) ->
     ``enforce_smoothness=False`` (the sharp-indicator contrast runs need the
     escape hatch; their values never stabilize).
     """
-    if enforce_smoothness and cfg.cutoff.smoothness_order < 5:
-        raise CutoffSmoothnessError(
-            f"cutoff {cfg.cutoff.label!r} is below C^5; pass enforce_smoothness=False "
-            "to run the non-stabilizing demonstration anyway"
-        )
-    kind, p = cfg.cutoff.kernel_code
-    value, _ = _kernels.ut_value(kind, p, cfg.lam, cfg.N, cfg.quad_tol)
-    half, _ = _kernels.ut_value(kind, p, cfg.lam, cfg.N / 2.0, cfg.quad_tol)
-    return UtResult(value, abs(value - half))
+    return u_t_ladder(cfg, 1, enforce_smoothness=enforce_smoothness)[0][1]
 
 
 def energy_density(cfg: CasimirConfig, *, enforce_smoothness: bool = True) -> float:
@@ -211,22 +230,20 @@ def energy_density(cfg: CasimirConfig, *, enforce_smoothness: bool = True) -> fl
 
     (pi^2 hbar c / (2 d^3)) * u_t; converges to -pi^2 hbar c / (720 d^3).
     """
-    u = u_t_dimensionless(cfg, enforce_smoothness=enforce_smoothness)
-    return math.pi**2 * cfg.hbar * cfg.c / (2.0 * cfg.d**3) * u.value
+    (u,) = _ut_values(cfg, [cfg.N], enforce_smoothness)
+    return math.pi**2 * cfg.hbar * cfg.c / (2.0 * cfg.d**3) * u
 
 
 def casimir_force(d: float, cfg: CasimirConfig) -> float:
-    """Force per unit area from the central difference of the energy density.
+    """Force per unit area at separation ``d``: -d/dd of the energy density.
 
-    force = -d/dd [energy_density], step 1e-3 * d.  Negative values mean
-    attraction; the closed-form comparison point is -pi^2 hbar c / (240 d^4).
+    u_t does not depend on d, so the derivative of C u_t / d^3 is exactly
+    3 E / d.  Negative values mean attraction; the closed-form comparison
+    point is -pi^2 hbar c / (240 d^4).
     """
     if d <= 0:
         raise ValueError(f"plate separation must be positive, got {d}")
-    h = 1e-3 * d
-    u_minus = energy_density(replace(cfg, d=d - h))
-    u_plus = energy_density(replace(cfg, d=d + h))
-    return (u_minus - u_plus) / (2.0 * h)
+    return 3.0 * energy_density(replace(cfg, d=d)) / d
 
 
 def closed_form_energy_density(d: float, hbar: float = HBAR, c: float = C_LIGHT) -> float:

@@ -1,11 +1,12 @@
 """Command-line surface: every operation bound to a reproducible run.
 
 Output is machine-readable: JSON (default) or CSV with a ``# key=value``
-config header.  Every run echoes its fully resolved configuration, including
-the kernel backend, so a result can be reproduced from its own output.
+config header.  Every run echoes its fully resolved configuration and the
+package version, so a result can be reproduced from its own output.
 Numeric output is deterministic for a fixed configuration and environment.
 
-Exit codes: 0 success, 1 computational error, 2 usage error.
+Exit codes: 0 success, 1 computational error, 2 usage error (float flags
+must be finite numbers: nan and inf are rejected at parse time).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from ._backend import BACKEND, thread_count, parallel_map
 from . import asymptotics, casimir, euler_maclaurin as em, smoothed, summation
 from .cutoffs import parse_cutoff
 from .errors import SummaError
@@ -35,6 +35,17 @@ class UsageError(Exception):
 def _fmt(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a finite number, else exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
@@ -229,16 +240,8 @@ def _make_casimir_config(args) -> casimir.CasimirConfig:
 def _cmd_casimir(args):
     cfg = _make_casimir_config(args)
     enforce = cfg.cutoff.kind != "indicator"
-    grid = [cfg.N / 2**k for k in range(args.levels - 1, -1, -1)]
-    grid = [N for N in grid if N >= 10]
-
-    def point(N):
-        from dataclasses import replace
-
-        r = casimir.u_t_dimensionless(replace(cfg, N=N), enforce_smoothness=enforce)
-        return (N, r.value, r.error_estimate)
-
-    rows = parallel_map(point, grid)
+    ladder = casimir.u_t_ladder(cfg, args.levels, enforce_smoothness=enforce)
+    rows = [(N, r.value, r.error_estimate) for N, r in ladder]
     value = rows[-1][1]
     energy = (math.pi**2 * cfg.hbar * cfg.c / (2.0 * cfg.d**3)) * value
     closed = casimir.closed_form_energy_density(cfg.d, cfg.hbar, cfg.c)
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--series", required=True, help=SERIES_GRAMMAR)
     p.add_argument("--n", type=int, default=10000, help="Cesaro window")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_finite_float, default=1e-3)
     p.set_defaults(handler=_cmd_sum)
 
     p = sub.add_parser("ledger", help="two-rule-set divergent series catalog")
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smoothed", help="smoothed monomial sum")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--cutoff", default="bump", help=CUTOFF_GRAMMAR)
-    p.add_argument("--N", type=float, required=True)
+    p.add_argument("--N", type=_finite_float, required=True)
     p.set_defaults(handler=_cmd_smoothed)
 
     p = sub.add_parser("extract", help="constant extraction over an N grid")
@@ -357,25 +360,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grandi", help="smoothed Grandi sum")
     p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=float, default=1e4)
+    p.add_argument("--N", type=_finite_float, default=1e4)
     p.set_defaults(handler=_cmd_grandi)
 
     p = sub.add_parser("scaling-demo", help="smoothed sums are not scale invariant")
     p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=float, default=100.0)
+    p.add_argument("--N", type=_finite_float, default=100.0)
     p.set_defaults(handler=_cmd_scaling_demo)
 
     p = sub.add_parser("delta-seq", help="Dirichlet kernel pairing")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--testfn", default="centered", help="centered | offset")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.set_defaults(handler=_cmd_delta_seq)
 
     p = sub.add_parser("em-tail", help="Euler-Maclaurin tail identity")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--cutoff", default="bump")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.set_defaults(handler=_cmd_em_tail)
 
     p = sub.add_parser("stirling", help="Stirling series vs the exact gap")
@@ -391,12 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("casimir", "casimir-force"):
         p = sub.add_parser(name, help="smoothed plate energy" if name == "casimir"
-                           else "plate force by numerical differentiation")
-        p.add_argument("--d", type=float, default=1e-6, help="plate separation (m)")
-        p.add_argument("--N", type=float, default=400.0)
+                           else "plate force per unit area, 3 E / d")
+        p.add_argument("--d", type=_finite_float, default=1e-6, help="plate separation (m)")
+        p.add_argument("--N", type=_finite_float, default=400.0)
         p.add_argument("--cutoff", default="bump")
-        p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-        p.add_argument("--quad-tol", type=float, default=1e-9)
+        p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
+        p.add_argument("--quad-tol", type=_finite_float, default=1e-9)
         if name == "casimir":
             p.add_argument("--levels", type=int, default=4,
                            help="N-halving rows in the convergence table")
@@ -410,17 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("borel", help="Borel summation")
     p.add_argument("--coeffs", required=True, help="ones | euler | zero | geometric:r")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(handler=_cmd_borel)
 
     p = sub.add_parser("gyro", help="gyromagnetic anomaly partial sums")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--order", type=int, choices=(1, 2), required=True)
     p.set_defaults(handler=_cmd_gyro)
 
     p = sub.add_parser("flat-check", help="right derivatives of exp(-z^-beta) at 0")
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--grid", default="1e-2,1e-3,1e-4,1e-5,1e-6")
     p.set_defaults(handler=_cmd_flat_check)
@@ -432,8 +435,6 @@ def _config_echo(args) -> dict:
     skip = {"handler", "format", "output"}
     cfg = {k: _fmt(v) for k, v in sorted(vars(args).items())
            if k not in skip and v is not None and not callable(v)}
-    cfg["backend"] = BACKEND
-    cfg["threads"] = thread_count()
     cfg["version"] = __version__
     return cfg
 

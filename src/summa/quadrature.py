@@ -1,19 +1,22 @@
 """Adaptive Gauss-Kronrod quadrature with an explicit evaluation budget.
 
 A 7-point Gauss rule embedded in the 15-point Kronrod extension supplies the
-per-interval error estimate |K15 - G7|; the interval with the worst estimate
-is bisected until the summed estimate meets the absolute tolerance.
-Exhausting the evaluation budget raises :class:`QuadratureError` instead of
-returning a silently degraded value; panels at the roundoff floor of the
-rule, however, are accepted with their honest error, since no amount of
-subdivision improves them.
+per-panel error estimate |K15 - G7| (QUADPACK's qk15).  Panels are refined
+by bisection one level at a time: every pending panel of a level is
+evaluated in one call to the integrand, and a panel is accepted once its
+error is within its width share ``tol * width / span`` of the tolerance, or
+within twice its roundoff floor (no amount of subdivision improves it), or
+the panel is too narrow to split.  The accepted errors therefore sum to at
+most ``tol`` plus the roundoff floors.  Exhausting the evaluation budget
+raises :class:`QuadratureError` instead of returning a silently degraded
+value.
 
-Integrands must accept a numpy array of nodes and return an array of values.
+Integrands must be elementwise: they receive a numpy array of nodes, one
+row of 15 per panel, and return an array of values of the same shape.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -55,6 +58,10 @@ GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 nodes, ascending
 GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+MID_NODE = 7  # GK_NODES[7] == 0: column 7 of the node array holds each panel's midpoint
+
+_K_MINUS_G = GK_WEIGHTS - GAUSS_WEIGHTS
+_FLOOR_WEIGHTS = 2.0 * np.finfo(float).eps * GK_WEIGHTS  # a few ulps of the absolute integral
 
 
 @dataclass(frozen=True)
@@ -65,11 +72,8 @@ class QuadResult:
     nintervals: int
 
 
-_EPS_FLOOR = 2.0 * np.finfo(float).eps
-
-
-def _gk15(f, lo: float, hi: float):
-    """One Kronrod panel: returns (value, error, roundoff_floor).
+def _gk15(f, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod panels on [lo, hi] (arrays): returns (values, errors, roundoff_floors).
 
     The error estimate follows the classic scaled form: |K15 - G7| sharpened
     by (200 |K-G| / resasc)^1.5 against the oscillation measure resasc, with
@@ -77,27 +81,64 @@ def _gk15(f, lo: float, hi: float):
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x = mid + half * GK_NODES
-    y = np.asarray(f(x), dtype=float)
-    resk = float(np.dot(GK_WEIGHTS, y))
-    resg = float(np.dot(GAUSS_WEIGHTS, y))
-    resabs = float(np.dot(GK_WEIGHTS, np.abs(y))) * half
-    resasc = float(np.dot(GK_WEIGHTS, np.abs(y - 0.5 * resk))) * half
-    value = resk * half
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    floor = _EPS_FLOOR * resabs
-    return value, max(err, floor), floor
+    y = np.asarray(f(mid[:, None] + half[:, None] * GK_NODES), dtype=float) * half[:, None]
+    resk = y.dot(GK_WEIGHTS)
+    resasc = np.abs(y - 0.5 * resk[:, None]).dot(GK_WEIGHTS)
+    floor = np.abs(y).dot(_FLOOR_WEIGHTS)
+    err = np.abs(y.dot(_K_MINUS_G))
+    # resasc == 0 only on a constant panel, whose error is its floor anyway
+    err = resasc * np.minimum(1.0, (200.0 * err / np.maximum(resasc, 1e-300)) ** 1.5)
+    return resk, np.maximum(err, floor), floor
+
+
+def _adapt(f, lo: np.ndarray, hi: np.ndarray, span: float, tol: float, budget: int):
+    """Level-by-level bisection of the panels [lo, hi] until each is accepted.
+
+    Returns (value, error, nevals, npanels).  ``span`` is the total width of
+    the panels and ``tol`` is shared among them in proportion to their width;
+    ``budget`` caps the integrand evaluations, 15 per panel, first level
+    included.
+    """
+    share = tol / span
+    min_width = max(1e-14 * span, 5e-308)
+    values, errors = [], []
+    nevals = npanels = 0
+    pending = np.zeros(0)  # errors of the panels being refined
+    while True:
+        if nevals + 15 * lo.size > budget:
+            total = math.fsum(np.concatenate(errors + [pending]).tolist())
+            raise QuadratureError(
+                f"quadrature budget {budget} exhausted at error {total:.3e} > tol {tol:.3e}"
+            )
+        val, err, floor = _gk15(f, lo, hi)
+        nevals += 15 * lo.size
+        width = hi - lo
+        split = (err > np.maximum(share * width, 2.0 * floor)) & (width > min_width)
+        nsplit = int(np.count_nonzero(split))
+        npanels += lo.size - nsplit
+        if not nsplit:
+            values.append(val)
+            errors.append(err)
+            break
+        keep = ~split
+        values.append(val[keep])
+        errors.append(err[keep])
+        pending = err[split]
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    value = math.fsum(np.concatenate(values).tolist())
+    error = math.fsum(np.concatenate(errors).tolist())
+    return value, error, nevals, npanels
 
 
 def integrate(f, a: float, b: float, tol: float, budget: int = 10**6) -> QuadResult:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
-    ``budget`` caps the number of integrand evaluations (15 per interval).
-    Intervals whose error sits at the roundoff floor, or narrower than
-    ~1e-14 of the span, are frozen rather than split further, so
-    roundoff-limited error cannot burn the whole budget.
+    ``budget`` caps the number of integrand evaluations (15 per panel).
+    Panels whose error sits at the roundoff floor, or narrower than ~1e-14
+    of the span, are accepted rather than split further, so roundoff-limited
+    error cannot burn the whole budget.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -107,50 +148,6 @@ def integrate(f, a: float, b: float, tol: float, budget: int = 10**6) -> QuadRes
     if b < a:
         a, b = b, a
         sign = -1.0
-    span = b - a
-    min_width = max(1e-14 * span, 5e-308)
-
-    val, err, floor = _gk15(f, a, b)
-    nevals = 15
-    # heap entries: (-err, tie, lo, hi, val, err); frozen entries keep their err.
-    live = []
-    frozen = []
-    tie = 1
-    if err <= 2.0 * floor or (b - a) <= min_width:
-        frozen.append((-err, 0, a, b, val, err))
-    else:
-        live.append((-err, 0, a, b, val, err))
-    while True:
-        frozen_err = sum(e[5] for e in frozen)
-        live_err = sum(e[5] for e in live)
-        if frozen_err + live_err <= tol or not live:
-            # an empty live set means the rest is roundoff-limited: further
-            # subdivision cannot help, so return with the honest error.
-            break
-        if frozen_err > tol and live_err <= frozen_err:
-            # the roundoff-limited mass alone already exceeds tol; refining
-            # the live set further cannot reach it, so stop once the live
-            # error no longer dominates.
-            break
-        if nevals + 30 > budget:
-            raise QuadratureError(
-                f"quadrature budget {budget} exhausted at error "
-                f"{frozen_err + live_err:.3e} > tol {tol:.3e}"
-            )
-        _, _, lo, hi, _, _ = heapq.heappop(live)
-        mid = 0.5 * (lo + hi)
-        vl, el, fl = _gk15(f, lo, mid)
-        vr, er, fr = _gk15(f, mid, hi)
-        nevals += 30
-        for lo2, hi2, v2, e2, f2 in ((lo, mid, vl, el, fl), (mid, hi, vr, er, fr)):
-            entry = (-e2, tie, lo2, hi2, v2, e2)
-            tie += 1
-            if e2 <= 2.0 * f2 or hi2 - lo2 <= min_width:
-                frozen.append(entry)
-            else:
-                heapq.heappush(live, entry)
-
-    pieces = sorted(live + frozen, key=lambda e: e[2])
-    value = math.fsum(p[4] for p in pieces)
-    error = math.fsum(p[5] for p in pieces)
-    return QuadResult(sign * value, error, nevals, len(pieces))
+    value, error, nevals, npanels = _adapt(f, np.array([a], dtype=float),
+                                           np.array([b], dtype=float), b - a, tol, budget)
+    return QuadResult(sign * value, error, nevals, npanels)

@@ -226,21 +226,13 @@ def scaling_counterexample(cutoff: Cutoff, N: float):
 def _dirichlet_normalized(j: int, x: np.ndarray) -> np.ndarray:
     """(1/2pi) sum_{|k|<=j} e^{ikx} = (1/2pi) sin((j+1/2)x)/sin(x/2).
 
-    The removable singularity at x = 0 is patched by the series expansion on
-    |x| < 1e-4 (two terms; the x^4 coefficient keeps the patch seam below
-    1e-8 relative at j = a few hundred).
+    The direct quotient is accurate to a few ulps wherever sin(x/2) != 0;
+    only there (x == 0, or x/2 underflowing) is the limit 2j + 1 used.
     """
     x = np.asarray(x, dtype=float)
-    a = j + 0.5
-    b = 0.5
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    c2 = (a * a - b * b) / 6.0
-    c4 = a**4 / 120.0 - (a * b) ** 2 / 36.0 + 7.0 * b**4 / 360.0
-    out[small] = (2.0 * j + 1.0) * (1.0 - c2 * xs * xs + c4 * xs**4)
-    xl = x[~small]
-    out[~small] = np.sin(a * xl) / np.sin(b * xl)
+    den = np.sin(0.5 * x)
+    at_zero = den == 0.0
+    out = np.where(at_zero, 2.0 * j + 1.0, np.sin((j + 0.5) * x) / np.where(at_zero, 1.0, den))
     return out / (2.0 * math.pi)
 
 

@@ -35,7 +35,6 @@ from summa.series import get_series
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # first-call jit compilation is one-time setup, not part of any criterion
     eta = make_cutoff("bump")
     smoothed_sum(0, eta, 16.0)
     grandi_smoothed(eta, 16.0)

@@ -84,6 +84,13 @@ class TestOptimalTruncation:
             brute = max((n for n in terms if terms[n] == min(terms.values())))
             assert optimal_truncation(alpha) == brute
 
+    def test_tiny_alpha_closed_form(self):
+        # no scan could reach N* = 10^7; the term ratio (n + 1) alpha decides it
+        alpha = Fraction(1, 10**7)
+        n_star = optimal_truncation(alpha)
+        assert n_star == 10**7
+        assert n_star * alpha <= 1 < (n_star + 1) * alpha
+
     def test_within_one_of_inverse(self):
         for alpha in (Fraction(1, 137), Fraction(1, 9), 0.25):
             n_star = optimal_truncation(alpha)

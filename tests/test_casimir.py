@@ -17,6 +17,7 @@ from summa.casimir import (
     energy_density,
     sup_f5_estimate,
     u_t_dimensionless,
+    u_t_ladder,
 )
 from summa.cutoffs import make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
@@ -166,6 +167,30 @@ class TestUt:
             assert vals[N] == pytest.approx(-(N**2) / 12.0, rel=1e-2)
         assert abs(vals[400.0] - vals[200.0]) > abs(vals[200.0] - vals[100.0])
 
+    def test_ladder_rows_are_u_t_at_each_scale(self, monkeypatch):
+        from summa import _kernels
+
+        cfg = CasimirConfig(N=320.0, cutoff=make_cutoff("poly", 6), quad_tol=1e-9)
+        sweeps = []
+        real = _kernels.ut_value
+
+        def counted(kind, p, lam, N, tol):
+            sweeps.append(N)
+            return real(kind, p, lam, N, tol)
+
+        monkeypatch.setattr(_kernels, "ut_value", counted)
+        rows = u_t_ladder(cfg, 4)
+        assert sorted(sweeps) == [20.0, 40.0, 80.0, 160.0, 320.0]  # levels + 1 sweeps
+        assert [N for N, _ in rows] == [40.0, 80.0, 160.0, 320.0]
+        for N, r in rows:
+            assert r == u_t_dimensionless(replace(cfg, N=N))
+
+    def test_ladder_stops_at_the_smallest_valid_scale(self):
+        cfg = CasimirConfig(N=40.0, cutoff=make_cutoff("poly", 6), quad_tol=1e-9)
+        assert [N for N, _ in u_t_ladder(cfg, 6)] == [10.0, 20.0, 40.0]
+        with pytest.raises(ValueError):
+            u_t_ladder(cfg, 0)
+
     def test_c5_norm_scaling(self):
         a = sup_f5_estimate(CasimirConfig(N=100.0, cutoff=make_cutoff("bump")))
         b = sup_f5_estimate(CasimirConfig(N=200.0, cutoff=make_cutoff("bump")))
@@ -202,6 +227,11 @@ class TestPhysicalOutputs:
         f2 = casimir_force(2e-6, replace(cfg, d=2e-6))
         assert abs(f1 / f2) == pytest.approx(16.0, rel=0.02)
         assert f1 < 0.0 and f2 < 0.0
+
+    def test_force_is_exact_derivative_of_energy(self):
+        cfg = CasimirConfig(d=1e-6, N=400.0, cutoff=make_cutoff("bump"), quad_tol=1e-9)
+        for d in (1e-7, 1e-6, 3e-6):
+            assert casimir_force(d, cfg) == 3.0 * energy_density(replace(cfg, d=d)) / d
 
     def test_closed_form_force_value(self):
         assert closed_form_force(1e-6) == pytest.approx(-1.30e-3, rel=5e-3)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from summa.cli import run
+from summa import casimir
+from summa.cli import build_parser, run
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -32,8 +33,7 @@ def validate_against_schema(payload):
     config = payload["config"]
     for key in schema["properties"]["config"]["required"]:
         assert key in config
-    assert config["backend"] in ("numba", "numpy")
-    assert isinstance(config["threads"], int) and config["threads"] >= 1
+    assert "backend" not in config and "threads" not in config
     assert isinstance(config["subcommand"], str)
     assert isinstance(config["version"], str)
     assert isinstance(payload["result"], dict)
@@ -64,6 +64,8 @@ class TestJsonOutputs:
         assert closed == pytest.approx(-math.pi**2 * 1.054571817e-34 * 2.99792458e8 / 240.0 * 1e24,
                                        rel=1e-9)
         assert payload["result"]["relative_error"] < 0.01
+        cfg = casimir.CasimirConfig(d=1e-6, N=400.0, quad_tol=1e-9)
+        assert payload["result"]["force"] == 3.0 * casimir.energy_density(cfg) / 1e-6
 
     def test_every_subcommand_emits_valid_json(self, capsys):
         argvs = [
@@ -105,7 +107,8 @@ class TestCsvOutputs:
         assert rc == 0
         lines = out.strip().splitlines()
         config_lines = [l for l in lines if l.startswith("# ")]
-        assert any(l.startswith("# backend=") for l in config_lines)
+        assert any(l.startswith("# version=") for l in config_lines)
+        assert not any(l.startswith(("# backend=", "# threads=")) for l in config_lines)
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "identity,rule_a,rule_b,clash"
 
@@ -124,6 +127,10 @@ class TestCsvOutputs:
         lines = [l for l in out.strip().splitlines() if not l.startswith("#")]
         assert lines[0] == "N,value,error_estimate"
         assert len(lines) == 1 + 3
+        # each row is the library's u_t at its N, halving error included
+        for N, value, error in (line.split(",") for line in lines[1:]):
+            ref = casimir.u_t_dimensionless(casimir.CasimirConfig(N=float(N), quad_tol=1e-9))
+            assert (float(value), float(error)) == (ref.value, ref.error_estimate)
 
     def test_truncate_scan(self, capsys):
         rc, out, _ = run_capture(capsys, ["--format", "csv", "truncate", "--alpha", "1/8"])
@@ -152,6 +159,23 @@ class TestErrors:
     def test_usage_error_from_argparse(self, capsys):
         rc, _, _ = run_capture(capsys, ["bernoulli"])  # missing --k
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["casimir", "--N", "nan"],
+        ["casimir", "--N", "inf"],
+        ["smoothed", "--s", "1", "--N", "nan"],
+        ["casimir", "--d", "nan"],
+    ])
+    def test_non_finite_float_flag_is_usage_error(self, capsys, argv):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2
+        assert out == "" and "finite" in err
+
+    def test_every_float_flag_is_checked_finite(self):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                assert action.type is not float, (name, action.dest)
 
     def test_zeta_eta_needs_alt_zeta_series(self, capsys):
         rc, _, err = run_capture(capsys, ["sum", "--method", "zeta-eta", "--series", "S1"])

@@ -194,6 +194,29 @@ class TestDeltaPairing:
             delta_pairing(0, centered_bump())
 
 
+class TestDirichletKernel:
+    @pytest.mark.parametrize("j", [300, 3000, 6000])
+    def test_small_x_against_mpmath(self, j):
+        import mpmath as mp
+
+        from summa.smoothed import _dirichlet_normalized
+
+        mags = np.concatenate([np.logspace(-12, -4, 33), [3e-5, 7.7e-5, 1e-4]])
+        xs = np.concatenate([mags, -mags])
+        got = _dirichlet_normalized(j, xs)
+        with mp.workdps(40):
+            for x, g in zip(xs, got):
+                xm = mp.mpf(float(x))
+                ref = mp.sin((j + mp.mpf(1) / 2) * xm) / mp.sin(xm / 2) / (2 * mp.pi)
+                assert abs(g - ref) <= 1e-14 * abs(ref), (j, x)
+
+    def test_value_at_zero(self):
+        from summa.smoothed import _dirichlet_normalized
+
+        at_zero = _dirichlet_normalized(6000, np.array([0.0, -0.0, 5e-324]))
+        assert np.all(at_zero == 12001.0 / (2.0 * math.pi))
+
+
 class TestSinePairing:
     def test_decay_bound_from_partial_integration(self):
         # |int sin(jx) phi| <= (1/j) int |phi'|
