@@ -51,9 +51,12 @@ def _finite_float(text: str) -> float:
 
 def _parse_grid(text: str):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}: expected comma-separated numbers") from exc
+    if not all(math.isfinite(v) for v in grid):
+        raise UsageError(f"bad grid {text!r}: every point must be a finite number")
+    return grid
 
 
 def _resolve_series(key: str):

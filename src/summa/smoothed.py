@@ -13,7 +13,9 @@ empirical decay rate of the residual.
 Numerical note: the subtraction sum - C N^{s+1} cancels ~ (s+1) log10(N)
 digits, which float64 cannot survive for s >= 3 on the grids used here.  The
 drift D(N) is therefore computed in exact rational arithmetic for poly
-cutoffs and in mpmath working precision (scaled to the grid) for the bump;
+cutoffs, by a Faulhaber closed form costing O(p s) whatever N is, and in
+mpmath working precision (scaled to the grid) for the bump, where one pass
+of eta evaluations serves every grid point N_max / r with r an integer;
 the float `smoothed_sum`/`mellin` operations themselves are unchanged.
 """
 
@@ -29,6 +31,7 @@ import numpy as np
 from . import _kernels
 from .cutoffs import Cutoff, _bump_numerator, _horner
 from .errors import CutoffSmoothnessError
+from .exact import faulhaber
 from .quadrature import integrate
 
 __all__ = [
@@ -104,58 +107,83 @@ def _mellin_mp(cutoff: Cutoff, s: int, dps: int):
 
 
 def _drift_exact_poly(s: int, cutoff: Cutoff, N: float) -> Fraction:
+    """D(N) for poly:p in O(p s) exact work, whatever N is.
+
+    With L = ceil(N) - 1 the last n < N, the binomial expansion
+    sum_{1<=n<N} (1 - n/N)^p n^s = sum_k C(p,k) (-1/N)^k S_{s+k}(L) turns
+    the sum into Faulhaber power sums S_j(L) = 1^j + ... + L^j.
+    """
     NF = Fraction(N)
-    M = int(math.ceil(N))
+    L = math.ceil(N) - 1
     total = Fraction(0)
-    for n in range(1, M + 1):
-        x = Fraction(n) / NF
-        if x < 1:
-            total += (1 - x) ** cutoff.p * Fraction(n) ** s
+    if L >= 1:
+        step = -1 / NF
+        scale = Fraction(1)
+        for k in range(cutoff.p + 1):
+            total += math.comb(cutoff.p, k) * scale * faulhaber(s + k, L)
+            scale *= step
     return total - cutoff.mellin_exact(s) * NF ** (s + 1)
 
 
-def _drift_mp(s: int, cutoff: Cutoff, N: float, dps: int):
+def _drifts_mp(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> list:
+    """D(N) for the bump at every N in ``points``, in mpmath at ``dps`` digits.
+
+    Each N whose ratio r = N_max / N is an exact integer shares one pass
+    over m = 1..ceil(N_max): eta(m / N_max) is evaluated once and its term
+    n = m / r goes into N's total.  mpmath rounds the quotient correctly,
+    so m / N_max and n / N are the same mpf; n^s has fewer bits than the
+    working precision, so e * n^s is one correctly rounded product; and
+    every total, kept in increasing n, is bit-identical to a loop over N
+    alone.  Any other N makes its own pass.  The ratio is tested on the exact rationals: in
+    floats N_max / N can round to an integer that is not the ratio.
+    """
     import mpmath as mp
 
+    n_max = max(points)
+    shared = []
+    passes = [(n_max, shared)]  # (top, [(index, ratio)]): one eta pass each
+    for i, N in enumerate(points):
+        r = n_max / N
+        if r.is_integer() and Fraction(N) * int(r) == Fraction(n_max):
+            shared.append((i, int(r)))
+        else:
+            passes.append((N, [(i, 1)]))
+
     with mp.workdps(dps):
-        NM = mp.mpf(N)
-        M = int(math.ceil(N))
-        total = mp.mpf(0)
-        for n in range(1, M + 1):
-            e = cutoff.eval_mp(mp.mpf(n) / NM)
-            if e:
-                total += e * mp.mpf(n) ** s
-        return total - _mellin_mp(cutoff, s, dps) * NM ** (s + 1)
-
-
-def _drift(s: int, cutoff: Cutoff, N: float, dps: int):
-    """D(N) = smoothed_sum(s, eta, N) - C_{eta,s} N^{s+1}, cancellation-safe.
-
-    Returned in the widest arithmetic the cutoff admits (Fraction for poly,
-    mpf for bump, float otherwise) so residual differences between grid
-    points stay meaningful after the big cancellation.
-    """
-    if cutoff.kind == "poly":
-        return _drift_exact_poly(s, cutoff, N)
-    if cutoff.kind == "bump":
-        return _drift_mp(s, cutoff, N, dps)
-    c = mellin(cutoff, s, tol=1e-12)
-    return smoothed_sum(s, cutoff, N) - c * float(N) ** (s + 1)
+        totals = [mp.mpf(0)] * len(points)
+        for top, members in passes:
+            T = mp.mpf(top)
+            for m in range(1, math.ceil(top) + 1):
+                e = cutoff.eval_mp(m / T)
+                if e:
+                    for i, r in members:
+                        if m % r == 0:
+                            totals[i] += e * (m // r) ** s
+        c = _mellin_mp(cutoff, s, dps)
+        return [t - c * mp.mpf(N) ** (s + 1) for t, N in zip(totals, points)]
 
 
 def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> AsymptoticFit:
     """Extract the finite constant of a smoothed monomial sum over an N-grid.
 
     Requires cutoff smoothness >= s + 2 (the identity's regularity
-    assumption), at least 4 grid points, and max(grid) >= 100.  The constant
-    is D(N_max) with error estimate |D(N_max) - D(N_max / 2)|; the decay
-    exponent comes from a log-log fit of |D(N) - constant| on the rest of
-    the grid.
+    assumption), at least 4 grid points, all finite and > 0, and
+    max(grid) >= 100.  The constant is D(N_max) with error estimate
+    |D(N_max) - D(N_max / 2)|; the decay exponent comes from a log-log fit
+    of |D(N) - constant| on the rest of the grid.
+
+    The drifts D(N) are exact: for poly:p each is an O(p s) Faulhaber closed
+    form, whatever N is; for the bump one mpmath pass over n = 1..ceil(N_max)
+    serves N_max / 2 and every grid point whose ratio N_max / N is an
+    integer (each other point makes its own pass).
     """
     if s < 0:
         raise ValueError(f"constant_extraction requires s >= 0, got {s}")
     cutoff.require_smoothness(s + 2, "constant extraction at this exponent")
     grid = [float(N) for N in Ngrid]
+    for N in grid:
+        if not 0 < N < math.inf:
+            raise ValueError(f"Ngrid points must be finite and > 0, got {N!r}")
     if len(grid) < 4:
         raise ValueError("Ngrid needs at least 4 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -165,8 +193,16 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
 
     n_max = grid[-1]
     dps = 25 + int(math.ceil((s + 1) * math.log10(max(n_max, 10.0))))
-    drifts = [_drift(s, cutoff, N, dps) for N in grid]
-    d_half = _drift(s, cutoff, n_max / 2.0, dps)
+    half = n_max / 2.0
+    points = grid if half in grid else grid + [half]
+    # D(N) = smoothed_sum(s, eta, N) - C_{eta,s} N^{s+1}, cancellation-safe:
+    # Fraction for poly, mpf for the bump (the only cutoffs smooth enough here)
+    if cutoff.kind == "poly":
+        drifts = [_drift_exact_poly(s, cutoff, N) for N in points]
+    else:
+        drifts = _drifts_mp(s, cutoff, points, dps)
+    d_half = drifts[points.index(half)]
+    drifts = drifts[:len(grid)]
 
     # Differences taken before float conversion: for fast-converging cutoffs
     # the residuals live far below float64 resolution of the drift itself.

@@ -171,6 +171,17 @@ class TestErrors:
         assert rc == 2
         assert out == "" and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--s", "1", "--grid", "100,200,400,inf"],
+        ["extract", "--s", "1", "--grid", "100,200,400,nan"],
+        ["flat-check", "--beta", "1", "--grid", "1e-2,inf"],
+        ["flat-check", "--beta", "1", "--grid", "nan,1e-3"],
+    ])
+    def test_non_finite_grid_point_is_usage_error(self, capsys, argv):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2
+        assert out == "" and "finite" in err
+
     def test_every_float_flag_is_checked_finite(self):
         subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
         for name, sub in subparsers.choices.items():

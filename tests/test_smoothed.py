@@ -1,13 +1,18 @@
 import math
+import re
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from summa.cutoffs import make_cutoff, sharp_indicator
+from summa.cutoffs import BumpCutoff, make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
 from summa.exact import bernoulli, faulhaber
 from summa.smoothed import (
+    _drift_exact_poly,
+    _drifts_mp,
+    _mellin_mp,
     centered_bump,
     constant_extraction,
     delta_pairing,
@@ -104,6 +109,14 @@ class TestConstantExtraction:
         with pytest.raises(ValueError):
             constant_extraction(0, eta, [100.0, 100.0, 200.0, 400.0])
 
+    @pytest.mark.parametrize("bad", [-5.0, 0.0, math.nan, math.inf])
+    def test_bad_grid_point_rejected_before_any_drift(self, bad):
+        eta = CountingBump()
+        grid = [bad, 200.0, 400.0, 800.0] if bad <= 0 else [100.0, 200.0, 400.0, bad]
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            constant_extraction(0, eta, grid)
+        assert eta.calls == 0
+
     def test_positivity_non_contradiction(self):
         # every smoothed sum is positive, yet the extracted constant is
         # negative: the divergent moment term dominates
@@ -126,6 +139,71 @@ class TestConstantExtraction:
             fit = constant_extraction(s, make_cutoff("bump"), grid)
             target = float(ramanujan_monomial(s))
             assert abs(fit.constant - target) <= max(3.0 * fit.error_estimate, 1e-6)
+
+
+class CountingBump(BumpCutoff):
+    """The bump cutoff, counting its eval_mp calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def eval_mp(self, x):
+        self.calls += 1
+        return super().eval_mp(x)
+
+
+def poly_drift_loop(s, cutoff, N):
+    """Reference D(N) for poly:p: the O(N) Fraction loop over 1 <= n < N."""
+    NF = Fraction(N)
+    total = Fraction(0)
+    for n in range(1, math.ceil(N) + 1):
+        x = Fraction(n) / NF
+        if x < 1:
+            total += (1 - x) ** cutoff.p * Fraction(n) ** s
+    return total - cutoff.mellin_exact(s) * NF ** (s + 1)
+
+
+def bump_drift_loop(s, cutoff, N, dps):
+    """Reference D(N) for the bump: one mpmath loop over n = 1..ceil(N)."""
+    with mp.workdps(dps):
+        NM = mp.mpf(N)
+        total = mp.mpf(0)
+        for n in range(1, math.ceil(N) + 1):
+            e = cutoff.eval_mp(mp.mpf(n) / NM)
+            if e:
+                total += e * mp.mpf(n) ** s
+        return total - _mellin_mp(cutoff, s, dps) * NM ** (s + 1)
+
+
+class TestDrift:
+    @pytest.mark.parametrize("N", [0.25, 1.0, 2.0, 17.0, 40.0, 1.5, 12.345, 33.7])
+    def test_poly_closed_form_equals_loop(self, N):
+        # integer N must leave out n = N; 0 < N <= 1 has no terms at all
+        for p in range(1, 11):
+            cut = make_cutoff("poly", p)
+            for s in range(7):
+                assert _drift_exact_poly(s, cut, N) == poly_drift_loop(s, cut, N), (p, s)
+
+    @pytest.mark.parametrize("grid", [
+        [25.0, 50.0, 100.0, 200.0, 400.0],               # dyadic: one shared pass
+        [100.0, 150.0, 240.0, 300.0, 450.0, 225.0],      # ratios 3 and 2, others alone
+        [970 / 3, 400.0, 500.0, 700.0, 970.0, 485.0],    # 970/(970/3) rounds to 3.0 in floats
+    ])
+    def test_shared_bump_pass_is_bit_identical(self, grid):
+        eta = make_cutoff("bump")
+        for s in (0, 3, 6):
+            dps = 25 + math.ceil((s + 1) * math.log10(max(grid)))
+            want = [bump_drift_loop(s, eta, N, dps) for N in grid]
+            assert _drifts_mp(s, eta, grid, dps) == want, s
+
+    def test_dyadic_grid_evaluates_eta_once_per_n(self):
+        eta = CountingBump()
+        grid = [500.3 / 2**k for k in range(4, -1, -1)]
+        constant_extraction(1, eta, grid)  # fills the moment cache
+        eta.calls = 0
+        constant_extraction(1, eta, grid)
+        assert eta.calls == math.ceil(grid[-1])
 
 
 class TestSharpIndicatorPathology:
