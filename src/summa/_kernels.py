@@ -7,7 +7,12 @@ Cutoff functions are addressed by integer codes:
     KIND_INDICATOR sharp characteristic function of [0, 1]
 
 Sums are vectorized numpy; integrals run on the one adaptive Gauss-Kronrod
-core in ``summa.quadrature``.
+core in ``summa.quadrature``.  The O(N) kernels -- the smoothed, alternating
+and doubled sums and the plate-energy cell sweep -- stream their index range
+in fixed chunks of ``CHUNK`` terms (``CHUNK // 15`` cells, 15 nodes each), so
+their working memory is O(CHUNK) at any N and their time is linear in N.
+Chunk sums are joined with ``math.fsum``; the cell sweep's accepted panels
+are summed once at the end, exactly as in one sweep over all cells.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ __all__ = [
     "moment_quad",
     "ut_value",
 ]
+
+CHUNK = 15 * 4096  # terms per streamed chunk; CHUNK // 15 cells, a multiple of 4 (see ut_value)
+MAX_TERMS = 10**10  # terms in one streamed sum (minutes of work); the sums refuse more
+MAX_CELLS = 10**6  # unit cells in one plate sweep; ut_value refuses more
 
 KIND_BUMP = 0
 KIND_POLY = 1
@@ -59,27 +68,49 @@ def eta_array(kind: int, p: int, x) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def _streamed_sum(terms, count: int) -> float:
+    """fsum of the chunk sums of ``terms(n)`` over the floats n = 1..count.
+
+    Overflow and invalid operations yield inf/nan without warnings; callers
+    report a non-finite result as an error.  More than ``MAX_TERMS`` terms
+    raise ``ValueError``.
+    """
+    if count > MAX_TERMS:
+        raise ValueError(f"a sum of {count} terms exceeds MAX_TERMS = {MAX_TERMS}")
+    partials = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, count + 1, CHUNK):
+            n = np.arange(start, min(start + CHUNK, count + 1), dtype=float)
+            partials.append(float(np.sum(terms(n))))
+    try:
+        return math.fsum(partials)
+    except (OverflowError, ValueError):  # an intermediate overflow or inf - inf
+        return sum(partials)
+
+
 def smoothed_sum_value(s: int, kind: int, p: int, N: float) -> float:
     """sum_{n=1}^{ceil(N)} eta(n/N) n^s."""
     N = float(N)
-    n = np.arange(1, math.ceil(N) + 1, dtype=float)
-    return float(np.sum(eta_array(kind, p, n / N) * n**s))
+    return _streamed_sum(lambda n: eta_array(kind, p, n / N) * n**s, math.ceil(N))
 
 
 def alternating_smoothed_value(kind: int, p: int, N: float) -> float:
     """sum_{n=1}^{ceil(N)} (-1)^(n-1) eta(n/N)."""
     N = float(N)
-    M = math.ceil(N)
-    n = np.arange(1, M + 1, dtype=float)
-    signs = np.where(np.arange(1, M + 1) % 2 == 1, 1.0, -1.0)
-    return float(np.sum(signs * eta_array(kind, p, n / N)))
+
+    def terms(n):
+        y = eta_array(kind, p, n / N)
+        y[int(n[0]) % 2::2] *= -1.0  # the even n of this chunk
+        return y
+
+    return _streamed_sum(terms, math.ceil(N))
 
 
 def doubled_smoothed_value(kind: int, p: int, N: float) -> float:
     """sum_n (2n) eta(2n/N); the support ends at 2n >= N."""
     N = float(N)
-    n = np.arange(1, math.ceil(N / 2.0) + 1, dtype=float)
-    return float(np.sum(2.0 * n * eta_array(kind, p, 2.0 * n / N)))
+    return _streamed_sum(lambda n: 2.0 * n * eta_array(kind, p, 2.0 * n / N),
+                         math.ceil(N / 2.0))
 
 
 def moment_quad(kind: int, p: int, m: int, c: float, a: float, b: float,
@@ -105,12 +136,25 @@ def ut_value(kind: int, p: int, lam: float, N: float, tol: float, budget: int = 
     quantities to produce an O(1) value and loses ~N^3 * eps to correlated
     roundoff; this form never holds a large intermediate.  ``budget`` caps
     the evaluations spent refining cells beyond the first panel of each.
-    Returns (value, error_estimate).
+    The cells enter the quadrature ``CHUNK // 15`` at a time.  BLAS rounds a
+    panel's dot products by the row kernel its batch position lands on, and a
+    multiple of 4 cells per chunk keeps every cell's first panel on the same
+    kernel as in one batch of all cells: a sweep whose cells are accepted at
+    their first panel is bit-identical to that single batch.  More than
+    ``MAX_CELLS`` cells raise ``ValueError``.  Returns (value, error_estimate).
     """
     c = lam / N
     support = N / lam
-    lo = np.arange(math.ceil(support), dtype=float)
-    hi = np.minimum(lo + 1.0, support)
+    if not support <= MAX_CELLS:
+        raise ValueError(f"plate sweep of N/lam = {support:.6g} cells exceeds "
+                         f"MAX_CELLS = {MAX_CELLS}")
+    ncells = math.ceil(support)
+
+    def cells():
+        step = CHUNK // 15
+        for start in range(0, ncells, step):
+            lo = np.arange(start, min(start + step, ncells), dtype=float)
+            yield lo, np.minimum(lo + 1.0, support)
 
     def saw(v):
         # a panel's midpoint lies strictly inside its unit cell, so its floor
@@ -122,5 +166,5 @@ def ut_value(kind: int, p: int, lam: float, N: float, tol: float, budget: int = 
         y *= cell + 0.5 - v
         return y
 
-    value, error, _, _ = _adapt(saw, lo, hi, support, tol, budget + 15 * lo.size)
+    value, error, _, _ = _adapt(saw, cells(), support, tol, budget + 15 * ncells)
     return value, error

@@ -58,6 +58,7 @@ HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
 DIMENSIONLESS_LIMIT = -1.0 / 360.0
+MAX_CELLS = _kernels.MAX_CELLS  # unit cells of one u_t sweep, ceil(N / lam); more raise ValueError
 
 
 @dataclass(frozen=True)

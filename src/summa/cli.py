@@ -5,8 +5,10 @@ config header.  Every run echoes its fully resolved configuration and the
 package version, so a result can be reproduced from its own output.
 Numeric output is deterministic for a fixed configuration and environment.
 
-Exit codes: 0 success, 1 computational error, 2 usage error (float flags
-must be finite numbers: nan and inf are rejected at parse time).
+Exit codes: 0 success, 1 computational error (an inf or nan result is one,
+in either format), 2 usage error (float flags must be finite numbers: nan
+and inf are rejected at parse time; so is work past a declared cap, before
+any compute).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from . import __version__
 from . import asymptotics, casimir, euler_maclaurin as em, smoothed, summation
 from .cutoffs import parse_cutoff
-from .errors import SummaError
+from .errors import NonFiniteResultError, SummaError
 from .exact import bernoulli, faulhaber
 from .series import get_series
 
@@ -46,6 +48,15 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _sum_scale(text: str) -> float:
+    """argparse type of a smoothed sum's --N: finite, at most MAX_TERMS terms, else exit 2."""
+    value = _finite_float(text)
+    if value > smoothed.MAX_TERMS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} exceeds the cap of {smoothed.MAX_TERMS} summed terms")
     return value
 
 
@@ -165,6 +176,10 @@ def _cmd_smoothed(args):
 def _cmd_extract(args):
     cutoff = _resolve_cutoff(args.cutoff)
     grid = _parse_grid(args.grid)
+    try:
+        smoothed.check_grid(grid)
+    except ValueError as exc:
+        raise UsageError(f"bad --grid {args.grid!r}: {exc}") from exc
     fit = smoothed.constant_extraction(args.s, cutoff, grid)
     result = fit.to_json_dict()
     result["error_estimate"] = fit.error_estimate
@@ -234,10 +249,14 @@ def _cmd_em_diverge(args):
 
 
 def _make_casimir_config(args) -> casimir.CasimirConfig:
-    return casimir.CasimirConfig(
+    cfg = casimir.CasimirConfig(
         d=args.d, lam=getattr(args, "lam"), N=args.N,
         cutoff=_resolve_cutoff(args.cutoff), quad_tol=args.quad_tol,
     )
+    if cfg.support_end > casimir.MAX_CELLS:  # the largest sweep has ceil(N / lambda) cells
+        raise UsageError(f"--N / --lambda = {cfg.support_end:.6g} cells exceeds the "
+                         f"plate-sweep cap of {casimir.MAX_CELLS}")
+    return cfg
 
 
 def _cmd_casimir(args):
@@ -352,23 +371,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smoothed", help="smoothed monomial sum")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--cutoff", default="bump", help=CUTOFF_GRAMMAR)
-    p.add_argument("--N", type=_finite_float, required=True)
+    p.add_argument("--N", type=_sum_scale, required=True)
     p.set_defaults(handler=_cmd_smoothed)
 
     p = sub.add_parser("extract", help="constant extraction over an N grid")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--cutoff", default="bump")
-    p.add_argument("--grid", default="100,200,400,800,1600")
+    p.add_argument("--grid", default="100,200,400,800,1600",
+                   help="comma-separated N: at least 4, increasing, all > 0, max >= 100 "
+                        "(a grid starting with a negative number is written --grid=-5,...)")
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser("grandi", help="smoothed Grandi sum")
     p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=_finite_float, default=1e4)
+    p.add_argument("--N", type=_sum_scale, default=1e4)
     p.set_defaults(handler=_cmd_grandi)
 
     p = sub.add_parser("scaling-demo", help="smoothed sums are not scale invariant")
     p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=_finite_float, default=100.0)
+    p.add_argument("--N", type=_sum_scale, default=100.0)
     p.set_defaults(handler=_cmd_scaling_demo)
 
     p = sub.add_parser("delta-seq", help="Dirichlet kernel pairing")
@@ -442,6 +463,31 @@ def _config_echo(args) -> dict:
     return cfg
 
 
+def _non_finite(value, where):
+    """(where, value) of the first inf or nan float inside ``value``, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (where, value)
+    if isinstance(value, dict):
+        items = ((f"{where}.{k}", v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for path, item in items:
+        hit = _non_finite(item, path)
+        if hit:
+            return hit
+    return None
+
+
+def _check_finite(result, csv_block) -> None:
+    """Raise NonFiniteResultError on an inf or nan anywhere in the output, whatever the format."""
+    hit = _non_finite(result, "result") or _non_finite(csv_block[1], "rows")
+    if hit:
+        raise NonFiniteResultError(f"{hit[0]} = {hit[1]} is not a finite number "
+                                   "(float64 overflow or an invalid operation)")
+
+
 def _emit(args, result, csv_block) -> str:
     config = _config_echo(args)
     if args.format == "json":
@@ -464,6 +510,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         result, csv_block = args.handler(args)
+        _check_finite(result, csv_block)
         text = _emit(args, result, csv_block)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

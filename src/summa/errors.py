@@ -27,3 +27,7 @@ class BorelSummabilityError(SummaError):
 
 class GrowthNotFoundError(SummaError, ValueError):
     """No growth index found within max_terms; increase max_terms."""
+
+
+class NonFiniteResultError(SummaError):
+    """A computed result is inf or nan, typically after a float64 overflow."""

@@ -35,6 +35,7 @@ from .exact import faulhaber
 from .quadrature import integrate
 
 __all__ = [
+    "MAX_TERMS",
     "AsymptoticFit",
     "smoothed_sum",
     "mellin",
@@ -47,6 +48,8 @@ __all__ = [
     "centered_bump",
     "offset_bump",
 ]
+
+MAX_TERMS = _kernels.MAX_TERMS  # terms of one float smoothed sum, about N; more raise ValueError
 
 
 def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
@@ -163,6 +166,24 @@ def _drifts_mp(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> lis
         return [t - c * mp.mpf(N) ** (s + 1) for t, N in zip(totals, points)]
 
 
+def check_grid(Ngrid: Sequence[float]) -> List[float]:
+    """The grid as floats, or ValueError unless it is usable by constant_extraction.
+
+    At least 4 points, all finite and > 0, strictly increasing, max >= 100.
+    """
+    grid = [float(N) for N in Ngrid]
+    for N in grid:
+        if not 0 < N < math.inf:
+            raise ValueError(f"Ngrid points must be finite and > 0, got {N!r}")
+    if len(grid) < 4:
+        raise ValueError("Ngrid needs at least 4 points")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("Ngrid must be strictly increasing")
+    if grid[-1] < 100:
+        raise ValueError("max(Ngrid) must be >= 100")
+    return grid
+
+
 def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> AsymptoticFit:
     """Extract the finite constant of a smoothed monomial sum over an N-grid.
 
@@ -180,16 +201,7 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
     if s < 0:
         raise ValueError(f"constant_extraction requires s >= 0, got {s}")
     cutoff.require_smoothness(s + 2, "constant extraction at this exponent")
-    grid = [float(N) for N in Ngrid]
-    for N in grid:
-        if not 0 < N < math.inf:
-            raise ValueError(f"Ngrid points must be finite and > 0, got {N!r}")
-    if len(grid) < 4:
-        raise ValueError("Ngrid needs at least 4 points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("Ngrid must be strictly increasing")
-    if grid[-1] < 100:
-        raise ValueError("max(Ngrid) must be >= 100")
+    grid = check_grid(Ngrid)
 
     n_max = grid[-1]
     dps = 25 + int(math.ceil((s + 1) * math.log10(max(n_max, 10.0))))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from summa import casimir
+from summa import casimir, smoothed
 from summa.cli import build_parser, run
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -187,6 +187,55 @@ class TestErrors:
         for name, sub in subparsers.choices.items():
             for action in sub._actions:
                 assert action.type is not float, (name, action.dest)
+
+    @pytest.mark.parametrize("argv", [
+        ["smoothed", "--s", "200", "--N", "1000"],
+        ["smoothed", "--s", "400", "--cutoff", "poly:3", "--N", "100"],
+    ])
+    def test_non_finite_result_is_the_same_typed_error_in_both_formats(self, capsys, argv):
+        errs = []
+        for fmt in ("json", "csv"):
+            rc, out, err = run_capture(capsys, ["--format", fmt] + argv)
+            assert rc == 1 and out == ""
+            assert err.startswith("error: NonFiniteResultError: ")
+            errs.append(err)
+        assert errs[0] == errs[1]
+
+    @pytest.mark.parametrize("name", ["casimir", "casimir-force"])
+    def test_cell_count_past_the_cap_is_usage_error(self, capsys, monkeypatch, name):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the cap check")
+
+        monkeypatch.setattr(casimir._kernels, "ut_value", no_sweep)
+        rc, out, err = run_capture(capsys, [name, "--lambda", "1e-9", "--N", "20"])
+        assert rc == 2 and out == ""
+        assert str(casimir.MAX_CELLS) in err
+        # exactly at the cap is accepted by the CLI and reaches the sweep
+        with pytest.raises(AssertionError, match="before the cap"):
+            run([name, "--lambda", "1", "--N", str(casimir.MAX_CELLS)])
+
+    @pytest.mark.parametrize("argv", [
+        ["smoothed", "--s", "1", "--N", "1e11"],
+        ["grandi", "--N", "1e11"],
+        ["scaling-demo", "--N", "1e11"],
+    ])
+    def test_sum_past_the_term_cap_is_usage_error(self, capsys, argv):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2 and out == ""
+        assert str(smoothed.MAX_TERMS) in err
+
+    @pytest.mark.parametrize("grid,why", [
+        ("100,200,400", "at least 4"),
+        ("100,400,200,800", "increasing"),
+        ("100,100,200,400", "increasing"),
+        ("10,20,40,80", ">= 100"),
+        ("-5,200,400,800", "> 0"),
+        ("0,200,400,800", "> 0"),
+    ])
+    def test_malformed_extract_grid_is_usage_error(self, capsys, grid, why):
+        rc, out, err = run_capture(capsys, ["extract", "--s", "1", f"--grid={grid}"])
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error: bad --grid") and why in err
 
     def test_zeta_eta_needs_alt_zeta_series(self, capsys):
         rc, _, err = run_capture(capsys, ["sum", "--method", "zeta-eta", "--series", "S1"])
