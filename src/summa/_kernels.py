@@ -1,18 +1,14 @@
 """Hot numeric kernels: the smoothed sums, moment integrals and plate-energy sweep.
 
-Cutoff functions are addressed by integer codes:
-
-    KIND_BUMP      exp(1 - 1/(1-x^2)) on [0, 1), 0 beyond
-    KIND_POLY      (1 - x)^p on [0, 1], 0 beyond
-    KIND_INDICATOR sharp characteristic function of [0, 1]
-
-Sums are vectorized numpy; integrals run on the one adaptive Gauss-Kronrod
-core in ``summa.quadrature``.  The O(N) kernels -- the smoothed, alternating
-and doubled sums and the plate-energy cell sweep -- stream their index range
-in fixed chunks of ``CHUNK`` terms (``CHUNK // 15`` cells, 15 nodes each), so
-their working memory is O(CHUNK) at any N and their time is linear in N.
-Chunk sums are joined with ``math.fsum``; the cell sweep's accepted panels
-are summed once at the end, exactly as in one sweep over all cells.
+Each kernel takes the ``Cutoff`` itself and evaluates eta through
+``cutoff.eval`` on whole arrays.  Sums are vectorized numpy; integrals run
+on the one adaptive Gauss-Kronrod core in ``summa.quadrature``.  The O(N)
+kernels -- the smoothed, alternating and doubled sums and the plate-energy
+cell sweep -- stream their index range in fixed chunks of ``CHUNK`` terms
+(``CHUNK // 15`` cells, 15 nodes each), so their working memory is
+O(CHUNK) at any N and their time is linear in N.  Chunk sums are joined with
+``math.fsum``; the cell sweep's accepted panels are summed once at the end,
+exactly as in one sweep over all cells.
 """
 
 from __future__ import annotations
@@ -21,13 +17,10 @@ import math
 
 import numpy as np
 
+from .cutoffs import Cutoff
 from .quadrature import MID_NODE, _adapt, integrate
 
 __all__ = [
-    "KIND_BUMP",
-    "KIND_POLY",
-    "KIND_INDICATOR",
-    "eta_array",
     "smoothed_sum_value",
     "alternating_smoothed_value",
     "doubled_smoothed_value",
@@ -38,34 +31,6 @@ __all__ = [
 CHUNK = 15 * 4096  # terms per streamed chunk; CHUNK // 15 cells, a multiple of 4 (see ut_value)
 MAX_TERMS = 10**10  # terms in one streamed sum (minutes of work); the sums refuse more
 MAX_CELLS = 10**6  # unit cells in one plate sweep; ut_value refuses more
-
-KIND_BUMP = 0
-KIND_POLY = 1
-KIND_INDICATOR = 2
-
-# Beyond this point the bump's exp() underflows to 0 long before the rational
-# prefactors of its derivatives overflow; treating the tail as exactly 0
-# avoids inf * 0 = nan.
-BUMP_EDGE = 1.0 - 1e-12
-
-
-def eta_array(kind: int, p: int, x) -> np.ndarray:
-    """Vectorized cutoff evaluation for x >= 0."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if kind == KIND_INDICATOR:
-        out = np.where(x <= 1.0, 1.0, 0.0)
-    elif kind == KIND_BUMP:
-        out = np.zeros_like(x)
-        m = x < BUMP_EDGE
-        t = 1.0 - x[m] * x[m]
-        out[m] = np.exp(1.0 - 1.0 / t)
-    else:
-        out = np.zeros_like(x)
-        m = x < 1.0
-        out[m] = (1.0 - x[m]) ** p
-    return out[0] if scalar else out
 
 
 def _streamed_sum(terms, count: int) -> float:
@@ -88,41 +53,45 @@ def _streamed_sum(terms, count: int) -> float:
         return sum(partials)
 
 
-def smoothed_sum_value(s: int, kind: int, p: int, N: float) -> float:
+def smoothed_sum_value(s: int, cutoff: Cutoff, N: float) -> float:
     """sum_{n=1}^{ceil(N)} eta(n/N) n^s."""
     N = float(N)
-    return _streamed_sum(lambda n: eta_array(kind, p, n / N) * n**s, math.ceil(N))
+    return _streamed_sum(lambda n: cutoff.eval(n / N) * n**s, math.ceil(N))
 
 
-def alternating_smoothed_value(kind: int, p: int, N: float) -> float:
+def alternating_smoothed_value(cutoff: Cutoff, N: float) -> float:
     """sum_{n=1}^{ceil(N)} (-1)^(n-1) eta(n/N)."""
     N = float(N)
 
     def terms(n):
-        y = eta_array(kind, p, n / N)
-        y[int(n[0]) % 2::2] *= -1.0  # the even n of this chunk
-        return y
+        # a chunk starts at an odd n (CHUNK is even), so it pairs +eta(n/N) with
+        # the -eta((n+1)/N) after it: neighbours within a factor 2 subtract
+        # exactly (Sterbenz) and the chunk sum no longer cancels
+        y = cutoff.eval(n / N)
+        odd, even = y[0::2], y[1::2]
+        odd[:even.size] -= even
+        return odd
 
     return _streamed_sum(terms, math.ceil(N))
 
 
-def doubled_smoothed_value(kind: int, p: int, N: float) -> float:
+def doubled_smoothed_value(cutoff: Cutoff, N: float) -> float:
     """sum_n (2n) eta(2n/N); the support ends at 2n >= N."""
     N = float(N)
-    return _streamed_sum(lambda n: 2.0 * n * eta_array(kind, p, 2.0 * n / N),
+    return _streamed_sum(lambda n: 2.0 * n * cutoff.eval(2.0 * n / N),
                          math.ceil(N / 2.0))
 
 
-def moment_quad(kind: int, p: int, m: int, c: float, a: float, b: float,
-                tol: float, budget: int = 10**6):
+def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float,
+                budget: int = 10**6):
     """Integral of x^m * eta(c x) over [a, b]; returns (value, error_estimate)."""
     if b <= a:
         return 0.0, 0.0
-    res = integrate(lambda x: x**m * eta_array(kind, p, c * x), a, b, tol=tol, budget=budget)
+    res = integrate(lambda x: x**m * cutoff.eval(c * x), a, b, tol=tol, budget=budget)
     return res.value, res.error
 
 
-def ut_value(kind: int, p: int, lam: float, N: float, tol: float, budget: int = 10**6):
+def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float, budget: int = 10**6):
     """Dimensionless plate-energy combination sum + half-term - integral at scale N.
 
     Evaluated through the exact regrouping
@@ -160,7 +129,7 @@ def ut_value(kind: int, p: int, lam: float, N: float, tol: float, budget: int = 
         # a panel's midpoint lies strictly inside its unit cell, so its floor
         # is the cell index even where an end node rounds onto the boundary
         cell = np.floor(v[:, MID_NODE, None])
-        y = eta_array(kind, p, c * v)
+        y = cutoff.eval(c * v)
         y *= v  # in place: fewer node-sized temporaries live at the peak
         y *= v
         y *= cell + 0.5 - v

@@ -100,8 +100,7 @@ def capital_F(n: float, cfg: CasimirConfig) -> float:
     end = cfg.support_end
     if n >= end:
         return 0.0
-    kind, p = cfg.cutoff.kernel_code
-    value, _ = _kernels.moment_quad(kind, p, 2, cfg.lam / cfg.N, float(n), end,
+    value, _ = _kernels.moment_quad(cfg.cutoff, 2, cfg.lam / cfg.N, float(n), end,
                                     cfg.quad_tol / 10.0)
     return value
 
@@ -153,13 +152,12 @@ def derivative_identities(cfg: CasimirConfig, order: int,
     h = max(0.5, 0.01 * end)
     f0 = abs(capital_F(0.0, cfg)) + 1.0
     tol = max(min(cfg.quad_tol, 1e-11), 4.0 * 2.3e-16 * f0)
-    kind, p = cfg.cutoff.kernel_code
     c = cfg.lam / cfg.N
 
     def F(x):
         if x >= end:
             return 0.0
-        v, _ = _kernels.moment_quad(kind, p, 2, c, x, end, tol)
+        v, _ = _kernels.moment_quad(cfg.cutoff, 2, c, x, end, tol)
         return v
 
     offsets, coeffs = _STENCILS[order]
@@ -194,8 +192,7 @@ def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: 
             f"cutoff {cfg.cutoff.label!r} is below C^5; pass enforce_smoothness=False "
             "to run the non-stabilizing demonstration anyway"
         )
-    kind, p = cfg.cutoff.kernel_code
-    return [_kernels.ut_value(kind, p, cfg.lam, N, cfg.quad_tol)[0] for N in scales]
+    return [_kernels.ut_value(cfg.cutoff, cfg.lam, N, cfg.quad_tol)[0] for N in scales]
 
 
 def u_t_ladder(cfg: CasimirConfig, levels: int, *,

@@ -29,9 +29,20 @@ from .series import get_series
 SERIES_GRAMMAR = "S0 | S1 | grandi | zero | monomial:s | alt-zeta:s | geometric:r"
 CUTOFF_GRAMMAR = "bump | poly:p | indicator"
 
+# Work caps, checked before any compute (exit 2); cold-process costs at the cap
+MAX_BERNOULLI_INDEX = 1000  # exact B_k reached by a flag: ~5 s at 1000, ~50 s at 2000
+MAX_CESARO_N = 10**6  # Cesaro window, ~32 B a term: 62 MB at 10^6
+MAX_TRUNCATE_ROWS = 10**5  # truncate's table of floor(1/alpha) + 5 rows: ~0.5 s at 10^5
+MAX_STIRLING_ROWS = 2000  # stirling --table rows 2..n: ~0.9 s at 2000, ~7 s at 3000
+
 
 class UsageError(Exception):
     pass
+
+
+def _check_cap(what: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise UsageError(f"{what} = {value} exceeds the cap of {cap}")
 
 
 def _fmt(value):
@@ -100,17 +111,21 @@ def _outcome_payload(out: summation.SummationOutcome) -> dict:
 
 
 def _cmd_bernoulli(args):
+    _check_cap("Bernoulli index --k", args.k, MAX_BERNOULLI_INDEX)
     val = bernoulli(args.k)
     return {"k": args.k, "value": _fmt(val)}, (("k", "value"), [(args.k, _fmt(val))])
 
 
 def _cmd_faulhaber(args):
+    _check_cap("Bernoulli index --s", args.s, MAX_BERNOULLI_INDEX)
     val = faulhaber(args.s, args.N)
     return ({"s": args.s, "N": args.N, "value": _fmt(val)},
             (("s", "N", "value"), [(args.s, args.N, _fmt(val))]))
 
 
 def _cmd_sum(args):
+    if args.method == "cesaro":
+        _check_cap("Cesaro window --n", args.n, MAX_CESARO_N)
     series = _resolve_series(args.series)
     if args.method == "cesaro":
         out = summation.cesaro_sum(series, args.n, tol=args.tol)
@@ -219,6 +234,7 @@ def _cmd_delta_seq(args):
 
 
 def _cmd_em_tail(args):
+    _check_cap("Bernoulli index --s + 1", args.s + 1, MAX_BERNOULLI_INDEX)
     cutoff = _resolve_cutoff(args.cutoff)
     spec = em.monomial_cutoff_spec(args.s, cutoff, float(args.N))
     res = em.em_tail(spec, args.N, args.s, tol=args.tol)
@@ -229,6 +245,9 @@ def _cmd_em_tail(args):
 
 
 def _cmd_stirling(args):
+    _check_cap("Bernoulli index 2 * --terms + 2", 2 * args.terms + 2, MAX_BERNOULLI_INDEX)
+    if args.table:
+        _check_cap("--table rows --n - 1", args.n - 1, MAX_STIRLING_ROWS)
     ns = range(2, args.n + 1) if args.table else [args.n]
     rows = []
     for n in ns:
@@ -241,6 +260,7 @@ def _cmd_stirling(args):
 
 
 def _cmd_em_diverge(args):
+    _check_cap("Bernoulli index 2 * --max-terms", 2 * args.max_terms, MAX_BERNOULLI_INDEX)
     scan = em.em_divergence_demo(args.n, args.max_terms)
     rows = [(m + 1, _fmt(t), float(abs(t))) for m, t in enumerate(scan.terms)]
     return ({"n": args.n, "m_star": scan.m_star,
@@ -292,6 +312,7 @@ def _cmd_truncate(args):
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --alpha {args.alpha!r}: expected a rational like 1/137 or 0.5") from exc
     n_star = asymptotics.optimal_truncation(alpha)
+    _check_cap("table rows floor(1/alpha) + 5", n_star + 5, MAX_TRUNCATE_ROWS)
     rows = []
     for n in range(1, n_star + 6):
         log10_term = (math.lgamma(n + 1) + n * math.log(float(alpha))) / math.log(10.0)

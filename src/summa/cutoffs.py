@@ -29,12 +29,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import CutoffSmoothnessError
 
-__all__ = ["Cutoff", "make_cutoff", "parse_cutoff", "sharp_indicator"]
+__all__ = ["BUMP_EDGE", "Cutoff", "bump_deriv", "make_cutoff", "parse_cutoff",
+           "sharp_indicator"]
 
-_BUMP_EDGE = _kernels.BUMP_EDGE
+# Beyond this point the bump's exp() underflows to 0 long before the rational
+# prefactors of its derivatives overflow; treating the tail as exactly 0
+# avoids inf * 0 = nan.
+BUMP_EDGE = 1.0 - 1e-12
 
 # Cache of the integer-coefficient numerator polynomials P_k (index = power).
 _BUMP_P: List[List[int]] = [[1]]
@@ -77,19 +80,30 @@ def _horner(c: List[int], x: np.ndarray) -> np.ndarray:
     return acc
 
 
+def bump_deriv(k: int, u: np.ndarray) -> np.ndarray:
+    """k-th derivative of exp(1 - 1/(1 - u^2)) at every real u; 0 where |u| >= BUMP_EDGE."""
+    out = np.zeros_like(u)
+    m = np.abs(u) < BUMP_EDGE
+    um = u[m]
+    t = 1.0 - um * um
+    out[m] = _horner(_bump_numerator(k), um) / t ** (2 * k) * np.exp(1.0 - 1.0 / t)
+    return out
+
+
 class Cutoff:
     """A smoothing function on [0, infinity) supported in [0, 1], eta(0+) = 1.
 
-    ``kernel_code`` is the (kind, p) pair understood by the jitted kernels;
+    The kernels take the cutoff itself and evaluate it through ``eval``.
+    Each subclass supplies its float formula (``_eval_array``), its analytic
+    derivatives (``_deriv_array``) and its mpmath formula (``eval_mp``).
     ``smoothness_order`` is math.inf for the bump, p - 1 for poly:p and -1
     for the sharp indicator.
     """
 
-    def __init__(self, kind: str, label: str, smoothness_order, kernel_code, p: int = 0):
+    def __init__(self, kind: str, label: str, smoothness_order, p: int = 0):
         self.kind = kind
         self.label = label
         self.smoothness_order = smoothness_order
-        self.kernel_code = kernel_code
         self.p = p
 
     def __repr__(self):
@@ -110,8 +124,10 @@ class Cutoff:
 
     def eval(self, x):
         """eta(x) for scalar or array x >= 0."""
-        out = _kernels.eta_array(self.kernel_code[0], self.kernel_code[1], x)
-        return float(out) if np.ndim(out) == 0 else out
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return self._eval_array(x)
+        return float(self._eval_array(x.reshape(1))[0])
 
     def __call__(self, x):
         return self.eval(x)
@@ -127,6 +143,9 @@ class Cutoff:
         out = self._deriv_array(k, xs)
         return float(out[0]) if np.ndim(x) == 0 else out
 
+    def _eval_array(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def _deriv_array(self, k: int, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -141,15 +160,18 @@ class Cutoff:
 
 class BumpCutoff(Cutoff):
     def __init__(self):
-        super().__init__("bump", "bump", math.inf, (_kernels.KIND_BUMP, 0))
+        super().__init__("bump", "bump", math.inf)
+
+    def _eval_array(self, x):
+        out = np.zeros_like(x)
+        m = x < BUMP_EDGE
+        t = 1.0 - x[m] * x[m]
+        out[m] = np.exp(1.0 - 1.0 / t)
+        return out
 
     def _deriv_array(self, k, xs):
-        out = np.zeros_like(xs)
-        m = (xs >= 0.0) & (xs < _BUMP_EDGE)
-        xm = xs[m]
-        t = 1.0 - xm * xm
-        num = _horner(_bump_numerator(k), xm)
-        out[m] = num / t ** (2 * k) * np.exp(1.0 - 1.0 / t)
+        out = bump_deriv(k, xs)
+        out[xs < 0.0] = 0.0
         return out
 
     def eval_mp(self, x):
@@ -167,7 +189,13 @@ class PolyCutoff(Cutoff):
                 "poly cutoff needs order >= 1; order 0 is the discontinuous "
                 "indicator, which reproduces the sharp partial-sum pathology"
             )
-        super().__init__("poly", f"poly:{p}", p - 1, (_kernels.KIND_POLY, p), p=p)
+        super().__init__("poly", f"poly:{p}", p - 1, p=p)
+
+    def _eval_array(self, x):
+        out = np.zeros_like(x)
+        m = x < 1.0
+        out[m] = (1.0 - x[m]) ** self.p
+        return out
 
     def _deriv_array(self, k, xs):
         out = np.zeros_like(xs)
@@ -192,7 +220,10 @@ class PolyCutoff(Cutoff):
 
 class IndicatorCutoff(Cutoff):
     def __init__(self):
-        super().__init__("indicator", "indicator", -1, (_kernels.KIND_INDICATOR, 0))
+        super().__init__("indicator", "indicator", -1)
+
+    def _eval_array(self, x):
+        return np.where(x <= 1.0, 1.0, 0.0)
 
     def _deriv_array(self, k, xs):  # pragma: no cover - guarded by require_smoothness
         raise CutoffSmoothnessError("the sharp indicator has no derivatives")

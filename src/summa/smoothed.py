@@ -29,7 +29,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from . import _kernels
-from .cutoffs import Cutoff, _bump_numerator, _horner
+from .cutoffs import Cutoff, bump_deriv, make_cutoff
 from .errors import CutoffSmoothnessError
 from .exact import faulhaber
 from .quadrature import integrate
@@ -58,8 +58,7 @@ def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
         raise ValueError(f"smoothed_sum requires s >= 0, got {s}")
     if N < 1:
         raise ValueError(f"smoothed_sum requires N >= 1, got {N}")
-    kind, p = cutoff.kernel_code
-    return _kernels.smoothed_sum_value(s, kind, p, N)
+    return _kernels.smoothed_sum_value(s, cutoff, N)
 
 
 def mellin(cutoff: Cutoff, s: int, tol: float) -> float:
@@ -68,8 +67,7 @@ def mellin(cutoff: Cutoff, s: int, tol: float) -> float:
         raise ValueError(f"mellin requires s >= 0, got {s}")
     if tol <= 0:
         raise ValueError(f"mellin requires tol > 0, got {tol}")
-    kind, p = cutoff.kernel_code
-    value, _ = _kernels.moment_quad(kind, p, s, 1.0, 0.0, 1.0, tol)
+    value, _ = _kernels.moment_quad(cutoff, s, 1.0, 0.0, 1.0, tol)
     return value
 
 
@@ -250,8 +248,7 @@ def grandi_smoothed(cutoff: Cutoff, N: float) -> float:
             "grandi_smoothed needs a cutoff twice continuously differentiable on (0,1); "
             "the sharp indicator does not qualify"
         )
-    kind, p = cutoff.kernel_code
-    return _kernels.alternating_smoothed_value(kind, p, N)
+    return _kernels.alternating_smoothed_value(cutoff, N)
 
 
 def scaling_counterexample(cutoff: Cutoff, N: float):
@@ -261,9 +258,8 @@ def scaling_counterexample(cutoff: Cutoff, N: float):
     """
     if N < 2:
         raise ValueError(f"scaling_counterexample requires N >= 2, got {N}")
-    kind, p = cutoff.kernel_code
-    lhs = _kernels.doubled_smoothed_value(kind, p, N)
-    rhs = 2.0 * _kernels.smoothed_sum_value(1, kind, p, N)
+    lhs = _kernels.doubled_smoothed_value(cutoff, N)
+    rhs = 2.0 * _kernels.smoothed_sum_value(1, cutoff, N)
     differ = abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs))
     return lhs, rhs, differ
 
@@ -322,10 +318,12 @@ def sine_pairing(j: int, testfn: Callable, tol: float = 1e-10) -> float:
 class TestBump:
     """Smooth test function exp(1 - 1/(1 - u^2)), u = (x-center)/halfwidth.
 
-    Supported on |x - center| < halfwidth, equal to 1 at the center; analytic
-    derivatives reuse the cutoff numerator polynomials with the chain-rule
-    1/halfwidth^k factor.
+    Supported on |x - center| < halfwidth, equal to 1 at the center: the bump
+    cutoff at |u|, with the chain-rule 1/halfwidth^k factor on its analytic
+    derivatives.
     """
+
+    _BUMP = make_cutoff("bump")
 
     def __init__(self, center: float, halfwidth: float):
         if halfwidth <= 0:
@@ -333,27 +331,16 @@ class TestBump:
         self.center = center
         self.halfwidth = halfwidth
 
+    def _u(self, x):
+        return (np.asarray(x, dtype=float) - self.center) / self.halfwidth
+
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        u = (np.atleast_1d(x) - self.center) / self.halfwidth
-        out = np.zeros_like(u)
-        m = np.abs(u) < 1.0 - 1e-12
-        t = 1.0 - u[m] * u[m]
-        out[m] = np.exp(1.0 - 1.0 / t)
-        return float(out[0]) if scalar else out
+        return self._BUMP.eval(np.abs(self._u(x)))
 
     def deriv(self, k: int, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        u = (np.atleast_1d(x) - self.center) / self.halfwidth
-        out = np.zeros_like(u)
-        m = np.abs(u) < 1.0 - 1e-12
-        um = u[m]
-        t = 1.0 - um * um
-        out[m] = (_horner(_bump_numerator(k), um) / t ** (2 * k)
-                  * np.exp(1.0 - 1.0 / t) / self.halfwidth**k)
-        return float(out[0]) if scalar else out
+        u = self._u(x)
+        out = bump_deriv(k, np.atleast_1d(u)) / self.halfwidth**k
+        return float(out[0]) if u.ndim == 0 else out
 
 
 def centered_bump(halfwidth: float = math.pi / 2) -> TestBump:

@@ -174,9 +174,9 @@ class TestUt:
         sweeps = []
         real = _kernels.ut_value
 
-        def counted(kind, p, lam, N, tol):
+        def counted(cutoff, lam, N, tol):
             sweeps.append(N)
-            return real(kind, p, lam, N, tol)
+            return real(cutoff, lam, N, tol)
 
         monkeypatch.setattr(_kernels, "ut_value", counted)
         rows = u_t_ladder(cfg, 4)

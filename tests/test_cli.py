@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from summa import casimir, smoothed
+from summa import casimir, cli, euler_maclaurin, smoothed, summation
 from summa.cli import build_parser, run
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -223,6 +223,36 @@ class TestErrors:
         rc, out, err = run_capture(capsys, argv)
         assert rc == 2 and out == ""
         assert str(smoothed.MAX_TERMS) in err
+
+    @pytest.mark.parametrize("argv,cap", [
+        (["bernoulli", "--k", "1001"], cli.MAX_BERNOULLI_INDEX),
+        (["faulhaber", "--s", "1001", "--N", "5"], cli.MAX_BERNOULLI_INDEX),
+        (["stirling", "--n", "10", "--terms", "500"], cli.MAX_BERNOULLI_INDEX),
+        (["em-diverge", "--n", "1", "--max-terms", "501"], cli.MAX_BERNOULLI_INDEX),
+        (["em-tail", "--s", "1000", "--N", "100"], cli.MAX_BERNOULLI_INDEX),
+        (["sum", "--method", "cesaro", "--series", "grandi", "--n", "1000001"], cli.MAX_CESARO_N),
+        (["truncate", "--alpha", "1/99996"], cli.MAX_TRUNCATE_ROWS),
+        (["truncate", "--alpha", "1e-300"], cli.MAX_TRUNCATE_ROWS),
+        (["stirling", "--n", "2002", "--table"], cli.MAX_STIRLING_ROWS),
+    ])
+    def test_work_past_a_cap_is_usage_error(self, capsys, monkeypatch, argv, cap):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computed before the cap check")
+
+        for owner, name in [(cli, "bernoulli"), (cli, "faulhaber"), (summation, "cesaro_sum"),
+                            (euler_maclaurin, "em_tail"), (euler_maclaurin, "stirling_series"),
+                            (euler_maclaurin, "em_divergence_demo")]:
+            monkeypatch.setattr(owner, name, no_compute)
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error: ") and f"exceeds the cap of {cap}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--method", "cesaro", "--series", "grandi", "--n", str(cli.MAX_CESARO_N)],
+        ["truncate", "--alpha", f"1/{cli.MAX_TRUNCATE_ROWS - 5}"],
+    ])
+    def test_work_at_a_cap_runs(self, capsys, argv):
+        run_json(capsys, argv)
 
     @pytest.mark.parametrize("grid,why", [
         ("100,200,400", "at least 4"),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from summa import _kernels
 from summa.cutoffs import make_cutoff, parse_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
 from summa.smoothed import mellin
@@ -136,9 +135,9 @@ class TestParsingAndIndicator:
             chi.require_smoothness(0)
 
     @given(st.floats(min_value=0.0, max_value=1.5, allow_nan=False))
-    def test_kernel_eval_agrees_with_cutoff_eval(self, x):
+    def test_scalar_eval_matches_array_eval(self, x):
+        xs = np.array([0.25, x, 1.0])
         for cut in (make_cutoff("bump"), make_cutoff("poly", 3), sharp_indicator()):
-            kind, p = cut.kernel_code
-            a = float(_kernels.eta_array(kind, p, x))
-            b = cut.eval(x)
-            assert a == b
+            a = cut.eval(x)
+            assert type(a) is float
+            assert a == cut.eval(xs)[1]

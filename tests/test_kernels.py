@@ -12,11 +12,14 @@ import pytest
 
 import summa
 from summa import _kernels
-from summa._kernels import CHUNK, KIND_BUMP, KIND_POLY, eta_array
+from summa._kernels import CHUNK
+from summa.cutoffs import make_cutoff
 from summa.errors import QuadratureError
 from summa.quadrature import MID_NODE, _adapt, _gk15
 
-CUTOFFS = [(KIND_BUMP, 0), (KIND_POLY, 3)]
+BUMP = make_cutoff("bump")
+# test ids name (family, order): 0-0 is the bump, 1-3 is poly:3
+CUTOFFS = [pytest.param(BUMP, id="0-0"), pytest.param(make_cutoff("poly:3"), id="1-3")]
 SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 0.5, 3 * CHUNK + 1]
 
 
@@ -31,41 +34,42 @@ def run_fresh(code: str) -> str:
 
 
 class TestStreamedSums:
-    @pytest.mark.parametrize("kind,p", CUTOFFS)
+    @pytest.mark.parametrize("cut", CUTOFFS)
     @pytest.mark.parametrize("N", SIZES)
-    def test_smoothed_sum_matches_fsum_of_its_terms(self, kind, p, N):
+    def test_smoothed_sum_matches_fsum_of_its_terms(self, cut, N):
         n = np.arange(1, math.ceil(N) + 1, dtype=float)
         for s in (0, 1):
-            ref = math.fsum((eta_array(kind, p, n / N) * n**s).tolist())
-            assert abs(_kernels.smoothed_sum_value(s, kind, p, N) - ref) <= 1e-12 * abs(ref)
+            ref = math.fsum((cut.eval(n / N) * n**s).tolist())
+            assert abs(_kernels.smoothed_sum_value(s, cut, N) - ref) <= 1e-12 * abs(ref)
 
-    @pytest.mark.parametrize("kind,p", CUTOFFS)
+    @pytest.mark.parametrize("cut", CUTOFFS)
     @pytest.mark.parametrize("N", SIZES)
-    def test_alternating_sum_keeps_global_sign_parity(self, kind, p, N):
-        terms = eta_array(kind, p, np.arange(1, math.ceil(N) + 1, dtype=float) / N).tolist()
+    def test_alternating_sum_keeps_global_sign_parity(self, cut, N):
+        # the +eta, -eta pairs subtract exactly: within rounding of the fsum itself
+        terms = cut.eval(np.arange(1, math.ceil(N) + 1, dtype=float) / N).tolist()
         ref = math.fsum(t if n % 2 else -t for n, t in enumerate(terms, start=1))
-        assert abs(_kernels.alternating_smoothed_value(kind, p, N) - ref) <= 1e-12
+        assert abs(_kernels.alternating_smoothed_value(cut, N) - ref) <= 1e-15
 
-    @pytest.mark.parametrize("kind,p", CUTOFFS)
+    @pytest.mark.parametrize("cut", CUTOFFS)
     @pytest.mark.parametrize("N", SIZES)
-    def test_doubled_sum_matches_fsum_of_its_terms(self, kind, p, N):
+    def test_doubled_sum_matches_fsum_of_its_terms(self, cut, N):
         n = np.arange(1, math.ceil(N / 2.0) + 1, dtype=float)
-        ref = math.fsum((2.0 * n * eta_array(kind, p, 2.0 * n / N)).tolist())
-        assert abs(_kernels.doubled_smoothed_value(kind, p, N) - ref) <= 1e-12 * abs(ref)
+        ref = math.fsum((2.0 * n * cut.eval(2.0 * n / N)).tolist())
+        assert abs(_kernels.doubled_smoothed_value(cut, N) - ref) <= 1e-12 * abs(ref)
 
     def test_empty_range_is_zero(self):
-        assert _kernels.smoothed_sum_value(1, KIND_BUMP, 0, 0.0) == 0.0
-        assert _kernels.alternating_smoothed_value(KIND_BUMP, 0, 0.0) == 0.0
+        assert _kernels.smoothed_sum_value(1, BUMP, 0.0) == 0.0
+        assert _kernels.alternating_smoothed_value(BUMP, 0.0) == 0.0
 
     def test_overflow_is_a_quiet_non_finite_value(self):
         # n^200 overflows float64: no RuntimeWarning escapes, the caller sees nan/inf
-        assert not math.isfinite(_kernels.smoothed_sum_value(200, KIND_BUMP, 0, 1000.0))
+        assert not math.isfinite(_kernels.smoothed_sum_value(200, BUMP, 1000.0))
 
     def test_term_cap(self):
         with pytest.raises(ValueError, match="MAX_TERMS"):
-            _kernels.smoothed_sum_value(1, KIND_BUMP, 0, _kernels.MAX_TERMS + 0.5)
+            _kernels.smoothed_sum_value(1, BUMP, _kernels.MAX_TERMS + 0.5)
         with pytest.raises(ValueError, match="MAX_TERMS"):
-            _kernels.alternating_smoothed_value(KIND_BUMP, 0, 1e300)
+            _kernels.alternating_smoothed_value(BUMP, 1e300)
 
     def test_peak_memory_is_bounded_at_1e8_terms(self):
         # On Linux a freshly exec'd process's ru_maxrss also counts its parent's
@@ -89,7 +93,7 @@ class TestStreamedSums:
 # --- the cell sweep ------------------------------------------------------------------
 
 
-def one_shot_ut(kind, p, lam, N, tol):
+def one_shot_ut(cut, lam, N, tol):
     """The plate sweep with all cells in one batch: (value, error, nevals)."""
     c, support = lam / N, N / lam
     lo = np.arange(math.ceil(support), dtype=float)
@@ -97,7 +101,7 @@ def one_shot_ut(kind, p, lam, N, tol):
 
     def saw(v):
         cell = np.floor(v[:, MID_NODE, None])
-        y = eta_array(kind, p, c * v)
+        y = cut.eval(c * v)
         y *= v
         y *= v
         y *= cell + 0.5 - v
@@ -118,15 +122,16 @@ def one_shot_ut(kind, p, lam, N, tol):
     return math.fsum(values), math.fsum(errors), nevals
 
 
-# (kind, p, lam, N): each spans at least three cell chunks
-SWEEPS = [(KIND_BUMP, 0, 1.0, 13000.0), (KIND_POLY, 8, 0.5, 6600.5)]
+# (cutoff, lam, N): each spans at least three cell chunks
+SWEEPS = [("bump", 1.0, 13000.0), ("poly:8", 0.5, 6600.5)]
 
 
-def sweep_bits(kind, p, lam, N, tol=1e-9):
+def sweep_bits(spec, lam, N, tol=1e-9):
     """(chunked, one-shot) sweep results as hex strings."""
     assert math.ceil(N / lam) > 2 * (CHUNK // 15)
-    value, error = _kernels.ut_value(kind, p, lam, N, tol)
-    ref_value, ref_error, _ = one_shot_ut(kind, p, lam, N, tol)
+    cut = make_cutoff(spec)
+    value, error = _kernels.ut_value(cut, lam, N, tol)
+    ref_value, ref_error, _ = one_shot_ut(cut, lam, N, tol)
     return [value.hex(), error.hex()], [ref_value.hex(), ref_error.hex()]
 
 
@@ -143,9 +148,9 @@ class TestStreamedCellSweep:
 
     def test_cell_cap(self):
         with pytest.raises(ValueError, match="MAX_CELLS"):
-            _kernels.ut_value(KIND_BUMP, 0, 1e-9, 20.0, 1e-9)
+            _kernels.ut_value(BUMP, 1e-9, 20.0, 1e-9)
         with pytest.raises(ValueError, match="MAX_CELLS"):
-            _kernels.ut_value(KIND_BUMP, 0, 1.0, float(_kernels.MAX_CELLS) + 0.5, 1e-9)
+            _kernels.ut_value(BUMP, 1.0, float(_kernels.MAX_CELLS) + 0.5, 1e-9)
 
 
 def kink(v):

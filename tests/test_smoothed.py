@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from summa import smoothed
 from summa.cutoffs import BumpCutoff, make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
 from summa.exact import bernoulli, faulhaber
@@ -331,3 +332,14 @@ class TestTestBump:
                 h = mp.mpf("1e-7")
                 fd = float((phi_mp(x + h) - phi_mp(x - h)) / (2 * h))
             assert phi.deriv(1, x) == pytest.approx(fd, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_is_the_bump_cutoff_at_abs_u(self, k):
+        # dyadic center, halfwidth and u: x = c +- u h and (x - c) / h are exact
+        c, h = 0.75, 0.5
+        phi, bump = smoothed.TestBump(c, h), make_cutoff("bump")
+        for u in np.arange(0.0, 1.25, 1.0 / 64):
+            for sign in (1.0, -1.0):
+                x = c + sign * u * h
+                assert phi(x) == bump.eval(u)
+                assert phi.deriv(k, x) == sign**k * bump.deriv(k, u) / h**k
