@@ -10,6 +10,10 @@ For factorial-type remainders R_N ~ N! alpha^N the best truncation order
 sits at N ~ 1/alpha; ``optimal_truncation`` finds the exact discrete argmin.
 ``borel_sum`` evaluates (1/x) integral_0^inf e^(-z/x) B(z) dz with
 B(z) = sum a_n z^n / n!.
+
+numpy and the quadrature layer are imported in ``borel_sum`` only, so the
+truncation scan, the flat-function probes and the partial sums run without
+them.
 """
 
 from __future__ import annotations
@@ -19,10 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .errors import BorelSummabilityError
-from .quadrature import integrate
 
 __all__ = [
     "CoefficientOracle",
@@ -141,6 +142,10 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
     sums with a ratio-based tail bound.  A growth rate at or above 1/x means
     the integrand does not decay: reported as ``BorelSummabilityError``.
     """
+    import numpy as np
+
+    from .quadrature import integrate
+
     if x <= 0:
         raise ValueError(f"borel_sum requires x > 0, got {x}")
     if tol <= 0:

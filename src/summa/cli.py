@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 computational error (an inf or nan result is one,
 in either format), 2 usage error (float flags must be finite numbers: nan
 and inf are rejected at parse time; so is work past a declared cap, before
 any compute).
+
+Importing this module loads only argparse, json, fractions, ``errors`` and
+``exact``: each handler imports its own layer when it is dispatched, so the
+exact subcommands start without numpy.
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import asymptotics, casimir, euler_maclaurin as em, smoothed, summation
-from .cutoffs import parse_cutoff
 from .errors import NonFiniteResultError, SummaError
 from .exact import bernoulli, faulhaber
-from .series import get_series
+
+if TYPE_CHECKING:
+    from . import casimir, summation
 
 SERIES_GRAMMAR = "S0 | S1 | grandi | zero | monomial:s | alt-zeta:s | geometric:r"
 CUTOFF_GRAMMAR = "bump | poly:p | indicator"
@@ -34,6 +39,10 @@ MAX_BERNOULLI_INDEX = 1000  # exact B_k reached by a flag: ~5 s at 1000, ~50 s a
 MAX_CESARO_N = 10**6  # Cesaro window, ~32 B a term: 62 MB at 10^6
 MAX_TRUNCATE_ROWS = 10**5  # truncate's table of floor(1/alpha) + 5 rows: ~0.5 s at 10^5
 MAX_STIRLING_ROWS = 2000  # stirling --table rows 2..n: ~0.9 s at 2000, ~7 s at 3000
+# |s| of a monomial:s or alt-zeta:s key, whose exact generating function get_series builds
+# in s rounds over s + 2 Fractions: ~2.7 s for abel/ramanujan at 500, ~4.4 s for zeta-eta
+# (which builds it twice), ~11 s to build at 1000
+MAX_SERIES_EXPONENT = 500
 
 
 class UsageError(Exception):
@@ -64,10 +73,11 @@ def _finite_float(text: str) -> float:
 
 def _sum_scale(text: str) -> float:
     """argparse type of a smoothed sum's --N: finite, at most MAX_TERMS terms, else exit 2."""
+    from .smoothed import MAX_TERMS
+
     value = _finite_float(text)
-    if value > smoothed.MAX_TERMS:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} exceeds the cap of {smoothed.MAX_TERMS} summed terms")
+    if value > MAX_TERMS:
+        raise argparse.ArgumentTypeError(f"{text!r} exceeds the cap of {MAX_TERMS} summed terms")
     return value
 
 
@@ -81,7 +91,21 @@ def _parse_grid(text: str):
     return grid
 
 
+def _series_exponent(key: str) -> int:
+    """|s| of a monomial:s or alt-zeta:s key, else 0."""
+    family, _, exponent = key.strip().partition(":")
+    if family in ("monomial", "alt-zeta"):
+        try:
+            return abs(int(exponent))
+        except ValueError:
+            pass  # get_series rejects a non-integer exponent
+    return 0
+
+
 def _resolve_series(key: str):
+    from .series import get_series
+
+    _check_cap("series exponent |s|", _series_exponent(key), MAX_SERIES_EXPONENT)
     try:
         return get_series(key)
     except KeyError as exc:
@@ -89,6 +113,8 @@ def _resolve_series(key: str):
 
 
 def _resolve_cutoff(spec: str):
+    from .cutoffs import parse_cutoff
+
     try:
         return parse_cutoff(spec)
     except (ValueError, KeyError) as exc:
@@ -124,6 +150,8 @@ def _cmd_faulhaber(args):
 
 
 def _cmd_sum(args):
+    from . import summation
+
     if args.method == "cesaro":
         _check_cap("Cesaro window --n", args.n, MAX_CESARO_N)
     series = _resolve_series(args.series)
@@ -149,6 +177,8 @@ def _cmd_sum(args):
 
 def _ramanujan_outcome(key: str) -> summation.SummationOutcome:
     """Exact zeta-regularized values for the catalog keys that have one."""
+    from . import summation
+
     if key == "S0":
         val = summation.ramanujan_monomial(0)
     elif key == "S1":
@@ -168,6 +198,8 @@ def _ramanujan_outcome(key: str) -> summation.SummationOutcome:
 
 
 def _cmd_ledger(args):
+    from . import summation
+
     report = summation.inconsistency_ledger()
     rows = [(r.identity,
              _fmt(r.rule_a) if r.rule_a is not None else "",
@@ -182,6 +214,8 @@ def _cmd_ledger(args):
 
 
 def _cmd_smoothed(args):
+    from . import smoothed
+
     cutoff = _resolve_cutoff(args.cutoff)
     val = smoothed.smoothed_sum(args.s, cutoff, args.N)
     return ({"s": args.s, "cutoff": cutoff.label, "N": args.N, "value": val},
@@ -189,6 +223,8 @@ def _cmd_smoothed(args):
 
 
 def _cmd_extract(args):
+    from . import smoothed
+
     cutoff = _resolve_cutoff(args.cutoff)
     grid = _parse_grid(args.grid)
     try:
@@ -203,6 +239,8 @@ def _cmd_extract(args):
 
 
 def _cmd_grandi(args):
+    from . import smoothed
+
     cutoff = _resolve_cutoff(args.cutoff)
     val = smoothed.grandi_smoothed(cutoff, args.N)
     return ({"cutoff": cutoff.label, "N": args.N, "value": val,
@@ -211,6 +249,8 @@ def _cmd_grandi(args):
 
 
 def _cmd_scaling_demo(args):
+    from . import smoothed
+
     cutoff = _resolve_cutoff(args.cutoff)
     lhs, rhs, differ = smoothed.scaling_counterexample(cutoff, args.N)
     return ({"cutoff": cutoff.label, "N": args.N, "lhs": lhs, "rhs": rhs, "differ": differ},
@@ -218,13 +258,13 @@ def _cmd_scaling_demo(args):
              [(cutoff.label, args.N, lhs, rhs, differ)]))
 
 
-_TESTFNS = {"centered": smoothed.centered_bump, "offset": smoothed.offset_bump}
-
-
 def _cmd_delta_seq(args):
-    if args.testfn not in _TESTFNS:
+    from . import smoothed
+
+    testfns = {"centered": smoothed.centered_bump, "offset": smoothed.offset_bump}
+    if args.testfn not in testfns:
         raise UsageError(f"unknown test function {args.testfn!r}; choose centered | offset")
-    phi = _TESTFNS[args.testfn]()
+    phi = testfns[args.testfn]()
     val = smoothed.delta_pairing(args.j, phi, tol=args.tol)
     at_zero = float(phi(0.0))
     return ({"j": args.j, "testfn": args.testfn, "value": val,
@@ -234,6 +274,8 @@ def _cmd_delta_seq(args):
 
 
 def _cmd_em_tail(args):
+    from . import euler_maclaurin as em
+
     _check_cap("Bernoulli index --s + 1", args.s + 1, MAX_BERNOULLI_INDEX)
     cutoff = _resolve_cutoff(args.cutoff)
     spec = em.monomial_cutoff_spec(args.s, cutoff, float(args.N))
@@ -245,6 +287,8 @@ def _cmd_em_tail(args):
 
 
 def _cmd_stirling(args):
+    from . import euler_maclaurin as em
+
     _check_cap("Bernoulli index 2 * --terms + 2", 2 * args.terms + 2, MAX_BERNOULLI_INDEX)
     if args.table:
         _check_cap("--table rows --n - 1", args.n - 1, MAX_STIRLING_ROWS)
@@ -260,6 +304,8 @@ def _cmd_stirling(args):
 
 
 def _cmd_em_diverge(args):
+    from . import euler_maclaurin as em
+
     _check_cap("Bernoulli index 2 * --max-terms", 2 * args.max_terms, MAX_BERNOULLI_INDEX)
     scan = em.em_divergence_demo(args.n, args.max_terms)
     rows = [(m + 1, _fmt(t), float(abs(t))) for m, t in enumerate(scan.terms)]
@@ -269,6 +315,8 @@ def _cmd_em_diverge(args):
 
 
 def _make_casimir_config(args) -> casimir.CasimirConfig:
+    from . import casimir
+
     cfg = casimir.CasimirConfig(
         d=args.d, lam=getattr(args, "lam"), N=args.N,
         cutoff=_resolve_cutoff(args.cutoff), quad_tol=args.quad_tol,
@@ -280,6 +328,8 @@ def _make_casimir_config(args) -> casimir.CasimirConfig:
 
 
 def _cmd_casimir(args):
+    from . import casimir
+
     cfg = _make_casimir_config(args)
     enforce = cfg.cutoff.kind != "indicator"
     ladder = casimir.u_t_ladder(cfg, args.levels, enforce_smoothness=enforce)
@@ -298,6 +348,8 @@ def _cmd_casimir(args):
 
 
 def _cmd_casimir_force(args):
+    from . import casimir
+
     cfg = _make_casimir_config(args)
     force = casimir.casimir_force(args.d, cfg)
     closed = casimir.closed_form_force(args.d, cfg.hbar, cfg.c)
@@ -307,6 +359,8 @@ def _cmd_casimir_force(args):
 
 
 def _cmd_truncate(args):
+    from . import asymptotics
+
     try:
         alpha = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError) as exc:
@@ -320,23 +374,25 @@ def _cmd_truncate(args):
     return ({"alpha": _fmt(alpha), "n_star": n_star}, (("N", "log10_term"), rows))
 
 
+# the asymptotics.CoefficientOracle arguments of each named oracle
 _BOREL_ORACLES = {
-    "ones": lambda: asymptotics.CoefficientOracle(a=lambda n: 1.0, label="ones", exp_rate=1.0),
-    "euler": lambda: asymptotics.CoefficientOracle(
-        a=lambda n: (-1.0) ** n * float(__import__("math").factorial(n)),
-        label="euler", exp_rate=0.0, borel_transform=lambda z: 1.0 / (1.0 + z)),
-    "zero": lambda: asymptotics.CoefficientOracle(a=lambda n: 0.0, label="zero"),
+    "ones": dict(a=lambda n: 1.0, label="ones", exp_rate=1.0),
+    "euler": dict(a=lambda n: (-1.0) ** n * float(math.factorial(n)), label="euler",
+                  exp_rate=0.0, borel_transform=lambda z: 1.0 / (1.0 + z)),
+    "zero": dict(a=lambda n: 0.0, label="zero"),
 }
 
 
 def _cmd_borel(args):
+    from . import asymptotics
+
     key = args.coeffs
     if key.startswith("geometric:"):
         r = float(Fraction(key.split(":", 1)[1]))
         oracle = asymptotics.CoefficientOracle(
             a=lambda n, r=r: r**n, label=key, exp_rate=abs(r))
     elif key in _BOREL_ORACLES:
-        oracle = _BOREL_ORACLES[key]()
+        oracle = asymptotics.CoefficientOracle(**_BOREL_ORACLES[key])
     else:
         raise UsageError(
             f"unknown coefficient oracle {key!r}; grammar: ones | euler | zero | geometric:r")
@@ -346,12 +402,16 @@ def _cmd_borel(args):
 
 
 def _cmd_gyro(args):
+    from . import asymptotics
+
     val = asymptotics.gyro_partial(args.alpha, args.order)
     return ({"alpha": args.alpha, "order": args.order, "value": val},
             (("alpha", "order", "value"), [(args.alpha, args.order, val)]))
 
 
 def _cmd_flat_check(args):
+    from . import asymptotics
+
     grid = _parse_grid(args.grid)
     probes = asymptotics.flat_derivative_probe(args.beta, args.n, grid)
     rows = list(zip(grid, probes))

@@ -21,20 +21,23 @@ Note on orientation: one classical presentation writes the sum-minus-integral
 combination with the constant +log(2pi)/2 folded in on the other side; here
 g(n) is normalized so that it *equals* the Bernoulli series above (g -> 0 is
 Stirling's approximation).  One canonical internal form avoids sign bugs.
+
+numpy and the quadrature layer are imported in the float paths only (the
+``SmoothFunctionSpec`` functions, ``em_tail`` and ``sup_norm_check``), so the
+Stirling series and the divergence scan run without them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple
 
-import numpy as np
-
-from .cutoffs import Cutoff
 from .errors import GrowthNotFoundError
 from .exact import bernoulli
-from .quadrature import integrate
+
+if TYPE_CHECKING:
+    from .cutoffs import Cutoff
 
 __all__ = [
     "SmoothFunctionSpec",
@@ -72,12 +75,16 @@ class SmoothFunctionSpec:
         self.label = label
 
     def eval(self, x):
+        import numpy as np
+
         return self._eval(np.asarray(x, dtype=float))
 
     def __call__(self, x):
         return self.eval(x)
 
     def deriv(self, k: int, x):
+        import numpy as np
+
         if k == 0:
             return self.eval(x)
         return self._deriv(k, np.asarray(x, dtype=float))
@@ -91,6 +98,8 @@ def monomial_cutoff_spec(s: int, cutoff: Cutoff, N: float) -> SmoothFunctionSpec
 
     f^(m)(x) = sum_{j<=min(m,s)} C(m,j) s!/(s-j)! x^(s-j) eta^(m-j)(x/N) / N^(m-j).
     """
+    import numpy as np
+
     if s < 0:
         raise ValueError(f"monomial exponent must be >= 0, got {s}")
     N = float(N)
@@ -120,6 +129,8 @@ def polynomial_taper_spec(N: float, power: int = 3) -> SmoothFunctionSpec:
     Vanishes at N together with derivatives up to order power - 1; the
     power-th derivative is the nonzero constant (-1/N)^power * power!.
     """
+    import numpy as np
+
     N = float(N)
     if power < 1:
         raise ValueError("power must be >= 1")
@@ -163,6 +174,10 @@ def em_tail(f: SmoothFunctionSpec, N: int, s: int, tol: float = 1e-10) -> EmTail
     declared regularity is below C^{s+2}, or whose derivatives fail to vanish
     at N up to order s+1, are rejected.
     """
+    import numpy as np
+
+    from .quadrature import integrate
+
     if s < 1:
         raise ValueError(f"em_tail requires s >= 1, got {s}")
     if N < 1 or N != int(N):
@@ -206,6 +221,8 @@ def sup_norm_check(s: int, cutoff: Cutoff, N: float, samples: int = 4097) -> flo
     Scales as 1/N^2 (doubling N divides it by ~4): every Leibniz term carries
     at least two powers of 1/N once x ~ N is factored out.
     """
+    import numpy as np
+
     cutoff.require_smoothness(s + 2, "the sup-norm bound")
     spec = monomial_cutoff_spec(s, cutoff, N)
     xs = np.linspace(0.0, float(N), samples)

@@ -16,15 +16,19 @@ t/(1-t) resp. t/(1+t) by repeated application of t d/dt:
 
     sum n^m t^n          = Q_m(t) / (1-t)^(m+1),  Q_{m+1} = t [Q'(1-t) + (m+1) Q]
     sum (-1)^(n-1) n^m t^n = P_m(t) / (1+t)^(m+1),  P_{m+1} = t [P'(1+t) - (m+1) P]
+
+numpy is imported in the float paths only (``term_array``, ``term_float``),
+so building a series and its exact terms does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SeriesOracle", "get_series", "monomial_genfun", "alternating_genfun"]
 
@@ -41,6 +45,8 @@ class SeriesOracle:
     diagnostics: dict = field(default_factory=dict)
 
     def term_float(self, n: int) -> float:
+        import numpy as np
+
         return float(self.term_array(np.array([n], dtype=float))[0])
 
     def __repr__(self):
@@ -101,10 +107,15 @@ def alternating_genfun(m: int) -> Callable[[Fraction], Fraction]:
 
 
 def _monomial_series(s: int) -> SeriesOracle:
+    def term_array(n, s=s):
+        import numpy as np
+
+        return np.asarray(n, dtype=float) ** s
+
     return SeriesOracle(
         label=f"monomial:{s}" if s not in (0, 1) else ("S0" if s == 0 else "S1"),
         term_exact=lambda n, s=s: Fraction(n) ** s,
-        term_array=lambda n, s=s: np.asarray(n, dtype=float) ** s,
+        term_array=term_array,
         abel_closed_form=monomial_genfun(s),
         abel_closed_form_desc=f"rational function with denominator (1-t)^{s + 1}",
     )
@@ -124,9 +135,10 @@ def _alt_zeta_series(s: int) -> SeriesOracle:
             Fraction((-1) ** (n - 1)) * Fraction(n) ** (-s))
 
     def term_array(n, s=s):
+        import numpy as np
+
         n = np.asarray(n, dtype=float)
-        signs = np.where(np.asarray(n, dtype=np.int64) % 2 == 1, 1.0, -1.0)
-        return signs * n ** (-float(s))
+        return _alternating_signs(n) * n ** (-float(s))
 
     return SeriesOracle(
         label=f"alt-zeta:{s}",
@@ -137,11 +149,18 @@ def _alt_zeta_series(s: int) -> SeriesOracle:
     )
 
 
+def _alternating_signs(n):
+    """(-1)^(n-1) as floats."""
+    import numpy as np
+
+    return np.where(np.asarray(n, dtype=np.int64) % 2 == 1, 1.0, -1.0)
+
+
 def _grandi() -> SeriesOracle:
     return SeriesOracle(
         label="grandi",
         term_exact=lambda n: Fraction((-1) ** (n - 1)),
-        term_array=lambda n: np.where(np.asarray(n, dtype=np.int64) % 2 == 1, 1.0, -1.0),
+        term_array=_alternating_signs,
         abel_closed_form=lambda t: Fraction(t) / (1 + Fraction(t)),
         abel_closed_form_desc="t/(1+t)",
     )
@@ -154,20 +173,31 @@ def _geometric(r: Fraction) -> SeriesOracle:
             raise ZeroDivisionError("geometric generating function pole at |r t| >= 1")
         return r * t / (1 - r * t)
 
+    def term_array(n, r=float(r)):
+        import numpy as np
+
+        return r ** np.asarray(n, dtype=float)
+
     return SeriesOracle(
         label=f"geometric:{r}",
         term_exact=lambda n, r=r: r**n,
-        term_array=lambda n, r=float(r): r ** np.asarray(n, dtype=float),
+        term_array=term_array,
         abel_closed_form=closed,
         abel_closed_form_desc="r t/(1 - r t)",
     )
+
+
+def _zero_terms(n):
+    import numpy as np
+
+    return np.zeros_like(np.asarray(n, dtype=float))
 
 
 def _zero() -> SeriesOracle:
     return SeriesOracle(
         label="zero",
         term_exact=lambda n: Fraction(0),
-        term_array=lambda n: np.zeros_like(np.asarray(n, dtype=float)),
+        term_array=_zero_terms,
         abel_closed_form=lambda t: Fraction(0),
         abel_closed_form_desc="0",
     )

@@ -9,6 +9,10 @@ zeta-regularized value for monomial series,
 ``inconsistency_ledger`` evaluates the classic catalog of divergent-series
 identities under two incompatible rule sets and flags where naive term
 algebra contradicts position-aware analytic continuation.
+
+numpy is imported in the float paths only (``cesaro_sum``, the direct
+power-series sums of ``abel_sum`` and the convergent eta sum), so the exact
+paths run without it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
-
-import numpy as np
 
 from .errors import AbelInnerSeriesError
 from .exact import bernoulli
@@ -77,6 +79,8 @@ def cesaro_sum(series: SeriesOracle, n: int, tol: float = 1e-3) -> SummationOutc
     oscillating-no-limit.  Monotone blow-up of the running means is reported
     as divergent.
     """
+    import numpy as np
+
     if n < 2:
         raise ValueError(f"cesaro_sum requires n >= 2, got {n}")
     terms = np.asarray(series.term_array(np.arange(1, n + 1, dtype=float)), dtype=float)
@@ -101,6 +105,8 @@ def default_abel_schedule(k_min: int = 3, k_max: int = 20) -> List[Fraction]:
 
 def _power_series_value(series: SeriesOracle, t: float, tol: float, budget: int) -> float:
     """sum a_n t^n by chunked direct summation with a geometric tail bound."""
+    import numpy as np
+
     chunk = 1 << 16
     total = 0.0
     n0 = 1
@@ -213,6 +219,8 @@ def _eta_direct(s: int, terms: int = 200_000) -> tuple[float, float]:
     Averaging the last two partial sums knocks the error down to the first
     difference of the term magnitudes.
     """
+    import numpy as np
+
     n = np.arange(1, terms + 1, dtype=float)
     vals = np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0) * n ** (-float(s))
     partial = float(vals.sum())

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from summa import casimir, cli, euler_maclaurin, smoothed, summation
+from summa import casimir, cli, euler_maclaurin, series, smoothed, summation
 from summa.cli import build_parser, run
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -234,6 +234,8 @@ class TestErrors:
         (["truncate", "--alpha", "1/99996"], cli.MAX_TRUNCATE_ROWS),
         (["truncate", "--alpha", "1e-300"], cli.MAX_TRUNCATE_ROWS),
         (["stirling", "--n", "2002", "--table"], cli.MAX_STIRLING_ROWS),
+        (["sum", "--method", "ramanujan", "--series", "monomial:501"], cli.MAX_SERIES_EXPONENT),
+        (["sum", "--method", "abel", "--series", "alt-zeta:-501"], cli.MAX_SERIES_EXPONENT),
     ])
     def test_work_past_a_cap_is_usage_error(self, capsys, monkeypatch, argv, cap):
         def no_compute(*args, **kwargs):
@@ -241,7 +243,7 @@ class TestErrors:
 
         for owner, name in [(cli, "bernoulli"), (cli, "faulhaber"), (summation, "cesaro_sum"),
                             (euler_maclaurin, "em_tail"), (euler_maclaurin, "stirling_series"),
-                            (euler_maclaurin, "em_divergence_demo")]:
+                            (euler_maclaurin, "em_divergence_demo"), (series, "get_series")]:
             monkeypatch.setattr(owner, name, no_compute)
         rc, out, err = run_capture(capsys, argv)
         assert rc == 2 and out == ""

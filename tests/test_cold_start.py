@@ -1,0 +1,94 @@
+"""Cold start: the exact subcommands and the package surface load no numpy."""
+
+import importlib
+
+import pytest
+
+import summa
+from summa.cli import run
+
+# one argv of each subcommand whose every path is exact (or mpmath only)
+NUMPY_FREE = [
+    ["bernoulli", "--k", "400"],
+    ["faulhaber", "--s", "3", "--N", "100"],
+    ["sum", "--method", "abel", "--series", "alt-zeta:-2"],
+    ["sum", "--method", "ramanujan", "--series", "monomial:7"],
+    ["sum", "--method", "zeta-eta", "--series", "alt-zeta:-3"],
+    ["--format", "csv", "ledger"],
+    ["stirling", "--n", "10", "--terms", "3", "--table"],
+    ["em-diverge", "--n", "2", "--max-terms", "20"],
+    ["truncate", "--alpha", "1/137"],
+    ["gyro", "--alpha", "0.0072973525693", "--order", "2"],
+    ["flat-check", "--beta", "0.5", "--n", "2"],
+]
+
+# the public names of each submodule, as the package exported them eagerly
+EXPORTS = {
+    "exact": ["Rational", "bernoulli", "bernoulli_table", "binomial", "faulhaber",
+              "genfun_coefficients"],
+    "cutoffs": ["Cutoff", "make_cutoff", "parse_cutoff", "sharp_indicator"],
+    "series": ["SeriesOracle", "get_series"],
+    "summation": ["SummationOutcome", "partial_sum", "cesaro_sum", "abel_sum",
+                  "ramanujan_monomial", "zeta_via_eta", "inconsistency_ledger"],
+    "smoothed": ["AsymptoticFit", "smoothed_sum", "mellin", "constant_extraction",
+                 "grandi_smoothed", "scaling_counterexample", "delta_pairing", "sine_pairing"],
+}
+
+
+def cold_run(run_fresh, argv):
+    """(stdout, numpy loaded) of ``cli.run(argv)`` in a fresh interpreter; asserts exit 0."""
+    out = run_fresh("import sys\n"
+                    "from summa.cli import run\n"
+                    f"rc = run({argv!r})\n"
+                    "print(rc, 'numpy' in sys.modules)\n")
+    text, status = out[:-1].rsplit("\n", 1)
+    rc, numpy_loaded = status.split()
+    assert rc == "0"
+    return text + "\n", numpy_loaded == "True"
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
+def test_exact_subcommand_runs_cold_without_numpy(run_fresh, capsys, argv):
+    text, numpy_loaded = cold_run(run_fresh, argv)
+    assert not numpy_loaded
+    assert run(argv) == 0
+    assert text == capsys.readouterr().out
+
+
+def test_a_float_subcommand_loads_numpy(run_fresh, capsys):
+    argv = ["smoothed", "--s", "1", "--N", "1000"]
+    text, numpy_loaded = cold_run(run_fresh, argv)
+    assert numpy_loaded
+    assert run(argv) == 0
+    assert text == capsys.readouterr().out
+
+
+def test_import_loads_neither_numpy_nor_mpmath(run_fresh):
+    out = run_fresh("import sys\n"
+                    "import summa, summa.cli\n"
+                    "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n")
+    assert out == "[]\n"
+
+
+class TestLazyPackageSurface:
+    def test_every_public_name_is_its_submodules_object(self):
+        assert {n for names in EXPORTS.values() for n in names} == set(summa.__all__) - {
+            "__version__"}
+        for module, names in EXPORTS.items():
+            sub = importlib.import_module(f"summa.{module}")
+            for name in names:
+                assert getattr(summa, name) is getattr(sub, name), name
+
+    def test_dir_lists_every_public_name(self):
+        assert set(summa.__all__) <= set(dir(summa))
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from summa import *", namespace)
+        assert set(summa.__all__) <= set(namespace)
+        assert namespace["__version__"] == summa.__version__ == "0.1.0"
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            summa.no_such_name
+        assert not hasattr(summa, "no_such_name")

@@ -2,15 +2,11 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import summa
 from summa import _kernels
 from summa._kernels import CHUNK
 from summa.cutoffs import make_cutoff
@@ -21,16 +17,6 @@ BUMP = make_cutoff("bump")
 # test ids name (family, order): 0-0 is the bump, 1-3 is poly:3
 CUTOFFS = [pytest.param(BUMP, id="0-0"), pytest.param(make_cutoff("poly:3"), id="1-3")]
 SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 0.5, 3 * CHUNK + 1]
-
-
-def run_fresh(code: str) -> str:
-    """Run ``code`` in a fresh interpreter on this summa, BLAS on one thread; returns stdout."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=str(Path(summa.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
 
 
 class TestStreamedSums:
@@ -71,7 +57,7 @@ class TestStreamedSums:
         with pytest.raises(ValueError, match="MAX_TERMS"):
             _kernels.alternating_smoothed_value(BUMP, 1e300)
 
-    def test_peak_memory_is_bounded_at_1e8_terms(self):
+    def test_peak_memory_is_bounded_at_1e8_terms(self, run_fresh):
         # On Linux a freshly exec'd process's ru_maxrss also counts its parent's
         # resident set at spawn (this test process's), so read the process's own
         # high-water mark, VmHWM, where there is one.
@@ -136,7 +122,7 @@ def sweep_bits(spec, lam, N, tol=1e-9):
 
 
 class TestStreamedCellSweep:
-    def test_bit_identical_to_one_shot_sweep(self):
+    def test_bit_identical_to_one_shot_sweep(self, run_fresh):
         # BLAS on one thread: a multi-threaded gemv splits the one-shot batch at
         # thread-count-dependent rows, which changes the reference's own bits
         code = ("import importlib.util, json\n"
