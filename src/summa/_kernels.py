@@ -1,14 +1,15 @@
 """Hot numeric kernels: the smoothed sums, moment integrals and plate-energy sweep.
 
 Each kernel takes the ``Cutoff`` itself and evaluates eta through
-``cutoff.eval`` on whole arrays.  Sums are vectorized numpy; integrals run
-on the one adaptive Gauss-Kronrod core in ``summa.quadrature``.  The O(N)
-kernels -- the smoothed, alternating and doubled sums and the plate-energy
-cell sweep -- stream their index range in fixed chunks of ``CHUNK`` terms
-(``CHUNK // 15`` cells, 15 nodes each), so their working memory is
-O(CHUNK) at any N and their time is linear in N.  Chunk sums are joined with
-``math.fsum``; the cell sweep's accepted panels are summed once at the end,
-exactly as in one sweep over all cells.
+``cutoff.eval`` on whole arrays, in place into an array it already holds.
+Sums are vectorized numpy; integrals run on the one adaptive Gauss-Kronrod
+core in ``summa.quadrature``.  The O(N) kernels -- the smoothed, alternating
+and doubled sums and the plate-energy cell sweep -- stream their index range
+in fixed chunks of ``CHUNK`` terms (``CHUNK // 15`` cells, 15 nodes each),
+so their working memory is O(CHUNK) at any N and their time is linear in N.
+A sum allocates its chunk arrays once and refills them for every chunk.
+Chunk sums are joined with ``math.fsum``; the cell sweep's accepted panels
+are summed once at the end, exactly as in one sweep over all cells.
 """
 
 from __future__ import annotations
@@ -34,19 +35,26 @@ MAX_CELLS = 10**6  # unit cells in one plate sweep; ut_value refuses more
 
 
 def _streamed_sum(terms, count: int) -> float:
-    """fsum of the chunk sums of ``terms(n)`` over the floats n = 1..count.
+    """fsum of the chunk sums of ``terms(n, y)`` over the floats n = 1..count.
 
-    Overflow and invalid operations yield inf/nan without warnings; callers
-    report a non-finite result as an error.  More than ``MAX_TERMS`` terms
-    raise ``ValueError``.
+    ``n`` holds one chunk's indices and ``y`` is a work array of its length;
+    ``terms`` may overwrite both (the indices are refilled for every chunk)
+    and returns the array whose sum is the chunk's.  The buffers are
+    allocated once per call.  Overflow and invalid operations yield inf/nan
+    without warnings; callers report a non-finite result as an error.  More
+    than ``MAX_TERMS`` terms raise ``ValueError``.
     """
     if count > MAX_TERMS:
         raise ValueError(f"a sum of {count} terms exceeds MAX_TERMS = {MAX_TERMS}")
+    size = min(CHUNK, count)
+    base = np.arange(1, size + 1, dtype=float)
+    idx, y = np.empty(size), np.empty(size)
     partials = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, count + 1, CHUNK):
-            n = np.arange(start, min(start + CHUNK, count + 1), dtype=float)
-            partials.append(float(np.sum(terms(n))))
+            m = min(CHUNK, count + 1 - start)
+            n = np.add(base[:m], start - 1, out=idx[:m])
+            partials.append(float(np.sum(terms(n, y[:m]))))
     try:
         return math.fsum(partials)
     except (OverflowError, ValueError):  # an intermediate overflow or inf - inf
@@ -56,18 +64,25 @@ def _streamed_sum(terms, count: int) -> float:
 def smoothed_sum_value(s: int, cutoff: Cutoff, N: float) -> float:
     """sum_{n=1}^{ceil(N)} eta(n/N) n^s."""
     N = float(N)
-    return _streamed_sum(lambda n: cutoff.eval(n / N) * n**s, math.ceil(N))
+
+    def terms(n, y):
+        cutoff.eval(np.divide(n, N, out=y), out=y)
+        n **= s  # the in-place power takes the same route as n**s
+        y *= n
+        return y
+
+    return _streamed_sum(terms, math.ceil(N))
 
 
 def alternating_smoothed_value(cutoff: Cutoff, N: float) -> float:
     """sum_{n=1}^{ceil(N)} (-1)^(n-1) eta(n/N)."""
     N = float(N)
 
-    def terms(n):
+    def terms(n, y):
         # a chunk starts at an odd n (CHUNK is even), so it pairs +eta(n/N) with
         # the -eta((n+1)/N) after it: neighbours within a factor 2 subtract
         # exactly (Sterbenz) and the chunk sum no longer cancels
-        y = cutoff.eval(n / N)
+        cutoff.eval(np.divide(n, N, out=y), out=y)
         odd, even = y[0::2], y[1::2]
         odd[:even.size] -= even
         return odd
@@ -78,8 +93,14 @@ def alternating_smoothed_value(cutoff: Cutoff, N: float) -> float:
 def doubled_smoothed_value(cutoff: Cutoff, N: float) -> float:
     """sum_n (2n) eta(2n/N); the support ends at 2n >= N."""
     N = float(N)
-    return _streamed_sum(lambda n: 2.0 * n * cutoff.eval(2.0 * n / N),
-                         math.ceil(N / 2.0))
+
+    def terms(n, y):
+        n *= 2.0
+        cutoff.eval(np.divide(n, N, out=y), out=y)
+        y *= n
+        return y
+
+    return _streamed_sum(terms, math.ceil(N / 2.0))
 
 
 def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float,
@@ -87,7 +108,14 @@ def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float
     """Integral of x^m * eta(c x) over [a, b]; returns (value, error_estimate)."""
     if b <= a:
         return 0.0, 0.0
-    res = integrate(lambda x: x**m * cutoff.eval(c * x), a, b, tol=tol, budget=budget)
+
+    def integrand(x):
+        y = c * x
+        cutoff.eval(y, out=y)
+        y *= x**m
+        return y
+
+    res = integrate(integrand, a, b, tol=tol, budget=budget)
     return res.value, res.error
 
 
@@ -129,7 +157,8 @@ def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float, budget: int = 10*
         # a panel's midpoint lies strictly inside its unit cell, so its floor
         # is the cell index even where an end node rounds onto the boundary
         cell = np.floor(v[:, MID_NODE, None])
-        y = cutoff.eval(c * v)
+        y = c * v
+        cutoff.eval(y, out=y)
         y *= v  # in place: fewer node-sized temporaries live at the peak
         y *= v
         y *= cell + 0.5 - v

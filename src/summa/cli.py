@@ -35,13 +35,16 @@ SERIES_GRAMMAR = "S0 | S1 | grandi | zero | monomial:s | alt-zeta:s | geometric:
 CUTOFF_GRAMMAR = "bump | poly:p | indicator"
 
 # Work caps, checked before any compute (exit 2); cold-process costs at the cap
-MAX_BERNOULLI_INDEX = 1000  # exact B_k reached by a flag: ~5 s at 1000, ~50 s at 2000
+MAX_BERNOULLI_INDEX = 1000  # exact B_k reached by a flag: ~0.14 s at 1000, ~0.6 s in-process at 2000
 MAX_CESARO_N = 10**6  # Cesaro window, ~32 B a term: 62 MB at 10^6
 MAX_TRUNCATE_ROWS = 10**5  # truncate's table of floor(1/alpha) + 5 rows: ~0.5 s at 10^5
 MAX_STIRLING_ROWS = 2000  # stirling --table rows 2..n: ~0.9 s at 2000, ~7 s at 3000
-# |s| of a monomial:s or alt-zeta:s key, whose exact generating function get_series builds
-# in s rounds over s + 2 Fractions: ~2.7 s for abel/ramanujan at 500, ~4.4 s for zeta-eta
-# (which builds it twice), ~11 s to build at 1000
+# delta-seq --j: ~0.3 s up to 9*10^4 at the default --tol; at 10^5 the pairing spends its
+# 2*10^6-evaluation budget and fails (exit 1)
+MAX_DELTA_J = 50_000
+# |s| of a monomial:s or alt-zeta:s key, whose exact generating function abel and zeta-eta
+# build on first use, in s rounds over s + 2 Fractions: ~1.5 s for either at 500, ~8 s to
+# build at 1000; cesaro and ramanujan never build it (~0.15 s at 500)
 MAX_SERIES_EXPONENT = 500
 
 
@@ -264,6 +267,7 @@ def _cmd_delta_seq(args):
     testfns = {"centered": smoothed.centered_bump, "offset": smoothed.offset_bump}
     if args.testfn not in testfns:
         raise UsageError(f"unknown test function {args.testfn!r}; choose centered | offset")
+    _check_cap("Dirichlet kernel order --j", args.j, MAX_DELTA_J)
     phi = testfns[args.testfn]()
     val = smoothed.delta_pairing(args.j, phi, tol=args.tol)
     at_zero = float(phi(0.0))

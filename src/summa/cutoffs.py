@@ -80,6 +80,30 @@ def _horner(c: List[int], x: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _bump_eta(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(1 - 1/(1 - x^2)) into ``out``, in place."""
+    np.multiply(x, x, out=out)
+    np.subtract(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.exp(out, out=out)
+
+
+def _on_support(inside: np.ndarray, x: np.ndarray, out: np.ndarray, formula) -> np.ndarray:
+    """``formula(x, out)`` where ``inside`` holds, 0 elsewhere; returns ``out``.
+
+    When every point is inside the formula runs in place on the whole array;
+    otherwise only on the points inside, gathered first, so that ``out`` may
+    be x itself and no formula sees a point past the support.
+    """
+    if inside.all():
+        return formula(x, out)
+    xs = x[inside]
+    out.fill(0.0)
+    out[inside] = formula(xs, xs)
+    return out
+
+
 def bump_deriv(k: int, u: np.ndarray) -> np.ndarray:
     """k-th derivative of exp(1 - 1/(1 - u^2)) at every real u; 0 where |u| >= BUMP_EDGE."""
     out = np.zeros_like(u)
@@ -94,8 +118,9 @@ class Cutoff:
     """A smoothing function on [0, infinity) supported in [0, 1], eta(0+) = 1.
 
     The kernels take the cutoff itself and evaluate it through ``eval``.
-    Each subclass supplies its float formula (``_eval_array``), its analytic
-    derivatives (``_deriv_array``) and its mpmath formula (``eval_mp``).
+    Each subclass supplies its float formula (``_eval_array``, which writes
+    eta into a given array), its analytic derivatives (``_deriv_array``) and
+    its mpmath formula (``eval_mp``).
     ``smoothness_order`` is math.inf for the bump, p - 1 for poly:p and -1
     for the sharp indicator.
     """
@@ -122,12 +147,16 @@ class Cutoff:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval(self, x):
-        """eta(x) for scalar or array x >= 0."""
+    def eval(self, x, out=None):
+        """eta(x) for scalar or array x >= 0.
+
+        An array result is written into ``out`` (a float array of x's shape,
+        which may be x itself) when one is given, else into a new array.
+        """
         x = np.asarray(x, dtype=float)
-        if x.ndim:
-            return self._eval_array(x)
-        return float(self._eval_array(x.reshape(1))[0])
+        if not x.ndim:
+            return float(self._eval_array(x.reshape(1), np.empty(1))[0])
+        return self._eval_array(x, np.empty_like(x) if out is None else out)
 
     def __call__(self, x):
         return self.eval(x)
@@ -143,7 +172,7 @@ class Cutoff:
         out = self._deriv_array(k, xs)
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def _eval_array(self, x: np.ndarray) -> np.ndarray:
+    def _eval_array(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _deriv_array(self, k: int, xs: np.ndarray) -> np.ndarray:
@@ -162,12 +191,8 @@ class BumpCutoff(Cutoff):
     def __init__(self):
         super().__init__("bump", "bump", math.inf)
 
-    def _eval_array(self, x):
-        out = np.zeros_like(x)
-        m = x < BUMP_EDGE
-        t = 1.0 - x[m] * x[m]
-        out[m] = np.exp(1.0 - 1.0 / t)
-        return out
+    def _eval_array(self, x, out):
+        return _on_support(x < BUMP_EDGE, x, out, _bump_eta)
 
     def _deriv_array(self, k, xs):
         out = bump_deriv(k, xs)
@@ -191,11 +216,13 @@ class PolyCutoff(Cutoff):
             )
         super().__init__("poly", f"poly:{p}", p - 1, p=p)
 
-    def _eval_array(self, x):
-        out = np.zeros_like(x)
-        m = x < 1.0
-        out[m] = (1.0 - x[m]) ** self.p
-        return out
+    def _eval_array(self, x, out):
+        def formula(xs, ys):
+            np.subtract(1.0, xs, out=ys)
+            ys **= self.p
+            return ys
+
+        return _on_support(x < 1.0, x, out, formula)
 
     def _deriv_array(self, k, xs):
         out = np.zeros_like(xs)
@@ -222,8 +249,9 @@ class IndicatorCutoff(Cutoff):
     def __init__(self):
         super().__init__("indicator", "indicator", -1)
 
-    def _eval_array(self, x):
-        return np.where(x <= 1.0, 1.0, 0.0)
+    def _eval_array(self, x, out):
+        np.copyto(out, x <= 1.0)
+        return out
 
     def _deriv_array(self, k, xs):  # pragma: no cover - guarded by require_smoothness
         raise CutoffSmoothnessError("the sharp indicator has no derivatives")

@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple
 
-from .errors import GrowthNotFoundError
+from .errors import GrowthNotFoundError, NonFiniteResultError
 from .exact import bernoulli
 
 if TYPE_CHECKING:
@@ -284,8 +284,14 @@ def stirling_series_exact(n: int, terms: int) -> Tuple[Fraction, Fraction]:
 
 
 def stirling_series(n: int, terms: int) -> StirlingSeries:
+    """``stirling_series_exact`` as floats; a value past float64 range raises
+    :class:`NonFiniteResultError`."""
     value, bound = stirling_series_exact(n, terms)
-    return StirlingSeries(float(value), float(bound))
+    try:
+        return StirlingSeries(float(value), float(bound))
+    except OverflowError as exc:
+        raise NonFiniteResultError(f"the Stirling series at n = {n} with {terms} terms "
+                                   "is past float64 range") from exc
 
 
 def stirling_gap(n: int, terms: int, dps: int = 50) -> float:

@@ -15,9 +15,18 @@ holds, and under which Faulhaber's closed form carries + N^s / 2.  Readers
 used to B_1 = -1/2 ("first" convention): even-index values coincide, odd
 indices >= 3 vanish in both, only B_1 flips sign.
 
-The recursion above is the primary computation route; coefficients of the
+The values come from the integer tangent numbers T_j (tan x = sum T_j
+x^(2j-1)/(2j-1)!), filled by Brent and Harvey's in-place triangle ("Fast
+computation of Bernoulli, Tangent and Secant numbers", 2011) in O(k^2)
+small-int by big-int steps, then
+
+    B_{2j} = (-1)^(j-1) * 2j * T_j / (4^j (4^j - 1)),
+
+one Fraction per value.  The recursion above and the coefficients of the
 generating function t*exp(t)/(exp(t)-1), obtained by exact power-series
-division, provide an independent cross-check (``genfun_coefficients``).
+division (``genfun_coefficients``), are independent cross-checks.  The memo
+table grows geometrically: a fill reaches at least twice the table's
+length, so a rising sequence of indices costs O(log k) fills.
 """
 
 from __future__ import annotations
@@ -61,26 +70,44 @@ def binomial(n: int, k: int) -> int:
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k (B_1 = +1/2 convention), memoized.
 
-    Computed from the recursion  sum_{j=0}^{m} C(m+1, j) B_j = m + 1,
-    solved for B_m.  The memo table only ever grows and entries are
-    immutable, so concurrent fills are idempotent.
+    Computed from the tangent numbers (see the module docstring).  The memo
+    table only ever grows, to at least twice its length per fill, and its
+    entries are immutable, so concurrent fills are idempotent.
     """
     if k < 0:
         raise ValueError(f"bernoulli requires k >= 0, got {k}")
     if k < len(_bernoulli_cache):
         return _bernoulli_cache[k]
     with _cache_lock:
-        m = len(_bernoulli_cache)
-        while m <= k:
-            if m >= 3 and m % 2 == 1:
-                _bernoulli_cache.append(Fraction(0))
-            else:
-                acc = Fraction(0)
-                for j in range(m):
-                    acc += binomial(m + 1, j) * _bernoulli_cache[j]
-                _bernoulli_cache.append((m + 1 - acc) / (m + 1))
-            m += 1
+        have = len(_bernoulli_cache)
+        if k >= have:
+            _bernoulli_cache.extend(_bernoulli_fill(have, max(k + 1, 2 * have)))
     return _bernoulli_cache[k]
+
+
+def _bernoulli_fill(start: int, stop: int) -> List[Fraction]:
+    """B_start .. B_{stop-1} from the tangent numbers T_1 .. T_{(stop-1)//2}.
+
+    The triangle: T_j = (j-1)! to start, then for each k >= 2 the sweep
+    T_j <- (j-k) T_{j-1} + (j-k+2) T_j over j = k..n, in place.
+    """
+    n = (stop - 1) // 2
+    t = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = []
+    for m in range(start, stop):
+        if m < 2:
+            out.append(Fraction(1, m + 1))  # B_0 = 1, B_1 = +1/2
+        elif m % 2:
+            out.append(Fraction(0))
+        else:
+            j, four = m // 2, 4 ** (m // 2)
+            out.append(Fraction((-1) ** (j - 1) * m * t[j], four * (four - 1)))
+    return out
 
 
 def bernoulli_table(K: int) -> Sequence[Fraction]:

@@ -11,8 +11,9 @@ Catalog keys (used by the CLI and tests):
     "zero"         a_n = 0
 
 Where the generating function f(t) = sum a_n t^n has a rational closed form
-it is attached to the oracle (exact evaluation at rational t), obtained from
-t/(1-t) resp. t/(1+t) by repeated application of t d/dt:
+it is attached to the oracle (exact evaluation at rational t, built on its
+first use), obtained from t/(1-t) resp. t/(1+t) by repeated application of
+t d/dt:
 
     sum n^m t^n          = Q_m(t) / (1-t)^(m+1),  Q_{m+1} = t [Q'(1-t) + (m+1) Q]
     sum (-1)^(n-1) n^m t^n = P_m(t) / (1+t)^(m+1),  P_{m+1} = t [P'(1+t) - (m+1) P]
@@ -79,28 +80,45 @@ def _tddt(coeffs: List[Fraction], sign: int, m: int) -> List[Fraction]:
     return out
 
 
-def monomial_genfun(m: int) -> Callable[[Fraction], Fraction]:
-    """Closed form of sum_{n>=1} n^m t^n as an exact rational function of t."""
-    coeffs = [Fraction(0), Fraction(1)]  # Q_0 = t
+def _genfun_numerator(sign: int, m: int) -> List[Fraction]:
+    """Q_m (sign = -1) or P_m (sign = +1): m rounds of ``_tddt`` from t."""
+    coeffs = [Fraction(0), Fraction(1)]
     for k in range(m):
-        coeffs = _tddt(coeffs, -1, k)
+        coeffs = _tddt(coeffs, sign, k)
+    return coeffs
+
+
+def monomial_genfun(m: int) -> Callable[[Fraction], Fraction]:
+    """Closed form of sum_{n>=1} n^m t^n as an exact rational function of t.
+
+    The O(m^2) numerator is built on the first call and kept; two threads
+    making the first call at once may both build it, to equal lists.
+    """
+    coeffs: Optional[List[Fraction]] = None
 
     def f(t: Fraction) -> Fraction:
+        nonlocal coeffs
         t = Fraction(t)
         if abs(t) >= 1:
             raise ZeroDivisionError("generating function pole at |t| >= 1")
+        if coeffs is None:
+            coeffs = _genfun_numerator(-1, m)
         return _eval_ratio(coeffs, Fraction(-1), m + 1, t)
 
     return f
 
 
 def alternating_genfun(m: int) -> Callable[[Fraction], Fraction]:
-    """Closed form of sum_{n>=1} (-1)^(n-1) n^m t^n, exact rational in t."""
-    coeffs = [Fraction(0), Fraction(1)]  # P_0 = t
-    for k in range(m):
-        coeffs = _tddt(coeffs, +1, k)
+    """Closed form of sum_{n>=1} (-1)^(n-1) n^m t^n, exact rational in t.
+
+    The O(m^2) numerator is built on the first call and kept.
+    """
+    coeffs: Optional[List[Fraction]] = None
 
     def f(t: Fraction) -> Fraction:
+        nonlocal coeffs
+        if coeffs is None:
+            coeffs = _genfun_numerator(+1, m)
         return _eval_ratio(coeffs, Fraction(1), m + 1, Fraction(t))
 
     return f

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
-from .errors import AbelInnerSeriesError
+from .errors import AbelInnerSeriesError, NonFiniteResultError
 from .exact import bernoulli
 from .series import SeriesOracle, get_series
 
@@ -77,16 +77,21 @@ def cesaro_sum(series: SeriesOracle, n: int, tol: float = 1e-3) -> SummationOutc
     Stabilization test: the mean over the last quarter of the window must
     agree with the full mean within 10 * tol, else the verdict is
     oscillating-no-limit.  Monotone blow-up of the running means is reported
-    as divergent.
+    as divergent.  Terms or sums past float64 range raise
+    :class:`NonFiniteResultError`.
     """
     import numpy as np
 
     if n < 2:
         raise ValueError(f"cesaro_sum requires n >= 2, got {n}")
-    terms = np.asarray(series.term_array(np.arange(1, n + 1, dtype=float)), dtype=float)
-    partials = np.concatenate([[0.0], np.cumsum(terms)])  # P_0 .. P_n
-    means = np.cumsum(partials) / np.arange(1, n + 2, dtype=float)  # running (C,1) means
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.asarray(series.term_array(np.arange(1, n + 1, dtype=float)), dtype=float)
+        partials = np.concatenate([[0.0], np.cumsum(terms)])  # P_0 .. P_n
+        means = np.cumsum(partials) / np.arange(1, n + 2, dtype=float)  # running (C,1) means
     full = float(means[-1])
+    if not math.isfinite(full):  # a non-finite term or sum carries through both cumsums
+        raise NonFiniteResultError(f"the Cesaro means of {series.label} over n = {n} "
+                                   "leave float64 range")
     half = float(means[(n + 1) // 2])
     window = means[-max(2, (n + 1) // 4):]
     drift = float(np.max(np.abs(window - full)))
@@ -164,7 +169,8 @@ def abel_sum(
     summation with a tail bound, whose failure raises
     :class:`AbelInnerSeriesError` rather than producing a divergent verdict.
     Values growing monotonically along the schedule (beyond ``cap``, or
-    defeating extrapolation) give the divergent verdict.
+    defeating extrapolation) give the divergent verdict.  A closed-form value
+    past float64 range raises :class:`NonFiniteResultError`.
     """
     if schedule is None:
         schedule = default_abel_schedule()
@@ -184,6 +190,9 @@ def abel_sum(
                 vals.append(float(series.abel_closed_form(Fraction(t))))
             except ZeroDivisionError as exc:
                 raise AbelInnerSeriesError(str(exc)) from exc
+            except OverflowError as exc:
+                raise NonFiniteResultError(f"the closed form of {series.label} at t = {t} "
+                                           "is past float64 range") from exc
         else:
             vals.append(_power_series_value(series, float(t), inner_tol, term_budget))
 

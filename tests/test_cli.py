@@ -191,13 +191,17 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["smoothed", "--s", "200", "--N", "1000"],
         ["smoothed", "--s", "400", "--cutoff", "poly:3", "--N", "100"],
+        ["sum", "--method", "abel", "--series", "monomial:300"],
+        ["sum", "--method", "zeta-eta", "--series", "alt-zeta:-300"],
+        ["sum", "--method", "cesaro", "--series", "monomial:200", "--n", "100"],
+        ["stirling", "--n", "10", "--terms", "499"],
     ])
     def test_non_finite_result_is_the_same_typed_error_in_both_formats(self, capsys, argv):
         errs = []
         for fmt in ("json", "csv"):
             rc, out, err = run_capture(capsys, ["--format", fmt] + argv)
             assert rc == 1 and out == ""
-            assert err.startswith("error: NonFiniteResultError: ")
+            assert err.startswith("error: NonFiniteResultError: ") and err.count("\n") == 1
             errs.append(err)
         assert errs[0] == errs[1]
 
@@ -236,6 +240,7 @@ class TestErrors:
         (["stirling", "--n", "2002", "--table"], cli.MAX_STIRLING_ROWS),
         (["sum", "--method", "ramanujan", "--series", "monomial:501"], cli.MAX_SERIES_EXPONENT),
         (["sum", "--method", "abel", "--series", "alt-zeta:-501"], cli.MAX_SERIES_EXPONENT),
+        (["delta-seq", "--j", str(cli.MAX_DELTA_J + 1)], cli.MAX_DELTA_J),
     ])
     def test_work_past_a_cap_is_usage_error(self, capsys, monkeypatch, argv, cap):
         def no_compute(*args, **kwargs):
@@ -243,7 +248,8 @@ class TestErrors:
 
         for owner, name in [(cli, "bernoulli"), (cli, "faulhaber"), (summation, "cesaro_sum"),
                             (euler_maclaurin, "em_tail"), (euler_maclaurin, "stirling_series"),
-                            (euler_maclaurin, "em_divergence_demo"), (series, "get_series")]:
+                            (euler_maclaurin, "em_divergence_demo"), (series, "get_series"),
+                            (smoothed, "delta_pairing")]:
             monkeypatch.setattr(owner, name, no_compute)
         rc, out, err = run_capture(capsys, argv)
         assert rc == 2 and out == ""
@@ -252,6 +258,7 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["sum", "--method", "cesaro", "--series", "grandi", "--n", str(cli.MAX_CESARO_N)],
         ["truncate", "--alpha", f"1/{cli.MAX_TRUNCATE_ROWS - 5}"],
+        ["delta-seq", "--j", str(cli.MAX_DELTA_J)],
     ])
     def test_work_at_a_cap_runs(self, capsys, argv):
         run_json(capsys, argv)

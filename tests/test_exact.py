@@ -1,10 +1,12 @@
 import math
+import random
 import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from summa import exact
 from summa.exact import (
     PI_LOWER,
     PI_UPPER,
@@ -33,10 +35,44 @@ class TestBernoulli:
         for n in range(1, 15):
             assert bernoulli(2 * n + 1) == 0
 
-    def test_recursion_identity_up_to_40(self):
-        for s in range(1, 41):
-            acc = sum(binomial(s, j) * bernoulli(j) for j in range(s))
-            assert acc == s
+    def test_recursion_identity_up_to_300(self):
+        # sum_{j<m+1} C(m+1, j) B_j = m + 1: the tangent-number fill against the recursion
+        for m in range(301):
+            acc = sum(binomial(m + 1, j) * bernoulli(j) for j in range(m + 1))
+            assert acc == m + 1
+
+    def test_agrees_with_generating_function_to_60(self):
+        coeffs = genfun_coefficients(60)
+        for j in range(61):
+            assert bernoulli(j) == coeffs[j] * math.factorial(j)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_call_order_gives_equal_tables(self, monkeypatch, order):
+        reference = list(exact.bernoulli_table(1000))
+        monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1)])
+        ks = list(range(1001))
+        if order == "descending":
+            ks.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(ks)
+        assert {k: bernoulli(k) for k in ks} == dict(enumerate(reference))
+        assert exact._bernoulli_cache[:1001] == reference
+
+    def test_table_grows_geometrically(self, monkeypatch):
+        # rising bernoulli(2m), as the Stirling scans call it, costs O(log m) fills
+        fills = []
+        real_fill = exact._bernoulli_fill
+
+        def counting_fill(start, stop):
+            fills.append((start, stop))
+            return real_fill(start, stop)
+
+        monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1)])
+        monkeypatch.setattr(exact, "_bernoulli_fill", counting_fill)
+        for m in range(1, 501):
+            bernoulli(2 * m)
+        assert len(fills) <= math.ceil(math.log2(1001)) + 1
+        assert all(stop >= 2 * start for start, stop in fills)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

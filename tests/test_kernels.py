@@ -9,7 +9,7 @@ import pytest
 
 from summa import _kernels
 from summa._kernels import CHUNK
-from summa.cutoffs import make_cutoff
+from summa.cutoffs import BUMP_EDGE, make_cutoff, sharp_indicator
 from summa.errors import QuadratureError
 from summa.quadrature import MID_NODE, _adapt, _gk15
 
@@ -17,6 +17,44 @@ BUMP = make_cutoff("bump")
 # test ids name (family, order): 0-0 is the bump, 1-3 is poly:3
 CUTOFFS = [pytest.param(BUMP, id="0-0"), pytest.param(make_cutoff("poly:3"), id="1-3")]
 SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 0.5, 3 * CHUNK + 1]
+# every eta formula: the bump, poly:1/4/8 and the sharp indicator
+ALL_CUTOFFS = [pytest.param(cut, id=cut.label) for cut in
+               [BUMP] + [make_cutoff(f"poly:{p}") for p in (1, 4, 8)] + [sharp_indicator()]]
+
+
+def masked_eta(cut, x):
+    """eta from a zeroed array and a support mask: the reference for the in-place eval."""
+    if cut.kind == "indicator":
+        return np.where(x <= 1.0, 1.0, 0.0)
+    out = np.zeros_like(x)
+    if cut.kind == "bump":
+        m = x < BUMP_EDGE
+        t = 1.0 - x[m] * x[m]
+        out[m] = np.exp(1.0 - 1.0 / t)
+    else:
+        m = x < 1.0
+        out[m] = (1.0 - x[m]) ** cut.p
+    return out
+
+
+def chunked_reference(terms, count):
+    """fsum of np.sum over fresh arange chunks of CHUNK terms."""
+    partials = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, count + 1, CHUNK):
+            n = np.arange(start, min(start + CHUNK, count + 1), dtype=float)
+            partials.append(float(np.sum(terms(n))))
+    return math.fsum(partials)
+
+
+def alternating_terms(cut, N):
+    def terms(n):
+        y = masked_eta(cut, n / N)
+        odd, even = y[0::2], y[1::2]
+        odd[:even.size] -= even
+        return odd
+
+    return terms
 
 
 class TestStreamedSums:
@@ -42,6 +80,17 @@ class TestStreamedSums:
         n = np.arange(1, math.ceil(N / 2.0) + 1, dtype=float)
         ref = math.fsum((2.0 * n * cut.eval(2.0 * n / N)).tolist())
         assert abs(_kernels.doubled_smoothed_value(cut, N) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("cut", ALL_CUTOFFS)
+    @pytest.mark.parametrize("N", SIZES + [2.5 * CHUNK + 0.25])
+    def test_buffered_sums_are_bit_identical_to_fresh_chunks(self, cut, N):
+        for s in range(5):
+            ref = chunked_reference(lambda n: masked_eta(cut, n / N) * n**s, math.ceil(N))
+            assert _kernels.smoothed_sum_value(s, cut, N).hex() == ref.hex(), s
+        ref = chunked_reference(alternating_terms(cut, N), math.ceil(N))
+        assert _kernels.alternating_smoothed_value(cut, N).hex() == ref.hex()
+        ref = chunked_reference(lambda n: 2.0 * n * masked_eta(cut, 2.0 * n / N), math.ceil(N / 2.0))
+        assert _kernels.doubled_smoothed_value(cut, N).hex() == ref.hex()
 
     def test_empty_range_is_zero(self):
         assert _kernels.smoothed_sum_value(1, BUMP, 0.0) == 0.0
@@ -74,6 +123,30 @@ class TestStreamedSums:
         payload, peak_mb = run_fresh(code).splitlines()
         assert json.loads(payload)["result"]["value"] > 0
         assert float(peak_mb) < 100.0
+
+
+EVAL_POINTS = {
+    "inside": np.linspace(0.0, 0.999, 12).reshape(3, 4),
+    "straddle-1d": np.linspace(0.0, 1.5, 301),
+    "straddle-2d": np.linspace(0.5, 1.0, 60).reshape(4, 15),
+    "past-1d": np.geomspace(1.0, 1e200, 50),
+    "past-2d": np.array([[1.0, 2.0, 1e100], [1e200, 1.0 + 1e-15, 3.0]]),
+}
+
+
+class TestEvalInto:
+    @pytest.mark.parametrize("cut", ALL_CUTOFFS)
+    @pytest.mark.parametrize("name", list(EVAL_POINTS))
+    def test_eval_into_a_buffer_has_the_bits_of_eval(self, cut, name):
+        x = EVAL_POINTS[name]
+        ref = cut.eval(x)
+        assert ref.tobytes() == masked_eta(cut, x).tobytes()
+        buf = np.full_like(x, np.nan)
+        assert cut.eval(x, out=buf) is buf
+        assert buf.tobytes() == ref.tobytes()
+        y = x.copy()
+        assert cut.eval(y, out=y) is y  # out may be x itself
+        assert y.tobytes() == ref.tobytes()
 
 
 # --- the cell sweep ------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from summa import series as series_module
 from summa.errors import AbelInnerSeriesError
 from summa.series import alternating_genfun, get_series, monomial_genfun
 from summa.summation import (
@@ -47,6 +48,24 @@ class TestSeriesCatalog:
         t = Fraction(2, 5)
         direct = sum(Fraction((-1) ** (n - 1)) * n**3 * t**n for n in range(1, 80))
         assert abs(float(f(t)) - float(direct)) < 1e-12
+
+    def test_closed_form_is_built_once_on_first_use(self, monkeypatch):
+        builds = []
+        real = series_module._genfun_numerator
+
+        def counting(sign, m):
+            builds.append((sign, m))
+            return real(sign, m)
+
+        monkeypatch.setattr(series_module, "_genfun_numerator", counting)
+        closed = get_series("monomial:3").abel_closed_form
+        get_series("alt-zeta:-3")
+        assert builds == []  # resolving a key does no exact work
+        assert closed(Fraction(1, 2)) == 26  # sum n^3 / 2^n
+        closed(Fraction(1, 3))
+        assert builds == [(-1, 3)]
+        zeta_via_eta(-3)
+        assert builds == [(-1, 3), (1, 3)]
 
 
 class TestPartialSum:
