@@ -14,24 +14,24 @@ and of lam -- the dimensionless content of the plate-energy theorem.  The
 physical energy per unit area follows by the prefactor pi^2 hbar c / (2 d^3),
 giving -pi^2 hbar c / (720 d^3), and the force -d/dd of it, 3 E / d.
 
-Derivatives of F have closed forms (Leibniz on -d/ds of s^2 G(s) with
-G(s) = eta(lam s / N)):
+Derivatives of F have closed forms: with L = N / lam,
 
-    F^(k)(s) = -[ s^2 G^(k-1)(s) + 2(k-1) s G^(k-2)(s) + (k-1)(k-2) G^(k-3)(s) ]
+    F^(k)(s) = -(d/ds)^(k-1) [ s^2 eta(s / L) ],
 
-for k >= 1 (terms with negative derivative order absent).  In particular
-F^(3)(0) = -2 eta(0+), the only number the limit depends on.
+which is the x^s eta(x/N) object of the Euler-Maclaurin tail identity at
+s = 2 and support end L, so ``capital_F_deriv`` reads it from
+``euler_maclaurin.monomial_cutoff_spec`` and its Leibniz rule.  In
+particular F^(3)(0) = -2 eta(0+), the only number the limit depends on.
 ``derivative_identities`` verifies these forms against finite differences of
-the computed F, orders 1 through 5.
+the computed F, orders 1 through 5; ``euler_maclaurin.sup_norm_check(2, ...)``
+samples sup |F^(5)|, which scales as N^-2 at fixed lam.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import _kernels
 from .cutoffs import Cutoff, make_cutoff
@@ -47,13 +47,14 @@ __all__ = [
     "UtResult",
     "u_t_dimensionless",
     "u_t_ladder",
+    "energy_prefactor",
     "energy_density",
     "casimir_force",
     "closed_form_energy_density",
     "closed_form_force",
 ]
 
-# CODATA values; configuration, not literals scattered through formulas.
+# CODATA values, named once rather than scattered through formulas.
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
@@ -74,8 +75,6 @@ class CasimirConfig:
     N: float = 200.0
     cutoff: Cutoff = field(default_factory=lambda: make_cutoff("bump"))
     quad_tol: float = 1e-8
-    hbar: float = HBAR
-    c: float = C_LIGHT
 
     def __post_init__(self):
         if self.d <= 0:
@@ -106,22 +105,15 @@ def capital_F(n: float, cfg: CasimirConfig) -> float:
 
 
 def capital_F_deriv(k: int, s: float, cfg: CasimirConfig) -> float:
-    """Closed-form k-th derivative of F at s (k = 1..5)."""
+    """Closed-form k-th derivative of F at s (k = 1..5): -(d/ds)^(k-1) [s^2 eta(s/L)]."""
+    from .euler_maclaurin import monomial_cutoff_spec
+
     if not 1 <= k <= 5:
         raise ValueError(f"derivative order must be in 1..5, got {k}")
     if s >= cfg.support_end:
         return 0.0
-    lam, N, cutoff = cfg.lam, cfg.N, cfg.cutoff
-
-    def G(m, x):  # m-th derivative of eta(lam x / N)
-        return cutoff.deriv(m, lam * x / N) * (lam / N) ** m
-
-    acc = s * s * G(k - 1, s)
-    if k >= 2:
-        acc += 2.0 * (k - 1) * s * G(k - 2, s)
-    if k >= 3:
-        acc += (k - 1) * (k - 2) * G(k - 3, s)
-    return -acc
+    spec = monomial_cutoff_spec(2, cfg.cutoff, cfg.support_end)
+    return -float(spec.deriv(k - 1, [s])[0])
 
 
 _STENCILS = {
@@ -133,20 +125,19 @@ _STENCILS = {
 }
 
 
-def derivative_identities(cfg: CasimirConfig, order: int,
-                          probes: Optional[Sequence[float]] = None) -> float:
+def derivative_identities(cfg: CasimirConfig, order: int) -> float:
     """Worst deviation of the order-k closed form from finite differences of F.
 
     Central second-order stencils with two Richardson steps; the deviation is
-    the largest |fd - closed| over the probes, normalized by the largest
-    closed-form magnitude there (robust at interior zeros of the derivative).
+    the largest |fd - closed| over probes at 0.15, 0.3, 0.5, 0.7 and 0.85 of
+    the support, normalized by the largest closed-form magnitude there
+    (robust at interior zeros of the derivative).
     """
     if not 1 <= order <= 5:
         raise ValueError(f"order must be in 1..5, got {order}")
     cfg.cutoff.require_smoothness(order, f"derivative identity of order {order}")
     end = cfg.support_end
-    if probes is None:
-        probes = [f * end for f in (0.15, 0.3, 0.5, 0.7, 0.85)]
+    probes = [f * end for f in (0.15, 0.3, 0.5, 0.7, 0.85)]
     # high orders divide the quadrature noise by h^order: the step must stay
     # macroscopic and the inner tolerance near the roundoff floor of |F|
     h = max(0.5, 0.01 * end)
@@ -204,7 +195,9 @@ def u_t_ladder(cfg: CasimirConfig, levels: int, *,
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    scales = [cfg.N / 2**k for k in range(levels) if cfg.N / 2**k >= 10]
+    scales = [cfg.N]  # halving is exact, so each scale is N / 2^k to the bit
+    while len(scales) < levels and scales[-1] / 2.0 >= 10:
+        scales.append(scales[-1] / 2.0)
     values = _ut_values(cfg, scales + [scales[-1] / 2.0], enforce_smoothness)
     rows = [(N, UtResult(v, abs(v - half))) for N, v, half in zip(scales, values, values[1:])]
     return rows[::-1]
@@ -223,13 +216,18 @@ def u_t_dimensionless(cfg: CasimirConfig, *, enforce_smoothness: bool = True) ->
     return u_t_ladder(cfg, 1, enforce_smoothness=enforce_smoothness)[0][1]
 
 
+def energy_prefactor(d: float) -> float:
+    """pi^2 hbar c / (2 d^3), J/m^2: the energy per unit plate area is this times u_t."""
+    return math.pi**2 * HBAR * C_LIGHT / (2.0 * d**3)
+
+
 def energy_density(cfg: CasimirConfig, *, enforce_smoothness: bool = True) -> float:
     """Total zero-point energy per unit plate area, J/m^2.
 
-    (pi^2 hbar c / (2 d^3)) * u_t; converges to -pi^2 hbar c / (720 d^3).
+    energy_prefactor(d) * u_t; converges to -pi^2 hbar c / (720 d^3).
     """
     (u,) = _ut_values(cfg, [cfg.N], enforce_smoothness)
-    return math.pi**2 * cfg.hbar * cfg.c / (2.0 * cfg.d**3) * u
+    return energy_prefactor(cfg.d) * u
 
 
 def casimir_force(d: float, cfg: CasimirConfig) -> float:
@@ -244,17 +242,10 @@ def casimir_force(d: float, cfg: CasimirConfig) -> float:
     return 3.0 * energy_density(replace(cfg, d=d)) / d
 
 
-def closed_form_energy_density(d: float, hbar: float = HBAR, c: float = C_LIGHT) -> float:
-    return -math.pi**2 * hbar * c / (720.0 * d**3)
+def closed_form_energy_density(d: float) -> float:
+    return -math.pi**2 * HBAR * C_LIGHT / (720.0 * d**3)
 
 
-def closed_form_force(d: float, hbar: float = HBAR, c: float = C_LIGHT) -> float:
-    return -math.pi**2 * hbar * c / (240.0 * d**4)
+def closed_form_force(d: float) -> float:
+    return -math.pi**2 * HBAR * C_LIGHT / (240.0 * d**4)
 
-
-def sup_f5_estimate(cfg: CasimirConfig, samples: int = 2001) -> float:
-    """Grid-sampled sup |F^(5)| over the support; scales as N^-2 at fixed lam."""
-    cfg.cutoff.require_smoothness(4, "the C^5 norm estimate")
-    xs = np.linspace(0.0, cfg.support_end * (1.0 - 1e-9), samples)
-    vals = [abs(capital_F_deriv(5, float(x), cfg)) for x in xs]
-    return max(vals)

@@ -46,6 +46,11 @@ MAX_DELTA_J = 50_000
 # build on first use, in s rounds over s + 2 Fractions: ~1.5 s for either at 500, ~8 s to
 # build at 1000; cesaro and ramanujan never build it (~0.15 s at 500)
 MAX_SERIES_EXPONENT = 500
+# digits of N^(s + 1), above faulhaber's S_s(N): past CPython's default limit the int
+# cannot be printed; ~0.3 s at s = 1000, N = 19,000 (4,283 digits)
+MAX_RESULT_DIGITS = 4300
+# em-tail --N, summed one float term at a time (~18 us a term): ~2 s at 10^5
+MAX_EM_TAIL_N = 10**5
 
 
 class UsageError(Exception):
@@ -94,25 +99,17 @@ def _parse_grid(text: str):
     return grid
 
 
-def _series_exponent(key: str) -> int:
-    """|s| of a monomial:s or alt-zeta:s key, else 0."""
-    family, _, exponent = key.strip().partition(":")
-    if family in ("monomial", "alt-zeta"):
-        try:
-            return abs(int(exponent))
-        except ValueError:
-            pass  # get_series rejects a non-integer exponent
-    return 0
-
-
 def _resolve_series(key: str):
-    from .series import get_series
+    """(family, parameter, series) of a catalog key; a malformed key is a usage error."""
+    from .series import get_series, parse_key
 
-    _check_cap("series exponent |s|", _series_exponent(key), MAX_SERIES_EXPONENT)
     try:
-        return get_series(key)
+        family, param = parse_key(key)
     except KeyError as exc:
         raise UsageError(f"unknown series key {key!r}; grammar: {SERIES_GRAMMAR}") from exc
+    if family in ("monomial", "alt-zeta"):
+        _check_cap("series exponent |s|", abs(param), MAX_SERIES_EXPONENT)
+    return family, param, get_series(key)
 
 
 def _resolve_cutoff(spec: str):
@@ -147,6 +144,9 @@ def _cmd_bernoulli(args):
 
 def _cmd_faulhaber(args):
     _check_cap("Bernoulli index --s", args.s, MAX_BERNOULLI_INDEX)
+    if args.N > 1:
+        digits = math.floor((args.s + 1) * math.log10(args.N)) + 1
+        _check_cap("digits of --N^(--s + 1)", digits, MAX_RESULT_DIGITS)
     val = faulhaber(args.s, args.N)
     return ({"s": args.s, "N": args.N, "value": _fmt(val)},
             (("s", "N", "value"), [(args.s, args.N, _fmt(val))]))
@@ -157,17 +157,17 @@ def _cmd_sum(args):
 
     if args.method == "cesaro":
         _check_cap("Cesaro window --n", args.n, MAX_CESARO_N)
-    series = _resolve_series(args.series)
+    family, param, series = _resolve_series(args.series)
     if args.method == "cesaro":
         out = summation.cesaro_sum(series, args.n, tol=args.tol)
     elif args.method == "abel":
         out = summation.abel_sum(series)
     elif args.method == "ramanujan":
-        out = _ramanujan_outcome(args.series)
+        out = _ramanujan_outcome(family, param, series.label)
     elif args.method == "zeta-eta":
-        if not args.series.startswith("alt-zeta:"):
+        if family != "alt-zeta":
             raise UsageError("--method zeta-eta needs --series alt-zeta:s")
-        out = summation.zeta_via_eta(int(args.series.split(":", 1)[1]))
+        out = summation.zeta_via_eta(param)
     else:  # pragma: no cover - argparse choices guard this
         raise UsageError(f"unknown method {args.method}")
     payload = _outcome_payload(out)
@@ -178,25 +178,20 @@ def _cmd_sum(args):
                         out.error_estimate if out.error_estimate is not None else "")]))
 
 
-def _ramanujan_outcome(key: str) -> summation.SummationOutcome:
-    """Exact zeta-regularized values for the catalog keys that have one."""
+def _ramanujan_outcome(family: str, param, label: str) -> summation.SummationOutcome:
+    """Exact zeta-regularized values for the catalog families that have one."""
     from . import summation
 
-    if key == "S0":
-        val = summation.ramanujan_monomial(0)
-    elif key == "S1":
-        val = summation.ramanujan_monomial(1)
-    elif key.startswith("monomial:"):
-        val = summation.ramanujan_monomial(int(key.split(":", 1)[1]))
-    elif key == "grandi":
+    if family == "monomial":
+        val = summation.ramanujan_monomial(param)
+    elif family == "grandi":
         val = Fraction(1, 2)
-    elif key.startswith("alt-zeta:"):
-        s = int(key.split(":", 1)[1])
-        if s > 0:
+    elif family == "alt-zeta":
+        if param > 0:
             raise UsageError("exact zeta-regularized value wired only for alt-zeta:s with s <= 0")
-        val = (1 - Fraction(2) ** (1 - s)) * (-bernoulli(1 - s) / (1 - s))
+        val = (1 - 2 ** (1 - param)) * summation.ramanujan_monomial(-param)
     else:
-        raise UsageError(f"no zeta-regularized closed form for series {key!r}")
+        raise UsageError(f"no zeta-regularized closed form for series {label!r}")
     return summation.SummationOutcome("ramanujan", "finite", val, 0.0, {})
 
 
@@ -281,6 +276,7 @@ def _cmd_em_tail(args):
     from . import euler_maclaurin as em
 
     _check_cap("Bernoulli index --s + 1", args.s + 1, MAX_BERNOULLI_INDEX)
+    _check_cap("summed terms --N", args.N, MAX_EM_TAIL_N)
     cutoff = _resolve_cutoff(args.cutoff)
     spec = em.monomial_cutoff_spec(args.s, cutoff, float(args.N))
     res = em.em_tail(spec, args.N, args.s, tol=args.tol)
@@ -339,8 +335,8 @@ def _cmd_casimir(args):
     ladder = casimir.u_t_ladder(cfg, args.levels, enforce_smoothness=enforce)
     rows = [(N, r.value, r.error_estimate) for N, r in ladder]
     value = rows[-1][1]
-    energy = (math.pi**2 * cfg.hbar * cfg.c / (2.0 * cfg.d**3)) * value
-    closed = casimir.closed_form_energy_density(cfg.d, cfg.hbar, cfg.c)
+    energy = casimir.energy_prefactor(cfg.d) * value
+    closed = casimir.closed_form_energy_density(cfg.d)
     result = {
         "limit": energy,
         "closed_form": closed,
@@ -356,7 +352,7 @@ def _cmd_casimir_force(args):
 
     cfg = _make_casimir_config(args)
     force = casimir.casimir_force(args.d, cfg)
-    closed = casimir.closed_form_force(args.d, cfg.hbar, cfg.c)
+    closed = casimir.closed_form_force(args.d)
     result = {"force": force, "closed_form": closed,
               "relative_error": abs(force - closed) / abs(closed)}
     return result, (("d", "force", "closed_form"), [(args.d, force, closed)])
@@ -392,7 +388,10 @@ def _cmd_borel(args):
 
     key = args.coeffs
     if key.startswith("geometric:"):
-        r = float(Fraction(key.split(":", 1)[1]))
+        try:
+            r = float(Fraction(key.split(":", 1)[1]))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise UsageError(f"bad --coeffs {key!r}: r must be a rational like 1/2 or 0.5") from exc
         oracle = asymptotics.CoefficientOracle(
             a=lambda n, r=r: r**n, label=key, exp_rate=abs(r))
     elif key in _BOREL_ORACLES:

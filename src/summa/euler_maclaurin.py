@@ -215,43 +215,41 @@ def em_tail(f: SmoothFunctionSpec, N: int, s: int, tol: float = 1e-10) -> EmTail
     return EmTailResult(lhs, series, lhs - series)
 
 
-def sup_norm_check(s: int, cutoff: Cutoff, N: float, samples: int = 4097) -> float:
+_SUP_NORM_SAMPLES = 4097
+
+
+def sup_norm_check(s: int, cutoff: Cutoff, N: float) -> float:
     """Grid-sampled sup of |d^(s+2)/dx^(s+2) [x^s eta(x/N)]| over the support.
 
     Scales as 1/N^2 (doubling N divides it by ~4): every Leibniz term carries
-    at least two powers of 1/N once x ~ N is factored out.
+    at least two powers of 1/N once x ~ N is factored out.  At s = 2, with
+    the plate support end N/lam as N, this is sup |F^(5)| of ``casimir``.
     """
     import numpy as np
 
     cutoff.require_smoothness(s + 2, "the sup-norm bound")
     spec = monomial_cutoff_spec(s, cutoff, N)
-    xs = np.linspace(0.0, float(N), samples)
+    xs = np.linspace(0.0, float(N), _SUP_NORM_SAMPLES)
     vals = np.abs(np.atleast_1d(spec.deriv(s + 2, xs)))
     return float(np.max(vals))
 
 
-_LOG_FACTORIAL_EXACT_MAX = 2000
+_DPS = 50  # working digits of the Stirling gap
 
 
-def stirling_g_mp(n: int, dps: int = 50):
-    """g(n) = log n! - (n + 1/2) log n + n - log(2pi)/2 as an mpmath value.
+def stirling_g_mp(n: int):
+    """g(n) = log n! - (n + 1/2) log n + n - log(2pi)/2 as a 50-digit mpmath value.
 
-    log n! comes from the exact factorial up to n = 2000 and from accumulated
-    high-precision logs beyond; the combination cancels ~log10(n^2) digits,
-    which is why a float64 version cannot feed the remainder-bound checks.
+    log n! is mpmath's loggamma(n + 1), O(1) in n; the combination cancels
+    ~log10(n^2) digits, which is why a float64 version cannot feed the
+    remainder-bound checks.
     """
     import mpmath as mp
 
     if n < 1:
         raise ValueError(f"stirling_g requires n >= 1, got {n}")
-    with mp.workdps(dps):
-        if n <= _LOG_FACTORIAL_EXACT_MAX:
-            logfact = mp.log(mp.mpf(math.factorial(n)))
-        else:
-            logfact = mp.log(mp.mpf(math.factorial(_LOG_FACTORIAL_EXACT_MAX)))
-            for k in range(_LOG_FACTORIAL_EXACT_MAX + 1, n + 1):
-                logfact += mp.log(mp.mpf(k))
-        g = logfact - (mp.mpf(n) + mp.mpf(1) / 2) * mp.log(n) + n - mp.log(2 * mp.pi) / 2
+    with mp.workdps(_DPS):
+        g = mp.loggamma(n + 1) - (mp.mpf(n) + mp.mpf(1) / 2) * mp.log(n) + n - mp.log(2 * mp.pi) / 2
         return +g
 
 
@@ -265,6 +263,11 @@ class StirlingSeries(NamedTuple):
     bound: float
 
 
+def stirling_term(n: int, m: int) -> Fraction:
+    """Exact m-th Stirling-series term B_{2m} / (2m (2m-1) n^{2m-1})."""
+    return bernoulli(2 * m) / (2 * m * (2 * m - 1) * Fraction(n) ** (2 * m - 1))
+
+
 def stirling_series_exact(n: int, terms: int) -> Tuple[Fraction, Fraction]:
     """Exact partial sum of the Stirling series and the remainder bound.
 
@@ -275,12 +278,8 @@ def stirling_series_exact(n: int, terms: int) -> Tuple[Fraction, Fraction]:
         raise ValueError(f"stirling_series requires n >= 1, got {n}")
     if terms < 1:
         raise ValueError(f"stirling_series requires terms >= 1, got {terms}")
-    value = Fraction(0)
-    for m in range(1, terms + 1):
-        value += bernoulli(2 * m) / (2 * m * (2 * m - 1) * Fraction(n) ** (2 * m - 1))
-    t = terms
-    bound = abs(bernoulli(2 * t + 2)) / ((2 * t + 1) * (2 * t + 2) * Fraction(n) ** (2 * t + 1))
-    return value, bound
+    value = sum(stirling_term(n, m) for m in range(1, terms + 1))
+    return value, abs(stirling_term(n, terms + 1))
 
 
 def stirling_series(n: int, terms: int) -> StirlingSeries:
@@ -294,7 +293,7 @@ def stirling_series(n: int, terms: int) -> StirlingSeries:
                                    "is past float64 range") from exc
 
 
-def stirling_gap(n: int, terms: int, dps: int = 50) -> float:
+def stirling_gap(n: int, terms: int) -> float:
     """|stirling_g(n) - series(n, terms)| with the difference taken in mpmath.
 
     The bounds being checked reach below float64 resolution of g(n) itself
@@ -304,19 +303,14 @@ def stirling_gap(n: int, terms: int, dps: int = 50) -> float:
     import mpmath as mp
 
     value, _ = stirling_series_exact(n, terms)
-    with mp.workdps(dps):
-        gap = abs(stirling_g_mp(n, dps) - mp.mpf(value.numerator) / value.denominator)
+    with mp.workdps(_DPS):
+        gap = abs(stirling_g_mp(n) - mp.mpf(value.numerator) / value.denominator)
         return float(gap)
 
 
 class DivergenceScan(NamedTuple):
     m_star: int
     terms: Tuple[Fraction, ...]
-
-
-def stirling_term(n: int, m: int) -> Fraction:
-    """Exact m-th Stirling-series term B_{2m} / (2m (2m-1) n^{2m-1})."""
-    return bernoulli(2 * m) / (2 * m * (2 * m - 1) * Fraction(n) ** (2 * m - 1))
 
 
 def em_divergence_demo(n: int, max_terms: int) -> DivergenceScan:

@@ -1,6 +1,6 @@
 """Series catalog: described sequences n -> a_n with exact and float terms.
 
-Catalog keys (used by the CLI and tests):
+Catalog keys (used by the CLI and tests; ``parse_key`` owns the grammar):
 
     "S0"           a_n = 1
     "S1"           a_n = n
@@ -9,6 +9,8 @@ Catalog keys (used by the CLI and tests):
     "alt-zeta:s"   a_n = (-1)^(n-1) n^(-s), integer s
     "geometric:r"  a_n = r^n,               rational r ("1/2" or "0.5")
     "zero"         a_n = 0
+
+Whitespace around a key is ignored; S0 and S1 are monomial:0 and monomial:1.
 
 Where the generating function f(t) = sum a_n t^n has a rational closed form
 it is attached to the oracle (exact evaluation at rational t, built on its
@@ -24,14 +26,14 @@ so building a series and its exact terms does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["SeriesOracle", "get_series", "monomial_genfun", "alternating_genfun"]
+__all__ = ["SeriesOracle", "parse_key", "get_series", "monomial_genfun", "alternating_genfun"]
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,6 @@ class SeriesOracle:
     term_exact: Callable[[int], Fraction]
     term_array: Callable[[np.ndarray], np.ndarray]
     abel_closed_form: Optional[Callable[[Fraction], Fraction]] = None
-    abel_closed_form_desc: Optional[str] = None
-    diagnostics: dict = field(default_factory=dict)
 
     def term_float(self, n: int) -> float:
         import numpy as np
@@ -135,18 +135,11 @@ def _monomial_series(s: int) -> SeriesOracle:
         term_exact=lambda n, s=s: Fraction(n) ** s,
         term_array=term_array,
         abel_closed_form=monomial_genfun(s),
-        abel_closed_form_desc=f"rational function with denominator (1-t)^{s + 1}",
     )
 
 
 def _alt_zeta_series(s: int) -> SeriesOracle:
-    if s <= 0:
-        m = -s
-        closed = alternating_genfun(m)
-        desc = f"rational function with denominator (1+t)^{m + 1}"
-    else:
-        closed = None
-        desc = None
+    closed = alternating_genfun(-s) if s <= 0 else None
 
     def term_exact(n: int, s=s) -> Fraction:
         return Fraction((-1) ** (n - 1)) * Fraction(1, n**s) if s > 0 else (
@@ -163,7 +156,6 @@ def _alt_zeta_series(s: int) -> SeriesOracle:
         term_exact=term_exact,
         term_array=term_array,
         abel_closed_form=closed,
-        abel_closed_form_desc=desc,
     )
 
 
@@ -180,7 +172,6 @@ def _grandi() -> SeriesOracle:
         term_exact=lambda n: Fraction((-1) ** (n - 1)),
         term_array=_alternating_signs,
         abel_closed_form=lambda t: Fraction(t) / (1 + Fraction(t)),
-        abel_closed_form_desc="t/(1+t)",
     )
 
 
@@ -201,7 +192,6 @@ def _geometric(r: Fraction) -> SeriesOracle:
         term_exact=lambda n, r=r: r**n,
         term_array=term_array,
         abel_closed_form=closed,
-        abel_closed_form_desc="r t/(1 - r t)",
     )
 
 
@@ -217,28 +207,46 @@ def _zero() -> SeriesOracle:
         term_exact=lambda n: Fraction(0),
         term_array=_zero_terms,
         abel_closed_form=lambda t: Fraction(0),
-        abel_closed_form_desc="0",
     )
 
 
-def get_series(key: str) -> SeriesOracle:
-    """Resolve a catalog key; unknown keys raise KeyError before any compute."""
+_PARAM_PARSERS = {"monomial": int, "alt-zeta": int, "geometric": Fraction}
+
+
+def parse_key(key: str) -> Tuple[str, Union[int, Fraction, None]]:
+    """(family, parameter) of a catalog key; a malformed key raises KeyError.
+
+    The families are monomial (int s >= 0; S0 and S1 are s = 0 and 1),
+    alt-zeta (int s), geometric (rational r), grandi and zero (no parameter).
+    """
     key = key.strip()
-    if key == "S0":
-        return _monomial_series(0)
-    if key == "S1":
-        return _monomial_series(1)
-    if key == "grandi":
-        return _grandi()
-    if key == "zero":
-        return _zero()
-    if key.startswith("monomial:"):
-        s = int(key.split(":", 1)[1])
-        if s < 0:
-            raise KeyError(f"monomial exponent must be >= 0, got {s}")
-        return _monomial_series(s)
-    if key.startswith("alt-zeta:"):
-        return _alt_zeta_series(int(key.split(":", 1)[1]))
-    if key.startswith("geometric:"):
-        return _geometric(Fraction(key.split(":", 1)[1]))
-    raise KeyError(f"unknown series key {key!r}")
+    if key in ("S0", "S1"):
+        return "monomial", int(key[1])
+    if key in ("grandi", "zero"):
+        return key, None
+    family, colon, text = key.partition(":")
+    parse = _PARAM_PARSERS.get(family) if colon else None
+    if parse is None:
+        raise KeyError(f"unknown series key {key!r}")
+    try:
+        param = parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise KeyError(f"malformed parameter in series key {key!r}") from None
+    if family == "monomial" and param < 0:
+        raise KeyError(f"monomial exponent must be >= 0, got {param}")
+    return family, param
+
+
+_BUILDERS = {
+    "monomial": _monomial_series,
+    "alt-zeta": _alt_zeta_series,
+    "geometric": _geometric,
+    "grandi": lambda _: _grandi(),
+    "zero": lambda _: _zero(),
+}
+
+
+def get_series(key: str) -> SeriesOracle:
+    """Resolve a catalog key; a malformed key raises KeyError before any compute."""
+    family, param = parse_key(key)
+    return _BUILDERS[family](param)

@@ -103,12 +103,19 @@ def cesaro_sum(series: SeriesOracle, n: int, tol: float = 1e-3) -> SummationOutc
     return SummationOutcome("cesaro", OSCILLATING, None, None, diag)
 
 
+# abel_sum: the magnitude past which values growing along the schedule are divergent,
+# and the tail tolerance and term budget of a direct power-series sum
+_ABEL_CAP = 1e12
+_INNER_TOL = 1e-12
+_TERM_BUDGET = 50_000_000
+
+
 def default_abel_schedule(k_min: int = 3, k_max: int = 20) -> List[Fraction]:
     """t_k = 1 - 2^-k; dyadic rationals, so closed forms evaluate exactly."""
     return [Fraction(1) - Fraction(1, 2**k) for k in range(k_min, k_max + 1)]
 
 
-def _power_series_value(series: SeriesOracle, t: float, tol: float, budget: int) -> float:
+def _power_series_value(series: SeriesOracle, t: float) -> float:
     """sum a_n t^n by chunked direct summation with a geometric tail bound."""
     import numpy as np
 
@@ -117,8 +124,8 @@ def _power_series_value(series: SeriesOracle, t: float, tol: float, budget: int)
     n0 = 1
     prev_max = math.inf
     below = 0
-    threshold = tol * (1.0 - t) / 4.0
-    while n0 <= budget:
+    threshold = _INNER_TOL * (1.0 - t) / 4.0
+    while n0 <= _TERM_BUDGET:
         n = np.arange(n0, n0 + chunk, dtype=float)
         vals = np.asarray(series.term_array(n), dtype=float) * np.power(t, n)
         total += float(vals.sum())
@@ -133,7 +140,7 @@ def _power_series_value(series: SeriesOracle, t: float, tol: float, budget: int)
         prev_max = max(mx, 1e-300)
         n0 += chunk
     raise AbelInnerSeriesError(
-        f"power series at t = {t!r} did not converge within {budget} terms"
+        f"power series at t = {t!r} did not converge within {_TERM_BUDGET} terms"
     )
 
 
@@ -153,14 +160,7 @@ def _richardson_limit(vals: Sequence[float]):
     return est, err
 
 
-def abel_sum(
-    series: SeriesOracle,
-    schedule: Optional[Sequence] = None,
-    *,
-    cap: float = 1e12,
-    inner_tol: float = 1e-12,
-    term_budget: int = 50_000_000,
-) -> SummationOutcome:
+def abel_sum(series: SeriesOracle, schedule: Optional[Sequence] = None) -> SummationOutcome:
     """Abel (Euler) sum: extrapolate f(t) = sum a_n t^n to t -> 1-.
 
     The schedule must increase towards 1 from below; the default is
@@ -168,7 +168,7 @@ def abel_sum(
     when the oracle carries one (exact at dyadic t); otherwise chunked direct
     summation with a tail bound, whose failure raises
     :class:`AbelInnerSeriesError` rather than producing a divergent verdict.
-    Values growing monotonically along the schedule (beyond ``cap``, or
+    Values growing monotonically along the schedule (beyond 1e12, or
     defeating extrapolation) give the divergent verdict.  A closed-form value
     past float64 range raises :class:`NonFiniteResultError`.
     """
@@ -194,12 +194,12 @@ def abel_sum(
                 raise NonFiniteResultError(f"the closed form of {series.label} at t = {t} "
                                            "is past float64 range") from exc
         else:
-            vals.append(_power_series_value(series, float(t), inner_tol, term_budget))
+            vals.append(_power_series_value(series, float(t)))
 
     mags = [abs(v) for v in vals]
     growing = len(vals) >= 5 and all(b > a for a, b in zip(mags[-5:], mags[-4:]))
     diag = {"schedule": floats, "values_tail": vals[-4:]}
-    if growing and mags[-1] > cap:
+    if growing and mags[-1] > _ABEL_CAP:
         return SummationOutcome("abel", DIVERGENT, None, None, diag)
     est, err = _richardson_limit(vals)
     diag["extrapolation_error"] = err
@@ -239,7 +239,7 @@ def _eta_direct(s: int, terms: int = 200_000) -> tuple[float, float]:
     return est, err
 
 
-def zeta_via_eta(s: int, tol: float = 1e-9) -> SummationOutcome:
+def zeta_via_eta(s: int) -> SummationOutcome:
     """zeta(s) through the alternating-series identity for integer s <= 2, s != 1.
 
     zeta(s) = (1 - 2^(1-s))^-1 * sum (-1)^(n-1) n^-s, with the alternating

@@ -132,6 +132,15 @@ class TestCsvOutputs:
             ref = casimir.u_t_dimensionless(casimir.CasimirConfig(N=float(N), quad_tol=1e-9))
             assert (float(value), float(error)) == (ref.value, ref.error_estimate)
 
+    def test_levels_past_the_smallest_scale_print_the_same_rows(self, capsys):
+        rows = []
+        for levels in ("6", "1100"):
+            rc, out, _ = run_capture(capsys, ["--format", "csv", "casimir", "--N", "400",
+                                              "--levels", levels])
+            assert rc == 0
+            rows.append([l for l in out.splitlines() if not l.startswith("#")])
+        assert rows[0] == rows[1] and len(rows[0]) == 1 + 6  # N = 12.5 .. 400
+
     def test_truncate_scan(self, capsys):
         rc, out, _ = run_capture(capsys, ["--format", "csv", "truncate", "--alpha", "1/8"])
         lines = [l for l in out.strip().splitlines() if not l.startswith("#")]
@@ -234,6 +243,10 @@ class TestErrors:
         (["stirling", "--n", "10", "--terms", "500"], cli.MAX_BERNOULLI_INDEX),
         (["em-diverge", "--n", "1", "--max-terms", "501"], cli.MAX_BERNOULLI_INDEX),
         (["em-tail", "--s", "1000", "--N", "100"], cli.MAX_BERNOULLI_INDEX),
+        (["em-tail", "--s", "1", "--N", str(cli.MAX_EM_TAIL_N + 1)], cli.MAX_EM_TAIL_N),
+        (["faulhaber", "--s", "1000", "--N", str(10**20)], cli.MAX_RESULT_DIGITS),
+        (["faulhaber", "--s", "1", "--N", str(10**(cli.MAX_RESULT_DIGITS // 2))],
+         cli.MAX_RESULT_DIGITS),
         (["sum", "--method", "cesaro", "--series", "grandi", "--n", "1000001"], cli.MAX_CESARO_N),
         (["truncate", "--alpha", "1/99996"], cli.MAX_TRUNCATE_ROWS),
         (["truncate", "--alpha", "1e-300"], cli.MAX_TRUNCATE_ROWS),
@@ -262,6 +275,32 @@ class TestErrors:
     ])
     def test_work_at_a_cap_runs(self, capsys, argv):
         run_json(capsys, argv)
+
+    def test_faulhaber_at_the_digit_cap_prints_its_value(self, capsys):
+        N = 10 ** (cli.MAX_RESULT_DIGITS - 1)  # N^1 has exactly MAX_RESULT_DIGITS digits
+        payload = run_json(capsys, ["faulhaber", "--s", "0", "--N", str(N)])
+        assert payload["result"]["value"] == f"{N}/1"
+
+    @pytest.mark.parametrize("method", ["cesaro", "abel", "ramanujan", "zeta-eta"])
+    @pytest.mark.parametrize("key", ["monomial:x", "alt-zeta:1.5", "geometric:abc",
+                                     "geometric:1/0", "monomial:-1", "monomial", "wat:1"])
+    def test_malformed_series_key_is_usage_error(self, capsys, method, key):
+        rc, out, err = run_capture(capsys, ["sum", "--method", method, "--series", key])
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error: unknown series key") and "grammar" in err
+
+    def test_whitespace_around_a_key_is_ignored(self, capsys):
+        payload = run_json(capsys, ["sum", "--method", "ramanujan", "--series", " S1"])
+        assert (payload["result"]["series"], payload["result"]["value"]) == ("S1", "-1/12")
+        payload = run_json(capsys, ["sum", "--method", "zeta-eta", "--series", " alt-zeta:-1 "])
+        assert payload["result"]["verdict"] == "finite"
+        assert payload["result"]["value"] == pytest.approx(-1.0 / 12.0, abs=1e-9)
+
+    @pytest.mark.parametrize("coeffs", ["geometric:abc", "geometric:1/0", "geometric:"])
+    def test_malformed_borel_ratio_is_usage_error(self, capsys, coeffs):
+        rc, out, err = run_capture(capsys, ["borel", "--coeffs", coeffs, "--x", "0.1"])
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error: bad --coeffs")
 
     @pytest.mark.parametrize("grid,why", [
         ("100,200,400", "at least 4"),

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from summa.euler_maclaurin import (
     monomial_cutoff_spec,
     polynomial_taper_spec,
     stirling_g,
+    stirling_g_mp,
     stirling_gap,
     stirling_series,
     stirling_series_exact,
@@ -116,7 +118,7 @@ class TestSmoothFunctionSpec:
 
 
 class TestSupNormCheck:
-    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("s", [0, 1, 2])  # s = 2 is sup |F^(5)| of the plate energy
     def test_doubling_ratio_near_four(self, s):
         a = sup_norm_check(s, make_cutoff("bump"), 100.0)
         b = sup_norm_check(s, make_cutoff("bump"), 200.0)
@@ -139,6 +141,21 @@ class TestStirling:
 
     def test_n10_two_terms(self):
         assert abs(stirling_g(10) - (1.0 / 120.0 - 1.0 / 360000.0)) <= 3e-6
+
+    def test_large_n_costs_constant_time(self):
+        start = time.perf_counter()
+        g = stirling_g(10**12)
+        assert time.perf_counter() - start < 1.0  # log n! summed term by term would take hours
+        assert g == pytest.approx(1.0 / (12.0 * 10**12), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 10, 50, 2000, 2001])
+    def test_loggamma_matches_the_exact_factorial(self, n):
+        import mpmath as mp
+
+        with mp.workdps(50):
+            ref = (mp.log(mp.mpf(math.factorial(n))) - (n + mp.mpf(1) / 2) * mp.log(n) + n
+                   - mp.log(2 * mp.pi) / 2)
+            assert abs(stirling_g_mp(n) - ref) <= mp.mpf("1e-45") * abs(ref)
 
     def test_leading_term_halves(self):
         # g ~ 1/(12 n): doubling n halves it within 5%

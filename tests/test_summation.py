@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from summa import series as series_module
 from summa.errors import AbelInnerSeriesError
-from summa.series import alternating_genfun, get_series, monomial_genfun
+from summa.series import alternating_genfun, get_series, monomial_genfun, parse_key
 from summa.summation import (
     SummationOutcome,
     abel_sum,
@@ -25,6 +25,25 @@ class TestSeriesCatalog:
     def test_unknown_key(self):
         with pytest.raises(KeyError):
             get_series("mystery")
+
+    @pytest.mark.parametrize("key,parsed", [
+        ("S0", ("monomial", 0)), (" S1 ", ("monomial", 1)), ("monomial:7", ("monomial", 7)),
+        ("alt-zeta:-3", ("alt-zeta", -3)), ("geometric:0.5", ("geometric", Fraction(1, 2))),
+        ("grandi", ("grandi", None)), ("zero", ("zero", None)),
+    ])
+    def test_parse_key(self, key, parsed):
+        assert parse_key(key) == parsed
+
+    @pytest.mark.parametrize("key", ["monomial:x", "monomial:-1", "alt-zeta:1.5", "alt-zeta",
+                                     "geometric:abc", "geometric:1/0", "grandi:1", "S2", ""])
+    def test_malformed_key_is_a_key_error(self, key):
+        with pytest.raises(KeyError):
+            parse_key(key)
+        with pytest.raises(KeyError):
+            get_series(key)
+
+    def test_s1_is_monomial_1(self):
+        assert get_series("S1").label == get_series("monomial:1").label == "S1"
 
     @pytest.mark.parametrize("key", ["S0", "S1", "grandi", "zero", "monomial:3",
                                      "alt-zeta:2", "alt-zeta:-1", "geometric:1/2"])
