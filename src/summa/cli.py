@@ -49,7 +49,8 @@ MAX_SERIES_EXPONENT = 500
 # digits of N^(s + 1), above faulhaber's S_s(N): past CPython's default limit the int
 # cannot be printed; ~0.3 s at s = 1000, N = 19,000 (4,283 digits)
 MAX_RESULT_DIGITS = 4300
-# em-tail --N, summed one float term at a time (~18 us a term): ~2 s at 10^5
+# em-tail --N, f evaluated on one array of N points and fsummed (~0.1 us a term): ~12 ms
+# of a ~0.4 s cold call at 10^5, ~3 MB
 MAX_EM_TAIL_N = 10**5
 
 

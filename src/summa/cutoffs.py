@@ -120,7 +120,8 @@ class Cutoff:
     The kernels take the cutoff itself and evaluate it through ``eval``.
     Each subclass supplies its float formula (``_eval_array``, which writes
     eta into a given array), its analytic derivatives (``_deriv_array``) and
-    its mpmath formula (``eval_mp``).
+    its mpmath formula (``eval_mp``); the bump also has a fixed-point integer
+    pass (``eval_fixed``) for its exact drift.
     ``smoothness_order`` is math.inf for the bump, p - 1 for poly:p and -1
     for the sharp indicator.
     """
@@ -205,6 +206,24 @@ class BumpCutoff(Cutoff):
         if x >= 1:
             return mp.mpf(0)
         return mp.exp(1 - 1 / (1 - mp.mpf(x) ** 2))
+
+    def eval_fixed(self, top: float, W: int):
+        """Yield eta(m / top) * 2^W as integers, for m = 1..ceil(top).
+
+        With top = P/q exactly, 1 - 1/(1 - x^2) = -b at x = m/top, where
+        b = m^2 q^2 / (P^2 - m^2 q^2).  B = floor(b 2^W) is one exact integer
+        division and mpmath's fixed-point exp of -B / 2^W gives the value:
+        each yielded integer is within 8 of the exact eta(m / top) 2^W
+        (exp_fixed measures within 6 units, the floor of b adds at most 1).
+        """
+        from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+
+        P, q = float(top).as_integer_ratio()
+        P2 = P * P
+        ln2 = ln2_fixed(W)
+        for m in range(1, math.ceil(top) + 1):
+            a = (m * q) ** 2
+            yield exp_fixed(-((a << W) // (P2 - a)), W, ln2) if a < P2 else 0
 
 
 class PolyCutoff(Cutoff):

@@ -203,8 +203,7 @@ def em_tail(f: SmoothFunctionSpec, N: int, s: int, tol: float = 1e-10) -> EmTail
             )
 
     quad = integrate(f.eval, 0.0, float(N), tol=tol)
-    total = math.fsum(float(np.atleast_1d(f.eval(np.array([float(n)])))[0])
-                      for n in range(1, N + 1))
+    total = math.fsum(np.atleast_1d(f.eval(np.arange(1, N + 1, dtype=float))).tolist())
     f0 = float(np.atleast_1d(f.eval(np.array([0.0])))[0])
     lhs = quad.value - 0.5 * f0 - total
 

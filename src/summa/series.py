@@ -210,14 +210,25 @@ def _zero() -> SeriesOracle:
     )
 
 
-_PARAM_PARSERS = {"monomial": int, "alt-zeta": int, "geometric": Fraction}
+def _geometric_ratio(text: str) -> Fraction:
+    """r of geometric:r: a rational whose float terms r^n need float(r) to exist."""
+    r = Fraction(text)
+    try:
+        float(r)
+    except OverflowError:
+        raise ValueError(f"geometric ratio {text!r} is past float64 range") from None
+    return r
+
+
+_PARAM_PARSERS = {"monomial": int, "alt-zeta": int, "geometric": _geometric_ratio}
 
 
 def parse_key(key: str) -> Tuple[str, Union[int, Fraction, None]]:
     """(family, parameter) of a catalog key; a malformed key raises KeyError.
 
     The families are monomial (int s >= 0; S0 and S1 are s = 0 and 1),
-    alt-zeta (int s), geometric (rational r), grandi and zero (no parameter).
+    alt-zeta (int s), geometric (rational r within float64 range), grandi
+    and zero (no parameter).
     """
     key = key.strip()
     if key in ("S0", "S1"):

@@ -13,10 +13,12 @@ empirical decay rate of the residual.
 Numerical note: the subtraction sum - C N^{s+1} cancels ~ (s+1) log10(N)
 digits, which float64 cannot survive for s >= 3 on the grids used here.  The
 drift D(N) is therefore computed in exact rational arithmetic for poly
-cutoffs, by a Faulhaber closed form costing O(p s) whatever N is, and in
-mpmath working precision (scaled to the grid) for the bump, where one pass
-of eta evaluations serves every grid point N_max / r with r an integer;
-the float `smoothed_sum`/`mellin` operations themselves are unchanged.
+cutoffs, by a Faulhaber closed form costing O(p s) whatever N is.  For the
+bump one pass of fixed-point eta values (integers eta 2^W, one integer
+division and one fixed-point exp each) serves every grid point N_max / r
+with r an integer; the sums of eta n^s are exact integers, each rounded
+once to mpmath working precision (scaled to the grid) before C N^{s+1} is
+subtracted.  The float `smoothed_sum`/`mellin` operations are unchanged.
 """
 
 from __future__ import annotations
@@ -126,20 +128,17 @@ def _drift_exact_poly(s: int, cutoff: Cutoff, N: float) -> Fraction:
     return total - cutoff.mellin_exact(s) * NF ** (s + 1)
 
 
-def _drifts_mp(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> list:
-    """D(N) for the bump at every N in ``points``, in mpmath at ``dps`` digits.
+def _bump_totals(s: int, cutoff: Cutoff, points: Sequence[float], W: int) -> List[int]:
+    """sum_{1<=n<N} [eta(n/N) 2^W] n^s at every N in ``points``, as exact integers.
 
-    Each N whose ratio r = N_max / N is an exact integer shares one pass
-    over m = 1..ceil(N_max): eta(m / N_max) is evaluated once and its term
-    n = m / r goes into N's total.  mpmath rounds the quotient correctly,
-    so m / N_max and n / N are the same mpf; n^s has fewer bits than the
-    working precision, so e * n^s is one correctly rounded product; and
-    every total, kept in increasing n, is bit-identical to a loop over N
-    alone.  Any other N makes its own pass.  The ratio is tested on the exact rationals: in
-    floats N_max / N can round to an integer that is not the ratio.
+    [eta(n/N) 2^W] is the bump's ``eval_fixed`` integer.  Each N whose ratio
+    r = N_max / N is an exact integer shares one pass over m = 1..ceil(N_max):
+    m / N_max and n / N = (m / r) / N are the same rational, so eval_fixed
+    gives the same integer, and an integer sum does not depend on its order:
+    every total is bit-identical to a pass over N alone.  Any other N makes
+    its own pass.  The ratio is tested on the exact rationals: in floats
+    N_max / N can round to an integer that is not the ratio.
     """
-    import mpmath as mp
-
     n_max = max(points)
     shared = []
     passes = [(n_max, shared)]  # (top, [(index, ratio)]): one eta pass each
@@ -150,18 +149,35 @@ def _drifts_mp(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> lis
         else:
             passes.append((N, [(i, 1)]))
 
+    totals = [0] * len(points)
+    for top, members in passes:
+        for m, v in enumerate(cutoff.eval_fixed(top, W), 1):
+            if v:
+                for i, r in members:
+                    if m % r == 0:
+                        totals[i] += v * (m // r) ** s
+    return totals
+
+
+def _drifts_mp(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> list:
+    """D(N) for the bump at every N in ``points``, as mpf at ``dps`` digits.
+
+    The sums are ``_bump_totals`` in fixed point at W = prec + (s + 1) L + 16
+    bits, where prec is the bit precision of ``dps`` and L the bit length of
+    ceil(N_max).  Each eta value is within 8 units of 2^-W, so each total is
+    within 8 ceil(N_max) N_max^s 2^-W <= 2^-(prec + 13) of the exact sum,
+    whatever the order of its terms.  It is rounded once to ``dps`` digits
+    (mp.mpf(total) 2^-W), and C_{eta,s} N^(s+1) is subtracted in mpmath at
+    ``dps``; those roundings, each ~2^-prec C_{eta,s} N^(s+1), dominate.
+    """
+    import mpmath as mp
+
     with mp.workdps(dps):
-        totals = [mp.mpf(0)] * len(points)
-        for top, members in passes:
-            T = mp.mpf(top)
-            for m in range(1, math.ceil(top) + 1):
-                e = cutoff.eval_mp(m / T)
-                if e:
-                    for i, r in members:
-                        if m % r == 0:
-                            totals[i] += e * (m // r) ** s
+        W = mp.mp.prec + (s + 1) * math.ceil(max(points)).bit_length() + 16
+        totals = _bump_totals(s, cutoff, points, W)
         c = _mellin_mp(cutoff, s, dps)
-        return [t - c * mp.mpf(N) ** (s + 1) for t, N in zip(totals, points)]
+        return [mp.ldexp(mp.mpf(t), -W) - c * mp.mpf(N) ** (s + 1)
+                for t, N in zip(totals, points)]
 
 
 def check_grid(Ngrid: Sequence[float]) -> List[float]:
@@ -192,9 +208,9 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
     of |D(N) - constant| on the rest of the grid.
 
     The drifts D(N) are exact: for poly:p each is an O(p s) Faulhaber closed
-    form, whatever N is; for the bump one mpmath pass over n = 1..ceil(N_max)
-    serves N_max / 2 and every grid point whose ratio N_max / N is an
-    integer (each other point makes its own pass).
+    form, whatever N is; for the bump one fixed-point pass over
+    n = 1..ceil(N_max) serves N_max / 2 and every grid point whose ratio
+    N_max / N is an integer (each other point makes its own pass).
     """
     if s < 0:
         raise ValueError(f"constant_extraction requires s >= 0, got {s}")
@@ -206,7 +222,8 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
     half = n_max / 2.0
     points = grid if half in grid else grid + [half]
     # D(N) = smoothed_sum(s, eta, N) - C_{eta,s} N^{s+1}, cancellation-safe:
-    # Fraction for poly, mpf for the bump (the only cutoffs smooth enough here)
+    # Fraction for poly, fixed point then mpf for the bump (the only cutoffs
+    # smooth enough here)
     if cutoff.kind == "poly":
         drifts = [_drift_exact_poly(s, cutoff, N) for N in points]
     else:

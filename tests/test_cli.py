@@ -283,11 +283,17 @@ class TestErrors:
 
     @pytest.mark.parametrize("method", ["cesaro", "abel", "ramanujan", "zeta-eta"])
     @pytest.mark.parametrize("key", ["monomial:x", "alt-zeta:1.5", "geometric:abc",
-                                     "geometric:1/0", "monomial:-1", "monomial", "wat:1"])
+                                     "geometric:1/0", "geometric:1e400", "geometric:-1e400",
+                                     "monomial:-1", "monomial", "wat:1"])
     def test_malformed_series_key_is_usage_error(self, capsys, method, key):
-        rc, out, err = run_capture(capsys, ["sum", "--method", method, "--series", key])
-        assert rc == 2 and out == ""
-        assert err.startswith("usage error: unknown series key") and "grammar" in err
+        errs = []
+        for fmt in ("json", "csv"):
+            argv = ["--format", fmt, "sum", "--method", method, "--series", key]
+            rc, out, err = run_capture(capsys, argv)
+            assert rc == 2 and out == "" and err.count("\n") == 1
+            assert err.startswith("usage error: unknown series key") and "grammar" in err
+            errs.append(err)
+        assert errs[0] == errs[1]
 
     def test_whitespace_around_a_key_is_ignored(self, capsys):
         payload = run_json(capsys, ["sum", "--method", "ramanujan", "--series", " S1"])

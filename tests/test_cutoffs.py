@@ -67,6 +67,34 @@ class TestBump:
         assert self.eta.deriv(1, 0.0) == 0.0
         assert abs(self.eta.deriv(2, 0.0) + 2.0) < 1e-14
 
+    @pytest.mark.parametrize("W", [120, 160, 220])
+    def test_mpmath_exp_fixed_is_within_16_units(self, W):
+        # eval_fixed's error bound rests on this internal mpmath function
+        import random
+
+        import mpmath as mp
+        from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+
+        rng = random.Random(W)
+        ln2 = ln2_fixed(W)
+        with mp.workprec(W + 40):
+            for _ in range(300):
+                x = -rng.randrange(1 << (W + 7))  # exp(x 2^-W) down to e^-128 ~ 2^-185
+                want = mp.exp(mp.ldexp(x, -W)) * mp.ldexp(1, W)
+                assert abs(exp_fixed(x, W, ln2) - want) <= 16, x
+
+    @pytest.mark.parametrize("top", [1.0, 7.0, 12.345, 970 / 3])
+    def test_fixed_point_values_within_8_units(self, top):
+        import mpmath as mp
+
+        W = 150
+        got = list(self.eta.eval_fixed(top, W))
+        assert len(got) == math.ceil(top)
+        with mp.workprec(W + 40):
+            for m, v in enumerate(got, 1):
+                want = self.eta.eval_mp(mp.mpf(m) / mp.mpf(top)) * mp.ldexp(1, W)
+                assert abs(v - want) <= 8, (m, v - want)
+
 
 class TestPoly:
     def test_eval(self):

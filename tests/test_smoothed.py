@@ -11,6 +11,7 @@ from summa.cutoffs import BumpCutoff, make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
 from summa.exact import bernoulli, faulhaber
 from summa.smoothed import (
+    _bump_totals,
     _drift_exact_poly,
     _drifts_mp,
     _mellin_mp,
@@ -143,15 +144,16 @@ class TestConstantExtraction:
 
 
 class CountingBump(BumpCutoff):
-    """The bump cutoff, counting its eval_mp calls."""
+    """The bump cutoff, counting the eta values its fixed-point pass yields."""
 
     def __init__(self):
         super().__init__()
         self.calls = 0
 
-    def eval_mp(self, x):
-        self.calls += 1
-        return super().eval_mp(x)
+    def eval_fixed(self, top, W):
+        for v in super().eval_fixed(top, W):
+            self.calls += 1
+            yield v
 
 
 def poly_drift_loop(s, cutoff, N):
@@ -186,23 +188,41 @@ class TestDrift:
             for s in range(7):
                 assert _drift_exact_poly(s, cut, N) == poly_drift_loop(s, cut, N), (p, s)
 
-    @pytest.mark.parametrize("grid", [
+    GRIDS = [
         [25.0, 50.0, 100.0, 200.0, 400.0],               # dyadic: one shared pass
         [100.0, 150.0, 240.0, 300.0, 450.0, 225.0],      # ratios 3 and 2, others alone
         [970 / 3, 400.0, 500.0, 700.0, 970.0, 485.0],    # 970/(970/3) rounds to 3.0 in floats
-    ])
-    def test_shared_bump_pass_is_bit_identical(self, grid):
+    ]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_bump_drift_within_its_bound_of_a_finer_reference(self, grid):
+        # the fixed-point sums are within 2^-(prec + 13) of the exact sums; the
+        # roundings at dps (the total, C, N^(s+1), the product, the difference)
+        # add a few units of 2^-prec on values of size C N^(s+1)
         eta = make_cutoff("bump")
         for s in (0, 3, 6):
             dps = 25 + math.ceil((s + 1) * math.log10(max(grid)))
-            want = [bump_drift_loop(s, eta, N, dps) for N in grid]
-            assert _drifts_mp(s, eta, grid, dps) == want, s
+            with mp.workdps(dps):
+                prec = mp.mp.prec
+            got = _drifts_mp(s, eta, grid, dps)
+            c = _mellin_mp(eta, s, dps)
+            for N, d in zip(grid, got):
+                want = bump_drift_loop(s, eta, N, dps + 20)
+                scale = abs(c) * mp.mpf(N) ** (s + 1) + abs(want)
+                tol = mp.ldexp(1, -(prec + 13)) + 6 * scale * mp.ldexp(1, -prec)
+                assert abs(d - want) <= tol, (s, N, d - want, tol)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_shared_bump_pass_is_bit_identical_to_a_pass_per_point(self, grid):
+        eta = make_cutoff("bump")
+        for s in (0, 3, 6):
+            W = 160 + 30 * s
+            assert _bump_totals(s, eta, grid, W) == [_bump_totals(s, eta, [N], W)[0]
+                                                     for N in grid], s
 
     def test_dyadic_grid_evaluates_eta_once_per_n(self):
         eta = CountingBump()
         grid = [500.3 / 2**k for k in range(4, -1, -1)]
-        constant_extraction(1, eta, grid)  # fills the moment cache
-        eta.calls = 0
         constant_extraction(1, eta, grid)
         assert eta.calls == math.ceil(grid[-1])
 

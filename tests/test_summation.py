@@ -30,12 +30,14 @@ class TestSeriesCatalog:
         ("S0", ("monomial", 0)), (" S1 ", ("monomial", 1)), ("monomial:7", ("monomial", 7)),
         ("alt-zeta:-3", ("alt-zeta", -3)), ("geometric:0.5", ("geometric", Fraction(1, 2))),
         ("grandi", ("grandi", None)), ("zero", ("zero", None)),
+        ("geometric:1e-400", ("geometric", Fraction(1, 10**400))),
     ])
     def test_parse_key(self, key, parsed):
         assert parse_key(key) == parsed
 
     @pytest.mark.parametrize("key", ["monomial:x", "monomial:-1", "alt-zeta:1.5", "alt-zeta",
-                                     "geometric:abc", "geometric:1/0", "grandi:1", "S2", ""])
+                                     "geometric:abc", "geometric:1/0", "geometric:1e400",
+                                     "grandi:1", "S2", ""])
     def test_malformed_key_is_a_key_error(self, key):
         with pytest.raises(KeyError):
             parse_key(key)
