@@ -3,13 +3,15 @@
 Each kernel takes the ``Cutoff`` itself and evaluates eta through
 ``cutoff.eval`` on whole arrays, in place into an array it already holds.
 Sums are vectorized numpy; integrals run on the one adaptive Gauss-Kronrod
-core in ``summa.quadrature``.  The O(N) kernels -- the smoothed, alternating
-and doubled sums and the plate-energy cell sweep -- stream their index range
+core in ``summa.quadrature``.  The O(N) kernels -- the smoothed and
+alternating sums and the plate-energy cell sweep -- stream their index range
 in fixed chunks of ``CHUNK`` terms (``CHUNK // 15`` cells, 15 nodes each),
 so their working memory is O(CHUNK) at any N and their time is linear in N.
 A sum allocates its chunk arrays once and refills them for every chunk.
 Chunk sums are joined with ``math.fsum``; the cell sweep's accepted panels
-are summed once at the end, exactly as in one sweep over all cells.
+are summed once at the end, exactly as in one sweep over all cells.  The
+doubled sum sum 2n eta(2n/N) needs no kernel of its own: it is twice the
+s = 1 smoothed sum at N/2 (see ``smoothed.scaling_counterexample``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .quadrature import MID_NODE, _adapt, integrate
 __all__ = [
     "smoothed_sum_value",
     "alternating_smoothed_value",
-    "doubled_smoothed_value",
     "moment_quad",
     "ut_value",
 ]
@@ -88,19 +89,6 @@ def alternating_smoothed_value(cutoff: Cutoff, N: float) -> float:
         return odd
 
     return _streamed_sum(terms, math.ceil(N))
-
-
-def doubled_smoothed_value(cutoff: Cutoff, N: float) -> float:
-    """sum_n (2n) eta(2n/N); the support ends at 2n >= N."""
-    N = float(N)
-
-    def terms(n, y):
-        n *= 2.0
-        cutoff.eval(np.divide(n, N, out=y), out=y)
-        y *= n
-        return y
-
-    return _streamed_sum(terms, math.ceil(N / 2.0))
 
 
 def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float,

@@ -52,6 +52,16 @@ MAX_RESULT_DIGITS = 4300
 # em-tail --N, f evaluated on one array of N points and fsummed (~0.1 us a term): ~12 ms
 # of a ~0.4 s cold call at 10^5, ~3 MB
 MAX_EM_TAIL_N = 10**5
+# extract --s: past 260, zeta(-s) = -B_{s+1}/(s+1) is no longer a float64
+MAX_EXTRACT_S = 260
+# extract, poly:p: (p + 1) (grid points + 1) Faulhaber sums, N_max/2 counted: p <= 150 on
+# README's grid, ~1.1 s at s = 0 and ~3.8 s at s = 147
+MAX_FAULHABER_SUMS = 906
+# extract, bump: digits 25 + ceil((s + 1) log10 N_max) of the drift (--s 53 on README's grid
+# has 199, ~1.5 s), then digits x sum of ceil(N) over the grid, a bound on the eta passes' cost
+# (--s 0 on a dyadic grid to 64,000, ~0.9 s; ~2.9 s at 199 digits and 3.4 * 10^6)
+MAX_BUMP_DIGITS = 199
+MAX_BUMP_WORK = 36 * 10**5
 
 
 class UsageError(Exception):
@@ -185,12 +195,11 @@ def _ramanujan_outcome(family: str, param, label: str) -> summation.SummationOut
 
     if family == "monomial":
         val = summation.ramanujan_monomial(param)
-    elif family == "grandi":
-        val = Fraction(1, 2)
-    elif family == "alt-zeta":
-        if param > 0:
+    elif family in ("alt-zeta", "grandi"):
+        s = param if family == "alt-zeta" else 0  # grandi is alt-zeta:0
+        if s > 0:
             raise UsageError("exact zeta-regularized value wired only for alt-zeta:s with s <= 0")
-        val = (1 - 2 ** (1 - param)) * summation.ramanujan_monomial(-param)
+        val = (1 - 2 ** (1 - s)) * summation.ramanujan_monomial(-s)
     else:
         raise UsageError(f"no zeta-regularized closed form for series {label!r}")
     return summation.SummationOutcome("ramanujan", "finite", val, 0.0, {})
@@ -224,12 +233,21 @@ def _cmd_smoothed(args):
 def _cmd_extract(args):
     from . import smoothed
 
+    _check_cap("--s", args.s, MAX_EXTRACT_S)
     cutoff = _resolve_cutoff(args.cutoff)
     grid = _parse_grid(args.grid)
     try:
         smoothed.check_grid(grid)
     except ValueError as exc:
         raise UsageError(f"bad --grid {args.grid!r}: {exc}") from exc
+    if cutoff.kind == "poly":
+        _check_cap("poly drift Faulhaber sums (p + 1) x (grid points + 1)",
+                   (cutoff.p + 1) * (len(grid) + 1), MAX_FAULHABER_SUMS)
+    else:
+        digits = smoothed.working_digits(args.s, grid[-1])
+        _check_cap("bump drift digits", digits, MAX_BUMP_DIGITS)
+        _check_cap("bump drift digits x sum of ceil(N)",
+                   digits * sum(math.ceil(N) for N in grid), MAX_BUMP_WORK)
     fit = smoothed.constant_extraction(args.s, cutoff, grid)
     result = fit.to_json_dict()
     result["error_estimate"] = fit.error_estimate
@@ -386,12 +404,13 @@ _BOREL_ORACLES = {
 
 def _cmd_borel(args):
     from . import asymptotics
+    from .series import parse_key
 
     key = args.coeffs
     if key.startswith("geometric:"):
         try:
-            r = float(Fraction(key.split(":", 1)[1]))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            r = float(parse_key(key)[1])
+        except KeyError as exc:
             raise UsageError(f"bad --coeffs {key!r}: r must be a rational like 1/2 or 0.5") from exc
         oracle = asymptotics.CoefficientOracle(
             a=lambda n, r=r: r**n, label=key, exp_rate=abs(r))

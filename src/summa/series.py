@@ -14,11 +14,14 @@ Whitespace around a key is ignored; S0 and S1 are monomial:0 and monomial:1.
 
 Where the generating function f(t) = sum a_n t^n has a rational closed form
 it is attached to the oracle (exact evaluation at rational t, built on its
-first use), obtained from t/(1-t) resp. t/(1+t) by repeated application of
-t d/dt:
+first use).  The monomial one comes from t/(1-t) by repeated application of
+t d/dt,
 
-    sum n^m t^n          = Q_m(t) / (1-t)^(m+1),  Q_{m+1} = t [Q'(1-t) + (m+1) Q]
-    sum (-1)^(n-1) n^m t^n = P_m(t) / (1+t)^(m+1),  P_{m+1} = t [P'(1+t) - (m+1) P]
+    sum n^m t^n = Q_m(t) / (1-t)^(m+1),  Q_0 = t,  Q_{m+1} = t [Q'(1-t) + (m+1) Q],
+
+and the others are read off it: sum (-1)^(n-1) n^m t^n = -sum n^m (-t)^n is
+-Q_m(-t) / (1+t)^(m+1).  Grandi's series is alt-zeta:0 and the zero series is
+geometric:0, each under its own label.
 
 numpy is imported in the float paths only (``term_array``, ``term_float``),
 so building a series and its exact terms does not load it.
@@ -26,7 +29,7 @@ so building a series and its exact terms does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
@@ -54,74 +57,68 @@ class SeriesOracle:
         return f"SeriesOracle({self.label!r})"
 
 
-def _eval_ratio(num: List[Fraction], den_root: Fraction, power: int, t: Fraction) -> Fraction:
-    """num(t) / (1 + den_root * t)^power at rational t."""
-    acc = Fraction(0)
-    for c in reversed(num):
-        acc = acc * t + c
-    return acc / (1 + den_root * t) ** power
-
-
-def _tddt(coeffs: List[Fraction], sign: int, m: int) -> List[Fraction]:
-    """One step Q -> t [Q' (1 + sign*t) + (m+1) * (-sign) * Q].
-
-    With sign = -1 this is the (1-t)-denominator recurrence, with sign = +1
-    the (1+t) one. Index = power of t.
-    """
+def _tddt(coeffs: List[Fraction], m: int) -> List[Fraction]:
+    """One step Q -> t [Q' (1 - t) + (m+1) Q]; index = power of t."""
     deriv = [i * coeffs[i] for i in range(1, len(coeffs))] or [Fraction(0)]
     out = [Fraction(0)] * (len(coeffs) + 2)
     for i, c in enumerate(deriv):
         out[i + 1] += c
-        out[i + 2] += sign * c
+        out[i + 2] -= c
     for i, c in enumerate(coeffs):
-        out[i + 1] += -(sign) * (m + 1) * c
+        out[i + 1] += (m + 1) * c
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
 
 
-def _genfun_numerator(sign: int, m: int) -> List[Fraction]:
-    """Q_m (sign = -1) or P_m (sign = +1): m rounds of ``_tddt`` from t."""
+def _genfun_numerator(m: int) -> List[Fraction]:
+    """Q_m: m rounds of ``_tddt`` from t."""
     coeffs = [Fraction(0), Fraction(1)]
     for k in range(m):
-        coeffs = _tddt(coeffs, sign, k)
+        coeffs = _tddt(coeffs, k)
     return coeffs
 
 
-def monomial_genfun(m: int) -> Callable[[Fraction], Fraction]:
-    """Closed form of sum_{n>=1} n^m t^n as an exact rational function of t.
+def _monomial_ratio(m: int) -> Callable[[Fraction], Fraction]:
+    """t -> Q_m(t) / (1-t)^(m+1) at rational t, on any t != 1.
 
     The O(m^2) numerator is built on the first call and kept; two threads
     making the first call at once may both build it, to equal lists.
     """
     coeffs: Optional[List[Fraction]] = None
 
-    def f(t: Fraction) -> Fraction:
+    def ratio(t: Fraction) -> Fraction:
         nonlocal coeffs
+        if coeffs is None:
+            coeffs = _genfun_numerator(m)
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc / (1 - t) ** (m + 1)
+
+    return ratio
+
+
+def monomial_genfun(m: int) -> Callable[[Fraction], Fraction]:
+    """Closed form of sum_{n>=1} n^m t^n as an exact rational function of t."""
+    ratio = _monomial_ratio(m)
+
+    def f(t: Fraction) -> Fraction:
         t = Fraction(t)
         if abs(t) >= 1:
             raise ZeroDivisionError("generating function pole at |t| >= 1")
-        if coeffs is None:
-            coeffs = _genfun_numerator(-1, m)
-        return _eval_ratio(coeffs, Fraction(-1), m + 1, t)
+        return ratio(t)
 
     return f
 
 
 def alternating_genfun(m: int) -> Callable[[Fraction], Fraction]:
-    """Closed form of sum_{n>=1} (-1)^(n-1) n^m t^n, exact rational in t.
+    """Closed form of sum_{n>=1} (-1)^(n-1) n^m t^n = -sum n^m (-t)^n, exact in t.
 
-    The O(m^2) numerator is built on the first call and kept.
+    The monomial closed form at -t, negated, on any t != -1.
     """
-    coeffs: Optional[List[Fraction]] = None
-
-    def f(t: Fraction) -> Fraction:
-        nonlocal coeffs
-        if coeffs is None:
-            coeffs = _genfun_numerator(+1, m)
-        return _eval_ratio(coeffs, Fraction(1), m + 1, Fraction(t))
-
-    return f
+    ratio = _monomial_ratio(m)
+    return lambda t: -ratio(-Fraction(t))
 
 
 def _monomial_series(s: int) -> SeriesOracle:
@@ -139,8 +136,6 @@ def _monomial_series(s: int) -> SeriesOracle:
 
 
 def _alt_zeta_series(s: int) -> SeriesOracle:
-    closed = alternating_genfun(-s) if s <= 0 else None
-
     def term_exact(n: int, s=s) -> Fraction:
         return Fraction((-1) ** (n - 1)) * Fraction(1, n**s) if s > 0 else (
             Fraction((-1) ** (n - 1)) * Fraction(n) ** (-s))
@@ -149,29 +144,14 @@ def _alt_zeta_series(s: int) -> SeriesOracle:
         import numpy as np
 
         n = np.asarray(n, dtype=float)
-        return _alternating_signs(n) * n ** (-float(s))
+        signs = np.where(np.asarray(n, dtype=np.int64) % 2 == 1, 1.0, -1.0)  # (-1)^(n-1)
+        return signs * n ** (-float(s))
 
     return SeriesOracle(
         label=f"alt-zeta:{s}",
         term_exact=term_exact,
         term_array=term_array,
-        abel_closed_form=closed,
-    )
-
-
-def _alternating_signs(n):
-    """(-1)^(n-1) as floats."""
-    import numpy as np
-
-    return np.where(np.asarray(n, dtype=np.int64) % 2 == 1, 1.0, -1.0)
-
-
-def _grandi() -> SeriesOracle:
-    return SeriesOracle(
-        label="grandi",
-        term_exact=lambda n: Fraction((-1) ** (n - 1)),
-        term_array=_alternating_signs,
-        abel_closed_form=lambda t: Fraction(t) / (1 + Fraction(t)),
+        abel_closed_form=alternating_genfun(-s) if s <= 0 else None,
     )
 
 
@@ -192,21 +172,6 @@ def _geometric(r: Fraction) -> SeriesOracle:
         term_exact=lambda n, r=r: r**n,
         term_array=term_array,
         abel_closed_form=closed,
-    )
-
-
-def _zero_terms(n):
-    import numpy as np
-
-    return np.zeros_like(np.asarray(n, dtype=float))
-
-
-def _zero() -> SeriesOracle:
-    return SeriesOracle(
-        label="zero",
-        term_exact=lambda n: Fraction(0),
-        term_array=_zero_terms,
-        abel_closed_form=lambda t: Fraction(0),
     )
 
 
@@ -252,8 +217,8 @@ _BUILDERS = {
     "monomial": _monomial_series,
     "alt-zeta": _alt_zeta_series,
     "geometric": _geometric,
-    "grandi": lambda _: _grandi(),
-    "zero": lambda _: _zero(),
+    "grandi": lambda _: replace(_alt_zeta_series(0), label="grandi"),
+    "zero": lambda _: replace(_geometric(Fraction(0)), label="zero"),
 }
 
 

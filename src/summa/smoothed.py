@@ -18,7 +18,8 @@ bump one pass of fixed-point eta values (integers eta 2^W, one integer
 division and one fixed-point exp each) serves every grid point N_max / r
 with r an integer; the sums of eta n^s are exact integers, each rounded
 once to mpmath working precision (scaled to the grid) before C N^{s+1} is
-subtracted.  The float `smoothed_sum`/`mellin` operations are unchanged.
+subtracted; the reported growth coefficient is that same moment, in
+float64.  The float `smoothed_sum`/`mellin` operations are unchanged.
 """
 
 from __future__ import annotations
@@ -180,6 +181,11 @@ def _drifts_mp(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> lis
                 for t, N in zip(totals, points)]
 
 
+def working_digits(s: int, n_max: float) -> int:
+    """mpmath digits of the bump drifts up to N_max: 25 beyond the (s+1) log10 N_max that cancel."""
+    return 25 + int(math.ceil((s + 1) * math.log10(max(n_max, 10.0))))
+
+
 def check_grid(Ngrid: Sequence[float]) -> List[float]:
     """The grid as floats, or ValueError unless it is usable by constant_extraction.
 
@@ -218,7 +224,7 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
     grid = check_grid(Ngrid)
 
     n_max = grid[-1]
-    dps = 25 + int(math.ceil((s + 1) * math.log10(max(n_max, 10.0))))
+    dps = working_digits(s, n_max)
     half = n_max / 2.0
     points = grid if half in grid else grid + [half]
     # D(N) = smoothed_sum(s, eta, N) - C_{eta,s} N^{s+1}, cancellation-safe:
@@ -241,10 +247,11 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
     ys = [math.log(max(r, 1e-300)) for r in residuals]
     slope = _lsq_slope(xs, ys)
 
+    # C_{eta,s}: the moment the drifts subtracted, exact for poly, cached mpf for the bump
     if cutoff.kind == "poly":
         growth = float(cutoff.mellin_exact(s))
     else:
-        growth = mellin(cutoff, s, tol=1e-12)
+        growth = float(_mellin_mp(cutoff, s, dps))
     return AsymptoticFit(constant, growth, slope, grid, error_estimate, residuals)
 
 
@@ -271,11 +278,18 @@ def grandi_smoothed(cutoff: Cutoff, N: float) -> float:
 def scaling_counterexample(cutoff: Cutoff, N: float):
     """Smoothed sums are not scale-invariant: sum 2n eta(2n/N) != 2 sum n eta(n/N).
 
-    Returns (lhs, rhs, differ) with differ = |lhs - rhs| > 1e-12 max(1, |rhs|).
+    The left side is the same smoothed sum at half the scale,
+
+        sum_n 2n eta(2n/N) = 2 sum_n n eta(n/(N/2)),
+
+    and it is computed that way.  The identity holds exactly in float64:
+    N/2 is exact, n/(N/2) rounds the same real number as 2n/N, and scaling
+    every term and partial sum by 2 rounds nothing.  Returns (lhs, rhs,
+    differ) with differ = |lhs - rhs| > 1e-12 max(1, |rhs|).
     """
     if N < 2:
         raise ValueError(f"scaling_counterexample requires N >= 2, got {N}")
-    lhs = _kernels.doubled_smoothed_value(cutoff, N)
+    lhs = 2.0 * _kernels.smoothed_sum_value(1, cutoff, N / 2.0)
     rhs = 2.0 * _kernels.smoothed_sum_value(1, cutoff, N)
     differ = abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs))
     return lhs, rhs, differ
@@ -297,37 +311,29 @@ def _dirichlet_normalized(j: int, x: np.ndarray) -> np.ndarray:
     return out / (2.0 * math.pi)
 
 
-def _vectorized(fn: Callable) -> Callable:
-    probe = np.array([0.0, 0.1])
-    try:
-        out = np.asarray(fn(probe), dtype=float)
-        if out.shape == probe.shape:
-            return fn
-    except Exception:
-        pass
-    return np.vectorize(fn, otypes=[float])
-
-
 def delta_pairing(j: int, testfn: Callable, tol: float = 1e-10) -> float:
     """Pair the normalized Dirichlet kernel of order j with a test function.
 
     Computes (1/2pi) integral_{-pi}^{pi} sin((j+1/2)x)/sin(x/2) * phi(x) dx;
     as j grows this converges to phi(0) -- the kernels form a delta sequence.
+    ``testfn`` must be elementwise, as ``integrate`` requires of its
+    integrands: it maps a numpy array of nodes to an array of the same shape.
     """
     if j < 1:
         raise ValueError(f"delta_pairing requires j >= 1, got {j}")
-    phi = _vectorized(testfn)
-    res = integrate(lambda x: _dirichlet_normalized(j, x) * phi(x),
+    res = integrate(lambda x: _dirichlet_normalized(j, x) * testfn(x),
                     -math.pi, math.pi, tol=tol, budget=2 * 10**6)
     return res.value
 
 
 def sine_pairing(j: int, testfn: Callable, tol: float = 1e-10) -> float:
-    """integral_{-pi}^{pi} sin(jx) phi(x) dx; O(1/j) for smooth supported phi."""
+    """integral_{-pi}^{pi} sin(jx) phi(x) dx; O(1/j) for smooth supported phi.
+
+    ``testfn`` must be elementwise, as in ``delta_pairing``.
+    """
     if j < 1:
         raise ValueError(f"sine_pairing requires j >= 1, got {j}")
-    phi = _vectorized(testfn)
-    res = integrate(lambda x: np.sin(j * x) * phi(x),
+    res = integrate(lambda x: np.sin(j * x) * testfn(x),
                     -math.pi, math.pi, tol=tol, budget=2 * 10**6)
     return res.value
 

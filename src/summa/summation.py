@@ -222,20 +222,23 @@ def ramanujan_monomial(s: int) -> Fraction:
     return -bernoulli(s + 1) / (s + 1)
 
 
-def _eta_direct(s: int, terms: int = 200_000) -> tuple[float, float]:
+_ETA_TERMS = 200_000  # terms of the direct eta(s) sum, s >= 2
+
+
+def _eta_direct(s: int) -> tuple[float, float]:
     """Convergent alternating sum((-1)^(n-1) n^-s) for s >= 2, accelerated.
 
-    Averaging the last two partial sums knocks the error down to the first
-    difference of the term magnitudes.
+    The terms are the alt-zeta:s series' own.  Averaging the last two
+    partial sums knocks the error down to the first difference of the term
+    magnitudes.
     """
     import numpy as np
 
-    n = np.arange(1, terms + 1, dtype=float)
-    vals = np.where(np.arange(1, terms + 1) % 2 == 1, 1.0, -1.0) * n ** (-float(s))
+    vals = get_series(f"alt-zeta:{s}").term_array(np.arange(1, _ETA_TERMS + 1, dtype=float))
     partial = float(vals.sum())
     prev = partial - float(vals[-1])
     est = 0.5 * (partial + prev)
-    err = abs(terms ** (-float(s)) - (terms + 1.0) ** (-float(s)))
+    err = abs(_ETA_TERMS ** (-float(s)) - (_ETA_TERMS + 1.0) ** (-float(s)))
     return est, err
 
 

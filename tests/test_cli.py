@@ -254,6 +254,20 @@ class TestErrors:
         (["sum", "--method", "ramanujan", "--series", "monomial:501"], cli.MAX_SERIES_EXPONENT),
         (["sum", "--method", "abel", "--series", "alt-zeta:-501"], cli.MAX_SERIES_EXPONENT),
         (["delta-seq", "--j", str(cli.MAX_DELTA_J + 1)], cli.MAX_DELTA_J),
+        (["extract", "--s", "261", "--cutoff", "bump"], cli.MAX_EXTRACT_S),
+        (["extract", "--s", "800", "--cutoff", "poly:803"], cli.MAX_EXTRACT_S),
+        (["extract", "--s", "0", "--cutoff", "poly:151"], cli.MAX_FAULHABER_SUMS),
+        (["extract", "--s", "0", "--cutoff", "poly:1200"], cli.MAX_FAULHABER_SUMS),
+        (["extract", "--s", "0", "--cutoff", "poly:150", "--grid", "100,200,400,800,1000,1600"],
+         cli.MAX_FAULHABER_SUMS),  # one grid point more than README's grid
+        (["extract", "--s", "54", "--cutoff", "bump"], cli.MAX_BUMP_DIGITS),
+        (["extract", "--s", "200", "--cutoff", "bump"], cli.MAX_BUMP_DIGITS),
+        (["extract", "--s", "0", "--cutoff", "bump", "--grid", "62500,125000,250000,500000"],
+         cli.MAX_BUMP_WORK),
+        (["extract", "--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64001"],
+         cli.MAX_BUMP_WORK),
+        (["extract", "--s", "40", "--cutoff", "bump", "--grid", "1500,3000,6000,12000"],
+         cli.MAX_BUMP_WORK),
     ])
     def test_work_past_a_cap_is_usage_error(self, capsys, monkeypatch, argv, cap):
         def no_compute(*args, **kwargs):
@@ -262,19 +276,36 @@ class TestErrors:
         for owner, name in [(cli, "bernoulli"), (cli, "faulhaber"), (summation, "cesaro_sum"),
                             (euler_maclaurin, "em_tail"), (euler_maclaurin, "stirling_series"),
                             (euler_maclaurin, "em_divergence_demo"), (series, "get_series"),
-                            (smoothed, "delta_pairing")]:
+                            (smoothed, "delta_pairing"), (smoothed, "constant_extraction")]:
             monkeypatch.setattr(owner, name, no_compute)
-        rc, out, err = run_capture(capsys, argv)
-        assert rc == 2 and out == ""
-        assert err.startswith("usage error: ") and f"exceeds the cap of {cap}" in err
+        for fmt in ("json", "csv"):
+            rc, out, err = run_capture(capsys, ["--format", fmt] + argv)
+            assert rc == 2 and out == ""
+            assert err.startswith("usage error: ") and f"exceeds the cap of {cap}" in err
 
     @pytest.mark.parametrize("argv", [
         ["sum", "--method", "cesaro", "--series", "grandi", "--n", str(cli.MAX_CESARO_N)],
         ["truncate", "--alpha", f"1/{cli.MAX_TRUNCATE_ROWS - 5}"],
         ["delta-seq", "--j", str(cli.MAX_DELTA_J)],
+        ["extract", "--s", "0", "--cutoff", "poly:150"],  # 151 x 6 Faulhaber sums
+        ["extract", "--s", "53", "--cutoff", "bump"],  # 199 digits
+        ["extract", "--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64000"],
     ])
     def test_work_at_a_cap_runs(self, capsys, argv):
         run_json(capsys, argv)
+
+    @pytest.mark.parametrize("argv,cap", [
+        (["--s", "0", "--cutoff", "poly:150"], "MAX_FAULHABER_SUMS"),
+        (["--s", "53", "--cutoff", "bump"], "MAX_BUMP_DIGITS"),
+        (["--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64000"], "MAX_BUMP_WORK"),
+    ])
+    def test_extract_work_at_a_cap_is_exactly_the_cap(self, capsys, monkeypatch, argv, cap):
+        # the rows of test_work_at_a_cap_runs sit on their cap, not below it
+        monkeypatch.setattr(smoothed, "constant_extraction", lambda *a: 1 / 0)
+        assert run_capture(capsys, ["extract"] + argv)[0] == 1  # past every cap
+        monkeypatch.setattr(cli, cap, getattr(cli, cap) - 1)
+        rc, out, err = run_capture(capsys, ["extract"] + argv)
+        assert rc == 2 and f"exceeds the cap of {getattr(cli, cap)}" in err
 
     def test_faulhaber_at_the_digit_cap_prints_its_value(self, capsys):
         N = 10 ** (cli.MAX_RESULT_DIGITS - 1)  # N^1 has exactly MAX_RESULT_DIGITS digits
@@ -324,6 +355,53 @@ class TestErrors:
     def test_zeta_eta_needs_alt_zeta_series(self, capsys):
         rc, _, err = run_capture(capsys, ["sum", "--method", "zeta-eta", "--series", "S1"])
         assert rc == 2
+
+
+def readme_examples():
+    """Every ``summa ...`` line of README's shell block, once without and once with its [...] flags."""
+    text = (DOCS.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    runs = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line.startswith("summa "):
+            continue
+        bare = line.replace("[", "]").split("]")
+        runs.append(" ".join("".join(bare[0::2]).split()[1:]))
+        if len(bare) > 1:
+            runs.append(" ".join("".join(bare).split()[1:]))
+    return runs
+
+
+def csv_layouts():
+    """subcommand -> header row, from the table in docs/csv_layouts.md."""
+    layouts = {}
+    for line in (DOCS / "csv_layouts.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            layouts[cells[0].strip("`")] = cells[1].split("`")[1]
+    return layouts
+
+
+class TestReadmeExamples:
+    def test_examples_are_found(self):
+        runs = readme_examples()
+        assert len(runs) >= 20
+        assert "stirling --n 10 --terms 2" in runs and "stirling --n 10 --terms 2 --table" in runs
+
+    @pytest.mark.parametrize("example", readme_examples())
+    def test_example_runs_in_both_formats(self, capsys, example):
+        argv = example.split()
+        if argv[:2] in (["--format", "csv"], ["--format", "json"]):
+            argv = argv[2:]
+        layouts = csv_layouts()
+        rc, out, err = run_capture(capsys, ["--format", "json"] + argv)
+        assert rc == 0, err
+        validate_against_schema(json.loads(out))
+        rc, out, err = run_capture(capsys, ["--format", "csv"] + argv)
+        assert rc == 0, err
+        header = next(line for line in out.splitlines() if not line.startswith("# "))
+        assert header == layouts[argv[0]]
 
 
 class TestOutputFile:

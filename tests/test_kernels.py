@@ -37,6 +37,11 @@ def masked_eta(cut, x):
     return out
 
 
+def doubled(cut, N):
+    """sum 2n eta(2n/N) in the form ``smoothed.scaling_counterexample`` computes it."""
+    return 2.0 * _kernels.smoothed_sum_value(1, cut, N / 2.0)
+
+
 def chunked_reference(terms, count):
     """fsum of np.sum over fresh arange chunks of CHUNK terms."""
     partials = []
@@ -77,9 +82,10 @@ class TestStreamedSums:
     @pytest.mark.parametrize("cut", CUTOFFS)
     @pytest.mark.parametrize("N", SIZES)
     def test_doubled_sum_matches_fsum_of_its_terms(self, cut, N):
+        # the doubled sum sum 2n eta(2n/N) is twice the s = 1 sum at N/2
         n = np.arange(1, math.ceil(N / 2.0) + 1, dtype=float)
         ref = math.fsum((2.0 * n * cut.eval(2.0 * n / N)).tolist())
-        assert abs(_kernels.doubled_smoothed_value(cut, N) - ref) <= 1e-12 * abs(ref)
+        assert abs(doubled(cut, N) - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("cut", ALL_CUTOFFS)
     @pytest.mark.parametrize("N", SIZES + [2.5 * CHUNK + 0.25])
@@ -90,7 +96,7 @@ class TestStreamedSums:
         ref = chunked_reference(alternating_terms(cut, N), math.ceil(N))
         assert _kernels.alternating_smoothed_value(cut, N).hex() == ref.hex()
         ref = chunked_reference(lambda n: 2.0 * n * masked_eta(cut, 2.0 * n / N), math.ceil(N / 2.0))
-        assert _kernels.doubled_smoothed_value(cut, N).hex() == ref.hex()
+        assert doubled(cut, N).hex() == ref.hex()
 
     def test_empty_range_is_zero(self):
         assert _kernels.smoothed_sum_value(1, BUMP, 0.0) == 0.0
