@@ -23,8 +23,10 @@ s = 2 and support end L, so ``capital_F_deriv`` reads it from
 ``euler_maclaurin.monomial_cutoff_spec`` and its Leibniz rule.  In
 particular F^(3)(0) = -2 eta(0+), the only number the limit depends on.
 ``derivative_identities`` verifies these forms against finite differences of
-the computed F, orders 1 through 5; ``euler_maclaurin.sup_norm_check(2, ...)``
-samples sup |F^(5)|, which scales as N^-2 at fixed lam.
+the computed F, orders 1 through 5.  Its stencils difference F only through
+the integrals over the gaps between their points, each point taken once and
+nothing integrated out to the support end; ``euler_maclaurin.sup_norm_check(2,
+...)`` samples sup |F^(5)|, which scales as N^-2 at fixed lam.
 """
 
 from __future__ import annotations
@@ -132,6 +134,15 @@ def derivative_identities(cfg: CasimirConfig, order: int) -> float:
     the largest |fd - closed| over probes at 0.15, 0.3, 0.5, 0.7 and 0.85 of
     the support, normalized by the largest closed-form magnitude there
     (robust at interior zeros of the derivative).
+
+    The stencil weights sum to 0, so differencing G(x) = F(x) - F(top), with
+    top the probe's highest stencil point, gives the same fd as F.  G needs
+    only the integrals of v^2 eta(lam v/N) over the gaps between the probe's
+    sorted stencil points (at most 14 over the steps h, h/2 and h/4), summed
+    from the top down: each point is integrated once and nothing reaches the
+    support end.  A gap is O(h s^2), not the O(L^3) of F itself, so the inner
+    tolerance needs no floor relative to |F|; where min(quad_tol, 1e-11) sits
+    below a gap's roundoff floor, the quadrature's floor acceptance ends it.
     """
     if not 1 <= order <= 5:
         raise ValueError(f"order must be in 1..5, got {order}")
@@ -139,32 +150,32 @@ def derivative_identities(cfg: CasimirConfig, order: int) -> float:
     end = cfg.support_end
     probes = [f * end for f in (0.15, 0.3, 0.5, 0.7, 0.85)]
     # high orders divide the quadrature noise by h^order: the step must stay
-    # macroscopic and the inner tolerance near the roundoff floor of |F|
+    # macroscopic and the inner tolerance near the roundoff floor of a gap
     h = max(0.5, 0.01 * end)
-    f0 = abs(capital_F(0.0, cfg)) + 1.0
-    tol = max(min(cfg.quad_tol, 1e-11), 4.0 * 2.3e-16 * f0)
+    tol = min(cfg.quad_tol, 1e-11)
     c = cfg.lam / cfg.N
-
-    def F(x):
-        if x >= end:
-            return 0.0
-        v, _ = _kernels.moment_quad(cfg.cutoff, 2, c, x, end, tol)
-        return v
-
     offsets, coeffs = _STENCILS[order]
-
-    def fd(x, step):
-        return math.fsum(w * F(x + o * step) for o, w in zip(offsets, coeffs)) / step**order
+    steps = (h, h / 2.0, h / 4.0)
 
     worst = 0.0
     scale = 0.0
     for s in probes:
         if s - 3.0 * h < 0.0:
             raise ValueError(f"probe {s} too close to 0 for step {h}")
+        # 2 * (h/2) rounds onto h exactly, so shared points collapse here
+        points = sorted({s + o * step for step in steps for o in offsets})
+        G = {points[-1]: 0.0}
+        for a, b in reversed(list(zip(points, points[1:]))):
+            G[a] = G[b] + _kernels.moment_quad(cfg.cutoff, 2, c, a, b, tol)[0]
+
+        def fd(step):
+            return math.fsum(w * G[s + o * step] for o, w in zip(offsets, coeffs)) / step**order
+
         closed = capital_F_deriv(order, s, cfg)
         # two Richardson levels on the order-2 stencil: truncation O(h^6)
-        r1a = (4.0 * fd(s, h / 2.0) - fd(s, h)) / 3.0
-        r1b = (4.0 * fd(s, h / 4.0) - fd(s, h / 2.0)) / 3.0
+        d1, d2, d4 = (fd(step) for step in steps)
+        r1a = (4.0 * d2 - d1) / 3.0
+        r1b = (4.0 * d4 - d2) / 3.0
         rich = (16.0 * r1b - r1a) / 15.0
         worst = max(worst, abs(rich - closed))
         scale = max(scale, abs(closed))

@@ -7,8 +7,8 @@ Numeric output is deterministic for a fixed configuration and environment.
 
 Exit codes: 0 success, 1 computational error (an inf or nan result is one,
 in either format), 2 usage error (float flags must be finite numbers: nan
-and inf are rejected at parse time; so is work past a declared cap, before
-any compute).
+and inf are rejected at parse time, and so is a negative exponent or
+Bernoulli index; so is work past a declared cap, before any compute).
 
 Importing this module loads only argparse, json, fractions, ``errors`` and
 ``exact``: each handler imports its own layer when it is dispatched, so the
@@ -87,6 +87,17 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of an exponent or index flag: an integer >= 0, else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -453,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("bernoulli", help="exact Bernoulli number B_k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_non_negative_int, required=True)
     p.set_defaults(handler=_cmd_bernoulli)
 
     p = sub.add_parser("faulhaber", help="exact power sum 1^s + ... + N^s")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_non_negative_int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(handler=_cmd_faulhaber)
 
@@ -473,13 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ledger)
 
     p = sub.add_parser("smoothed", help="smoothed monomial sum")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_non_negative_int, required=True)
     p.add_argument("--cutoff", default="bump", help=CUTOFF_GRAMMAR)
     p.add_argument("--N", type=_sum_scale, required=True)
     p.set_defaults(handler=_cmd_smoothed)
 
     p = sub.add_parser("extract", help="constant extraction over an N grid")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_non_negative_int, required=True)
     p.add_argument("--cutoff", default="bump")
     p.add_argument("--grid", default="100,200,400,800,1600",
                    help="comma-separated N: at least 4, increasing, all > 0, max >= 100 "
@@ -503,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_delta_seq)
 
     p = sub.add_parser("em-tail", help="Euler-Maclaurin tail identity")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_non_negative_int, required=True)
     p.add_argument("--cutoff", default="bump")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--tol", type=_finite_float, default=1e-10)

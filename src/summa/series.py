@@ -23,12 +23,20 @@ and the others are read off it: sum (-1)^(n-1) n^m t^n = -sum n^m (-t)^n is
 -Q_m(-t) / (1+t)^(m+1).  Grandi's series is alt-zeta:0 and the zero series is
 geometric:0, each under its own label.
 
+Both closed forms also carry float bounds on log2 |f(t)| that cost no build,
+so a caller can tell a value past float64 range before building Q_m (O(m^2)
+Fractions).  With a = -ln t, the monomial sum is within the largest term of
+its integral m! / a^(m+1), and the alternating one is -Li_{-m}(-t), whose
+Jonquiere expansion m! sum_k (a + i pi (2k - 1))^-(m+1) is led by the k = 0, 1
+pair 2 m! r^-(m+1) cos((m+1) theta), a + i pi = r e^(i theta).
+
 numpy is imported in the float paths only (``term_array``, ``term_float``),
 so building a series and its exact terms does not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
@@ -47,6 +55,8 @@ class SeriesOracle:
     term_exact: Callable[[int], Fraction]
     term_array: Callable[[np.ndarray], np.ndarray]
     abel_closed_form: Optional[Callable[[Fraction], Fraction]] = None
+    # t -> (lo, hi) with 2^lo <= |abel_closed_form(t)| <= 2^hi, in floats, no build
+    abel_log2_bounds: Optional[Callable[[float], Tuple[float, float]]] = None
 
     def term_float(self, n: int) -> float:
         import numpy as np
@@ -121,6 +131,57 @@ def alternating_genfun(m: int) -> Callable[[Fraction], Fraction]:
     return lambda t: -ratio(-Fraction(t))
 
 
+def _log2_sum(x: float, y: float, sign: int) -> float:
+    """log2(2^x + sign 2^y); -inf where the difference is not positive."""
+    if sign < 0 and y >= x:
+        return -math.inf
+    hi, lo = max(x, y), min(x, y)
+    return hi + math.log1p(sign * 2.0 ** (lo - hi)) / math.log(2.0)
+
+
+def _log2_factorial(m: int) -> float:
+    return math.lgamma(m + 1) / math.log(2.0)
+
+
+def _monomial_log2_bounds(m: int) -> Callable[[float], Tuple[float, float]]:
+    """Float bounds on log2 of sum n^m t^n, 0 < t < 1, from its integral.
+
+    f(x) = x^m e^(-a x) with a = -ln t rises to its peak (m / (e a))^m (1 at
+    m = 0) and then falls, so the sum over n >= 1 is within that peak of the
+    integral over x >= 0, m! / a^(m+1).
+    """
+    def bounds(t: float) -> Tuple[float, float]:
+        a = -math.log(t)
+        integral = _log2_factorial(m) - (m + 1) * math.log2(a)
+        peak = m * (math.log2(m / a) - math.log2(math.e)) if m else 0.0
+        return _log2_sum(integral, peak, -1), _log2_sum(integral, peak, 1)
+
+    return bounds
+
+
+def _alternating_log2_bounds(m: int) -> Callable[[float], Tuple[float, float]]:
+    """Float bounds on log2 |sum (-1)^(n-1) n^m t^n|, 0 < t < 1.
+
+    At m = 0 the sum is t / (1 + t) < 1.  For m >= 1 the k = 0, 1 pair of the
+    Jonquiere expansion (module docstring) is 2 m! r^-(m+1) cos((m+1) theta),
+    and every other term has modulus at least 3 pi, which bounds their sum by
+    6 m! (3 pi)^-(m+1).  The cosine gives up (m+1) 1e-14 for the rounding of
+    (m+1) theta.
+    """
+    def bounds(t: float) -> Tuple[float, float]:
+        if m == 0:
+            return -math.inf, 0.0
+        a = -math.log(t)
+        fact = _log2_factorial(m)
+        pair = 1.0 + fact - (m + 1) * math.log2(math.hypot(a, math.pi))
+        rest = math.log2(6.0) + fact - (m + 1) * math.log2(3.0 * math.pi)
+        cos = abs(math.cos((m + 1) * math.atan2(math.pi, a))) - (m + 1) * 1e-14
+        lo = _log2_sum(pair + math.log2(cos), rest, -1) if cos > 0 else -math.inf
+        return lo, _log2_sum(pair, rest, 1)
+
+    return bounds
+
+
 def _monomial_series(s: int) -> SeriesOracle:
     def term_array(n, s=s):
         import numpy as np
@@ -132,6 +193,7 @@ def _monomial_series(s: int) -> SeriesOracle:
         term_exact=lambda n, s=s: Fraction(n) ** s,
         term_array=term_array,
         abel_closed_form=monomial_genfun(s),
+        abel_log2_bounds=_monomial_log2_bounds(s),
     )
 
 
@@ -152,6 +214,7 @@ def _alt_zeta_series(s: int) -> SeriesOracle:
         term_exact=term_exact,
         term_array=term_array,
         abel_closed_form=alternating_genfun(-s) if s <= 0 else None,
+        abel_log2_bounds=_alternating_log2_bounds(-s) if s <= 0 else None,
     )
 
 

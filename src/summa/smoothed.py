@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .cutoffs import Cutoff, bump_deriv, make_cutoff
-from .errors import CutoffSmoothnessError
+from .errors import CutoffSmoothnessError, NonFiniteResultError
 from .exact import faulhaber
 from .quadrature import integrate
 
@@ -216,7 +216,9 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
     The drifts D(N) are exact: for poly:p each is an O(p s) Faulhaber closed
     form, whatever N is; for the bump one fixed-point pass over
     n = 1..ceil(N_max) serves N_max / 2 and every grid point whose ratio
-    N_max / N is an integer (each other point makes its own pass).
+    N_max / N is an integer (each other point makes its own pass).  A
+    constant, error estimate or residual past float64 range raises
+    :class:`NonFiniteResultError`.
     """
     if s < 0:
         raise ValueError(f"constant_extraction requires s >= 0, got {s}")
@@ -239,9 +241,13 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
 
     # Differences taken before float conversion: for fast-converging cutoffs
     # the residuals live far below float64 resolution of the drift itself.
-    constant = float(drifts[-1])
-    error_estimate = float(abs(drifts[-1] - d_half))
-    residuals = [float(abs(d - drifts[-1])) for d in drifts[:-1]]
+    try:
+        constant = float(drifts[-1])
+        error_estimate = float(abs(drifts[-1] - d_half))
+        residuals = [float(abs(d - drifts[-1])) for d in drifts[:-1]]
+    except OverflowError as exc:
+        raise NonFiniteResultError(f"the drifts of s = {s} on {cutoff.label} are past "
+                                   "float64 range") from exc
 
     xs = [math.log(N) for N in grid[:-1]]
     ys = [math.log(max(r, 1e-300)) for r in residuals]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from summa import casimir as casimir_module
 from summa.casimir import (
     C_LIGHT,
     HBAR,
@@ -126,6 +127,31 @@ class TestDerivativeIdentities:
         cfg = CasimirConfig(N=50.0, cutoff=make_cutoff("poly", 7), quad_tol=1e-9)
         for order in (1, 3, 5):
             assert derivative_identities(cfg, order) <= 1e-4
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("cutoff,bound", [("bump", 1e-5), ("poly:7", 1e-7)])
+    def test_deviation_at_the_truncation_floor(self, cutoff, bound, order):
+        # the order-5 bump is Richardson-truncation bound (~1.2e-6); poly:7's
+        # worst, order 5, sits near 4e-9
+        cfg = CasimirConfig(N=50.0, cutoff=make_cutoff(cutoff), quad_tol=1e-9)
+        assert derivative_identities(cfg, order) <= bound
+
+    @pytest.mark.parametrize("order", [1, 4, 5])
+    def test_integrates_each_stencil_gap_once(self, monkeypatch, order):
+        cfg = CasimirConfig(N=50.0, cutoff=make_cutoff("bump"), quad_tol=1e-9)
+        h = max(0.5, 0.01 * cfg.support_end)
+        seen = []
+        inner = casimir_module._kernels.moment_quad
+
+        def recording(cutoff, m, c, a, b, tol):
+            seen.append((a, b))
+            return inner(cutoff, m, c, a, b, tol)
+
+        monkeypatch.setattr(casimir_module._kernels, "moment_quad", recording)
+        derivative_identities(cfg, order)
+        assert seen
+        assert all(b < cfg.support_end and 0.0 < b - a <= 6.0 * h for a, b in seen)
+        assert len(set(seen)) == len(seen)
 
     def test_rough_cutoff_rejected(self):
         cfg = CasimirConfig(N=50.0, cutoff=make_cutoff("poly", 2))

@@ -191,6 +191,18 @@ class TestErrors:
         assert rc == 2
         assert out == "" and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["smoothed", "--s", "-1", "--N", "10"],
+        ["extract", "--s", "-1"],
+        ["em-tail", "--s", "-1", "--N", "10"],
+        ["faulhaber", "--s", "-1", "--N", "5"],
+        ["bernoulli", "--k", "-1"],
+    ])
+    def test_negative_exponent_is_usage_error(self, capsys, argv):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2
+        assert out == "" and "must be >= 0, got '-1'" in err
+
     def test_every_float_flag_is_checked_finite(self):
         subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
         for name, sub in subparsers.choices.items():

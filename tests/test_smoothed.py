@@ -8,7 +8,7 @@ import pytest
 
 from summa import smoothed
 from summa.cutoffs import BumpCutoff, make_cutoff, sharp_indicator
-from summa.errors import CutoffSmoothnessError
+from summa.errors import CutoffSmoothnessError, NonFiniteResultError
 from summa.exact import bernoulli, faulhaber
 from summa.smoothed import (
     _bump_totals,
@@ -101,6 +101,17 @@ class TestConstantExtraction:
     def test_rough_cutoff_rejected(self):
         with pytest.raises(CutoffSmoothnessError):
             constant_extraction(2, make_cutoff("poly", 2), self.GRID)
+
+    @pytest.mark.parametrize("huge_at", [100.0, 800.0, 1600.0])
+    def test_drift_past_float_range_is_a_typed_error(self, monkeypatch, huge_at):
+        # at N_max the constant overflows, at N_max / 2 the error estimate,
+        # elsewhere a residual
+        def drift(s, cutoff, N):
+            return Fraction(10) ** 400 if N == huge_at else Fraction(-1, 2)
+
+        monkeypatch.setattr(smoothed, "_drift_exact_poly", drift)
+        with pytest.raises(NonFiniteResultError, match="past float64 range"):
+            constant_extraction(0, make_cutoff("poly", 3), self.GRID)
 
     def test_grid_validation(self):
         eta = make_cutoff("bump")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from summa import series as series_module
-from summa.errors import AbelInnerSeriesError
+from summa import summation as summation_module
+from summa.errors import AbelInnerSeriesError, NonFiniteResultError
 from summa.series import alternating_genfun, get_series, monomial_genfun, parse_key
 from summa.summation import (
     SummationOutcome,
@@ -159,6 +160,56 @@ class TestAbel:
         out = abel_sum(g, schedule=default_abel_schedule(3, 13))
         assert out.verdict == "finite"
         assert abs(out.value - 0.5) <= 1e-6
+
+    @pytest.mark.parametrize("key", ["monomial:7", "monomial:60", "alt-zeta:0", "alt-zeta:-1",
+                                     "alt-zeta:-33", "alt-zeta:-220"])
+    def test_log2_bounds_hold_the_closed_form(self, key):
+        series = get_series(key)
+        for t in default_abel_schedule():
+            value = abs(series.abel_closed_form(t))
+            exact = math.log2(value.numerator) - math.log2(value.denominator)
+            lo, hi = series.abel_log2_bounds(float(t))
+            assert lo <= exact <= hi, t
+
+    @pytest.mark.parametrize("key", ["monomial:500", "alt-zeta:-500"])
+    def test_doomed_closed_form_fails_before_it_is_built(self, key):
+        def unbuilt(t):
+            raise AssertionError("closed form evaluated")
+
+        series = replace(get_series(key), abel_closed_form=unbuilt)
+        with pytest.raises(NonFiniteResultError, match=f"{key} at t = 7/8 is past float64"):
+            abel_sum(series)
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            out = run()
+        except NonFiniteResultError as exc:
+            return "error", str(exc)
+        return out.verdict, out.value, out.error_estimate
+
+    def test_float_range_check_keeps_every_outcome(self, monkeypatch):
+        # s = 0..60 crosses abel's overflow onset on monomial:s (s = 42); the
+        # alternating sums overflow from s = 219 on, at t = 7/8.  Each series is
+        # built once, so both passes share its closed form's numerator.
+        catalog = {}
+
+        def built(key):
+            return catalog.setdefault(key, get_series(key))
+
+        def outcomes():
+            runs = [lambda s=s: abel_sum(summation_module.get_series(f"monomial:{s}"))
+                    for s in range(61)]
+            runs += [lambda s=s: zeta_via_eta(-s) for s in [*range(61), 219]]
+            return [self._outcome(run) for run in runs]
+
+        monkeypatch.setattr(summation_module, "get_series", built)
+        with_check = outcomes()
+        assert ("error", "the closed form of monomial:42 at t = 1048575/1048576 is past "
+                "float64 range") in with_check
+        monkeypatch.setattr(summation_module, "get_series",
+                            lambda key: replace(built(key), abel_log2_bounds=None))
+        assert outcomes() == with_check
 
     def test_inner_series_error_is_not_a_verdict(self):
         with pytest.raises(AbelInnerSeriesError):
