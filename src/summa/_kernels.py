@@ -33,6 +33,8 @@ __all__ = [
 CHUNK = 15 * 4096  # terms per streamed chunk; CHUNK // 15 cells, a multiple of 4 (see ut_value)
 MAX_TERMS = 10**10  # terms in one streamed sum (minutes of work); the sums refuse more
 MAX_CELLS = 10**6  # unit cells in one plate sweep; ut_value refuses more
+# integrand evaluations of one moment integral, and of a plate sweep beyond each cell's first panel
+QUAD_BUDGET = 10**6
 
 
 def _streamed_sum(terms, count: int) -> float:
@@ -91,8 +93,7 @@ def alternating_smoothed_value(cutoff: Cutoff, N: float) -> float:
     return _streamed_sum(terms, math.ceil(N))
 
 
-def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float,
-                budget: int = 10**6):
+def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float):
     """Integral of x^m * eta(c x) over [a, b]; returns (value, error_estimate)."""
     if b <= a:
         return 0.0, 0.0
@@ -103,11 +104,11 @@ def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float
         y *= x**m
         return y
 
-    res = integrate(integrand, a, b, tol=tol, budget=budget)
+    res = integrate(integrand, a, b, tol=tol, budget=QUAD_BUDGET)
     return res.value, res.error
 
 
-def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float, budget: int = 10**6):
+def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
     """Dimensionless plate-energy combination sum + half-term - integral at scale N.
 
     Evaluated through the exact regrouping
@@ -119,8 +120,8 @@ def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float, budget: int = 10*
     (the sawtooth is linear inside a cell, so every cell integrand is
     smooth).  The naive sum-minus-integral form subtracts two O(N^4)
     quantities to produce an O(1) value and loses ~N^3 * eps to correlated
-    roundoff; this form never holds a large intermediate.  ``budget`` caps
-    the evaluations spent refining cells beyond the first panel of each.
+    roundoff; this form never holds a large intermediate.  ``QUAD_BUDGET``
+    caps the evaluations spent refining cells beyond the first panel of each.
     The cells enter the quadrature ``CHUNK // 15`` at a time.  BLAS rounds a
     panel's dot products by the row kernel its batch position lands on, and a
     multiple of 4 cells per chunk keeps every cell's first panel on the same
@@ -152,5 +153,5 @@ def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float, budget: int = 10*
         y *= cell + 0.5 - v
         return y
 
-    value, error, _, _ = _adapt(saw, cells(), support, tol, budget + 15 * ncells)
+    value, error, _, _ = _adapt(saw, cells(), support, tol, QUAD_BUDGET + 15 * ncells)
     return value, error

@@ -19,8 +19,8 @@ Derivatives of F have closed forms: with L = N / lam,
     F^(k)(s) = -(d/ds)^(k-1) [ s^2 eta(s / L) ],
 
 which is the x^s eta(x/N) object of the Euler-Maclaurin tail identity at
-s = 2 and support end L, so ``capital_F_deriv`` reads it from
-``euler_maclaurin.monomial_cutoff_spec`` and its Leibniz rule.  In
+s = 2 and support end L, so ``capital_F_deriv`` reads it from the Leibniz
+rule of ``euler_maclaurin.monomial_cutoff_deriv``.  In
 particular F^(3)(0) = -2 eta(0+), the only number the limit depends on.
 ``derivative_identities`` verifies these forms against finite differences of
 the computed F, orders 1 through 5.  Its stencils difference F only through
@@ -60,7 +60,6 @@ __all__ = [
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
-DIMENSIONLESS_LIMIT = -1.0 / 360.0
 MAX_CELLS = _kernels.MAX_CELLS  # unit cells of one u_t sweep, ceil(N / lam); more raise ValueError
 
 
@@ -108,14 +107,13 @@ def capital_F(n: float, cfg: CasimirConfig) -> float:
 
 def capital_F_deriv(k: int, s: float, cfg: CasimirConfig) -> float:
     """Closed-form k-th derivative of F at s (k = 1..5): -(d/ds)^(k-1) [s^2 eta(s/L)]."""
-    from .euler_maclaurin import monomial_cutoff_spec
+    from .euler_maclaurin import monomial_cutoff_deriv
 
     if not 1 <= k <= 5:
         raise ValueError(f"derivative order must be in 1..5, got {k}")
     if s >= cfg.support_end:
         return 0.0
-    spec = monomial_cutoff_spec(2, cfg.cutoff, cfg.support_end)
-    return -float(spec.deriv(k - 1, [s])[0])
+    return -float(monomial_cutoff_deriv(2, cfg.cutoff, cfg.support_end, k - 1, [s])[0])
 
 
 _STENCILS = {

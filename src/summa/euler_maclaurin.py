@@ -6,8 +6,10 @@ to order s+1 at the support end N, reads
     integral_0^N f - f(0)/2 - sum_{n=1}^N f(n)
         = sum_{k=2}^{s+1} (B_k / k!) f^(k-1)(0)  +  O(N ||f||_{C^{s+2}}).
 
-``em_tail`` evaluates both sides and their residual.  The Stirling instance
-(f = log x) gives the classic series
+``em_tail`` evaluates both sides and their residual for f(x) = x^s eta(x/N),
+whose series is the single term B_{s+1}/(s+1); ``monomial_cutoff_deriv``
+gives the derivatives of that f.  The Stirling instance (f = log x) gives
+the classic series
 
     g(n) := log n! - (n + 1/2) log n + n - (1/2) log 2pi
           = sum_m B_{2m} / (2m (2m-1) n^{2m-1}) + remainder,
@@ -22,8 +24,8 @@ combination with the constant +log(2pi)/2 folded in on the other side; here
 g(n) is normalized so that it *equals* the Bernoulli series above (g -> 0 is
 Stirling's approximation).  One canonical internal form avoids sign bugs.
 
-numpy and the quadrature layer are imported in the float paths only (the
-``SmoothFunctionSpec`` functions, ``em_tail`` and ``sup_norm_check``), so the
+numpy and the kernels are imported in the float paths only
+(``monomial_cutoff_deriv``, ``em_tail`` and ``sup_norm_check``), so the
 Stirling series and the divergence scan run without them.
 """
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .errors import GrowthNotFoundError, NonFiniteResultError
 from .exact import bernoulli
@@ -40,9 +42,7 @@ if TYPE_CHECKING:
     from .cutoffs import Cutoff
 
 __all__ = [
-    "SmoothFunctionSpec",
-    "monomial_cutoff_spec",
-    "polynomial_taper_spec",
+    "monomial_cutoff_deriv",
     "EmTailResult",
     "em_tail",
     "sup_norm_check",
@@ -57,105 +57,23 @@ __all__ = [
 ]
 
 
-class SmoothFunctionSpec:
-    """A smooth function with analytic derivatives and declared support end.
-
-    ``regularity`` is the smoothness class on the support; ``vanishing_order``
-    is the largest j such that f, f', ..., f^(j) all vanish at
-    ``support_end`` (math.inf when everything does).
-    """
-
-    def __init__(self, eval_fn: Callable, deriv_fn: Callable, support_end: float,
-                 regularity, vanishing_order, label: str = ""):
-        self._eval = eval_fn
-        self._deriv = deriv_fn
-        self.support_end = float(support_end)
-        self.regularity = regularity
-        self.vanishing_order = vanishing_order
-        self.label = label
-
-    def eval(self, x):
-        import numpy as np
-
-        return self._eval(np.asarray(x, dtype=float))
-
-    def __call__(self, x):
-        return self.eval(x)
-
-    def deriv(self, k: int, x):
-        import numpy as np
-
-        if k == 0:
-            return self.eval(x)
-        return self._deriv(k, np.asarray(x, dtype=float))
-
-    def __repr__(self):
-        return f"SmoothFunctionSpec({self.label!r})"
-
-
-def monomial_cutoff_spec(s: int, cutoff: Cutoff, N: float) -> SmoothFunctionSpec:
-    """f(x) = x^s * eta(x/N), derivatives by the Leibniz rule.
+def monomial_cutoff_deriv(s: int, cutoff: Cutoff, N: float, m: int, x):
+    """m-th derivative of f(x) = x^s * eta(x/N) at the points x, by the Leibniz rule.
 
     f^(m)(x) = sum_{j<=min(m,s)} C(m,j) s!/(s-j)! x^(s-j) eta^(m-j)(x/N) / N^(m-j).
     """
     import numpy as np
 
-    if s < 0:
-        raise ValueError(f"monomial exponent must be >= 0, got {s}")
     N = float(N)
-
-    def ev(x):
+    x = np.asarray(x, dtype=float)
+    if m == 0:
         return x**s * cutoff.eval(x / N)
-
-    def dv(m, x):
-        x = np.atleast_1d(x)
-        acc = np.zeros_like(x)
-        for j in range(0, min(m, s) + 1):
-            c = math.comb(m, j) * math.factorial(s) // math.factorial(s - j)
-            acc = acc + c * x ** (s - j) * cutoff.deriv(m - j, x / N) / N ** (m - j)
-        return acc
-
-    return SmoothFunctionSpec(
-        ev, dv, support_end=N,
-        regularity=cutoff.smoothness_order,
-        vanishing_order=cutoff.smoothness_order,
-        label=f"x^{s} * {cutoff.label}(x/N), N={N:g}",
-    )
-
-
-def polynomial_taper_spec(N: float, power: int = 3) -> SmoothFunctionSpec:
-    """f(x) = (1 - x/N)^power on [0, N], 0 beyond.
-
-    Vanishes at N together with derivatives up to order power - 1; the
-    power-th derivative is the nonzero constant (-1/N)^power * power!.
-    """
-    import numpy as np
-
-    N = float(N)
-    if power < 1:
-        raise ValueError("power must be >= 1")
-
-    def ev(x):
-        x = np.atleast_1d(x)
-        out = np.zeros_like(x)
-        m = x <= N
-        out[m] = (1.0 - x[m] / N) ** power
-        return out
-
-    def dv(k, x):
-        x = np.atleast_1d(x)
-        out = np.zeros_like(x)
-        if k > power:
-            return out
-        m = x <= N
-        c = (-1.0 / N) ** k * (math.factorial(power) // math.factorial(power - k))
-        out[m] = c * (1.0 - x[m] / N) ** (power - k)
-        return out
-
-    return SmoothFunctionSpec(
-        ev, dv, support_end=N, regularity=math.inf, vanishing_order=power - 1,
-        label=f"(1 - x/{N:g})^{power}",
-    )
+    x = np.atleast_1d(x)
+    acc = np.zeros_like(x)
+    for j in range(0, min(m, s) + 1):
+        c = math.comb(m, j) * math.factorial(s) // math.factorial(s - j)
+        acc = acc + c * x ** (s - j) * cutoff.deriv(m - j, x / N) / N ** (m - j)
+    return acc
 
 
 class EmTailResult(NamedTuple):
@@ -164,53 +82,39 @@ class EmTailResult(NamedTuple):
     residual: float
 
 
-def em_tail(f: SmoothFunctionSpec, N: int, s: int, tol: float = 1e-10) -> EmTailResult:
-    """Evaluate the tail identity at support end N and Bernoulli order s.
+def em_tail(s: int, cutoff: Cutoff, N: int, tol: float = 1e-10) -> EmTailResult:
+    """Both sides of the tail identity for f(x) = x^s eta(x/N), and their residual.
 
-    lhs    = integral_0^N f - f(0)/2 - sum_{n=1}^N f(n)
-    series = sum_{k=2}^{s+1} (B_k / k!) f^(k-1)(0)
+    lhs    = integral_0^N f - sum_{n=1}^N f(n)   (f(0) = 0 for s >= 1)
+    series = B_{s+1} / (s+1)
 
-    The residual lhs - series is O(N ||f||_{C^{s+2}}).  Functions whose
-    declared regularity is below C^{s+2}, or whose derivatives fail to vanish
-    at N up to order s+1, are rejected.
+    The integral is the moment kernel and the sum the smoothed-sum kernel.
+    At x = 0 every f^(k-1) with k <= s vanishes and f^(s) is s!, so the
+    series is its one k = s + 1 term, exact.  The residual lhs - series is
+    O(N ||f||_{C^{s+2}}); a cutoff below C^{s+2} raises
+    :class:`CutoffSmoothnessError`, and a C^{s+2} cutoff's derivatives vanish
+    past its support by construction.  A side past float64 range raises
+    :class:`NonFiniteResultError`.
     """
     import numpy as np
 
-    from .quadrature import integrate
+    from . import _kernels
 
     if s < 1:
         raise ValueError(f"em_tail requires s >= 1, got {s}")
     if N < 1 or N != int(N):
         raise ValueError(f"em_tail requires integer N >= 1, got {N}")
-    N = int(N)
-    if f.regularity < s + 2:
-        raise ValueError(
-            f"{f!r} declares C^{f.regularity} regularity; the identity needs C^{s + 2}"
-        )
-    if f.vanishing_order < s + 1:
-        raise ValueError(
-            f"{f!r} vanishes at its support end only to order {f.vanishing_order}; "
-            f"the identity needs order {s + 1}"
-        )
-    end = f.support_end
-    scale = max(1.0, float(np.max(np.abs(f.eval(np.linspace(0.0, end, 65))))))
-    for j in range(0, s + 2):
-        v = float(np.atleast_1d(f.deriv(j, np.array([end])))[0])
-        if abs(v) > 1e-9 * scale:
-            raise ValueError(
-                f"{f!r}: derivative of order {j} is {v:.3e} at the support end, "
-                "violating the vanishing assumption"
-            )
-
-    quad = integrate(f.eval, 0.0, float(N), tol=tol)
-    total = math.fsum(np.atleast_1d(f.eval(np.arange(1, N + 1, dtype=float))).tolist())
-    f0 = float(np.atleast_1d(f.eval(np.array([0.0])))[0])
-    lhs = quad.value - 0.5 * f0 - total
-
-    series = 0.0
-    for k in range(2, s + 2):
-        dk = float(np.atleast_1d(f.deriv(k - 1, np.array([0.0])))[0])
-        series += float(bernoulli(k)) / math.factorial(k) * dk
+    cutoff.require_smoothness(s + 2, "the Euler-Maclaurin tail identity")
+    try:
+        series = float(bernoulli(s + 1) / (s + 1))
+    except OverflowError as exc:
+        raise NonFiniteResultError(f"the series B_{s + 1}/{s + 1} is past float64 range") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad, _ = _kernels.moment_quad(cutoff, s, 1.0 / N, 0.0, float(N), tol)
+    lhs = quad - _kernels.smoothed_sum_value(s, cutoff, N)
+    if not math.isfinite(lhs):
+        raise NonFiniteResultError(f"the tail identity's lhs at s = {s}, N = {N} is past "
+                                   "float64 range")
     return EmTailResult(lhs, series, lhs - series)
 
 
@@ -227,10 +131,8 @@ def sup_norm_check(s: int, cutoff: Cutoff, N: float) -> float:
     import numpy as np
 
     cutoff.require_smoothness(s + 2, "the sup-norm bound")
-    spec = monomial_cutoff_spec(s, cutoff, N)
     xs = np.linspace(0.0, float(N), _SUP_NORM_SAMPLES)
-    vals = np.abs(np.atleast_1d(spec.deriv(s + 2, xs)))
-    return float(np.max(vals))
+    return float(np.max(np.abs(monomial_cutoff_deriv(s, cutoff, N, s + 2, xs))))
 
 
 _DPS = 50  # working digits of the Stirling gap

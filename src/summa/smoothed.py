@@ -372,9 +372,9 @@ class TestBump:
         return float(out[0]) if u.ndim == 0 else out
 
 
-def centered_bump(halfwidth: float = math.pi / 2) -> TestBump:
-    """Bump centered at 0, default support (-pi/2, pi/2); value 1 at 0."""
-    return TestBump(0.0, halfwidth)
+def centered_bump() -> TestBump:
+    """Bump centered at 0, supported in (-pi/2, pi/2); value 1 at 0."""
+    return TestBump(0.0, math.pi / 2)
 
 
 def offset_bump() -> TestBump:

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
 
-from summa import casimir, cli, euler_maclaurin, series, smoothed, summation
+from summa import casimir, cli, errors, euler_maclaurin, series, smoothed, summation
 from summa.cli import build_parser, run
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -201,7 +202,34 @@ class TestErrors:
     def test_negative_exponent_is_usage_error(self, capsys, argv):
         rc, out, err = run_capture(capsys, argv)
         assert rc == 2
-        assert out == "" and "must be >= 0, got '-1'" in err
+        assert out == "" and re.search(r"must be >= [01], got '-1'", err)
+
+    @pytest.mark.parametrize("argv,lo", [
+        (["casimir", "--levels", "0"], 1),
+        (["delta-seq", "--j", "0"], 1),
+        (["stirling", "--n", "0"], 1),
+        (["stirling", "--n", "5", "--terms", "0"], 1),
+        (["em-diverge", "--n", "0"], 1),
+        (["em-diverge", "--n", "1", "--max-terms", "1"], 2),
+        (["em-tail", "--s", "0", "--N", "10"], 1),
+        (["em-tail", "--s", "1", "--N", "0"], 1),
+    ])
+    def test_integer_flag_below_its_bound_is_usage_error(self, capsys, argv, lo):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2
+        assert out == "" and f"must be >= {lo}, got '{lo - 1}'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["em-tail", "--s", "170", "--N", "5"],
+        ["em-tail", "--s", "400", "--N", "10"],
+        ["em-tail", "--s", "999", "--N", "1"],
+    ])
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
+    def test_em_tail_at_high_order_is_a_typed_error(self, capsys, argv):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 1 and out == "" and err.count("\n") == 1
+        name = err.split(":")[1].strip()
+        assert issubclass(getattr(errors, name), errors.SummaError)
 
     def test_every_float_flag_is_checked_finite(self):
         subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")

@@ -5,14 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from summa.cutoffs import make_cutoff
-from summa.errors import GrowthNotFoundError
+from summa import _kernels
+from summa.cutoffs import make_cutoff, parse_cutoff
+from summa.errors import CutoffSmoothnessError, GrowthNotFoundError, NonFiniteResultError
 from summa.euler_maclaurin import (
-    SmoothFunctionSpec,
     em_divergence_demo,
     em_tail,
-    monomial_cutoff_spec,
-    polynomial_taper_spec,
+    monomial_cutoff_deriv,
     stirling_g,
     stirling_g_mp,
     stirling_gap,
@@ -21,24 +20,15 @@ from summa.euler_maclaurin import (
     stirling_term,
     sup_norm_check,
 )
+from summa.exact import bernoulli
 from summa.quadrature import integrate
-from summa.smoothed import mellin, smoothed_sum
+from summa.smoothed import _drift_exact_poly, mellin, smoothed_sum
 
 
 class TestEmTail:
-    def test_zero_function(self):
-        zero = SmoothFunctionSpec(
-            lambda x: np.zeros_like(np.atleast_1d(x)),
-            lambda k, x: np.zeros_like(np.atleast_1d(x)),
-            support_end=50.0, regularity=math.inf, vanishing_order=math.inf,
-            label="zero",
-        )
-        assert em_tail(zero, 50, 2) == (0.0, 0.0, 0.0)
-
     def test_bump_monomial_series_term(self):
         # for f = x^s eta(x/N) only the k = s+1 term survives: B_{s+1}/(s+1)
-        f = monomial_cutoff_spec(1, make_cutoff("bump"), 100.0)
-        res = em_tail(f, 100, 1, tol=1e-11)
+        res = em_tail(1, make_cutoff("bump"), 100, tol=1e-11)
         assert res.series == pytest.approx(1.0 / 12.0, abs=1e-14)
         # residual consistent with O(N ||f||_{C^{s+2}})
         bound = 100.0 * sup_norm_check(1, make_cutoff("bump"), 100.0)
@@ -50,47 +40,57 @@ class TestEmTail:
         # the sum it reproduces the smoothed-sum asymptotic identity
         eta = make_cutoff("bump")
         N, s = 100.0, 1
-        f = monomial_cutoff_spec(s, eta, N)
-        quad = integrate(f.eval, 0.0, N, tol=1e-11).value
+        quad = integrate(lambda x: monomial_cutoff_deriv(s, eta, N, 0, x), 0.0, N, tol=1e-11).value
         moment_term = mellin(eta, s, 1e-12) * N ** (s + 1)
         assert quad == pytest.approx(moment_term, abs=1e-7)
-        res = em_tail(f, int(N), s, tol=1e-11)
+        res = em_tail(s, eta, int(N), tol=1e-11)
         # S_s(eta_N) = integral - f(0)/2 - lhs  ->  moment term minus constant
         reconstructed = quad - res.lhs
         assert reconstructed == pytest.approx(smoothed_sum(s, eta, N), abs=1e-7)
 
-    def test_cubic_taper_exact_case(self):
-        f = polynomial_taper_spec(50.0, 3)
-        res = em_tail(f, 50, 1, tol=1e-12)
-        assert res.lhs == pytest.approx(-0.005, abs=1e-10)
-        assert res.series == pytest.approx((1.0 / 12.0) * (-3.0 / 50.0), abs=1e-15)
-        # Euler-Maclaurin is exact for a cubic with vanishing end data:
-        # residual well inside 10x the N ||f''' ||-style bound
-        assert abs(res.residual) <= 10.0 * 50.0 * 6.0 / 50.0**3
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("N", [7, 50, 333])
+    def test_poly_lhs_is_minus_the_exact_drift(self, s, N):
+        # integral - sum is minus the drift sum - C N^(s+1), exact in rationals for poly:p
+        for p in (s + 3, s + 6):
+            cut = make_cutoff("poly", p)
+            ref = -float(_drift_exact_poly(s, cut, N))
+            assert em_tail(s, cut, N).lhs == pytest.approx(ref, abs=1e-9 + 1e-14 * N ** (s + 1))
 
-    def test_regularity_rejected(self):
-        f = monomial_cutoff_spec(1, make_cutoff("poly", 2), 50.0)  # C^1 only
-        with pytest.raises(ValueError, match="regularity|C"):
-            em_tail(f, 50, 1)
+    def test_series_is_the_exact_bernoulli_term(self):
+        for s in range(1, 41):
+            assert em_tail(s, make_cutoff("bump"), 3).series == float(bernoulli(s + 1) / (s + 1))
 
-    def test_vanishing_order_rejected(self):
-        f = polynomial_taper_spec(50.0, 3)  # vanishes to order 2 at N
-        with pytest.raises(ValueError, match="vanish"):
-            em_tail(f, 50, 3)
+    @pytest.mark.parametrize("spec", ["bump", "poly:9"])
+    def test_lhs_is_the_two_kernel_calls(self, spec):
+        cut = parse_cutoff(spec)
+        s, N, tol = 2, 50, 1e-10
+        quad, _ = _kernels.moment_quad(cut, s, 1.0 / N, 0.0, float(N), tol)
+        assert em_tail(s, cut, N, tol).lhs == quad - _kernels.smoothed_sum_value(s, cut, N)
 
-    def test_domain(self):
-        f = polynomial_taper_spec(50.0, 3)
+    @pytest.mark.parametrize("p,s", [(2, 1), (3, 2)])
+    def test_regularity_rejected(self, p, s):
+        # poly:p is C^(p-1); the identity needs C^(s+2)
+        with pytest.raises(CutoffSmoothnessError):
+            em_tail(s, make_cutoff("poly", p), 50)
+
+    @pytest.mark.parametrize("s,N", [(0, 50), (1, 0), (1, 2.5)])
+    def test_domain(self, s, N):
         with pytest.raises(ValueError):
-            em_tail(f, 50, 0)
+            em_tail(s, make_cutoff("bump"), N)
+
+    @pytest.mark.parametrize("s,N", [(261, 1), (999, 1), (400, 10)])
+    def test_past_float64_range_is_typed(self, s, N):
+        with pytest.raises(NonFiniteResultError):
+            em_tail(s, make_cutoff("bump"), N)
 
 
-class TestSmoothFunctionSpec:
+class TestMonomialCutoffDeriv:
     def test_leibniz_derivatives_match_mp_differences(self):
         import mpmath as mp
 
         eta = make_cutoff("bump")
         N, s = 40.0, 2
-        f = monomial_cutoff_spec(s, eta, N)
 
         def f_mp(x):
             u = x / mp.mpf(N)
@@ -108,13 +108,17 @@ class TestSmoothFunctionSpec:
                         3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
                     }[k]
                     fd = float(sum(w * f_mp(mp.mpf(x) + o * h) for o, w in stencil) / h**k)
-                an = float(np.atleast_1d(f.deriv(k, np.array([x])))[0])
+                an = float(monomial_cutoff_deriv(s, eta, N, k, np.array([x]))[0])
                 assert an == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
-    def test_vanishing_at_support_end(self):
-        f = monomial_cutoff_spec(1, make_cutoff("bump"), 50.0)
-        for j in range(4):
-            assert abs(float(np.atleast_1d(f.deriv(j, np.array([50.0])))[0])) <= 1e-12
+    @pytest.mark.parametrize("spec", ["bump", "poly:6", "poly:9"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_vanishing_at_support_end(self, spec, s):
+        # x^s eta(x/N) and its derivatives through order s + 1 are exactly 0 at x = N
+        cut = parse_cutoff(spec)  # C^5 at least, as the identity needs at s = 3
+        for N in (7.0, 50.0, 333.0):
+            for j in range(s + 2):
+                assert monomial_cutoff_deriv(s, cut, N, j, [N])[0] == 0.0
 
 
 class TestSupNormCheck:
