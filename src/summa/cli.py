@@ -7,8 +7,9 @@ Numeric output is deterministic for a fixed configuration and environment.
 
 Exit codes: 0 success, 1 computational error (an inf or nan result is one,
 in either format), 2 usage error (float flags must be finite numbers: nan
-and inf are rejected at parse time, and so is an integer flag below its
-lower bound; so is work past a declared cap, before any compute).
+and inf are rejected at parse time, and so is a tolerance or a positive
+physical flag at or below 0 and an integer flag below its lower bound; so is
+work past a declared cap, before any compute).
 
 Importing this module loads only argparse, json, fractions, ``errors`` and
 ``exact``: each handler imports its own layer when it is dispatched, so the
@@ -49,17 +50,15 @@ MAX_SERIES_EXPONENT = 500
 # digits of N^(s + 1), above faulhaber's S_s(N): past CPython's default limit the int
 # cannot be printed; ~0.3 s at s = 1000, N = 19,000 (4,283 digits)
 MAX_RESULT_DIGITS = 4300
-# em-tail --N, one streamed smoothed sum and one moment quadrature: a cold call takes
-# ~0.23 s and ~31 MB at 10^5, against ~0.22 s at N = 100
-MAX_EM_TAIL_N = 10**5
-# extract --s: past 260, zeta(-s) = -B_{s+1}/(s+1) is no longer a float64
+# extract and em-tail --s: past 260, zeta(-s) = -B_{s+1}/(s+1) is no longer a float64
 MAX_EXTRACT_S = 260
-# extract, poly:p: (p + 1) (grid points + 1) Faulhaber sums, N_max/2 counted: p <= 150 on
-# README's grid, ~1.1 s at s = 0 and ~3.8 s at s = 147
-MAX_FAULHABER_SUMS = 906
-# extract, bump: digits 25 + ceil((s + 1) log10 N_max) of the drift (--s 53 on README's grid
-# has 199, ~1.5 s), then digits x sum of ceil(N) over the grid, a bound on the eta passes' cost
-# (--s 0 on a dyadic grid to 64,000, ~0.9 s; ~2.9 s at 199 digits and 3.4 * 10^6)
+# The drift caps of extract's grid and em-tail's N. poly:p: (p + 1) (points + 1) Faulhaber
+# sums (N_max/2 counted) x s + p + 1 terms x ceil((s + p + 1) log10 max(N_max, 10)) digits:
+# --s 147 --cutoff poly:150 on README's grid (~2.9 s); --s 0 takes poly:236 there (~1.7 s)
+MAX_FAULHABER_WORK = 906 * 298 * 955
+# bump: digits 25 + ceil((s + 1) log10 N_max) of the drift (--s 53 on README's grid
+# has 199, ~1.5 s), then digits x sum of ceil(N) over the points, a bound on the eta passes'
+# cost (--s 0 on a dyadic grid to 64,000, ~0.9 s; ~2.9 s at 199 digits and 3.4 * 10^6)
 MAX_BUMP_DIGITS = 199
 MAX_BUMP_WORK = 36 * 10**5
 
@@ -71,6 +70,26 @@ class UsageError(Exception):
 def _check_cap(what: str, value: int, cap: int) -> None:
     if value > cap:
         raise UsageError(f"{what} = {value} exceeds the cap of {cap}")
+
+
+def _check_drift_caps(s: int, cutoff, points) -> None:
+    """The caps on --s and on the work of the exact drift D(N) at every N in ``points``."""
+    from .smoothed import working_digits
+
+    _check_cap("--s", s, MAX_EXTRACT_S)
+    n_max = max(points)
+    if n_max > sys.float_info.max:  # em-tail's integer --N; extract's grid is float already
+        raise UsageError(f"--N must be at most the largest float64, {sys.float_info.max:.6g}")
+    if cutoff.kind == "poly":
+        terms = s + cutoff.p + 1
+        digits = math.ceil(terms * math.log10(max(n_max, 10)))
+        _check_cap("poly drift work, Faulhaber sums x terms x digits",
+                   (cutoff.p + 1) * (len(points) + 1) * terms * digits, MAX_FAULHABER_WORK)
+    else:
+        digits = working_digits(s, n_max)
+        _check_cap("bump drift digits", digits, MAX_BUMP_DIGITS)
+        _check_cap("bump drift digits x sum of ceil(N)",
+                   digits * sum(math.ceil(N) for N in points), MAX_BUMP_WORK)
 
 
 def _fmt(value):
@@ -88,6 +107,13 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a tolerance or a positive physical flag: finite and > 0, else exit 2."""
+    if _finite_float(text) <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return float(text)
 
 
 def _int_at_least(lo: int):
@@ -170,9 +196,8 @@ def _cmd_bernoulli(args):
 
 def _cmd_faulhaber(args):
     _check_cap("Bernoulli index --s", args.s, MAX_BERNOULLI_INDEX)
-    if args.N > 1:
-        digits = math.floor((args.s + 1) * math.log10(args.N)) + 1
-        _check_cap("digits of --N^(--s + 1)", digits, MAX_RESULT_DIGITS)
+    digits = math.floor((args.s + 1) * math.log10(args.N)) + 1
+    _check_cap("digits of --N^(--s + 1)", digits, MAX_RESULT_DIGITS)
     val = faulhaber(args.s, args.N)
     return ({"s": args.s, "N": args.N, "value": _fmt(val)},
             (("s", "N", "value"), [(args.s, args.N, _fmt(val))]))
@@ -248,21 +273,13 @@ def _cmd_smoothed(args):
 def _cmd_extract(args):
     from . import smoothed
 
-    _check_cap("--s", args.s, MAX_EXTRACT_S)
     cutoff = _resolve_cutoff(args.cutoff)
     grid = _parse_grid(args.grid)
     try:
         smoothed.check_grid(grid)
     except ValueError as exc:
         raise UsageError(f"bad --grid {args.grid!r}: {exc}") from exc
-    if cutoff.kind == "poly":
-        _check_cap("poly drift Faulhaber sums (p + 1) x (grid points + 1)",
-                   (cutoff.p + 1) * (len(grid) + 1), MAX_FAULHABER_SUMS)
-    else:
-        digits = smoothed.working_digits(args.s, grid[-1])
-        _check_cap("bump drift digits", digits, MAX_BUMP_DIGITS)
-        _check_cap("bump drift digits x sum of ceil(N)",
-                   digits * sum(math.ceil(N) for N in grid), MAX_BUMP_WORK)
+    _check_drift_caps(args.s, cutoff, grid)
     fit = smoothed.constant_extraction(args.s, cutoff, grid)
     result = fit.to_json_dict()
     result["error_estimate"] = fit.error_estimate
@@ -309,14 +326,11 @@ def _cmd_delta_seq(args):
 def _cmd_em_tail(args):
     from . import euler_maclaurin as em
 
-    _check_cap("Bernoulli index --s + 1", args.s + 1, MAX_BERNOULLI_INDEX)
-    _check_cap("summed terms --N", args.N, MAX_EM_TAIL_N)
     cutoff = _resolve_cutoff(args.cutoff)
-    res = em.em_tail(args.s, cutoff, args.N, tol=args.tol)
-    return ({"s": args.s, "cutoff": cutoff.label, "N": args.N,
-             "lhs": res.lhs, "series": res.series, "residual": res.residual},
-            (("s", "cutoff", "N", "lhs", "series", "residual"),
-             [(args.s, cutoff.label, args.N, res.lhs, res.series, res.residual)]))
+    _check_drift_caps(args.s, cutoff, [args.N])
+    header = ("s", "cutoff", "N", "lhs", "series", "residual")
+    row = (args.s, cutoff.label, args.N, *em.em_tail(args.s, cutoff, args.N))
+    return dict(zip(header, row)), (header, [row])
 
 
 def _cmd_stirling(args):
@@ -472,15 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("faulhaber", help="exact power sum 1^s + ... + N^s")
     p.add_argument("--s", type=_int_at_least(0), required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_at_least(1), required=True)
     p.set_defaults(handler=_cmd_faulhaber)
 
     p = sub.add_parser("sum", help="summability methods on a catalog series")
     p.add_argument("--method", choices=("cesaro", "abel", "ramanujan", "zeta-eta"),
                    required=True)
     p.add_argument("--series", required=True, help=SERIES_GRAMMAR)
-    p.add_argument("--n", type=int, default=10000, help="Cesaro window")
-    p.add_argument("--tol", type=_finite_float, default=1e-3)
+    p.add_argument("--n", type=_int_at_least(2), default=10000, help="Cesaro window")
+    p.add_argument("--tol", type=_positive_float, default=1e-3)
     p.set_defaults(handler=_cmd_sum)
 
     p = sub.add_parser("ledger", help="two-rule-set divergent series catalog")
@@ -513,14 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta-seq", help="Dirichlet kernel pairing")
     p.add_argument("--j", type=_int_at_least(1), required=True)
     p.add_argument("--testfn", default="centered", help="centered | offset")
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.set_defaults(handler=_cmd_delta_seq)
 
     p = sub.add_parser("em-tail", help="Euler-Maclaurin tail identity")
     p.add_argument("--s", type=_int_at_least(1), required=True)
     p.add_argument("--cutoff", default="bump")
     p.add_argument("--N", type=_int_at_least(1), required=True)
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.set_defaults(handler=_cmd_em_tail)
 
     p = sub.add_parser("stirling", help="Stirling series vs the exact gap")
@@ -537,11 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("casimir", "casimir-force"):
         p = sub.add_parser(name, help="smoothed plate energy" if name == "casimir"
                            else "plate force per unit area, 3 E / d")
-        p.add_argument("--d", type=_finite_float, default=1e-6, help="plate separation (m)")
+        p.add_argument("--d", type=_positive_float, default=1e-6, help="plate separation (m)")
         p.add_argument("--N", type=_finite_float, default=400.0)
         p.add_argument("--cutoff", default="bump")
-        p.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
-        p.add_argument("--quad-tol", type=_finite_float, default=1e-9)
+        p.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
+        p.add_argument("--quad-tol", type=_positive_float, default=1e-9)
         if name == "casimir":
             p.add_argument("--levels", type=_int_at_least(1), default=4,
                            help="N-halving rows in the convergence table")
@@ -555,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("borel", help="Borel summation")
     p.add_argument("--coeffs", required=True, help="ones | euler | zero | geometric:r")
-    p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--x", type=_positive_float, required=True)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(handler=_cmd_borel)
 
     p = sub.add_parser("gyro", help="gyromagnetic anomaly partial sums")
@@ -566,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flat-check", help="right derivatives of exp(-z^-beta) at 0")
     p.add_argument("--beta", type=_finite_float, required=True)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_int_at_least(0), default=1)
     p.add_argument("--grid", default="1e-2,1e-3,1e-4,1e-5,1e-6")
     p.set_defaults(handler=_cmd_flat_check)
 

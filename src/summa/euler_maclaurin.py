@@ -7,9 +7,10 @@ to order s+1 at the support end N, reads
         = sum_{k=2}^{s+1} (B_k / k!) f^(k-1)(0)  +  O(N ||f||_{C^{s+2}}).
 
 ``em_tail`` evaluates both sides and their residual for f(x) = x^s eta(x/N),
-whose series is the single term B_{s+1}/(s+1); ``monomial_cutoff_deriv``
-gives the derivatives of that f.  The Stirling instance (f = log x) gives
-the classic series
+whose series is the single term B_{s+1}/(s+1) and whose lhs is minus the
+exact drift of ``smoothed.drifts``; ``monomial_cutoff_deriv`` gives the
+derivatives of that f.  The Stirling instance (f = log x) gives the classic
+series
 
     g(n) := log n! - (n + 1/2) log n + n - (1/2) log 2pi
           = sum_m B_{2m} / (2m (2m-1) n^{2m-1}) + remainder,
@@ -24,7 +25,7 @@ combination with the constant +log(2pi)/2 folded in on the other side; here
 g(n) is normalized so that it *equals* the Bernoulli series above (g -> 0 is
 Stirling's approximation).  One canonical internal form avoids sign bugs.
 
-numpy and the kernels are imported in the float paths only
+numpy and ``smoothed`` are imported where they are used
 (``monomial_cutoff_deriv``, ``em_tail`` and ``sup_norm_check``), so the
 Stirling series and the divergence scan run without them.
 """
@@ -35,8 +36,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
-from .errors import GrowthNotFoundError, NonFiniteResultError
-from .exact import bernoulli
+from .errors import GrowthNotFoundError
+from .exact import bernoulli, to_floats
 
 if TYPE_CHECKING:
     from .cutoffs import Cutoff
@@ -82,40 +83,26 @@ class EmTailResult(NamedTuple):
     residual: float
 
 
-def em_tail(s: int, cutoff: Cutoff, N: int, tol: float = 1e-10) -> EmTailResult:
+def em_tail(s: int, cutoff: Cutoff, N: int) -> EmTailResult:
     """Both sides of the tail identity for f(x) = x^s eta(x/N), and their residual.
 
-    lhs    = integral_0^N f - sum_{n=1}^N f(n)   (f(0) = 0 for s >= 1)
-    series = B_{s+1} / (s+1)
-
-    The integral is the moment kernel and the sum the smoothed-sum kernel.
-    At x = 0 every f^(k-1) with k <= s vanishes and f^(s) is s!, so the
-    series is its one k = s + 1 term, exact.  The residual lhs - series is
-    O(N ||f||_{C^{s+2}}); a cutoff below C^{s+2} raises
-    :class:`CutoffSmoothnessError`, and a C^{s+2} cutoff's derivatives vanish
-    past its support by construction.  A side past float64 range raises
-    :class:`NonFiniteResultError`.
+    lhs = integral_0^N f - sum_{n=1}^N f(n) = -D(N), the exact drift of
+    ``smoothed.drifts`` (f(0) = f(N) = 0); series = B_{s+1}/(s+1), the one
+    k = s + 1 term, since f^(k-1)(0) = 0 for k <= s and f^(s)(0) = s!.  The
+    residual -(D(N) + B_{s+1}/(s+1)) = O(N ||f||_{C^{s+2}}) is taken exactly,
+    and each value is rounded once (past float64 range: NonFiniteResultError).
     """
-    import numpy as np
+    from . import smoothed
 
-    from . import _kernels
-
-    if s < 1:
-        raise ValueError(f"em_tail requires s >= 1, got {s}")
-    if N < 1 or N != int(N):
-        raise ValueError(f"em_tail requires integer N >= 1, got {N}")
+    if s < 1 or N < 1 or N != int(N):
+        raise ValueError(f"em_tail requires s >= 1 and integer N >= 1, got s = {s}, N = {N}")
     cutoff.require_smoothness(s + 2, "the Euler-Maclaurin tail identity")
-    try:
-        series = float(bernoulli(s + 1) / (s + 1))
-    except OverflowError as exc:
-        raise NonFiniteResultError(f"the series B_{s + 1}/{s + 1} is past float64 range") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad, _ = _kernels.moment_quad(cutoff, s, 1.0 / N, 0.0, float(N), tol)
-    lhs = quad - _kernels.smoothed_sum_value(s, cutoff, N)
-    if not math.isfinite(lhs):
-        raise NonFiniteResultError(f"the tail identity's lhs at s = {s}, N = {N} is past "
-                                   "float64 range")
-    return EmTailResult(lhs, series, lhs - series)
+    term = bernoulli(s + 1) / (s + 1)
+    series, = to_floats([term], f"the series B_{s + 1}/{s + 1} is")  # before the drift's work
+    drift, = smoothed.drifts(s, cutoff, [N])
+    lhs, residual = to_floats([-drift, -(drift + term)],
+                              f"the tail identity at s = {s}, N = {N} is")
+    return EmTailResult(lhs, series, residual)
 
 
 _SUP_NORM_SAMPLES = 4097
@@ -184,14 +171,10 @@ def stirling_series_exact(n: int, terms: int) -> Tuple[Fraction, Fraction]:
 
 
 def stirling_series(n: int, terms: int) -> StirlingSeries:
-    """``stirling_series_exact`` as floats; a value past float64 range raises
-    :class:`NonFiniteResultError`."""
+    """``stirling_series_exact`` as floats, each rounded once by ``to_floats``."""
     value, bound = stirling_series_exact(n, terms)
-    try:
-        return StirlingSeries(float(value), float(bound))
-    except OverflowError as exc:
-        raise NonFiniteResultError(f"the Stirling series at n = {n} with {terms} terms "
-                                   "is past float64 range") from exc
+    return StirlingSeries(*to_floats([value, bound], f"the Stirling series at n = {n} with "
+                                     f"{terms} terms is"))
 
 
 def stirling_gap(n: int, terms: int) -> float:

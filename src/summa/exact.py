@@ -36,6 +36,8 @@ import threading
 from fractions import Fraction
 from typing import List, Sequence
 
+from .errors import NonFiniteResultError
+
 __all__ = [
     "Rational",
     "binomial",
@@ -43,6 +45,7 @@ __all__ = [
     "bernoulli_table",
     "genfun_coefficients",
     "faulhaber",
+    "to_floats",
     "PI_LOWER",
     "PI_UPPER",
 ]
@@ -153,3 +156,11 @@ def faulhaber(s: int, N: int) -> Fraction:
     for j in range(s + 1):
         acc += binomial(s + 1, j) * _bernoulli_cache[j] * Fraction(N) ** (s + 1 - j)
     return acc / (s + 1)
+
+
+def to_floats(values: Sequence[Fraction], what: str) -> List[float]:
+    """Each value rounded once to float64; past its range, NonFiniteResultError on ``what``."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise NonFiniteResultError(f"{what} past float64 range") from exc

@@ -12,14 +12,14 @@ empirical decay rate of the residual.
 
 Numerical note: the subtraction sum - C N^{s+1} cancels ~ (s+1) log10(N)
 digits, which float64 cannot survive for s >= 3 on the grids used here.  The
-drift D(N) is therefore computed in exact rational arithmetic for poly
-cutoffs, by a Faulhaber closed form costing O(p s) whatever N is.  For the
-bump one pass of fixed-point eta values (integers eta 2^W, one integer
-division and one fixed-point exp each) serves every grid point N_max / r
-with r an integer; the sums of eta n^s are exact integers, each rounded
-once to mpmath working precision (scaled to the grid) before C N^{s+1} is
-subtracted; the reported growth coefficient is that same moment, in
-float64.  The float `smoothed_sum`/`mellin` operations are unchanged.
+drift D(N) is therefore an exact rational (``drifts``, which the constant
+extraction and the Euler-Maclaurin tail identity share): a Faulhaber closed
+form costing O(p s) whatever N is for poly cutoffs.  For the bump one pass of
+fixed-point eta values (integers eta 2^W, one integer division and one
+fixed-point exp each) serves every grid point N_max / r with r an integer;
+the sums of eta n^s are exact integers, each rounded once to mpmath working
+precision (scaled to the grid) before C N^{s+1} is subtracted; the reported
+growth coefficient is that same moment, in float64.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 
 from . import _kernels
 from .cutoffs import Cutoff, bump_deriv, make_cutoff
-from .errors import CutoffSmoothnessError, NonFiniteResultError
-from .exact import faulhaber
+from .errors import CutoffSmoothnessError
+from .exact import faulhaber, to_floats
 from .quadrature import integrate
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "AsymptoticFit",
     "smoothed_sum",
     "mellin",
+    "drifts",
     "constant_extraction",
     "grandi_smoothed",
     "scaling_counterexample",
@@ -181,6 +182,17 @@ def _drifts_mp(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> lis
                 for t, N in zip(totals, points)]
 
 
+def drifts(s: int, cutoff: Cutoff, points: Sequence[float]) -> List[Fraction]:
+    """D(N) = sum_{1<=n<N} eta(n/N) n^s - C_{eta,s} N^{s+1} at every N in ``points``, exact
+    for poly:p; for the bump, the mpf of ``_drifts_mp`` as the rational it is."""
+    if cutoff.kind == "poly":
+        return [_drift_exact_poly(s, cutoff, N) for N in points]
+    from mpmath.libmp import to_rational
+
+    dps = working_digits(s, max(points))
+    return [Fraction(*to_rational(d._mpf_)) for d in _drifts_mp(s, cutoff, points, dps)]
+
+
 def working_digits(s: int, n_max: float) -> int:
     """mpmath digits of the bump drifts up to N_max: 25 beyond the (s+1) log10 N_max that cancel."""
     return 25 + int(math.ceil((s + 1) * math.log10(max(n_max, 10.0))))
@@ -211,53 +223,33 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
     assumption), at least 4 grid points, all finite and > 0, and
     max(grid) >= 100.  The constant is D(N_max) with error estimate
     |D(N_max) - D(N_max / 2)|; the decay exponent comes from a log-log fit
-    of |D(N) - constant| on the rest of the grid.
-
-    The drifts D(N) are exact: for poly:p each is an O(p s) Faulhaber closed
-    form, whatever N is; for the bump one fixed-point pass over
-    n = 1..ceil(N_max) serves N_max / 2 and every grid point whose ratio
-    N_max / N is an integer (each other point makes its own pass).  A
-    constant, error estimate or residual past float64 range raises
-    :class:`NonFiniteResultError`.
+    of |D(N) - constant| on the rest of the grid.  The drifts are exact
+    (``drifts``); a constant, error estimate or residual past float64 range
+    raises :class:`NonFiniteResultError`.
     """
     if s < 0:
         raise ValueError(f"constant_extraction requires s >= 0, got {s}")
     cutoff.require_smoothness(s + 2, "constant extraction at this exponent")
     grid = check_grid(Ngrid)
 
-    n_max = grid[-1]
-    dps = working_digits(s, n_max)
-    half = n_max / 2.0
+    half = grid[-1] / 2.0
     points = grid if half in grid else grid + [half]
-    # D(N) = smoothed_sum(s, eta, N) - C_{eta,s} N^{s+1}, cancellation-safe:
-    # Fraction for poly, fixed point then mpf for the bump (the only cutoffs
-    # smooth enough here)
-    if cutoff.kind == "poly":
-        drifts = [_drift_exact_poly(s, cutoff, N) for N in points]
-    else:
-        drifts = _drifts_mp(s, cutoff, points, dps)
-    d_half = drifts[points.index(half)]
-    drifts = drifts[:len(grid)]
+    exact = drifts(s, cutoff, points)
+    d_max, d_half = exact[len(grid) - 1], exact[points.index(half)]
 
     # Differences taken before float conversion: for fast-converging cutoffs
     # the residuals live far below float64 resolution of the drift itself.
-    try:
-        constant = float(drifts[-1])
-        error_estimate = float(abs(drifts[-1] - d_half))
-        residuals = [float(abs(d - drifts[-1])) for d in drifts[:-1]]
-    except OverflowError as exc:
-        raise NonFiniteResultError(f"the drifts of s = {s} on {cutoff.label} are past "
-                                   "float64 range") from exc
+    constant, error_estimate, *residuals = to_floats(
+        [d_max, abs(d_max - d_half)] + [abs(d - d_max) for d in exact[:len(grid) - 1]],
+        f"the drifts of s = {s} on {cutoff.label} are")
 
     xs = [math.log(N) for N in grid[:-1]]
     ys = [math.log(max(r, 1e-300)) for r in residuals]
     slope = _lsq_slope(xs, ys)
 
     # C_{eta,s}: the moment the drifts subtracted, exact for poly, cached mpf for the bump
-    if cutoff.kind == "poly":
-        growth = float(cutoff.mellin_exact(s))
-    else:
-        growth = float(_mellin_mp(cutoff, s, dps))
+    growth = float(cutoff.mellin_exact(s) if cutoff.kind == "poly"
+                   else _mellin_mp(cutoff, s, working_digits(s, grid[-1])))
     return AsymptoticFit(constant, growth, slope, grid, error_estimate, residuals)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from summa import casimir, cli, errors, euler_maclaurin, series, smoothed, summation
+from summa import casimir, cli, euler_maclaurin, series, smoothed, summation
 from summa.cli import build_parser, run
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -213,23 +213,44 @@ class TestErrors:
         (["em-diverge", "--n", "1", "--max-terms", "1"], 2),
         (["em-tail", "--s", "0", "--N", "10"], 1),
         (["em-tail", "--s", "1", "--N", "0"], 1),
+        (["sum", "--method", "cesaro", "--series", "grandi", "--n", "1"], 2),
+        (["faulhaber", "--s", "1", "--N", "0"], 1),
+        (["flat-check", "--beta", "1", "--n", "-1"], 0),
     ])
     def test_integer_flag_below_its_bound_is_usage_error(self, capsys, argv, lo):
         rc, out, err = run_capture(capsys, argv)
         assert rc == 2
         assert out == "" and f"must be >= {lo}, got '{lo - 1}'" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["em-tail", "--s", "170", "--N", "5"],
-        ["em-tail", "--s", "400", "--N", "10"],
-        ["em-tail", "--s", "999", "--N", "1"],
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["delta-seq", "--j", "10", "--tol", "0"], "--tol", "0"),
+        (["borel", "--coeffs", "euler", "--x", "0.1", "--tol", "0"], "--tol", "0"),
+        (["casimir", "--quad-tol", "0"], "--quad-tol", "0"),
+        (["casimir", "--lambda", "-1"], "--lambda", "-1"),
+        (["casimir-force", "--d", "-1"], "--d", "-1"),
+        (["borel", "--coeffs", "euler", "--x", "-1"], "--x", "-1"),
+        (["sum", "--method", "cesaro", "--series", "grandi", "--tol", "-1"], "--tol", "-1"),
     ])
-    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
-    def test_em_tail_at_high_order_is_a_typed_error(self, capsys, argv):
+    def test_float_flag_at_or_below_zero_is_usage_error(self, capsys, argv, flag, value):
         rc, out, err = run_capture(capsys, argv)
-        assert rc == 1 and out == "" and err.count("\n") == 1
-        name = err.split(":")[1].strip()
-        assert issubclass(getattr(errors, name), errors.SummaError)
+        assert rc == 2 and out == ""
+        assert f"argument {flag}: must be > 0, got '{value}'" in err
+
+    def test_em_tail_has_no_tol_flag(self, capsys):
+        rc, out, err = run_capture(capsys, ["em-tail", "--s", "1", "--N", "10", "--tol", "1e-10"])
+        assert rc == 2 and out == "" and "unrecognized arguments: --tol" in err
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a stderr line
+    def test_em_tail_at_high_order_computes(self, capsys):
+        # the float integral of x^170 eta(x/5) overflowed; the exact drift does not
+        result = run_json(capsys, ["em-tail", "--s", "170", "--N", "5"])["result"]
+        assert result["series"] == 0.0  # B_171 = 0
+        assert result["lhs"] == result["residual"] and math.isfinite(result["lhs"])
+
+    def test_em_tail_past_float64_N_is_usage_error(self, capsys):
+        argv = ["em-tail", "--s", "1", "--cutoff", "poly:4", "--N", str(10**309)]
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2 and out == "" and "at most the largest float64" in err
 
     def test_every_float_flag_is_checked_finite(self):
         subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
@@ -282,8 +303,14 @@ class TestErrors:
         (["faulhaber", "--s", "1001", "--N", "5"], cli.MAX_BERNOULLI_INDEX),
         (["stirling", "--n", "10", "--terms", "500"], cli.MAX_BERNOULLI_INDEX),
         (["em-diverge", "--n", "1", "--max-terms", "501"], cli.MAX_BERNOULLI_INDEX),
-        (["em-tail", "--s", "1000", "--N", "100"], cli.MAX_BERNOULLI_INDEX),
-        (["em-tail", "--s", "1", "--N", str(cli.MAX_EM_TAIL_N + 1)], cli.MAX_EM_TAIL_N),
+        (["em-tail", "--s", "261", "--N", "1"], cli.MAX_EXTRACT_S),
+        (["em-tail", "--s", "400", "--N", "10"], cli.MAX_EXTRACT_S),
+        (["em-tail", "--s", "999", "--N", "1"], cli.MAX_EXTRACT_S),
+        (["em-tail", "--s", "174", "--N", "5"], cli.MAX_BUMP_DIGITS),
+        (["em-tail", "--s", "3", "--N", "100000"], cli.MAX_BUMP_WORK),
+        (["em-tail", "--s", "1", "--cutoff", "poly:504", "--N", "10"], cli.MAX_FAULHABER_WORK),
+        (["em-tail", "--s", "1", "--cutoff", "poly:80", "--N", str(10**300)],
+         cli.MAX_FAULHABER_WORK),
         (["faulhaber", "--s", "1000", "--N", str(10**20)], cli.MAX_RESULT_DIGITS),
         (["faulhaber", "--s", "1", "--N", str(10**(cli.MAX_RESULT_DIGITS // 2))],
          cli.MAX_RESULT_DIGITS),
@@ -296,10 +323,15 @@ class TestErrors:
         (["delta-seq", "--j", str(cli.MAX_DELTA_J + 1)], cli.MAX_DELTA_J),
         (["extract", "--s", "261", "--cutoff", "bump"], cli.MAX_EXTRACT_S),
         (["extract", "--s", "800", "--cutoff", "poly:803"], cli.MAX_EXTRACT_S),
-        (["extract", "--s", "0", "--cutoff", "poly:151"], cli.MAX_FAULHABER_SUMS),
-        (["extract", "--s", "0", "--cutoff", "poly:1200"], cli.MAX_FAULHABER_SUMS),
-        (["extract", "--s", "0", "--cutoff", "poly:150", "--grid", "100,200,400,800,1000,1600"],
-         cli.MAX_FAULHABER_SUMS),  # one grid point more than README's grid
+        (["extract", "--s", "147", "--cutoff", "poly:151"], cli.MAX_FAULHABER_WORK),
+        (["extract", "--s", "0", "--cutoff", "poly:237"], cli.MAX_FAULHABER_WORK),
+        (["extract", "--s", "0", "--cutoff", "poly:1200"], cli.MAX_FAULHABER_WORK),
+        (["extract", "--s", "147", "--cutoff", "poly:150", "--grid", "100,200,400,800,1000,1600"],
+         cli.MAX_FAULHABER_WORK),  # one grid point more than README's grid
+        (["extract", "--s", "100", "--cutoff", "poly:103", "--grid", "1e300,2e300,4e300,8e300"],
+         cli.MAX_FAULHABER_WORK),  # few sums of many digits
+        (["extract", "--s", "0", "--cutoff", "poly:150", "--grid", "1e300,2e300,4e300,8e300"],
+         cli.MAX_FAULHABER_WORK),
         (["extract", "--s", "54", "--cutoff", "bump"], cli.MAX_BUMP_DIGITS),
         (["extract", "--s", "200", "--cutoff", "bump"], cli.MAX_BUMP_DIGITS),
         (["extract", "--s", "0", "--cutoff", "bump", "--grid", "62500,125000,250000,500000"],
@@ -327,15 +359,16 @@ class TestErrors:
         ["sum", "--method", "cesaro", "--series", "grandi", "--n", str(cli.MAX_CESARO_N)],
         ["truncate", "--alpha", f"1/{cli.MAX_TRUNCATE_ROWS - 5}"],
         ["delta-seq", "--j", str(cli.MAX_DELTA_J)],
-        ["extract", "--s", "0", "--cutoff", "poly:150"],  # 151 x 6 Faulhaber sums
+        ["extract", "--s", "147", "--cutoff", "poly:150"],  # 906 sums x 298 terms x 955 digits
         ["extract", "--s", "53", "--cutoff", "bump"],  # 199 digits
+        ["em-tail", "--s", "173", "--N", "5"],  # 199 digits
         ["extract", "--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64000"],
     ])
     def test_work_at_a_cap_runs(self, capsys, argv):
         run_json(capsys, argv)
 
     @pytest.mark.parametrize("argv,cap", [
-        (["--s", "0", "--cutoff", "poly:150"], "MAX_FAULHABER_SUMS"),
+        (["--s", "147", "--cutoff", "poly:150"], "MAX_FAULHABER_WORK"),
         (["--s", "53", "--cutoff", "bump"], "MAX_BUMP_DIGITS"),
         (["--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64000"], "MAX_BUMP_WORK"),
     ])

@@ -15,7 +15,9 @@ from summa.exact import (
     binomial,
     faulhaber,
     genfun_coefficients,
+    to_floats,
 )
+from summa.errors import NonFiniteResultError
 
 
 class TestBernoulli:
@@ -172,3 +174,13 @@ class TestBinomial:
             binomial(3, 4)
         with pytest.raises(ValueError):
             binomial(-1, 0)
+
+
+class TestToFloats:
+    def test_each_value_rounded_once(self):
+        third = Fraction(1, 3)
+        assert to_floats([third, -third, Fraction(10) ** -400], "x") == [1 / 3, -1 / 3, 0.0]
+
+    def test_past_float64_range_is_typed(self):
+        with pytest.raises(NonFiniteResultError, match="^the values are past float64 range$"):
+            to_floats([Fraction(1), Fraction(10) ** 400], "the values are")

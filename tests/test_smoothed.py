@@ -224,6 +224,18 @@ class TestDrift:
                 assert abs(d - want) <= tol, (s, N, d - want, tol)
 
     @pytest.mark.parametrize("grid", GRIDS)
+    def test_drifts_are_the_exact_values_of_both_paths(self, grid):
+        # the bump's mpf at working_digits as the rational it is; poly's Fraction as is
+        eta, cut = make_cutoff("bump"), make_cutoff("poly", 6)
+        dps = smoothed.working_digits(3, max(grid))
+        got = smoothed.drifts(3, eta, grid)
+        assert all(isinstance(d, Fraction) for d in got)
+        with mp.workdps(dps + 50):
+            exact = [mp.mpf(d.numerator) / d.denominator for d in got]
+            assert exact == _drifts_mp(3, eta, grid, dps)
+        assert smoothed.drifts(3, cut, grid) == [_drift_exact_poly(3, cut, N) for N in grid]
+
+    @pytest.mark.parametrize("grid", GRIDS)
     def test_shared_bump_pass_is_bit_identical_to_a_pass_per_point(self, grid):
         eta = make_cutoff("bump")
         for s in (0, 3, 6):
