@@ -111,7 +111,9 @@ def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float
 def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
     """Dimensionless plate-energy combination sum + half-term - integral at scale N.
 
-    Evaluated through the exact regrouping
+    This sweep is the path of the bump, whose u_t has no closed form;
+    ``casimir`` computes a polynomial cutoff's u_t exactly instead, and for
+    those the sweep is a test oracle.  Evaluated through the exact regrouping
 
         sum_{n>=1} F(n) + F(0)/2 - int_0^{N/lam} F(s) ds
             = int_0^{N/lam} v^2 eta(lam v/N) (floor(v) + 1/2 - v) dv,

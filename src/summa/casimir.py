@@ -8,7 +8,11 @@ whose combination
 
     u_N = sum_{n>=1} F(n) + F(0)/2 - integral_0^inf F(s) ds
 
-is exactly the smoothed-sum tail object.  As the smoothing scale N grows,
+is exactly the smoothed-sum tail object.  For a polynomial eta, (1 - x)^p
+on [0, 1] (poly:p, and the sharp indicator as p = 0), u_N is an exact
+rational in O(p) Bernoulli terms, computed in integers and rounded once
+(``_poly_ut``); the bump has no closed form and runs the cell sweep
+``_kernels.ut_value``.  As the smoothing scale N grows,
 u_N -> B_4/12 = -1/360 (with B_4 = -1/30), independent of the cutoff shape
 and of lam -- the dimensionless content of the plate-energy theorem.  The
 physical energy per unit area follows by the prefactor pi^2 hbar c / (2 d^3),
@@ -31,6 +35,7 @@ nothing integrated out to the support end; ``euler_maclaurin.sup_norm_check(2,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, NamedTuple, Sequence, Tuple
@@ -38,6 +43,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 from . import _kernels
 from .cutoffs import Cutoff, make_cutoff
 from .errors import CutoffSmoothnessError
+from .exact import bernoulli_integers
 
 __all__ = [
     "HBAR",
@@ -60,7 +66,9 @@ __all__ = [
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
-MAX_CELLS = _kernels.MAX_CELLS  # unit cells of one u_t sweep, ceil(N / lam); more raise ValueError
+# unit cells of one bump u_t sweep, ceil(N / lam); more raise ValueError.  The exact
+# polynomial path has no cells; the CLI still applies this cap to every cutoff.
+MAX_CELLS = _kernels.MAX_CELLS
 
 
 @dataclass(frozen=True)
@@ -185,14 +193,65 @@ class UtResult(NamedTuple):
     error_estimate: float
 
 
+@functools.lru_cache(maxsize=8)
+def _poly_ut_rows(p: int):
+    """Per-order constants of ``_poly_ut``: (D, K, rows), one row (q, e_q, coefficients) per q.
+
+    D is the common denominator of B_0 .. B_{p+4} and K = (p+1)(p+2)(p+3)(p+4);
+    e_q = K c_q / (q + 1) and coefficient k of row q is C(q+1, k) D B_k, in
+    the B_1 = -1/2 convention of the Bernoulli polynomials.
+    """
+    D, beta = bernoulli_integers(p + 4)
+    beta = (beta[0], -beta[1]) + beta[2:]
+    K = (p + 1) * (p + 2) * (p + 3) * (p + 4)
+    e = ((p + 3) * (p + 4), -2 * (p + 1) * (p + 4), (p + 1) * (p + 2))
+    rows = tuple((q, e_q, tuple(math.comb(q + 1, k) * beta[k] for k in range(q + 2)))
+                 for q, e_q in zip(range(p + 1, p + 4), e))
+    return D, K, rows
+
+
+def _poly_ut(p: int, support: float) -> float:
+    """u_t for eta = (1 - x)^p on [0, 1] (poly:p, and the indicator at p = 0), rounded once.
+
+    With L = ``support`` and x = 1 - n/L, F(n) = L^3 sum_q c_q x^q over
+    q = p+1, p+2, p+3 with c = (1/(p+1), -2/(p+2), 1/(p+3)).  The n < L are
+    n = 1..M, M = ceil(L) - 1, and with theta = L - M in (0, 1] the Bernoulli
+    polynomials give sum_{n=1}^{M} (L - n)^q = (B_{q+1}(L) - B_{q+1}(theta)) / (q+1).
+    So, with sum_q c_q = 2 / ((p+1)(p+2)(p+3)) and sum_q c_q/(q+1) = 6/K,
+
+        u_t = (L^3 / K) [sum_q e_q L^-q (B_{q+1}(L) - B_{q+1}(theta)) + p + 4 - 6 L].
+
+    L = a/b exactly, b = 2^e, theta = t/b; D b^{q+1} B_{q+1}(x/b) is the
+    integer sum_k C(q+1,k) D B_k x^{q+1-k} b^k.  The whole value is one
+    integer over K D b^4 a^p, and int / int rounds it once, correctly.
+    """
+    a, b = support.as_integer_ratio()
+    t = a - (math.ceil(support) - 1) * b
+    e = b.bit_length() - 1
+
+    def scaled_bernoulli(coefs, x):  # sum_k coefs[k] x^(n-k) b^k by Horner's rule
+        acc = 0
+        for k, c in enumerate(coefs):
+            acc = acc * x + (c << (k * e))
+        return acc
+
+    D, K, rows = _poly_ut_rows(p)
+    num = ((p + 4) * b - 6 * a) * D * a ** (p + 3)
+    for q, e_q, coefs in rows:
+        num += e_q * (scaled_bernoulli(coefs, a) - scaled_bernoulli(coefs, t)) * a ** (p + 3 - q)
+    return num / (K * D * b**4 * a**p)
+
+
 def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: bool):
-    """One plate-energy sweep per smoothing scale in ``scales``."""
+    """u_t at each smoothing scale in ``scales``: exact for a polynomial eta, a cell sweep for the bump."""
     if enforce_smoothness and cfg.cutoff.smoothness_order < 5:
         raise CutoffSmoothnessError(
             f"cutoff {cfg.cutoff.label!r} is below C^5; pass enforce_smoothness=False "
             "to run the non-stabilizing demonstration anyway"
         )
-    return [_kernels.ut_value(cfg.cutoff, cfg.lam, N, cfg.quad_tol)[0] for N in scales]
+    if cfg.cutoff.kind == "bump":
+        return [_kernels.ut_value(cfg.cutoff, cfg.lam, N, cfg.quad_tol)[0] for N in scales]
+    return [_poly_ut(cfg.cutoff.p, N / cfg.lam) for N in scales]
 
 
 def u_t_ladder(cfg: CasimirConfig, levels: int, *,
@@ -215,10 +274,13 @@ def u_t_ladder(cfg: CasimirConfig, levels: int, *,
 def u_t_dimensionless(cfg: CasimirConfig, *, enforce_smoothness: bool = True) -> UtResult:
     """sum_{n>=1} F(n) + F(0)/2 - integral_0^{N/lam} F(s) ds, plus N-halving error.
 
-    Converges to -1/360 as N grows.  The combination is evaluated through an
-    exact cell-by-cell regrouping that never forms the two large canceling
-    pieces (see the kernel docstring).  The argument runs through the C^5
-    norm of F, so cutoffs below C^5 are rejected unless
+    Converges to -1/360 as N grows.  For poly:p and the indicator the value
+    is the exact rational rounded once (``_poly_ut``), so its only error is
+    that rounding; the error estimate stays the N-halving difference, now
+    between two exact values.  For the bump the combination is evaluated
+    through an exact cell-by-cell regrouping that never forms the two large
+    canceling pieces (see ``_kernels.ut_value``).  The argument runs through
+    the C^5 norm of F, so cutoffs below C^5 are rejected unless
     ``enforce_smoothness=False`` (the sharp-indicator contrast runs need the
     escape hatch; their values never stabilize).
     """

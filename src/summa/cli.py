@@ -8,8 +8,9 @@ Numeric output is deterministic for a fixed configuration and environment.
 Exit codes: 0 success, 1 computational error (an inf or nan result is one,
 in either format), 2 usage error (float flags must be finite numbers: nan
 and inf are rejected at parse time, and so is a tolerance or a positive
-physical flag at or below 0 and an integer flag below its lower bound; so is
-work past a declared cap, before any compute).
+physical flag at or below 0, an integer flag below its lower bound and a
+float flag outside its domain, such as a smoothing scale --N below the least
+its computation accepts; so is work past a declared cap, before any compute).
 
 Importing this module loads only argparse, json, fractions, ``errors`` and
 ``exact``: each handler imports its own layer when it is dispatched, so the
@@ -36,7 +37,9 @@ SERIES_GRAMMAR = "S0 | S1 | grandi | zero | monomial:s | alt-zeta:s | geometric:
 CUTOFF_GRAMMAR = "bump | poly:p | indicator"
 
 # Work caps, checked before any compute (exit 2); cold-process costs at the cap
-MAX_BERNOULLI_INDEX = 1000  # exact B_k reached by a flag: ~0.14 s at 1000, ~0.6 s in-process at 2000
+# exact B_k reached by a flag: ~0.14 s at 1000, ~0.6 s in-process at 2000; casimir --cutoff
+# poly:996 reads B_1000 and takes ~0.5 s for its 5 exact values at N/lambda = 10^6
+MAX_BERNOULLI_INDEX = 1000
 MAX_CESARO_N = 10**6  # Cesaro window, ~32 B a term: 62 MB at 10^6
 MAX_TRUNCATE_ROWS = 10**5  # truncate's table of floor(1/alpha) + 5 rows: ~0.5 s at 10^5
 MAX_STIRLING_ROWS = 2000  # stirling --table rows 2..n: ~0.9 s at 2000, ~7 s at 3000
@@ -54,7 +57,7 @@ MAX_RESULT_DIGITS = 4300
 MAX_EXTRACT_S = 260
 # The drift caps of extract's grid and em-tail's N. poly:p: (p + 1) (points + 1) Faulhaber
 # sums (N_max/2 counted) x s + p + 1 terms x ceil((s + p + 1) log10 max(N_max, 10)) digits:
-# --s 147 --cutoff poly:150 on README's grid (~2.9 s); --s 0 takes poly:236 there (~1.7 s)
+# --s 147 --cutoff poly:150 on README's grid (~0.25 s); --s 0 takes poly:236 there (~0.2 s)
 MAX_FAULHABER_WORK = 906 * 298 * 955
 # bump: digits 25 + ceil((s + 1) log10 N_max) of the drift (--s 53 on README's grid
 # has 199, ~1.5 s), then digits x sum of ceil(N) over the points, a bound on the eta passes'
@@ -131,14 +134,54 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _sum_scale(text: str) -> float:
-    """argparse type of a smoothed sum's --N: finite, at most MAX_TERMS terms, else exit 2."""
-    from .smoothed import MAX_TERMS
+def _float_at_least(lo: float):
+    """argparse type of a float flag with lower bound ``lo``: finite and >= lo, else exit 2."""
 
+    def parse(text: str) -> float:
+        value = _finite_float(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo:g}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _sum_scale(lo: float):
+    """argparse type of a smoothed sum's --N: finite, >= lo, at most MAX_TERMS terms, else exit 2."""
+    at_least = _float_at_least(lo)
+
+    def parse(text: str) -> float:
+        from .smoothed import MAX_TERMS
+
+        value = at_least(text)
+        if value > MAX_TERMS:
+            raise argparse.ArgumentTypeError(f"{text!r} exceeds the cap of {MAX_TERMS} summed terms")
+        return value
+
+    return parse
+
+
+def _unit_float(text: str) -> float:
+    """argparse type of flat-check's --beta: a finite float in (0, 1), else exit 2."""
     value = _finite_float(text)
-    if value > MAX_TERMS:
-        raise argparse.ArgumentTypeError(f"{text!r} exceeds the cap of {MAX_TERMS} summed terms")
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
     return value
+
+
+def _unit_rational(text: str) -> str:
+    """argparse type of truncate's --alpha: a rational in (0, 1) like 1/137 or 0.5, else exit 2.
+
+    The text is kept as written for the config echo; the handler reads it as a Fraction.
+    """
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid rational value: {text!r}; expected one like 1/137 or 0.5") from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
+    return text
 
 
 def _parse_grid(text: str):
@@ -364,10 +407,11 @@ def _cmd_em_diverge(args):
 def _make_casimir_config(args) -> casimir.CasimirConfig:
     from . import casimir
 
-    cfg = casimir.CasimirConfig(
-        d=args.d, lam=getattr(args, "lam"), N=args.N,
-        cutoff=_resolve_cutoff(args.cutoff), quad_tol=args.quad_tol,
-    )
+    cutoff = _resolve_cutoff(args.cutoff)
+    if cutoff.kind == "poly":  # the exact u_t reads B_0 .. B_{p+4}
+        _check_cap("Bernoulli index poly order + 4", cutoff.p + 4, MAX_BERNOULLI_INDEX)
+    cfg = casimir.CasimirConfig(d=args.d, lam=getattr(args, "lam"), N=args.N,
+                                cutoff=cutoff, quad_tol=args.quad_tol)
     if cfg.support_end > casimir.MAX_CELLS:  # the largest sweep has ceil(N / lambda) cells
         raise UsageError(f"--N / --lambda = {cfg.support_end:.6g} cells exceeds the "
                          f"plate-sweep cap of {casimir.MAX_CELLS}")
@@ -408,10 +452,7 @@ def _cmd_casimir_force(args):
 def _cmd_truncate(args):
     from . import asymptotics
 
-    try:
-        alpha = Fraction(args.alpha)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --alpha {args.alpha!r}: expected a rational like 1/137 or 0.5") from exc
+    alpha = Fraction(args.alpha)
     n_star = asymptotics.optimal_truncation(alpha)
     _check_cap("table rows floor(1/alpha) + 5", n_star + 5, MAX_TRUNCATE_ROWS)
     rows = []
@@ -503,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smoothed", help="smoothed monomial sum")
     p.add_argument("--s", type=_int_at_least(0), required=True)
     p.add_argument("--cutoff", default="bump", help=CUTOFF_GRAMMAR)
-    p.add_argument("--N", type=_sum_scale, required=True)
+    p.add_argument("--N", type=_sum_scale(1), required=True)
     p.set_defaults(handler=_cmd_smoothed)
 
     p = sub.add_parser("extract", help="constant extraction over an N grid")
@@ -516,12 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grandi", help="smoothed Grandi sum")
     p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=_sum_scale, default=1e4)
+    p.add_argument("--N", type=_sum_scale(1), default=1e4)
     p.set_defaults(handler=_cmd_grandi)
 
     p = sub.add_parser("scaling-demo", help="smoothed sums are not scale invariant")
     p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=_sum_scale, default=100.0)
+    p.add_argument("--N", type=_sum_scale(2), default=100.0)
     p.set_defaults(handler=_cmd_scaling_demo)
 
     p = sub.add_parser("delta-seq", help="Dirichlet kernel pairing")
@@ -551,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="smoothed plate energy" if name == "casimir"
                            else "plate force per unit area, 3 E / d")
         p.add_argument("--d", type=_positive_float, default=1e-6, help="plate separation (m)")
-        p.add_argument("--N", type=_finite_float, default=400.0)
+        p.add_argument("--N", type=_float_at_least(10), default=400.0)
         p.add_argument("--cutoff", default="bump")
         p.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
         p.add_argument("--quad-tol", type=_positive_float, default=1e-9)
@@ -563,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(handler=_cmd_casimir_force)
 
     p = sub.add_parser("truncate", help="optimal truncation scan of N! alpha^N")
-    p.add_argument("--alpha", required=True, help="rational in (0,1), e.g. 1/137")
+    p.add_argument("--alpha", type=_unit_rational, required=True,
+                   help="rational in (0,1), e.g. 1/137")
     p.set_defaults(handler=_cmd_truncate)
 
     p = sub.add_parser("borel", help="Borel summation")
@@ -578,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gyro)
 
     p = sub.add_parser("flat-check", help="right derivatives of exp(-z^-beta) at 0")
-    p.add_argument("--beta", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_unit_float, required=True)
     p.add_argument("--n", type=_int_at_least(0), default=1)
     p.add_argument("--grid", default="1e-2,1e-3,1e-4,1e-5,1e-6")
     p.set_defaults(handler=_cmd_flat_check)

@@ -31,10 +31,11 @@ length, so a rising sequence of indices costs O(log k) fills.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .errors import NonFiniteResultError
 
@@ -43,8 +44,10 @@ __all__ = [
     "binomial",
     "bernoulli",
     "bernoulli_table",
+    "bernoulli_integers",
     "genfun_coefficients",
     "faulhaber",
+    "faulhaber_numerator",
     "to_floats",
     "PI_LOWER",
     "PI_UPPER",
@@ -119,6 +122,19 @@ def bernoulli_table(K: int) -> Sequence[Fraction]:
     return tuple(_bernoulli_cache[: K + 1])
 
 
+@functools.lru_cache(maxsize=8)
+def bernoulli_integers(K: int) -> Tuple[int, Tuple[int, ...]]:
+    """(D, (D B_0, ..., D B_K)): B_0 .. B_K over their least common denominator D.
+
+    A sum of Bernoulli terms then adds integer numerators and is reduced once,
+    instead of running a gcd on every Fraction add.  The numerators serve any
+    sum over B_0 .. B_k with k <= K, over the same D.
+    """
+    table = bernoulli_table(K)
+    D = math.lcm(*(b.denominator for b in table))
+    return D, tuple(b.numerator * (D // b.denominator) for b in table)
+
+
 def genfun_coefficients(K: int) -> List[Fraction]:
     """First K+1 Taylor coefficients of t*exp(t)/(exp(t)-1), exactly.
 
@@ -145,17 +161,28 @@ def faulhaber(s: int, N: int) -> Fraction:
 
     Uses  (1/(s+1)) * sum_{j=0}^{s} C(s+1, j) * B_j * N^{s+1-j},
     which under the B_1 = +1/2 convention reproduces the printed
-    N^{s+1}/(s+1) + N^s/2 + s N^{s-1}/12 + ... shape directly.
+    N^{s+1}/(s+1) + N^s/2 + s N^{s-1}/12 + ... shape directly.  The sum
+    runs on integers (``faulhaber_numerator``) and is reduced once.
     """
     if s < 0:
         raise ValueError(f"faulhaber requires s >= 0, got {s}")
     if N < 1:
         raise ValueError(f"faulhaber requires N >= 1, got {N}")
-    bernoulli(s)
-    acc = Fraction(0)
+    D, beta = bernoulli_integers(s)
+    return Fraction(faulhaber_numerator(s, N, beta), D * (s + 1))
+
+
+def faulhaber_numerator(s: int, N: int, beta: Sequence[int]) -> int:
+    """(s + 1) D S_s(N) for S_s(N) = 1^s + ... + N^s, with (D, beta) = bernoulli_integers(K), K >= s.
+
+    sum_{j=0}^{s} C(s+1, j) beta_j N^{s+1-j} by Horner's rule in N, the
+    binomial row built on the way: integer products only, no gcd.
+    """
+    acc, c = 0, 1
     for j in range(s + 1):
-        acc += binomial(s + 1, j) * _bernoulli_cache[j] * Fraction(N) ** (s + 1 - j)
-    return acc / (s + 1)
+        acc = acc * N + c * beta[j]
+        c = c * (s + 1 - j) // (j + 1)
+    return acc * N
 
 
 def to_floats(values: Sequence[Fraction], what: str) -> List[float]:

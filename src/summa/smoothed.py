@@ -34,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .cutoffs import Cutoff, bump_deriv, make_cutoff
 from .errors import CutoffSmoothnessError
-from .exact import faulhaber, to_floats
+from .exact import bernoulli_integers, faulhaber_numerator, to_floats
 from .quadrature import integrate
 
 __all__ = [
@@ -116,18 +116,29 @@ def _drift_exact_poly(s: int, cutoff: Cutoff, N: float) -> Fraction:
 
     With L = ceil(N) - 1 the last n < N, the binomial expansion
     sum_{1<=n<N} (1 - n/N)^p n^s = sum_k C(p,k) (-1/N)^k S_{s+k}(L) turns
-    the sum into Faulhaber power sums S_j(L) = 1^j + ... + L^j.
+    the sum into Faulhaber power sums S_j(L) = 1^j + ... + L^j.  With
+    N = a/b, every term and C_{eta,s} N^{s+1} sit over one denominator
+    D W a^p Cd b^(s+1): D that of the Bernoulli integers up to B_{s+p},
+    W = lcm(s+1, ..., s+p+1) that of the sums' 1/(j+1), Cd that of C_{eta,s}.
+    The numerator is an integer sum, Horner's rule in a and -b over k, and
+    the result is reduced once.
     """
-    NF = Fraction(N)
+    p = cutoff.p
+    a, b = Fraction(N).as_integer_ratio()
     L = math.ceil(N) - 1
-    total = Fraction(0)
+    D, beta = bernoulli_integers(s + p)
+    W = math.lcm(*range(s + 1, s + p + 2))
+    total = 0
     if L >= 1:
-        step = -1 / NF
-        scale = Fraction(1)
-        for k in range(cutoff.p + 1):
-            total += math.comb(cutoff.p, k) * scale * faulhaber(s + k, L)
-            scale *= step
-    return total - cutoff.mellin_exact(s) * NF ** (s + 1)
+        c, bk = 1, 1  # C(p, k) and (-b)^k
+        for k in range(p + 1):
+            total = total * a + c * bk * faulhaber_numerator(s + k, L, beta) * (W // (s + k + 1))
+            c = c * (p - k) // (k + 1)
+            bk *= -b
+    C = cutoff.mellin_exact(s)
+    scale = b ** (s + 1) * C.denominator
+    return Fraction(total * scale - C.numerator * a ** (s + 1) * D * W * a**p,
+                    D * W * a**p * scale)
 
 
 def _bump_totals(s: int, cutoff: Cutoff, points: Sequence[float], W: int) -> List[int]:

@@ -212,7 +212,7 @@ class TestUt:
     def test_ladder_rows_are_u_t_at_each_scale(self, monkeypatch):
         from summa import _kernels
 
-        cfg = CasimirConfig(N=320.0, cutoff=make_cutoff("poly", 6), quad_tol=1e-9)
+        cfg = CasimirConfig(N=320.0, cutoff=make_cutoff("bump"), quad_tol=1e-9)
         sweeps = []
         real = _kernels.ut_value
 
@@ -227,11 +227,66 @@ class TestUt:
         for N, r in rows:
             assert r == u_t_dimensionless(replace(cfg, N=N))
 
+    def test_poly_ladder_rows_are_exact_u_t_at_each_scale(self, monkeypatch):
+        from summa import _kernels
+
+        def no_sweep(*args):
+            raise AssertionError("a polynomial cutoff reached the cell sweep")
+
+        monkeypatch.setattr(_kernels, "ut_value", no_sweep)
+        cfg = CasimirConfig(N=320.0, lam=0.75, cutoff=make_cutoff("poly", 6), quad_tol=1e-9)
+        rows = u_t_ladder(cfg, 4)
+        assert [N for N, _ in rows] == [40.0, 80.0, 160.0, 320.0]
+        for N, r in rows:
+            assert r == u_t_dimensionless(replace(cfg, N=N))
+            half = float(exact_poly_ut(6, 1, (N / 2.0) / 0.75))
+            assert r == (float(exact_poly_ut(6, 1, N / 0.75)), abs(r.value - half))
+
     def test_ladder_stops_at_the_smallest_valid_scale(self):
         cfg = CasimirConfig(N=40.0, cutoff=make_cutoff("poly", 6), quad_tol=1e-9)
         assert [N for N, _ in u_t_ladder(cfg, 6)] == [10.0, 20.0, 40.0]
         with pytest.raises(ValueError):
             u_t_ladder(cfg, 0)
+
+
+class TestExactPolyUt:
+    """u_t of a polynomial eta, (1 - x)^p on [0, 1], is an exact rational rounded once."""
+
+    @pytest.mark.parametrize("p", range(11))
+    def test_equals_the_fraction_brute_force(self, p):
+        # integer and non-integer supports; the brute force reads the float N/lam as it is
+        cut = make_cutoff("poly", p) if p else sharp_indicator()
+        for N, lam in [(10.0, 1.0), (37.0, 1.0), (300.0, 1.0), (123.456, 1.0), (299.5, 1.0),
+                       (100.0, 0.7), (64.0, 0.5), (250.0, 3.0)]:
+            cfg = CasimirConfig(N=N, lam=lam, cutoff=cut)
+            got = u_t_dimensionless(cfg, enforce_smoothness=False).value
+            assert got == float(exact_poly_ut(p, 1, cfg.support_end)), (N, lam)
+
+    @pytest.mark.parametrize("S", [100, 200, 400])
+    def test_indicator_is_minus_s_squared_over_12(self, S):
+        cfg = CasimirConfig(N=float(S), cutoff=sharp_indicator())
+        assert u_t_dimensionless(cfg, enforce_smoothness=False).value == -(S * S) / 12
+
+    def test_the_sweep_agrees_within_its_own_estimate(self):
+        # the cell sweep stays the bump's path; for poly it is an oracle where it is not floor-bound
+        from summa import _kernels
+
+        cut = make_cutoff("poly", 8)
+        for tol in (1e-9, 1e-12):
+            value, error = _kernels.ut_value(cut, 1.0, 200.0, tol)
+            exact = u_t_dimensionless(CasimirConfig(N=200.0, cutoff=cut, quad_tol=tol)).value
+            assert abs(value - exact) <= error
+
+    def test_no_roundoff_floor_at_large_support(self):
+        cfg = CasimirConfig(N=400000.0, lam=0.5, cutoff=make_cutoff("poly", 7))
+        assert abs(u_t_dimensionless(cfg).value - LIMIT) <= 1e-9 * abs(LIMIT)
+
+    @pytest.mark.parametrize("p", range(6, 11))
+    def test_next_boundary_term_is_exact(self, p):
+        # u_t = -1/360 + a_2 / (1260 L^2) + O(L^-4) with a_2 = eta''(0+)/2 = C(p, 2)
+        L = 1000.0
+        u = u_t_dimensionless(CasimirConfig(N=L, cutoff=make_cutoff("poly", p))).value
+        assert (u - LIMIT) * 1260.0 * L**2 / math.comb(p, 2) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestPhysicalOutputs:

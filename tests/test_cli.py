@@ -59,6 +59,13 @@ class TestJsonOutputs:
         assert payload["result"]["relative_error"] < 0.02
         validate_against_schema(payload)
 
+    def test_casimir_poly_is_exact(self, capsys):
+        # the cell sweep read +0.01669 here (relative error 7): its ~eps (N/lam)^3 floor
+        payload = run_json(capsys, ["casimir", "--cutoff", "poly:7", "--N", "400000",
+                                    "--lambda", "0.5"])
+        assert abs(payload["result"]["u_t"] * 360.0 + 1.0) < 1e-9
+        assert payload["result"]["relative_error"] < 1e-9
+
     def test_casimir_force(self, capsys):
         payload = run_json(capsys, ["casimir-force", "--d", "1e-6", "--N", "400"])
         closed = payload["result"]["closed_form"]
@@ -184,8 +191,8 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["extract", "--s", "1", "--grid", "100,200,400,inf"],
         ["extract", "--s", "1", "--grid", "100,200,400,nan"],
-        ["flat-check", "--beta", "1", "--grid", "1e-2,inf"],
-        ["flat-check", "--beta", "1", "--grid", "nan,1e-3"],
+        ["flat-check", "--beta", "0.5", "--grid", "1e-2,inf"],
+        ["flat-check", "--beta", "0.5", "--grid", "nan,1e-3"],
     ])
     def test_non_finite_grid_point_is_usage_error(self, capsys, argv):
         rc, out, err = run_capture(capsys, argv)
@@ -215,7 +222,7 @@ class TestErrors:
         (["em-tail", "--s", "1", "--N", "0"], 1),
         (["sum", "--method", "cesaro", "--series", "grandi", "--n", "1"], 2),
         (["faulhaber", "--s", "1", "--N", "0"], 1),
-        (["flat-check", "--beta", "1", "--n", "-1"], 0),
+        (["flat-check", "--beta", "0.5", "--n", "-1"], 0),
     ])
     def test_integer_flag_below_its_bound_is_usage_error(self, capsys, argv, lo):
         rc, out, err = run_capture(capsys, argv)
@@ -235,6 +242,22 @@ class TestErrors:
         rc, out, err = run_capture(capsys, argv)
         assert rc == 2 and out == ""
         assert f"argument {flag}: must be > 0, got '{value}'" in err
+
+    @pytest.mark.parametrize("argv,flag,why", [
+        (["grandi", "--N", "0.5"], "--N", "must be >= 1, got '0.5'"),
+        (["smoothed", "--s", "1", "--N", "0.5"], "--N", "must be >= 1, got '0.5'"),
+        (["scaling-demo", "--N", "1"], "--N", "must be >= 2, got '1'"),
+        (["casimir", "--N", "5"], "--N", "must be >= 10, got '5'"),
+        (["casimir-force", "--N", "5"], "--N", "must be >= 10, got '5'"),
+        (["truncate", "--alpha", "0"], "--alpha", "must be in (0, 1), got '0'"),
+        (["truncate", "--alpha", "1"], "--alpha", "must be in (0, 1), got '1'"),
+        (["truncate", "--alpha", "1/0"], "--alpha", "invalid rational value: '1/0'"),
+        (["flat-check", "--beta", "-1"], "--beta", "must be in (0, 1), got '-1'"),
+        (["flat-check", "--beta", "1"], "--beta", "must be in (0, 1), got '1'"),
+    ])
+    def test_float_flag_outside_its_domain_is_usage_error(self, capsys, argv, flag, why):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2 and out == "" and f"argument {flag}: {why}" in err
 
     def test_em_tail_has_no_tol_flag(self, capsys):
         rc, out, err = run_capture(capsys, ["em-tail", "--s", "1", "--N", "10", "--tol", "1e-10"])
@@ -321,6 +344,8 @@ class TestErrors:
         (["sum", "--method", "ramanujan", "--series", "monomial:501"], cli.MAX_SERIES_EXPONENT),
         (["sum", "--method", "abel", "--series", "alt-zeta:-501"], cli.MAX_SERIES_EXPONENT),
         (["delta-seq", "--j", str(cli.MAX_DELTA_J + 1)], cli.MAX_DELTA_J),
+        (["casimir", "--cutoff", "poly:997"], cli.MAX_BERNOULLI_INDEX),
+        (["casimir-force", "--cutoff", "poly:997"], cli.MAX_BERNOULLI_INDEX),
         (["extract", "--s", "261", "--cutoff", "bump"], cli.MAX_EXTRACT_S),
         (["extract", "--s", "800", "--cutoff", "poly:803"], cli.MAX_EXTRACT_S),
         (["extract", "--s", "147", "--cutoff", "poly:151"], cli.MAX_FAULHABER_WORK),
@@ -348,7 +373,8 @@ class TestErrors:
         for owner, name in [(cli, "bernoulli"), (cli, "faulhaber"), (summation, "cesaro_sum"),
                             (euler_maclaurin, "em_tail"), (euler_maclaurin, "stirling_series"),
                             (euler_maclaurin, "em_divergence_demo"), (series, "get_series"),
-                            (smoothed, "delta_pairing"), (smoothed, "constant_extraction")]:
+                            (smoothed, "delta_pairing"), (smoothed, "constant_extraction"),
+                            (casimir, "_poly_ut"), (casimir._kernels, "ut_value")]:
             monkeypatch.setattr(owner, name, no_compute)
         for fmt in ("json", "csv"):
             rc, out, err = run_capture(capsys, ["--format", fmt] + argv)
@@ -363,6 +389,7 @@ class TestErrors:
         ["extract", "--s", "53", "--cutoff", "bump"],  # 199 digits
         ["em-tail", "--s", "173", "--N", "5"],  # 199 digits
         ["extract", "--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64000"],
+        ["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "1"],  # B_1000
     ])
     def test_work_at_a_cap_runs(self, capsys, argv):
         run_json(capsys, argv)

@@ -11,9 +11,11 @@ from summa.exact import (
     PI_LOWER,
     PI_UPPER,
     bernoulli,
+    bernoulli_integers,
     bernoulli_table,
     binomial,
     faulhaber,
+    faulhaber_numerator,
     genfun_coefficients,
     to_floats,
 )
@@ -146,11 +148,34 @@ class TestFaulhaber:
     def test_matches_brute_force_random(self, s, N):
         assert faulhaber(s, N) == sum(Fraction(n) ** s for n in range(1, N + 1))
 
+    def test_large_index_matches_the_fraction_sum(self):
+        # the integer Horner sum, reduced once, against the Bernoulli closed form in Fractions
+        for s, N in [(40, 12345), (97, 3), (250, 10**20)]:
+            ref = sum(binomial(s + 1, j) * bernoulli(j) * Fraction(N) ** (s + 1 - j)
+                      for j in range(s + 1)) / (s + 1)
+            assert faulhaber(s, N) == ref
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             faulhaber(-1, 5)
         with pytest.raises(ValueError):
             faulhaber(2, 0)
+
+
+class TestBernoulliIntegers:
+    @pytest.mark.parametrize("K", [0, 1, 2, 10, 101])
+    def test_numerators_over_the_least_common_denominator(self, K):
+        D, beta = bernoulli_integers(K)
+        table = bernoulli_table(K)
+        assert D == math.lcm(*(b.denominator for b in table))
+        assert [Fraction(n, D) for n in beta] == list(table)
+
+    def test_a_larger_table_serves_a_smaller_sum(self):
+        # faulhaber_numerator is (s + 1) D S_s(N) over whichever table's D it is given
+        for K in (12, 60):
+            D, beta = bernoulli_integers(K)
+            for s in range(13):
+                assert Fraction(faulhaber_numerator(s, 77, beta), D * (s + 1)) == faulhaber(s, 77)
 
 
 class TestBinomial:
