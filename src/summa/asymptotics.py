@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
-from .errors import BorelSummabilityError
+from .errors import BorelSummabilityError, NonFiniteResultError
 
 __all__ = [
     "CoefficientOracle",
@@ -100,7 +100,9 @@ def flat_derivative_probe(beta: float, n: int, z_grid: Sequence[float]) -> List[
 
     For each scale h in z_grid the forward difference
     sum_j (-1)^(n-j) C(n,j) f0(j h) / h^n is returned; every entry tends to
-    0 as h -> 0, witnessing that all right-derivatives vanish.
+    0 as h -> 0, witnessing that all right-derivatives vanish.  A difference
+    whose binomials or h^n leave float64 range raises
+    :class:`NonFiniteResultError`.
     """
     if n < 0:
         raise ValueError(f"derivative order must be >= 0, got {n}")
@@ -109,11 +111,15 @@ def flat_derivative_probe(beta: float, n: int, z_grid: Sequence[float]) -> List[
         h = float(h)
         if h <= 0:
             raise ValueError("z_grid entries must be positive")
-        acc = 0.0
-        for j in range(n + 1):
-            val = flat_function(beta, j * h) if j > 0 else 0.0
-            acc += (-1) ** (n - j) * math.comb(n, j) * val
-        out.append(acc / h**n)
+        try:
+            acc = 0.0
+            for j in range(n + 1):
+                val = flat_function(beta, j * h) if j > 0 else 0.0
+                acc += (-1) ** (n - j) * math.comb(n, j) * val
+            out.append(acc / h**n)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NonFiniteResultError(
+                f"the order-{n} difference at h = {h!r} leaves float64 range") from exc
     return out
 
 
@@ -140,7 +146,9 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
     makes the neglected tail below tol/10.  The transform is evaluated from
     its closed form when the oracle carries one, else by adaptive partial
     sums with a ratio-based tail bound.  A growth rate at or above 1/x means
-    the integrand does not decay: reported as ``BorelSummabilityError``.
+    the integrand does not decay: reported as ``BorelSummabilityError``.  An
+    x whose 1/x, range end, quadrature tolerance tol x / 2 or integrand
+    leaves float64 range raises :class:`NonFiniteResultError`.
     """
     import numpy as np
 
@@ -156,7 +164,14 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
             f"Borel transform of {coeffs.label!r} grows like exp({coeffs.exp_rate} z), "
             f"not integrable against exp(-z/{x})"
         )
-    z_max = math.log(10.0 / (tol * decay)) / decay + 5.0
+    quad_tol = tol * x / 2.0
+    try:
+        z_max = math.log(10.0 / (tol * decay)) / decay + 5.0
+    except (ValueError, ZeroDivisionError):
+        z_max = math.inf
+    if not math.isfinite(z_max) or quad_tol == 0:
+        raise NonFiniteResultError(f"borel_sum at x = {x!r}, tol = {tol!r} leaves float64 "
+                                   "range: 1/x, the range end or tol x / 2")
 
     if coeffs.borel_transform is not None:
         transform = np.vectorize(coeffs.borel_transform, otypes=[float])
@@ -182,7 +197,12 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
                 )
             return out
 
-    res = integrate(lambda z: np.exp(-z / x) * transform(z), 0.0, z_max, tol=tol * x / 2.0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            res = integrate(lambda z: np.exp(-z / x) * transform(z), 0.0, z_max, tol=quad_tol)
+    except FloatingPointError as exc:
+        raise NonFiniteResultError(f"the Borel integrand of {coeffs.label!r} at x = {x!r} "
+                                   f"leaves float64 range on [0, {z_max:.6g}]") from exc
     return res.value / x
 
 
@@ -199,5 +219,9 @@ def gyro_partial(alpha: float, order: int) -> float:
     ratio = alpha / math.pi
     value = 0.5 * ratio
     if order == 2:
-        value -= 0.328 * ratio**2
+        try:
+            value -= 0.328 * ratio**2
+        except OverflowError as exc:
+            raise NonFiniteResultError(f"(alpha/pi)^2 at alpha = {alpha!r} is past float64 "
+                                       "range") from exc
     return value

@@ -42,7 +42,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from . import _kernels
 from .cutoffs import Cutoff, make_cutoff
-from .errors import CutoffSmoothnessError
+from .errors import CutoffSmoothnessError, NonFiniteResultError
 from .exact import bernoulli_integers
 
 __all__ = [
@@ -287,9 +287,25 @@ def u_t_dimensionless(cfg: CasimirConfig, *, enforce_smoothness: bool = True) ->
     return u_t_ladder(cfg, 1, enforce_smoothness=enforce_smoothness)[0][1]
 
 
+def _over_d_power(scale: float, d: float, k: int) -> float:
+    """pi^2 hbar c / (scale d^k); NonFiniteResultError where it leaves float64 range.
+
+    A d^k or a quotient that overflows, or a quotient that underflows to 0,
+    leaves the range.
+    """
+    try:
+        value = math.pi**2 * HBAR * C_LIGHT / (scale * d**k)
+    except (OverflowError, ZeroDivisionError):
+        value = 0.0
+    if value == 0.0 or math.isinf(value):
+        raise NonFiniteResultError(f"pi^2 hbar c / ({scale:g} d^{k}) at d = {d!r} is past "
+                                   "float64 range")
+    return value
+
+
 def energy_prefactor(d: float) -> float:
     """pi^2 hbar c / (2 d^3), J/m^2: the energy per unit plate area is this times u_t."""
-    return math.pi**2 * HBAR * C_LIGHT / (2.0 * d**3)
+    return _over_d_power(2.0, d, 3)
 
 
 def energy_density(cfg: CasimirConfig, *, enforce_smoothness: bool = True) -> float:
@@ -314,9 +330,9 @@ def casimir_force(d: float, cfg: CasimirConfig) -> float:
 
 
 def closed_form_energy_density(d: float) -> float:
-    return -math.pi**2 * HBAR * C_LIGHT / (720.0 * d**3)
+    return -_over_d_power(720.0, d, 3)
 
 
 def closed_form_force(d: float) -> float:
-    return -math.pi**2 * HBAR * C_LIGHT / (240.0 * d**4)
+    return -_over_d_power(240.0, d, 4)
 

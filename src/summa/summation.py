@@ -108,8 +108,6 @@ def cesaro_sum(series: SeriesOracle, n: int, tol: float = 1e-3) -> SummationOutc
 _ABEL_CAP = 1e12
 _INNER_TOL = 1e-12
 _TERM_BUDGET = 50_000_000
-# a float64 holds magnitudes below 2^1024; the 1e-6 margins cover the bounds' rounding
-_LOG2_FLOAT_RANGE = 1024.0
 
 
 def default_abel_schedule(k_min: int = 3, k_max: int = 20) -> List[Fraction]:
@@ -162,29 +160,6 @@ def _richardson_limit(vals: Sequence[float]):
     return est, err
 
 
-def _past_float_range(series: SeriesOracle, t) -> NonFiniteResultError:
-    return NonFiniteResultError(f"the closed form of {series.label} at t = {t} "
-                                "is past float64 range")
-
-
-def _check_float_range(series: SeriesOracle, schedule: Sequence) -> None:
-    """Raise the closed form's first float64 overflow before its exact build.
-
-    Walks the schedule as the evaluation does, on the series' float bounds:
-    a point whose lower bound is past range raises only if every earlier
-    point's upper bound is within it, so the error names the same t as the
-    exact evaluation would.  An undecided point leaves the rest to that
-    evaluation.
-    """
-    for t in schedule:
-        lo, hi = series.abel_log2_bounds(float(t))
-        if hi < _LOG2_FLOAT_RANGE - 1e-6:
-            continue
-        if lo > _LOG2_FLOAT_RANGE + 1e-6:
-            raise _past_float_range(series, t)
-        return
-
-
 def abel_sum(series: SeriesOracle, schedule: Optional[Sequence] = None) -> SummationOutcome:
     """Abel (Euler) sum: extrapolate f(t) = sum a_n t^n to t -> 1-.
 
@@ -195,8 +170,8 @@ def abel_sum(series: SeriesOracle, schedule: Optional[Sequence] = None) -> Summa
     :class:`AbelInnerSeriesError` rather than producing a divergent verdict.
     Values growing monotonically along the schedule (beyond 1e12, or
     defeating extrapolation) give the divergent verdict.  A closed-form value
-    past float64 range raises :class:`NonFiniteResultError`; where the
-    series' float bounds already show it, before the closed form is built.
+    past float64 range raises :class:`NonFiniteResultError` at the first t
+    where it rounds to no float.
     """
     if schedule is None:
         schedule = default_abel_schedule()
@@ -209,8 +184,6 @@ def abel_sum(series: SeriesOracle, schedule: Optional[Sequence] = None) -> Summa
     ):
         raise ValueError("schedule must be strictly increasing inside (0, 1)")
 
-    if series.abel_closed_form is not None and series.abel_log2_bounds is not None:
-        _check_float_range(series, schedule)
     vals: List[float] = []
     for t in schedule:
         if series.abel_closed_form is not None:
@@ -219,7 +192,8 @@ def abel_sum(series: SeriesOracle, schedule: Optional[Sequence] = None) -> Summa
             except ZeroDivisionError as exc:
                 raise AbelInnerSeriesError(str(exc)) from exc
             except OverflowError as exc:
-                raise _past_float_range(series, t) from exc
+                raise NonFiniteResultError(f"the closed form of {series.label} at t = {t} "
+                                           "is past float64 range") from exc
         else:
             vals.append(_power_series_value(series, float(t)))
 

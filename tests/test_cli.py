@@ -1,13 +1,17 @@
+import io
 import json
 import math
 import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from summa import casimir, cli, euler_maclaurin, series, smoothed, summation
+from summa import _kernels, casimir, cli, errors, euler_maclaurin, series, smoothed, summation
 from summa.cli import build_parser, run
+from summa.errors import NonFiniteResultError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -199,6 +203,27 @@ class TestErrors:
         assert rc == 2
         assert out == "" and "finite" in err
 
+    @pytest.mark.parametrize("grid", ["-1e-2,1e-3", "0,1e-3"])
+    def test_flat_check_grid_point_at_or_below_zero_is_usage_error(self, capsys, grid):
+        rc, out, err = run_capture(capsys, ["flat-check", "--beta", "0.5", f"--grid={grid}"])
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error: bad --grid") and "> 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["flat-check", "--beta", "0.5", "--n", "3", "--grid", "1e-200"],  # h^3 underflows
+        ["flat-check", "--beta", "0.5", "--n", "3", "--grid", "1e300"],  # h^3 overflows
+        ["flat-check", "--beta", "0.5", "--n", "2000"],  # C(2000, 1000) is past float64
+        ["gyro", "--alpha", "1e300", "--order", "2"],
+        ["borel", "--coeffs", "zero", "--x", "1e-320"],  # 1/x overflows
+        ["borel", "--coeffs", "geometric:1/2", "--x", "1e-300", "--tol", "1e-300"],  # tol x / 2
+        ["casimir", "--d", "1e-300"],
+        ["casimir-force", "--d", "1e300"],
+    ])
+    def test_float_range_escape_is_a_typed_error(self, capsys, argv):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: NonFiniteResultError: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["smoothed", "--s", "-1", "--N", "10"],
         ["extract", "--s", "-1"],
@@ -254,6 +279,7 @@ class TestErrors:
         (["truncate", "--alpha", "1/0"], "--alpha", "invalid rational value: '1/0'"),
         (["flat-check", "--beta", "-1"], "--beta", "must be in (0, 1), got '-1'"),
         (["flat-check", "--beta", "1"], "--beta", "must be in (0, 1), got '1'"),
+        (["gyro", "--alpha", "-1", "--order", "1"], "--alpha", "must be >= 0, got '-1'"),
     ])
     def test_float_flag_outside_its_domain_is_usage_error(self, capsys, argv, flag, why):
         rc, out, err = run_capture(capsys, argv)
@@ -401,7 +427,10 @@ class TestErrors:
     ])
     def test_extract_work_at_a_cap_is_exactly_the_cap(self, capsys, monkeypatch, argv, cap):
         # the rows of test_work_at_a_cap_runs sit on their cap, not below it
-        monkeypatch.setattr(smoothed, "constant_extraction", lambda *a: 1 / 0)
+        def past_every_cap(*args):
+            raise NonFiniteResultError("the caps let this run through")
+
+        monkeypatch.setattr(smoothed, "constant_extraction", past_every_cap)
         assert run_capture(capsys, ["extract"] + argv)[0] == 1  # past every cap
         monkeypatch.setattr(cli, cap, getattr(cli, cap) - 1)
         rc, out, err = run_capture(capsys, ["extract"] + argv)
@@ -452,9 +481,11 @@ class TestErrors:
         assert rc == 2 and out == ""
         assert err.startswith("usage error: bad --grid") and why in err
 
-    def test_zeta_eta_needs_alt_zeta_series(self, capsys):
-        rc, _, err = run_capture(capsys, ["sum", "--method", "zeta-eta", "--series", "S1"])
-        assert rc == 2
+    @pytest.mark.parametrize("key", ["S1", "grandi", "alt-zeta:1", "alt-zeta:3"])
+    def test_zeta_eta_needs_alt_zeta_series(self, capsys, key):
+        rc, out, err = run_capture(capsys, ["sum", "--method", "zeta-eta", "--series", key])
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error: --method zeta-eta needs") and err.count("\n") == 1
 
 
 def readme_examples():
@@ -512,3 +543,108 @@ class TestOutputFile:
         assert rc == 0
         payload = json.loads(target.read_text())
         assert payload["result"]["value"] == "0/1"
+
+
+def _int_edges(cap=None):
+    """An integer flag's edge values: 0, -1, 0.5, small, huge, and its cap and cap + 1."""
+    return ["0", "-1", "0.5", "1", "2", str(10**30)] + ([] if cap is None else [str(cap), str(cap + 1)])
+
+
+def _float_edges(cap=None):
+    """A float flag's edge values: 0, -1, 0.5, small, huge and tiny, and its cap and cap + 1."""
+    return (["0", "-1", "0.5", "1", "2", "10", "1e300", "1e-300", "5e-324"]
+            + ([] if cap is None else [str(cap), str(cap + 1)]))
+
+
+_CUTOFF_EDGES = ["bump", "indicator", "poly:0", "poly:1", "poly:-1", "poly:0.5",
+                 f"poly:{cli.MAX_BERNOULLI_INDEX - 4}", f"poly:{cli.MAX_BERNOULLI_INDEX - 3}",
+                 f"poly:{10**30}", "gauss"]
+_GRID_EDGES = ["100,200,400,800,1600", "1e-2,1e-3", "-1", "0", "0.5", "1e300", "1e-300", "5e-324",
+               "", "x"]
+_SERIES_EDGES = ["S0", "S1", "grandi", "zero", "monomial:-1",
+                 *(f"monomial:{s}" for s in (0, cli.MAX_SERIES_EXPONENT, cli.MAX_SERIES_EXPONENT + 1)),
+                 *(f"alt-zeta:{s}" for s in (0, -1, 1, 2, 3, 0.5, cli.MAX_SERIES_EXPONENT,
+                                             -cli.MAX_SERIES_EXPONENT, -cli.MAX_SERIES_EXPONENT - 1)),
+                 *(f"geometric:{r}" for r in (0, -1, 0.5, 1, 2, "1e300", "1e-300", "1e400"))]
+_CASIMIR_FLAGS = {"--d": _float_edges(), "--N": _float_edges(casimir.MAX_CELLS),
+                  "--cutoff": _CUTOFF_EDGES, "--lambda": _float_edges(),
+                  "--quad-tol": _float_edges()}
+# each subcommand's flags and the values the property draws for them (None: a bare switch)
+_EDGE_GRAMMAR = {
+    "bernoulli": {"--k": _int_edges(cli.MAX_BERNOULLI_INDEX)},
+    "faulhaber": {"--s": _int_edges(cli.MAX_BERNOULLI_INDEX),
+                  "--N": _int_edges(10 ** (cli.MAX_RESULT_DIGITS - 1))},
+    "sum": {"--method": ["cesaro", "abel", "ramanujan", "zeta-eta"], "--series": _SERIES_EDGES,
+            "--n": _int_edges(cli.MAX_CESARO_N), "--tol": _float_edges()},
+    "ledger": {},
+    "smoothed": {"--s": _int_edges(), "--cutoff": _CUTOFF_EDGES,
+                 "--N": _float_edges(smoothed.MAX_TERMS)},
+    "extract": {"--s": _int_edges(cli.MAX_EXTRACT_S), "--cutoff": _CUTOFF_EDGES,
+                "--grid": _GRID_EDGES},
+    "grandi": {"--cutoff": _CUTOFF_EDGES, "--N": _float_edges(smoothed.MAX_TERMS)},
+    "scaling-demo": {"--cutoff": _CUTOFF_EDGES, "--N": _float_edges(smoothed.MAX_TERMS)},
+    "delta-seq": {"--j": _int_edges(cli.MAX_DELTA_J), "--testfn": ["centered", "offset", "wat"],
+                  "--tol": _float_edges()},
+    "em-tail": {"--s": _int_edges(cli.MAX_EXTRACT_S), "--cutoff": _CUTOFF_EDGES,
+                "--N": _int_edges()},
+    "stirling": {"--n": _int_edges(cli.MAX_STIRLING_ROWS + 1),
+                 "--terms": _int_edges(cli.MAX_BERNOULLI_INDEX // 2 - 1), "--table": [None]},
+    "em-diverge": {"--n": _int_edges(), "--max-terms": _int_edges(cli.MAX_BERNOULLI_INDEX // 2)},
+    "casimir": {**_CASIMIR_FLAGS, "--levels": _int_edges()},
+    "casimir-force": _CASIMIR_FLAGS,
+    "truncate": {"--alpha": ["0", "-1", "0.5", "1", "1/3", f"1/{cli.MAX_TRUNCATE_ROWS - 5}",
+                             f"1/{cli.MAX_TRUNCATE_ROWS - 4}", "1e-300", "x"]},
+    "borel": {"--coeffs": ["ones", "euler", "zero", "geometric:1/2", "geometric:2",
+                           "geometric:1e300", "geometric:-1e-300", "wat"],
+              "--x": _float_edges(), "--tol": _float_edges()},
+    "gyro": {"--alpha": _float_edges(), "--order": ["0", "1", "2", "3"]},
+    "flat-check": {"--beta": _float_edges(), "--n": _int_edges(), "--grid": _GRID_EDGES},
+}
+_SUMMA_ERRORS = {cls.__name__ for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.SummaError)}
+
+
+class TestExitContract:
+    def test_the_grammar_covers_every_subcommand(self):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        assert set(_EDGE_GRAMMAR) == set(subparsers.choices)
+        for name, sub in subparsers.choices.items():
+            flags = {a.option_strings[-1] for a in sub._actions if a.dest != "help"}
+            assert set(_EDGE_GRAMMAR[name]) == flags, name
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_GRAMMAR))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_every_run_exits_0_2_or_1_with_a_summa_error(self, name, data):
+        argv = [name]
+        for flag, values in _EDGE_GRAMMAR[name].items():
+            value = data.draw(st.sampled_from([*values, "omitted"]), label=flag)
+            if value != "omitted":
+                argv += [flag] if value is None else [f"{flag}={value}"]
+        fmt = data.draw(st.sampled_from(["json", "csv"]), label="--format")
+        out, err = io.StringIO(), io.StringIO()
+        # the work the caps bound (minutes for a sum at smoothed.MAX_TERMS) is cut short here:
+        # a streamed float sum keeps its first chunk, a plate sweep its first 1000 cells
+        sum_terms, sweep = _kernels._streamed_sum, _kernels.ut_value
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+            patch.setattr(_kernels, "_streamed_sum",
+                          lambda terms, count: sum_terms(terms, min(count, _kernels.CHUNK)))
+            patch.setattr(_kernels, "ut_value", lambda cutoff, lam, N, tol: sweep(
+                cutoff, lam, min(N, 1000.0 * lam), tol))
+            rc = run(["--format", fmt] + argv)
+        out, err = out.getvalue(), err.getvalue()
+        if rc == 0:
+            assert err == ""
+            if fmt == "json":
+                validate_against_schema(json.loads(out))
+            else:
+                header = next(line for line in out.splitlines() if not line.startswith("# "))
+                assert header == csv_layouts()[name]
+        elif rc == 2:  # ours is one line; argparse's ends its usage block with one error line
+            assert out == ""
+            lines = err.splitlines()
+            assert (len(lines) == 1 and lines[0].startswith("usage error: ")
+                    or lines[0].startswith("usage: summa") and f"summa {name}: error: " in lines[-1])
+        else:
+            assert rc == 1 and out == "" and err.count("\n") == 1
+            assert err.startswith("error: ") and err.split(":")[1].strip() in _SUMMA_ERRORS, err

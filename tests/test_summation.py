@@ -1,12 +1,12 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from summa import series as series_module
-from summa import summation as summation_module
 from summa.errors import AbelInnerSeriesError, NonFiniteResultError
 from summa.series import alternating_genfun, get_series, monomial_genfun, parse_key
 from summa.summation import (
@@ -20,6 +20,27 @@ from summa.summation import (
     ramanujan_monomial,
     zeta_via_eta,
 )
+
+
+def _tddt(coeffs: List[Fraction], m: int) -> List[Fraction]:
+    """One step Q -> t [Q' (1 - t) + (m+1) Q]; index = power of t."""
+    deriv = [i * coeffs[i] for i in range(1, len(coeffs))] or [Fraction(0)]
+    out = [Fraction(0)] * (len(coeffs) + 2)
+    for i, c in enumerate(deriv):
+        out[i + 1] += c
+        out[i + 2] -= c
+    for i, c in enumerate(coeffs):
+        out[i + 1] += (m + 1) * c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+# Q_0 .. Q_60 with sum n^m t^n = Q_m(t) / (1-t)^(m+1), by repeated t d/dt from Q_0 = t:
+# the Fraction reference for the Eulerian closed form
+_GENFUN_NUMERATORS = [[Fraction(0), Fraction(1)]]
+for _m in range(60):
+    _GENFUN_NUMERATORS.append(_tddt(_GENFUN_NUMERATORS[-1], _m))
 
 
 class TestSeriesCatalog:
@@ -73,21 +94,47 @@ class TestSeriesCatalog:
 
     def test_closed_form_is_built_once_on_first_use(self, monkeypatch):
         builds = []
-        real = series_module._genfun_numerator
+        real = series_module._eulerian
 
         def counting(m):
             builds.append(m)
             return real(m)
 
-        monkeypatch.setattr(series_module, "_genfun_numerator", counting)
+        monkeypatch.setattr(series_module, "_eulerian", counting)
         closed = get_series("monomial:3").abel_closed_form
         get_series("alt-zeta:-3")
         assert builds == []  # resolving a key does no exact work
         assert closed(Fraction(1, 2)) == 26  # sum n^3 / 2^n
         closed(Fraction(1, 3))
         assert builds == [3]
-        zeta_via_eta(-3)  # the alternating closed form is Q_3 at -t
+        zeta_via_eta(-3)  # the alternating closed form is A_3 at -t
         assert builds == [3, 3]
+
+    _CLOSED_FORM_TS = [Fraction(1, 3), Fraction(7, 8), Fraction(-1, 2), Fraction(1048575, 1048576)]
+
+    @pytest.mark.parametrize("t", _CLOSED_FORM_TS)
+    def test_integer_closed_form_equals_the_fraction_recurrence(self, t):
+        for m in range(61):
+            coeffs = _GENFUN_NUMERATORS[m]
+            acc = Fraction(0)
+            for c in reversed(coeffs):
+                acc = acc * t + c
+            reference = acc / (1 - t) ** (m + 1)
+            assert monomial_genfun(m)(t) == reference, m
+            assert alternating_genfun(m)(-t) == -reference, m
+
+    @pytest.mark.parametrize("t", _CLOSED_FORM_TS)
+    def test_integer_closed_form_matches_mpmath_polylog(self, t):
+        # Li_{-m}(t) = sum n^m t^n; mpmath's own series loses ~35 digits at t = -1/2,
+        # m = 60, so it works at 100 digits and the check asks for 60
+        import mpmath
+
+        with mpmath.workdps(100):
+            for m in range(61):
+                value = monomial_genfun(m)(t)
+                ref = mpmath.polylog(-m, mpmath.mpf(t.numerator) / t.denominator)
+                got = mpmath.mpf(value.numerator) / value.denominator
+                assert abs(got - ref) <= mpmath.mpf(10) ** -60 * abs(ref), m
 
 
 class TestPartialSum:
@@ -161,55 +208,29 @@ class TestAbel:
         assert out.verdict == "finite"
         assert abs(out.value - 0.5) <= 1e-6
 
-    @pytest.mark.parametrize("key", ["monomial:7", "monomial:60", "alt-zeta:0", "alt-zeta:-1",
-                                     "alt-zeta:-33", "alt-zeta:-220"])
-    def test_log2_bounds_hold_the_closed_form(self, key):
-        series = get_series(key)
-        for t in default_abel_schedule():
-            value = abs(series.abel_closed_form(t))
-            exact = math.log2(value.numerator) - math.log2(value.denominator)
-            lo, hi = series.abel_log2_bounds(float(t))
-            assert lo <= exact <= hi, t
+    @pytest.mark.parametrize("key,verdict", [("monomial:41", "divergent"),
+                                             ("alt-zeta:-218", "oscillating-no-limit")])
+    def test_last_exponent_whose_closed_form_stays_a_float(self, key, verdict):
+        assert abel_sum(get_series(key)).verdict == verdict
+
+    @pytest.mark.parametrize("key,t", [("monomial:42", "1048575/1048576"), ("alt-zeta:-219", "7/8")])
+    def test_first_exponent_past_float_range_names_its_t(self, key, t):
+        with pytest.raises(NonFiniteResultError,
+                           match=f"^the closed form of {key} at t = {t} is past float64 range$"):
+            abel_sum(get_series(key))
 
     @pytest.mark.parametrize("key", ["monomial:500", "alt-zeta:-500"])
-    def test_doomed_closed_form_fails_before_it_is_built(self, key):
-        def unbuilt(t):
-            raise AssertionError("closed form evaluated")
+    def test_closed_form_at_the_cap_raises_at_its_first_t(self, key):
+        series = get_series(key)
+        seen = []
 
-        series = replace(get_series(key), abel_closed_form=unbuilt)
+        def counting(t):
+            seen.append(t)
+            return series.abel_closed_form(t)
+
         with pytest.raises(NonFiniteResultError, match=f"{key} at t = 7/8 is past float64"):
-            abel_sum(series)
-
-    @staticmethod
-    def _outcome(run):
-        try:
-            out = run()
-        except NonFiniteResultError as exc:
-            return "error", str(exc)
-        return out.verdict, out.value, out.error_estimate
-
-    def test_float_range_check_keeps_every_outcome(self, monkeypatch):
-        # s = 0..60 crosses abel's overflow onset on monomial:s (s = 42); the
-        # alternating sums overflow from s = 219 on, at t = 7/8.  Each series is
-        # built once, so both passes share its closed form's numerator.
-        catalog = {}
-
-        def built(key):
-            return catalog.setdefault(key, get_series(key))
-
-        def outcomes():
-            runs = [lambda s=s: abel_sum(summation_module.get_series(f"monomial:{s}"))
-                    for s in range(61)]
-            runs += [lambda s=s: zeta_via_eta(-s) for s in [*range(61), 219]]
-            return [self._outcome(run) for run in runs]
-
-        monkeypatch.setattr(summation_module, "get_series", built)
-        with_check = outcomes()
-        assert ("error", "the closed form of monomial:42 at t = 1048575/1048576 is past "
-                "float64 range") in with_check
-        monkeypatch.setattr(summation_module, "get_series",
-                            lambda key: replace(built(key), abel_log2_bounds=None))
-        assert outcomes() == with_check
+            abel_sum(replace(series, abel_closed_form=counting))
+        assert seen == [Fraction(7, 8)]
 
     def test_inner_series_error_is_not_a_verdict(self):
         with pytest.raises(AbelInnerSeriesError):
