@@ -8,6 +8,8 @@ alternating sums and the plate-energy cell sweep -- stream their index range
 in fixed chunks of ``CHUNK`` terms (``CHUNK // 15`` cells, 15 nodes each),
 so their working memory is O(CHUNK) at any N and their time is linear in N.
 A sum allocates its chunk arrays once and refills them for every chunk.
+The callers bound the work: ``smoothed.MAX_TERMS`` terms of a sum and
+``casimir.MAX_CELLS`` cells of a sweep.
 Chunk sums are joined with ``math.fsum``; the cell sweep's accepted panels
 are summed once at the end, exactly as in one sweep over all cells.  The
 doubled sum sum 2n eta(2n/N) needs no kernel of its own: it is twice the
@@ -31,8 +33,6 @@ __all__ = [
 ]
 
 CHUNK = 15 * 4096  # terms per streamed chunk; CHUNK // 15 cells, a multiple of 4 (see ut_value)
-MAX_TERMS = 10**10  # terms in one streamed sum (minutes of work); the sums refuse more
-MAX_CELLS = 10**6  # unit cells in one plate sweep; ut_value refuses more
 # integrand evaluations of one moment integral, and of a plate sweep beyond each cell's first panel
 QUAD_BUDGET = 10**6
 
@@ -44,11 +44,8 @@ def _streamed_sum(terms, count: int) -> float:
     ``terms`` may overwrite both (the indices are refilled for every chunk)
     and returns the array whose sum is the chunk's.  The buffers are
     allocated once per call.  Overflow and invalid operations yield inf/nan
-    without warnings; callers report a non-finite result as an error.  More
-    than ``MAX_TERMS`` terms raise ``ValueError``.
+    without warnings; callers report a non-finite result as an error.
     """
-    if count > MAX_TERMS:
-        raise ValueError(f"a sum of {count} terms exceeds MAX_TERMS = {MAX_TERMS}")
     size = min(CHUNK, count)
     base = np.arange(1, size + 1, dtype=float)
     idx, y = np.empty(size), np.empty(size)
@@ -128,14 +125,11 @@ def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
     panel's dot products by the row kernel its batch position lands on, and a
     multiple of 4 cells per chunk keeps every cell's first panel on the same
     kernel as in one batch of all cells: a sweep whose cells are accepted at
-    their first panel is bit-identical to that single batch.  More than
-    ``MAX_CELLS`` cells raise ``ValueError``.  Returns (value, error_estimate).
+    their first panel is bit-identical to that single batch.  Returns
+    (value, error_estimate).
     """
     c = lam / N
     support = N / lam
-    if not support <= MAX_CELLS:
-        raise ValueError(f"plate sweep of N/lam = {support:.6g} cells exceeds "
-                         f"MAX_CELLS = {MAX_CELLS}")
     ncells = math.ceil(support)
 
     def cells():

@@ -31,6 +31,9 @@ the computed F, orders 1 through 5.  Its stencils difference F only through
 the integrals over the gaps between their points, each point taken once and
 nothing integrated out to the support end; ``euler_maclaurin.sup_norm_check(2,
 ...)`` samples sup |F^(5)|, which scales as N^-2 at fixed lam.
+
+``_kernels``, and with it numpy, is imported in the quadrature paths only,
+so the exact u_t of a polynomial eta runs without numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import List, NamedTuple, Sequence, Tuple
 
-from . import _kernels
 from .cutoffs import Cutoff, make_cutoff
 from .errors import CutoffSmoothnessError, NonFiniteResultError
 from .exact import bernoulli_integers
@@ -54,6 +56,7 @@ __all__ = [
     "derivative_identities",
     "UtResult",
     "u_t_dimensionless",
+    "ladder_scales",
     "u_t_ladder",
     "energy_prefactor",
     "energy_density",
@@ -67,8 +70,8 @@ HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
 # unit cells of one bump u_t sweep, ceil(N / lam); more raise ValueError.  The exact
-# polynomial path has no cells; the CLI still applies this cap to every cutoff.
-MAX_CELLS = _kernels.MAX_CELLS
+# u_t of a polynomial eta has no cells.
+MAX_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,8 @@ def capital_F(n: float, cfg: CasimirConfig) -> float:
     end = cfg.support_end
     if n >= end:
         return 0.0
+    from . import _kernels
+
     value, _ = _kernels.moment_quad(cfg.cutoff, 2, cfg.lam / cfg.N, float(n), end,
                                     cfg.quad_tol / 10.0)
     return value
@@ -150,6 +155,8 @@ def derivative_identities(cfg: CasimirConfig, order: int) -> float:
     tolerance needs no floor relative to |F|; where min(quad_tol, 1e-11) sits
     below a gap's roundoff floor, the quadrature's floor acceptance ends it.
     """
+    from . import _kernels
+
     if not 1 <= order <= 5:
         raise ValueError(f"order must be in 1..5, got {order}")
     cfg.cutoff.require_smoothness(order, f"derivative identity of order {order}")
@@ -223,7 +230,9 @@ def _poly_ut(p: int, support: float) -> float:
 
     L = a/b exactly, b = 2^e, theta = t/b; D b^{q+1} B_{q+1}(x/b) is the
     integer sum_k C(q+1,k) D B_k x^{q+1-k} b^k.  The whole value is one
-    integer over K D b^4 a^p, and int / int rounds it once, correctly.
+    integer over K D b^4 a^p, and int / int rounds it once, correctly.  A
+    value past float64 range (the indicator's ~ -L^2/12 from L ~ 10^154)
+    raises NonFiniteResultError.
     """
     a, b = support.as_integer_ratio()
     t = a - (math.ceil(support) - 1) * b
@@ -239,19 +248,38 @@ def _poly_ut(p: int, support: float) -> float:
     num = ((p + 4) * b - 6 * a) * D * a ** (p + 3)
     for q, e_q, coefs in rows:
         num += e_q * (scaled_bernoulli(coefs, a) - scaled_bernoulli(coefs, t)) * a ** (p + 3 - q)
-    return num / (K * D * b**4 * a**p)
+    try:
+        return num / (K * D * b**4 * a**p)
+    except OverflowError as exc:
+        raise NonFiniteResultError(f"u_t at N/lam = {support!r} is past float64 range") from exc
 
 
 def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: bool):
-    """u_t at each smoothing scale in ``scales``: exact for a polynomial eta, a cell sweep for the bump."""
+    """u_t at each smoothing scale in ``scales``: exact for a polynomial eta, a cell sweep for the bump.
+
+    A sweep of more than ``MAX_CELLS`` cells raises ValueError.
+    """
     if enforce_smoothness and cfg.cutoff.smoothness_order < 5:
         raise CutoffSmoothnessError(
             f"cutoff {cfg.cutoff.label!r} is below C^5; pass enforce_smoothness=False "
             "to run the non-stabilizing demonstration anyway"
         )
     if cfg.cutoff.kind == "bump":
+        if not max(scales) / cfg.lam <= MAX_CELLS:
+            raise ValueError(f"plate sweep of N/lam = {max(scales) / cfg.lam:.6g} cells exceeds "
+                             f"MAX_CELLS = {MAX_CELLS}")
+        from . import _kernels
+
         return [_kernels.ut_value(cfg.cutoff, cfg.lam, N, cfg.quad_tol)[0] for N in scales]
     return [_poly_ut(cfg.cutoff.p, N / cfg.lam) for N in scales]
+
+
+def ladder_scales(N: float, levels: int) -> List[float]:
+    """The smoothing scales of ``u_t_ladder``: N / 2^k for its rows, descending, then half the last."""
+    scales = [N]  # halving is exact, so each scale is N / 2^k to the bit
+    while len(scales) < levels and scales[-1] / 2.0 >= 10:
+        scales.append(scales[-1] / 2.0)
+    return scales + [scales[-1] / 2.0]
 
 
 def u_t_ladder(cfg: CasimirConfig, levels: int, *,
@@ -259,14 +287,12 @@ def u_t_ladder(cfg: CasimirConfig, levels: int, *,
     """u_t at N / 2^k for k = levels-1 .. 0 (scales below 10 dropped), ascending N.
 
     Each row's error estimate is its N-halving difference.  Neighbouring rows
-    share their sweeps, so ``levels`` rows cost levels + 1 of them.
+    share their values, so ``levels`` rows cost levels + 1 of them.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    scales = [cfg.N]  # halving is exact, so each scale is N / 2^k to the bit
-    while len(scales) < levels and scales[-1] / 2.0 >= 10:
-        scales.append(scales[-1] / 2.0)
-    values = _ut_values(cfg, scales + [scales[-1] / 2.0], enforce_smoothness)
+    scales = ladder_scales(cfg.N, levels)
+    values = _ut_values(cfg, scales, enforce_smoothness)
     rows = [(N, UtResult(v, abs(v - half))) for N, v, half in zip(scales, values, values[1:])]
     return rows[::-1]
 

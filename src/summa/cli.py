@@ -15,7 +15,10 @@ below 0; so is work past a declared cap, before any compute).
 
 Importing this module loads only argparse, json, fractions, ``errors`` and
 ``exact``: each handler imports its own layer when it is dispatched, so the
-exact subcommands start without numpy.
+exact subcommands start without numpy.  So does every subcommand on a
+polynomial cutoff poly:p (``smoothed``, ``grandi``, ``scaling-demo``,
+``extract``, ``em-tail``, ``casimir`` and ``casimir-force``): its values are
+exact rationals from the Faulhaber and Bernoulli sums, each rounded once.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ MAX_BERNOULLI_INDEX = 1000
 MAX_CESARO_N = 10**6  # Cesaro window, ~32 B a term: 62 MB at 10^6
 MAX_TRUNCATE_ROWS = 10**5  # truncate's table of floor(1/alpha) + 5 rows: ~0.5 s at 10^5
 MAX_STIRLING_ROWS = 2000  # stirling --table rows 2..n: ~0.9 s at 2000, ~7 s at 3000
+# stirling --n: the 50-digit g(n) is measured within 7e-17 relative up to 10^16 (past it the
+# cancellation of ~2 log10 n digits shows); --terms 499 takes ~1.2 s at the cap
+MAX_STIRLING_N = 10**16
 # delta-seq --j: ~0.3 s up to 9*10^4 at the default --tol; at 10^5 the pairing spends its
 # 2*10^6-evaluation budget and fails (exit 1)
 MAX_DELTA_J = 50_000
@@ -56,15 +62,24 @@ MAX_SERIES_EXPONENT = 500
 MAX_RESULT_DIGITS = 4300
 # extract and em-tail --s: past 260, zeta(-s) = -B_{s+1}/(s+1) is no longer a float64
 MAX_EXTRACT_S = 260
-# The drift caps of extract's grid and em-tail's N. poly:p: (p + 1) (points + 1) Faulhaber
+# The caps of the exact poly:p sums: the drifts of extract's grid and em-tail's N, and the
+# smoothed, grandi and scaling-demo sums at N (and N/2). (p + 1) (points + 1) Faulhaber
 # sums (N_max/2 counted) x s + p + 1 terms x ceil((s + p + 1) log10 max(N_max, 10)) digits:
-# --s 147 --cutoff poly:150 on README's grid (~0.25 s); --s 0 takes poly:236 there (~0.2 s)
+# --s 147 --cutoff poly:150 on README's grid (~0.25 s); --s 0 takes poly:236 there (~0.2 s).
+# The sums read B_0 .. B_{s+p}, s + p at most MAX_BERNOULLI_INDEX.
 MAX_FAULHABER_WORK = 906 * 298 * 955
 # bump: digits 25 + ceil((s + 1) log10 N_max) of the drift (--s 53 on README's grid
 # has 199, ~1.5 s), then digits x sum of ceil(N) over the points, a bound on the eta passes'
 # cost (--s 0 on a dyadic grid to 64,000, ~0.9 s; ~2.9 s at 199 digits and 3.4 * 10^6)
 MAX_BUMP_DIGITS = 199
 MAX_BUMP_WORK = 36 * 10**5
+# casimir and casimir-force on poly:p or the indicator (p = 0): digits of max(a, b)^(p + 3),
+# L = N / lambda = a/b, summed over the exact u_t values (a for L >= 1, b = 2^e for L < 1).
+# A value's integers have about that many digits and its cost grows about as their square.
+# casimir's default 5 values of poly:996 fit at any L from 1 to 2^53 (at most 15,940 digits
+# each; --N 1000000 --lambda 0.3, ~0.3 s cold), and casimir-force --cutoff poly:996 --N 1e80
+# (79,920 digits in one value) takes ~0.35 s cold
+MAX_UT_DIGITS = 80_000
 
 
 class UsageError(Exception):
@@ -76,6 +91,25 @@ def _check_cap(what: str, value: int, cap: int) -> None:
         raise UsageError(f"{what} = {value} exceeds the cap of {cap}")
 
 
+def _check_faulhaber_caps(s: int, cutoff, points) -> None:
+    """The caps on the exact sums of poly:p at every N in ``points``, N_max / 2 counted."""
+    terms = s + cutoff.p + 1
+    digits = math.ceil(terms * math.log10(max(max(points), 10)))
+    _check_cap("poly Faulhaber work, sums x terms x digits",
+               (cutoff.p + 1) * (len(points) + 1) * terms * digits, MAX_FAULHABER_WORK)
+    _check_cap("Bernoulli index --s + poly order", s + cutoff.p, MAX_BERNOULLI_INDEX)
+
+
+def _check_sum_caps(s: int, cutoff, N: float) -> None:
+    """The caps of a smoothed sum to N (and N/2): the exact sums of poly:p, else MAX_TERMS terms."""
+    if cutoff.kind == "poly":
+        _check_faulhaber_caps(s, cutoff, [N])
+    else:
+        from .smoothed import MAX_TERMS
+
+        _check_cap("summed terms ceil(--N)", math.ceil(N), MAX_TERMS)
+
+
 def _check_drift_caps(s: int, cutoff, points) -> None:
     """The caps on --s and on the work of the exact drift D(N) at every N in ``points``."""
     from .smoothed import working_digits
@@ -85,10 +119,7 @@ def _check_drift_caps(s: int, cutoff, points) -> None:
     if n_max > sys.float_info.max:  # em-tail's integer --N; extract's grid is float already
         raise UsageError(f"--N must be at most the largest float64, {sys.float_info.max:.6g}")
     if cutoff.kind == "poly":
-        terms = s + cutoff.p + 1
-        digits = math.ceil(terms * math.log10(max(n_max, 10)))
-        _check_cap("poly drift work, Faulhaber sums x terms x digits",
-                   (cutoff.p + 1) * (len(points) + 1) * terms * digits, MAX_FAULHABER_WORK)
+        _check_faulhaber_caps(s, cutoff, points)
     else:
         digits = working_digits(s, n_max)
         _check_cap("bump drift digits", digits, MAX_BUMP_DIGITS)
@@ -142,21 +173,6 @@ def _float_at_least(lo: float):
         value = _finite_float(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo:g}, got {text!r}")
-        return value
-
-    return parse
-
-
-def _sum_scale(lo: float):
-    """argparse type of a smoothed sum's --N: finite, >= lo, at most MAX_TERMS terms, else exit 2."""
-    at_least = _float_at_least(lo)
-
-    def parse(text: str) -> float:
-        from .smoothed import MAX_TERMS
-
-        value = at_least(text)
-        if value > MAX_TERMS:
-            raise argparse.ArgumentTypeError(f"{text!r} exceeds the cap of {MAX_TERMS} summed terms")
         return value
 
     return parse
@@ -311,6 +327,7 @@ def _cmd_smoothed(args):
     from . import smoothed
 
     cutoff = _resolve_cutoff(args.cutoff)
+    _check_sum_caps(args.s, cutoff, args.N)
     val = smoothed.smoothed_sum(args.s, cutoff, args.N)
     return ({"s": args.s, "cutoff": cutoff.label, "N": args.N, "value": val},
             (("s", "cutoff", "N", "value"), [(args.s, cutoff.label, args.N, val)]))
@@ -337,9 +354,10 @@ def _cmd_grandi(args):
     from . import smoothed
 
     cutoff = _resolve_cutoff(args.cutoff)
-    val = smoothed.grandi_smoothed(cutoff, args.N)
+    _check_sum_caps(0, cutoff, args.N)
+    val, deviation = smoothed.grandi_with_deviation(cutoff, args.N)
     return ({"cutoff": cutoff.label, "N": args.N, "value": val,
-             "deviation_from_half": abs(val - 0.5)},
+             "deviation_from_half": deviation},
             (("cutoff", "N", "value"), [(cutoff.label, args.N, val)]))
 
 
@@ -347,6 +365,7 @@ def _cmd_scaling_demo(args):
     from . import smoothed
 
     cutoff = _resolve_cutoff(args.cutoff)
+    _check_sum_caps(1, cutoff, args.N)
     lhs, rhs, differ = smoothed.scaling_counterexample(cutoff, args.N)
     return ({"cutoff": cutoff.label, "N": args.N, "lhs": lhs, "rhs": rhs, "differ": differ},
             (("cutoff", "N", "lhs", "rhs", "differ"),
@@ -383,6 +402,7 @@ def _cmd_stirling(args):
     from . import euler_maclaurin as em
 
     _check_cap("Bernoulli index 2 * --terms + 2", 2 * args.terms + 2, MAX_BERNOULLI_INDEX)
+    _check_cap("--n", args.n, MAX_STIRLING_N)
     if args.table:
         _check_cap("--table rows --n - 1", args.n - 1, MAX_STIRLING_ROWS)
     ns = range(2, args.n + 1) if args.table else [args.n]
@@ -407,24 +427,39 @@ def _cmd_em_diverge(args):
             (("m", "term", "magnitude"), rows))
 
 
-def _make_casimir_config(args) -> casimir.CasimirConfig:
+def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
+    """The config of a plate-energy run whose u_t values are at the smoothing ``scales``.
+
+    The bump sweeps at most casimir.MAX_CELLS cells; the exact u_t of poly:p
+    and of the indicator (p = 0) reads B_0 .. B_{p+4}, and its integers have
+    at most MAX_UT_DIGITS digits summed over the values.
+    """
     from . import casimir
 
     cutoff = _resolve_cutoff(args.cutoff)
-    if cutoff.kind == "poly":  # the exact u_t reads B_0 .. B_{p+4}
-        _check_cap("Bernoulli index poly order + 4", cutoff.p + 4, MAX_BERNOULLI_INDEX)
     cfg = casimir.CasimirConfig(d=args.d, lam=getattr(args, "lam"), N=args.N,
                                 cutoff=cutoff, quad_tol=args.quad_tol)
-    if cfg.support_end > casimir.MAX_CELLS:  # the largest sweep has ceil(N / lambda) cells
-        raise UsageError(f"--N / --lambda = {cfg.support_end:.6g} cells exceeds the "
-                         f"plate-sweep cap of {casimir.MAX_CELLS}")
+    if cutoff.kind == "bump":
+        if cfg.support_end > casimir.MAX_CELLS:  # the largest sweep has ceil(N / lambda) cells
+            raise UsageError(f"--N / --lambda = {cfg.support_end:.6g} cells exceeds the "
+                             f"plate-sweep cap of {casimir.MAX_CELLS}")
+        return cfg
+    _check_cap("Bernoulli index poly order + 4", cutoff.p + 4, MAX_BERNOULLI_INDEX)
+    digits = 0
+    for N in scales:
+        L = N / cfg.lam
+        if math.isinf(L):
+            raise UsageError(f"--N / --lambda = {L} is past float64 range")
+        digits += math.ceil((cutoff.p + 3) * math.log10(max(L.as_integer_ratio())))
+    _check_cap("exact u_t digits, (p + 3) log10 max(a, b) at each L = N / lambda = a/b",
+               digits, MAX_UT_DIGITS)
     return cfg
 
 
 def _cmd_casimir(args):
     from . import casimir
 
-    cfg = _make_casimir_config(args)
+    cfg = _make_casimir_config(args, casimir.ladder_scales(args.N, args.levels))
     enforce = cfg.cutoff.kind != "indicator"
     ladder = casimir.u_t_ladder(cfg, args.levels, enforce_smoothness=enforce)
     rows = [(N, r.value, r.error_estimate) for N, r in ladder]
@@ -444,7 +479,7 @@ def _cmd_casimir(args):
 def _cmd_casimir_force(args):
     from . import casimir
 
-    cfg = _make_casimir_config(args)
+    cfg = _make_casimir_config(args, [args.N])
     force = casimir.casimir_force(args.d, cfg)
     closed = casimir.closed_form_force(args.d)
     result = {"force": force, "closed_form": closed,
@@ -547,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smoothed", help="smoothed monomial sum")
     p.add_argument("--s", type=_int_at_least(0), required=True)
     p.add_argument("--cutoff", default="bump", help=CUTOFF_GRAMMAR)
-    p.add_argument("--N", type=_sum_scale(1), required=True)
+    p.add_argument("--N", type=_float_at_least(1), required=True)
     p.set_defaults(handler=_cmd_smoothed)
 
     p = sub.add_parser("extract", help="constant extraction over an N grid")
@@ -560,12 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grandi", help="smoothed Grandi sum")
     p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=_sum_scale(1), default=1e4)
+    p.add_argument("--N", type=_float_at_least(1), default=1e4)
     p.set_defaults(handler=_cmd_grandi)
 
     p = sub.add_parser("scaling-demo", help="smoothed sums are not scale invariant")
     p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=_sum_scale(2), default=100.0)
+    p.add_argument("--N", type=_float_at_least(2), default=100.0)
     p.set_defaults(handler=_cmd_scaling_demo)
 
     p = sub.add_parser("delta-seq", help="Dirichlet kernel pairing")

@@ -19,17 +19,21 @@ Both normalize eta(0) = 1.  The sharp indicator of [0, 1] is deliberately not
 constructible through :func:`make_cutoff` (it reproduces the partial-sum
 pathology); :func:`sharp_indicator` builds it explicitly for the contrast
 demonstrations.
+
+numpy is imported in the float evaluations only, so the exact paths (the
+moments, the mpmath and fixed-point values) run without it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from .errors import CutoffSmoothnessError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BUMP_EDGE", "Cutoff", "bump_deriv", "make_cutoff", "parse_cutoff",
            "sharp_indicator"]
@@ -74,6 +78,8 @@ def _bump_numerator(k: int) -> List[int]:
 
 
 def _horner(c: List[int], x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     acc = np.zeros_like(x)
     for v in reversed(c):
         acc = acc * x + v
@@ -82,6 +88,8 @@ def _horner(c: List[int], x: np.ndarray) -> np.ndarray:
 
 def _bump_eta(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(1 - 1/(1 - x^2)) into ``out``, in place."""
+    import numpy as np
+
     np.multiply(x, x, out=out)
     np.subtract(1.0, out, out=out)
     np.divide(1.0, out, out=out)
@@ -106,6 +114,8 @@ def _on_support(inside: np.ndarray, x: np.ndarray, out: np.ndarray, formula) -> 
 
 def bump_deriv(k: int, u: np.ndarray) -> np.ndarray:
     """k-th derivative of exp(1 - 1/(1 - u^2)) at every real u; 0 where |u| >= BUMP_EDGE."""
+    import numpy as np
+
     out = np.zeros_like(u)
     m = np.abs(u) < BUMP_EDGE
     um = u[m]
@@ -154,6 +164,8 @@ class Cutoff:
         An array result is written into ``out`` (a float array of x's shape,
         which may be x itself) when one is given, else into a new array.
         """
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if not x.ndim:
             return float(self._eval_array(x.reshape(1), np.empty(1))[0])
@@ -164,6 +176,8 @@ class Cutoff:
 
     def deriv(self, k: int, x):
         """k-th derivative of eta at x (analytic formula, not differences)."""
+        import numpy as np
+
         if k < 0:
             raise ValueError(f"derivative order must be >= 0, got {k}")
         if k == 0:
@@ -236,6 +250,8 @@ class PolyCutoff(Cutoff):
         super().__init__("poly", f"poly:{p}", p - 1, p=p)
 
     def _eval_array(self, x, out):
+        import numpy as np
+
         def formula(xs, ys):
             np.subtract(1.0, xs, out=ys)
             ys **= self.p
@@ -244,6 +260,8 @@ class PolyCutoff(Cutoff):
         return _on_support(x < 1.0, x, out, formula)
 
     def _deriv_array(self, k, xs):
+        import numpy as np
+
         out = np.zeros_like(xs)
         if k > self.p:
             return out
@@ -269,6 +287,8 @@ class IndicatorCutoff(Cutoff):
         super().__init__("indicator", "indicator", -1)
 
     def _eval_array(self, x, out):
+        import numpy as np
+
         np.copyto(out, x <= 1.0)
         return out
 

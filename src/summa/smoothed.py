@@ -20,6 +20,13 @@ fixed-point exp each) serves every grid point N_max / r with r an integer;
 the sums of eta n^s are exact integers, each rounded once to mpmath working
 precision (scaled to the grid) before C N^{s+1} is subtracted; the reported
 growth coefficient is that same moment, in float64.
+
+The same Faulhaber expansion makes every smoothed sum of poly:p exact: the
+sum itself, the Grandi sum and both sides of the scaling counterexample are
+rationals, each rounded once, at any N.  The streamed float kernels of
+``_kernels`` serve the bump and the sharp indicator, at most ``MAX_TERMS``
+terms a sum.  numpy, ``_kernels`` and ``quadrature`` are imported in those
+float paths only, so the poly lane runs without numpy.
 """
 
 from __future__ import annotations
@@ -27,15 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
-import numpy as np
-
-from . import _kernels
 from .cutoffs import Cutoff, bump_deriv, make_cutoff
 from .errors import CutoffSmoothnessError
 from .exact import bernoulli_integers, faulhaber_numerator, to_floats
-from .quadrature import integrate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_TERMS",
@@ -45,6 +51,7 @@ __all__ = [
     "drifts",
     "constant_extraction",
     "grandi_smoothed",
+    "grandi_with_deviation",
     "scaling_counterexample",
     "delta_pairing",
     "sine_pairing",
@@ -53,15 +60,34 @@ __all__ = [
     "offset_bump",
 ]
 
-MAX_TERMS = _kernels.MAX_TERMS  # terms of one float smoothed sum, about N; more raise ValueError
+MAX_TERMS = 10**10  # terms of one streamed float sum, ceil(N) (minutes of work); more raise ValueError
+_SCALING_TOL = 1e-12  # scaling_counterexample's sides differ past this, relative to max(1, |rhs|)
+
+
+def _check_streamed_terms(N: float) -> None:
+    """ValueError unless a streamed float sum to N has at most ``MAX_TERMS`` terms."""
+    if math.ceil(N) > MAX_TERMS:
+        raise ValueError(f"a sum of {math.ceil(N)} terms exceeds MAX_TERMS = {MAX_TERMS}")
 
 
 def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
-    """sum_{n=1}^{ceil(N)} eta(n/N) n^s; terms with n/N >= 1 contribute 0."""
+    """sum_{n=1}^{ceil(N)} eta(n/N) n^s; terms with n/N >= 1 contribute 0.
+
+    For poly:p the exact rational rounded once (past float64 range:
+    NonFiniteResultError); otherwise a streamed float sum, which returns an
+    inf or nan as it is.
+    """
     if s < 0:
         raise ValueError(f"smoothed_sum requires s >= 0, got {s}")
     if N < 1:
         raise ValueError(f"smoothed_sum requires N >= 1, got {N}")
+    if cutoff.kind == "poly":
+        value, = to_floats([_poly_sum(s, cutoff.p, N)],
+                           f"the smoothed sum of s = {s} on {cutoff.label} at N = {N} is")
+        return value
+    _check_streamed_terms(N)
+    from . import _kernels
+
     return _kernels.smoothed_sum_value(s, cutoff, N)
 
 
@@ -71,6 +97,8 @@ def mellin(cutoff: Cutoff, s: int, tol: float) -> float:
         raise ValueError(f"mellin requires s >= 0, got {s}")
     if tol <= 0:
         raise ValueError(f"mellin requires tol > 0, got {tol}")
+    from . import _kernels
+
     value, _ = _kernels.moment_quad(cutoff, s, 1.0, 0.0, 1.0, tol)
     return value
 
@@ -111,21 +139,17 @@ def _mellin_mp(cutoff: Cutoff, s: int, dps: int):
     return val
 
 
-def _drift_exact_poly(s: int, cutoff: Cutoff, N: float) -> Fraction:
-    """D(N) for poly:p in O(p s) exact work, whatever N is.
+def _poly_sum_parts(s: int, p: int, a: int, b: int) -> Tuple[int, int]:
+    """(numerator, denominator) of sum_{1<=n<N} (1 - n/N)^p n^s at N = a/b > 0, unreduced.
 
-    With L = ceil(N) - 1 the last n < N, the binomial expansion
-    sum_{1<=n<N} (1 - n/N)^p n^s = sum_k C(p,k) (-1/N)^k S_{s+k}(L) turns
-    the sum into Faulhaber power sums S_j(L) = 1^j + ... + L^j.  With
-    N = a/b, every term and C_{eta,s} N^{s+1} sit over one denominator
-    D W a^p Cd b^(s+1): D that of the Bernoulli integers up to B_{s+p},
-    W = lcm(s+1, ..., s+p+1) that of the sums' 1/(j+1), Cd that of C_{eta,s}.
-    The numerator is an integer sum, Horner's rule in a and -b over k, and
-    the result is reduced once.
+    O(p s) exact work, whatever N is.  With L = ceil(N) - 1 the last n < N,
+    the binomial expansion sum_k C(p,k) (-1/N)^k S_{s+k}(L) turns the sum
+    into Faulhaber power sums S_j(L) = 1^j + ... + L^j, all over one
+    denominator D W a^p: D that of the Bernoulli integers up to B_{s+p},
+    W = lcm(s+1, ..., s+p+1) that of the sums' 1/(j+1).  The numerator is an
+    integer sum, Horner's rule in a and -b over k.
     """
-    p = cutoff.p
-    a, b = Fraction(N).as_integer_ratio()
-    L = math.ceil(N) - 1
+    L = -(-a // b) - 1
     D, beta = bernoulli_integers(s + p)
     W = math.lcm(*range(s + 1, s + p + 2))
     total = 0
@@ -135,10 +159,22 @@ def _drift_exact_poly(s: int, cutoff: Cutoff, N: float) -> Fraction:
             total = total * a + c * bk * faulhaber_numerator(s + k, L, beta) * (W // (s + k + 1))
             c = c * (p - k) // (k + 1)
             bk *= -b
+    return total, D * W * a**p
+
+
+def _poly_sum(s: int, p: int, N) -> Fraction:
+    """sum_{n>=1} eta(n/N) n^s for poly:p, exact: eta(n/N) = (1 - n/N)^p below n = N, 0 from there."""
+    return Fraction(*_poly_sum_parts(s, p, *Fraction(N).as_integer_ratio()))
+
+
+def _drift_exact_poly(s: int, cutoff: Cutoff, N: float) -> Fraction:
+    """D(N) for poly:p: ``_poly_sum_parts`` and C_{eta,s} N^{s+1} over one denominator
+    D W a^p Cd b^(s+1), Cd that of C_{eta,s}, reduced once."""
+    a, b = Fraction(N).as_integer_ratio()
+    total, den = _poly_sum_parts(s, cutoff.p, a, b)
     C = cutoff.mellin_exact(s)
     scale = b ** (s + 1) * C.denominator
-    return Fraction(total * scale - C.numerator * a ** (s + 1) * D * W * a**p,
-                    D * W * a**p * scale)
+    return Fraction(total * scale - C.numerator * a ** (s + 1) * den, den * scale)
 
 
 def _bump_totals(s: int, cutoff: Cutoff, points: Sequence[float], W: int) -> List[int]:
@@ -274,6 +310,17 @@ def _lsq_slope(xs: List[float], ys: List[float]) -> float:
 
 def grandi_smoothed(cutoff: Cutoff, N: float) -> float:
     """sum_{n=1}^{ceil(N)} eta(n/N) (-1)^(n-1): tends to 1/2 at O(1/N)."""
+    return grandi_with_deviation(cutoff, N)[0]
+
+
+def grandi_with_deviation(cutoff: Cutoff, N: float) -> Tuple[float, float]:
+    """(G, |G - 1/2|) for the smoothed Grandi sum G of ``grandi_smoothed``.
+
+    For poly:p, G = S_0(N) - 2 S_0(N/2) with S_0 the exact smoothed sum of
+    n^0 (the even terms eta(2m/N) are eta(m/(N/2))); G and |G - 1/2| are
+    taken exactly and each rounded once.  Otherwise G is a streamed float sum
+    and the deviation is taken in float64.
+    """
     if N < 1:
         raise ValueError(f"grandi_smoothed requires N >= 1, got {N}")
     if cutoff.smoothness_order < 0:
@@ -281,7 +328,16 @@ def grandi_smoothed(cutoff: Cutoff, N: float) -> float:
             "grandi_smoothed needs a cutoff twice continuously differentiable on (0,1); "
             "the sharp indicator does not qualify"
         )
-    return _kernels.alternating_smoothed_value(cutoff, N)
+    if cutoff.kind == "poly":
+        G = _poly_sum(0, cutoff.p, N) - 2 * _poly_sum(0, cutoff.p, Fraction(N) / 2)
+        value, deviation = to_floats([G, abs(G - Fraction(1, 2))],
+                                     f"the Grandi sum on {cutoff.label} at N = {N} is")
+        return value, deviation
+    _check_streamed_terms(N)
+    from . import _kernels
+
+    value = _kernels.alternating_smoothed_value(cutoff, N)
+    return value, abs(value - 0.5)
 
 
 def scaling_counterexample(cutoff: Cutoff, N: float):
@@ -291,16 +347,27 @@ def scaling_counterexample(cutoff: Cutoff, N: float):
 
         sum_n 2n eta(2n/N) = 2 sum_n n eta(n/(N/2)),
 
-    and it is computed that way.  The identity holds exactly in float64:
-    N/2 is exact, n/(N/2) rounds the same real number as 2n/N, and scaling
-    every term and partial sum by 2 rounds nothing.  Returns (lhs, rhs,
-    differ) with differ = |lhs - rhs| > 1e-12 max(1, |rhs|).
+    and it is computed that way.  Returns (lhs, rhs, differ) with
+    differ = |lhs - rhs| > 1e-12 max(1, |rhs|).  For poly:p both sides are
+    exact, each rounded once, and differ is decided on the rationals.  For
+    the other cutoffs the float identity is exact: N/2 is exact, n/(N/2)
+    rounds the same real number as 2n/N, and scaling every term and partial
+    sum by 2 rounds nothing.
     """
     if N < 2:
         raise ValueError(f"scaling_counterexample requires N >= 2, got {N}")
+    if cutoff.kind == "poly":
+        lhs = 2 * _poly_sum(1, cutoff.p, Fraction(N) / 2)
+        rhs = 2 * _poly_sum(1, cutoff.p, N)
+        differ = abs(lhs - rhs) > Fraction(_SCALING_TOL) * max(1, abs(rhs))
+        lhs, rhs = to_floats([lhs, rhs], f"the scaling sums on {cutoff.label} at N = {N} are")
+        return lhs, rhs, differ
+    _check_streamed_terms(N)
+    from . import _kernels
+
     lhs = 2.0 * _kernels.smoothed_sum_value(1, cutoff, N / 2.0)
     rhs = 2.0 * _kernels.smoothed_sum_value(1, cutoff, N)
-    differ = abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs))
+    differ = abs(lhs - rhs) > _SCALING_TOL * max(1.0, abs(rhs))
     return lhs, rhs, differ
 
 
@@ -313,6 +380,8 @@ def _dirichlet_normalized(j: int, x: np.ndarray) -> np.ndarray:
     The direct quotient is accurate to a few ulps wherever sin(x/2) != 0;
     only there (x == 0, or x/2 underflowing) is the limit 2j + 1 used.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     den = np.sin(0.5 * x)
     at_zero = den == 0.0
@@ -330,6 +399,8 @@ def delta_pairing(j: int, testfn: Callable, tol: float = 1e-10) -> float:
     """
     if j < 1:
         raise ValueError(f"delta_pairing requires j >= 1, got {j}")
+    from .quadrature import integrate
+
     res = integrate(lambda x: _dirichlet_normalized(j, x) * testfn(x),
                     -math.pi, math.pi, tol=tol, budget=2 * 10**6)
     return res.value
@@ -342,6 +413,10 @@ def sine_pairing(j: int, testfn: Callable, tol: float = 1e-10) -> float:
     """
     if j < 1:
         raise ValueError(f"sine_pairing requires j >= 1, got {j}")
+    import numpy as np
+
+    from .quadrature import integrate
+
     res = integrate(lambda x: np.sin(j * x) * testfn(x),
                     -math.pi, math.pi, tol=tol, budget=2 * 10**6)
     return res.value
@@ -364,12 +439,16 @@ class TestBump:
         self.halfwidth = halfwidth
 
     def _u(self, x):
+        import numpy as np
+
         return (np.asarray(x, dtype=float) - self.center) / self.halfwidth
 
     def __call__(self, x):
-        return self._BUMP.eval(np.abs(self._u(x)))
+        return self._BUMP.eval(abs(self._u(x)))
 
     def deriv(self, k: int, x):
+        import numpy as np
+
         u = self._u(x)
         out = bump_deriv(k, np.atleast_1d(u)) / self.halfwidth**k
         return float(out[0]) if u.ndim == 0 else out

@@ -138,16 +138,18 @@ class TestDerivativeIdentities:
 
     @pytest.mark.parametrize("order", [1, 4, 5])
     def test_integrates_each_stencil_gap_once(self, monkeypatch, order):
+        from summa import _kernels
+
         cfg = CasimirConfig(N=50.0, cutoff=make_cutoff("bump"), quad_tol=1e-9)
         h = max(0.5, 0.01 * cfg.support_end)
         seen = []
-        inner = casimir_module._kernels.moment_quad
+        inner = _kernels.moment_quad
 
         def recording(cutoff, m, c, a, b, tol):
             seen.append((a, b))
             return inner(cutoff, m, c, a, b, tol)
 
-        monkeypatch.setattr(casimir_module._kernels, "moment_quad", recording)
+        monkeypatch.setattr(_kernels, "moment_quad", recording)
         derivative_identities(cfg, order)
         assert seen
         assert all(b < cfg.support_end and 0.0 < b - a <= 6.0 * h for a, b in seen)
@@ -241,6 +243,16 @@ class TestUt:
             assert r == u_t_dimensionless(replace(cfg, N=N))
             half = float(exact_poly_ut(6, 1, (N / 2.0) / 0.75))
             assert r == (float(exact_poly_ut(6, 1, N / 0.75)), abs(r.value - half))
+
+    def test_cell_cap_binds_the_bump_sweep_only(self):
+        with pytest.raises(ValueError, match="MAX_CELLS"):
+            u_t_dimensionless(CasimirConfig(N=20.0, lam=1e-9, cutoff=make_cutoff("bump")))
+        cfg = CasimirConfig(N=float(casimir_module.MAX_CELLS) + 0.5, cutoff=make_cutoff("bump"))
+        with pytest.raises(ValueError, match="MAX_CELLS"):
+            u_t_dimensionless(cfg)
+        # the exact u_t of poly:6 at 2 * 10^10 cells
+        r = u_t_dimensionless(CasimirConfig(N=20.0, lam=1e-9, cutoff=make_cutoff("poly", 6)))
+        assert r.value == pytest.approx(LIMIT, rel=1e-12)
 
     def test_ladder_stops_at_the_smallest_valid_scale(self):
         cfg = CasimirConfig(N=40.0, cutoff=make_cutoff("poly", 6), quad_tol=1e-9)

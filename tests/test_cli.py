@@ -314,6 +314,7 @@ class TestErrors:
         ["sum", "--method", "zeta-eta", "--series", "alt-zeta:-300"],
         ["sum", "--method", "cesaro", "--series", "monomial:200", "--n", "100"],
         ["stirling", "--n", "10", "--terms", "499"],
+        ["casimir", "--cutoff", "indicator", "--N", "10", "--lambda", "1e-300"],  # u_t ~ -L^2/12
     ])
     def test_non_finite_result_is_the_same_typed_error_in_both_formats(self, capsys, argv):
         errs = []
@@ -329,7 +330,7 @@ class TestErrors:
         def no_sweep(*args, **kwargs):
             raise AssertionError("swept before the cap check")
 
-        monkeypatch.setattr(casimir._kernels, "ut_value", no_sweep)
+        monkeypatch.setattr(_kernels, "ut_value", no_sweep)
         rc, out, err = run_capture(capsys, [name, "--lambda", "1e-9", "--N", "20"])
         assert rc == 2 and out == ""
         assert str(casimir.MAX_CELLS) in err
@@ -341,11 +342,34 @@ class TestErrors:
         ["smoothed", "--s", "1", "--N", "1e11"],
         ["grandi", "--N", "1e11"],
         ["scaling-demo", "--N", "1e11"],
+        ["smoothed", "--s", "1", "--cutoff", "indicator", "--N", "1e11"],
     ])
     def test_sum_past_the_term_cap_is_usage_error(self, capsys, argv):
         rc, out, err = run_capture(capsys, argv)
         assert rc == 2 and out == ""
         assert str(smoothed.MAX_TERMS) in err
+
+    @pytest.mark.parametrize("name,cutoff", [("casimir", "poly:6"), ("casimir-force", "poly:6"),
+                                             ("casimir", "indicator")])
+    def test_exact_u_t_has_no_cell_cap(self, capsys, monkeypatch, name, cutoff):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("an exact u_t reached the cell sweep")
+
+        monkeypatch.setattr(_kernels, "ut_value", no_sweep)
+        run_json(capsys, [name, "--cutoff", cutoff, "--lambda", "1e-9", "--N", "20"])
+
+    @pytest.mark.parametrize("argv,value", [
+        # sum_{n<N} (1 - n/N) n = (N^2 - 1)/6 at N = 10^11; scaling-demo's rhs is twice that
+        (["smoothed", "--s", "1", "--cutoff", "poly:1", "--N", "1e11"], (10**22 - 1) / 6),
+        (["scaling-demo", "--cutoff", "poly:1", "--N", "1e11"], 2 * (10**22 - 1) / 6),
+    ])
+    def test_poly_sums_have_no_term_cap(self, capsys, monkeypatch, argv, value):
+        def no_float_sum(*args):
+            raise AssertionError("a poly sum reached the float kernel")
+
+        monkeypatch.setattr(_kernels, "_streamed_sum", no_float_sum)
+        result = run_json(capsys, argv)["result"]
+        assert result.get("value", result.get("rhs")) == value
 
     @pytest.mark.parametrize("argv,cap", [
         (["bernoulli", "--k", "1001"], cli.MAX_BERNOULLI_INDEX),
@@ -391,6 +415,19 @@ class TestErrors:
          cli.MAX_BUMP_WORK),
         (["extract", "--s", "40", "--cutoff", "bump", "--grid", "1500,3000,6000,12000"],
          cli.MAX_BUMP_WORK),
+        (["smoothed", "--s", str(10**30), "--cutoff", "poly:1", "--N", "2"], cli.MAX_FAULHABER_WORK),
+        (["smoothed", "--s", "400", "--cutoff", "poly:102", "--N", "1e5"], cli.MAX_FAULHABER_WORK),
+        (["grandi", "--cutoff", "poly:75", "--N", "1e300"], cli.MAX_FAULHABER_WORK),
+        (["scaling-demo", "--cutoff", "poly:75", "--N", "1e300"], cli.MAX_FAULHABER_WORK),
+        (["smoothed", "--s", "999", "--cutoff", "poly:2", "--N", "2"], cli.MAX_BERNOULLI_INDEX),
+        (["stirling", "--n", str(cli.MAX_STIRLING_N + 1)], cli.MAX_STIRLING_N),
+        (["stirling", "--n", str(10**30), "--terms", "499"], cli.MAX_STIRLING_N),
+        (["casimir-force", "--cutoff", "poly:996", "--N", "1e81"], cli.MAX_UT_DIGITS),
+        (["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "0.3", "--levels", "5"],
+         cli.MAX_UT_DIGITS),  # one value more than the default ladder
+        (["casimir", "--cutoff", "poly:996", "--N", "10", "--lambda", "1e300"], cli.MAX_UT_DIGITS),
+        (["casimir", "--cutoff", "indicator", "--N", "1e300", "--lambda", "1e298", "--levels",
+          "2000"], cli.MAX_UT_DIGITS),
     ])
     def test_work_past_a_cap_is_usage_error(self, capsys, monkeypatch, argv, cap):
         def no_compute(*args, **kwargs):
@@ -400,7 +437,8 @@ class TestErrors:
                             (euler_maclaurin, "em_tail"), (euler_maclaurin, "stirling_series"),
                             (euler_maclaurin, "em_divergence_demo"), (series, "get_series"),
                             (smoothed, "delta_pairing"), (smoothed, "constant_extraction"),
-                            (casimir, "_poly_ut"), (casimir._kernels, "ut_value")]:
+                            (smoothed, "_poly_sum_parts"), (euler_maclaurin, "stirling_g"),
+                            (casimir, "_poly_ut"), (_kernels, "ut_value")]:
             monkeypatch.setattr(owner, name, no_compute)
         for fmt in ("json", "csv"):
             rc, out, err = run_capture(capsys, ["--format", fmt] + argv)
@@ -416,6 +454,12 @@ class TestErrors:
         ["em-tail", "--s", "173", "--N", "5"],  # 199 digits
         ["extract", "--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64000"],
         ["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "1"],  # B_1000
+        ["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "0.3"],  # 79,195 digits
+        ["casimir-force", "--cutoff", "poly:996", "--N", "1e80"],  # 79,920 digits
+        ["smoothed", "--s", "998", "--cutoff", "poly:2", "--N", "2"],  # B_1000
+        ["smoothed", "--s", "100", "--cutoff", "poly:420", "--N", "10"],  # 2.29e8 Faulhaber work
+        ["grandi", "--cutoff", "poly:74", "--N", "1e300"],  # 2.53e8 Faulhaber work
+        ["stirling", "--n", str(cli.MAX_STIRLING_N), "--terms", "3"],
     ])
     def test_work_at_a_cap_runs(self, capsys, argv):
         run_json(capsys, argv)
@@ -566,7 +610,8 @@ _SERIES_EDGES = ["S0", "S1", "grandi", "zero", "monomial:-1",
                  *(f"alt-zeta:{s}" for s in (0, -1, 1, 2, 3, 0.5, cli.MAX_SERIES_EXPONENT,
                                              -cli.MAX_SERIES_EXPONENT, -cli.MAX_SERIES_EXPONENT - 1)),
                  *(f"geometric:{r}" for r in (0, -1, 0.5, 1, 2, "1e300", "1e-300", "1e400"))]
-_CASIMIR_FLAGS = {"--d": _float_edges(), "--N": _float_edges(casimir.MAX_CELLS),
+# --N 1e80 and 1e81 straddle MAX_UT_DIGITS for casimir-force on poly:996 at --lambda 1
+_CASIMIR_FLAGS = {"--d": _float_edges(), "--N": _float_edges(casimir.MAX_CELLS) + ["1e80", "1e81"],
                   "--cutoff": _CUTOFF_EDGES, "--lambda": _float_edges(),
                   "--quad-tol": _float_edges()}
 # each subcommand's flags and the values the property draws for them (None: a bare switch)
@@ -577,7 +622,8 @@ _EDGE_GRAMMAR = {
     "sum": {"--method": ["cesaro", "abel", "ramanujan", "zeta-eta"], "--series": _SERIES_EDGES,
             "--n": _int_edges(cli.MAX_CESARO_N), "--tol": _float_edges()},
     "ledger": {},
-    "smoothed": {"--s": _int_edges(), "--cutoff": _CUTOFF_EDGES,
+    # --s 999 and 1000 straddle MAX_BERNOULLI_INDEX (B_{s+p}) on poly:1
+    "smoothed": {"--s": _int_edges(cli.MAX_BERNOULLI_INDEX - 1), "--cutoff": _CUTOFF_EDGES,
                  "--N": _float_edges(smoothed.MAX_TERMS)},
     "extract": {"--s": _int_edges(cli.MAX_EXTRACT_S), "--cutoff": _CUTOFF_EDGES,
                 "--grid": _GRID_EDGES},
@@ -587,7 +633,8 @@ _EDGE_GRAMMAR = {
                   "--tol": _float_edges()},
     "em-tail": {"--s": _int_edges(cli.MAX_EXTRACT_S), "--cutoff": _CUTOFF_EDGES,
                 "--N": _int_edges()},
-    "stirling": {"--n": _int_edges(cli.MAX_STIRLING_ROWS + 1),
+    "stirling": {"--n": _int_edges(cli.MAX_STIRLING_ROWS + 1)
+                 + [str(cli.MAX_STIRLING_N), str(cli.MAX_STIRLING_N + 1)],
                  "--terms": _int_edges(cli.MAX_BERNOULLI_INDEX // 2 - 1), "--table": [None]},
     "em-diverge": {"--n": _int_edges(), "--max-terms": _int_edges(cli.MAX_BERNOULLI_INDEX // 2)},
     "casimir": {**_CASIMIR_FLAGS, "--levels": _int_edges()},

@@ -1,4 +1,4 @@
-"""Cold start: the exact subcommands and the package surface load no numpy."""
+"""Cold start: the exact subcommands, every subcommand on poly:p and the package surface load no numpy."""
 
 import importlib
 
@@ -7,7 +7,8 @@ import pytest
 import summa
 from summa.cli import run
 
-# one argv of each subcommand whose every path is exact (or mpmath only)
+# one argv of each subcommand whose every path is exact (or mpmath only), then one of each
+# subcommand with a cutoff on poly:p
 NUMPY_FREE = [
     ["bernoulli", "--k", "400"],
     ["faulhaber", "--s", "3", "--N", "100"],
@@ -20,6 +21,14 @@ NUMPY_FREE = [
     ["truncate", "--alpha", "1/137"],
     ["gyro", "--alpha", "0.0072973525693", "--order", "2"],
     ["flat-check", "--beta", "0.5", "--n", "2"],
+    # the exact lane of a polynomial cutoff
+    ["smoothed", "--s", "3", "--cutoff", "poly:3", "--N", "1e7"],
+    ["grandi", "--cutoff", "poly:8", "--N", "1e7"],
+    ["--format", "csv", "scaling-demo", "--cutoff", "poly:2", "--N", "100"],
+    ["extract", "--s", "1", "--cutoff", "poly:4"],
+    ["em-tail", "--s", "3", "--cutoff", "poly:6", "--N", "100000"],
+    ["casimir", "--cutoff", "poly:7", "--N", "400000", "--lambda", "0.5"],
+    ["casimir-force", "--cutoff", "poly:6", "--N", "1e12"],
 ]
 
 # the public names of each submodule, as the package exported them eagerly

@@ -19,6 +19,7 @@ from summa.smoothed import (
     constant_extraction,
     delta_pairing,
     grandi_smoothed,
+    grandi_with_deviation,
     mellin,
     offset_bump,
     scaling_counterexample,
@@ -47,6 +48,70 @@ class TestSmoothedSum:
             smoothed_sum(-1, make_cutoff("bump"), 10.0)
         with pytest.raises(ValueError):
             smoothed_sum(0, make_cutoff("bump"), 0.5)
+
+    def test_term_cap_binds_the_float_sums_only(self):
+        bump = make_cutoff("bump")
+        with pytest.raises(ValueError, match="MAX_TERMS"):
+            smoothed_sum(1, bump, smoothed.MAX_TERMS + 0.5)
+        with pytest.raises(ValueError, match="MAX_TERMS"):
+            grandi_smoothed(bump, 1e300)
+        with pytest.raises(ValueError, match="MAX_TERMS"):
+            scaling_counterexample(sharp_indicator(), 1e300)
+        # poly:1 at N = 10^300: sum_{n<N} (1 - n/N) = (N - 1)/2, exact
+        assert smoothed_sum(0, make_cutoff("poly:1"), 1e300) == float((Fraction(1e300) - 1) / 2)
+
+
+def poly_terms(p, N, step=1):
+    """[(n, (1 - n/N)^p)] for the multiples n of ``step`` below N: the O(N) Fraction loop."""
+    NF = Fraction(N)
+    return [(n, (1 - n / NF) ** p) for n in range(step, math.ceil(N), step)]
+
+
+class TestExactPolyLane:
+    """smoothed_sum, the Grandi sum and the scaling sides of poly:p: exact, rounded once."""
+
+    @pytest.mark.parametrize("N", [2, 3.5, 17, 100.25, 1000])
+    def test_equals_the_fraction_brute_force_rounded_once(self, N):
+        for p in range(1, 9):
+            cut = make_cutoff("poly", p)
+            terms = poly_terms(p, N)
+            for s in range(5):
+                want = sum(e * n**s for n, e in terms)
+                assert smoothed_sum(s, cut, N) == float(want), (p, s)
+            G = sum(e if n % 2 else -e for n, e in terms)
+            assert grandi_with_deviation(cut, N) == (float(G), float(abs(G - Fraction(1, 2)))), p
+            lhs = sum(e * n for n, e in poly_terms(p, N, step=2))  # sum 2m eta(2m/N)
+            rhs = 2 * sum(e * n for n, e in terms)
+            assert scaling_counterexample(cut, N) == (
+                float(lhs), float(rhs), abs(lhs - rhs) > Fraction(1e-12) * max(1, rhs)), p
+
+    @pytest.mark.parametrize("N", [1000.0, 12345.5, 1e6])
+    def test_agrees_with_the_float_kernels(self, N):
+        from summa import _kernels
+
+        for p in range(1, 9):
+            cut = make_cutoff("poly", p)
+            for s in range(5):
+                ref = _kernels.smoothed_sum_value(s, cut, N)
+                assert smoothed_sum(s, cut, N) == pytest.approx(ref, rel=1e-13, abs=0), (p, s)
+            # the float Grandi sum cancels N terms of size ~1 down to ~1/2: its error is
+            # absolute, 5.05e-14 for poly:2 at 10^6 (1.01e-13 relative)
+            ref = _kernels.alternating_smoothed_value(cut, N)
+            assert grandi_smoothed(cut, N) == pytest.approx(ref, rel=0, abs=1e-13), p
+            lhs, rhs, differ = scaling_counterexample(cut, N)
+            assert lhs == pytest.approx(2.0 * _kernels.smoothed_sum_value(1, cut, N / 2.0),
+                                        rel=1e-13, abs=0)
+            assert rhs == pytest.approx(2.0 * _kernels.smoothed_sum_value(1, cut, N),
+                                        rel=1e-13, abs=0)
+            assert differ
+
+    def test_past_float64_is_a_typed_error(self):
+        cut = make_cutoff("poly:3")
+        with pytest.raises(NonFiniteResultError, match="past float64 range"):
+            smoothed_sum(200, cut, 1000.0)
+        with pytest.raises(NonFiniteResultError, match="past float64 range"):
+            scaling_counterexample(cut, 1e200)
+        assert not math.isfinite(smoothed_sum(200, make_cutoff("bump"), 1000.0))  # the float sum as is
 
 
 class TestMellin:
