@@ -53,9 +53,10 @@ MAX_STIRLING_N = 10**16
 # delta-seq --j: ~0.3 s up to 9*10^4 at the default --tol; at 10^5 the pairing spends its
 # 2*10^6-evaluation budget and fails (exit 1)
 MAX_DELTA_J = 50_000
-# |s| of a monomial:s or alt-zeta:s key, whose Eulerian numbers abel and zeta-eta build as
-# ints on first use, O(s^2) work: cold, every sum method takes ~0.1-0.16 s at 500 (abel on
-# alt-zeta:500, a direct float sum, ~0.55 s); the build and 18 points take ~0.7 s at 1000
+# |s| of a monomial:s or alt-zeta:s key; abel and zeta-eta build the Eulerian numbers of
+# alt-zeta:-s as ints, O(s^2) work: cold, every sum method takes ~0.07-0.21 s at 500 (that
+# build ~0.13 s, abel's direct float sum on alt-zeta:500 ~0.21 s); the build takes ~0.5 s
+# at 1000
 MAX_SERIES_EXPONENT = 500
 # digits of N^(s + 1), above faulhaber's S_s(N): past CPython's default limit the int
 # cannot be printed; ~0.3 s at s = 1000, N = 19,000 (4,283 digits)
@@ -94,7 +95,7 @@ def _check_cap(what: str, value: int, cap: int) -> None:
 def _check_faulhaber_caps(s: int, cutoff, points) -> None:
     """The caps on the exact sums of poly:p at every N in ``points``, N_max / 2 counted."""
     terms = s + cutoff.p + 1
-    digits = math.ceil(terms * math.log10(max(max(points), 10)))
+    digits = math.ceil(terms * Fraction(math.log10(max(max(points), 10))))  # exact at any --s
     _check_cap("poly Faulhaber work, sums x terms x digits",
                (cutoff.p + 1) * (len(points) + 1) * terms * digits, MAX_FAULHABER_WORK)
     _check_cap("Bernoulli index --s + poly order", s + cutoff.p, MAX_BERNOULLI_INDEX)

@@ -14,10 +14,10 @@ class CutoffSmoothnessError(SummaError, ValueError):
 
 
 class AbelInnerSeriesError(SummaError):
-    """The power series sum(a_n t^n) failed to converge at some t < 1.
+    """The power series sum(a_n t^n) has radius below 1, so it diverges at some t < 1.
 
-    Distinct from a 'divergent' verdict: the limit t -> 1- was never reached
-    because an inner evaluation itself blew up or exhausted its term budget.
+    Distinct from a 'divergent' verdict: the limit t -> 1- is never reached
+    because the series is not summed on the whole of [0, 1).
     """
 
 

@@ -21,7 +21,8 @@ first use).  The monomial one is Euler's
 with A_m the Eulerian polynomial, sum_k A(m, k) t^k over k < m (A_0 = 1), and
 the others are read off it: sum (-1)^(n-1) n^m t^n = -sum n^m (-t)^n.  Grandi's
 series is alt-zeta:0 and the zero series is geometric:0, each under its own
-label.
+label.  A closed form raises ZeroDivisionError at a pole, and the geometric
+one raises AbelInnerSeriesError past its power series' radius 1/|r|.
 
 numpy is imported in the float paths only (``term_array``, ``term_float``),
 so building a series and its exact terms does not load it.
@@ -32,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+
+from .errors import AbelInnerSeriesError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -151,10 +154,11 @@ def _alt_zeta_series(s: int) -> SeriesOracle:
 
 def _geometric(r: Fraction) -> SeriesOracle:
     def closed(t: Fraction) -> Fraction:
-        t = Fraction(t)
-        if abs(r * t) >= 1:
-            raise ZeroDivisionError("geometric generating function pole at |r t| >= 1")
-        return r * t / (1 - r * t)
+        rt = r * Fraction(t)
+        if abs(rt) > 1:
+            raise AbelInnerSeriesError(f"the power series of geometric:{r} diverges at t = {t}: "
+                                       "its radius 1/|r| is below 1")
+        return rt / (1 - rt)  # the pole at rt = 1 raises ZeroDivisionError
 
     def term_array(n, r=float(r)):
         import numpy as np

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from summa import series as series_module
-from summa.errors import AbelInnerSeriesError, NonFiniteResultError
+from summa.errors import AbelInnerSeriesError
 from summa.series import alternating_genfun, get_series, monomial_genfun, parse_key
 from summa.summation import (
     SummationOutcome,
     abel_sum,
     euler_sum,
     cesaro_sum,
-    default_abel_schedule,
     inconsistency_ledger,
     partial_sum,
     ramanujan_monomial,
@@ -184,14 +183,14 @@ class TestCesaro:
 class TestAbel:
     def test_grandi(self):
         out = abel_sum(get_series("grandi"))
-        assert out.verdict == "finite"
-        assert abs(out.value - 0.5) <= 1e-6
+        assert (out.verdict, out.value, out.error_estimate) == ("finite", Fraction(1, 2), 0.0)
 
     def test_euler_alias(self):
         assert euler_sum is abel_sum
 
     def test_s0_divergent(self):
-        assert abel_sum(get_series("S0")).verdict == "divergent"
+        for key in ("S0", "geometric:1"):  # the same terms, poles t/(1-t) and rt/(1-rt) at t = 1
+            assert abel_sum(get_series(key)).verdict == "divergent"
 
     def test_s1_divergent(self):
         assert abel_sum(get_series("S1")).verdict == "divergent"
@@ -199,28 +198,31 @@ class TestAbel:
     def test_alternating_monomial(self):
         out = abel_sum(get_series("alt-zeta:-1"))
         assert out.verdict == "finite"
-        assert abs(out.value - 0.25) <= 1e-6
+        assert out.value == Fraction(1, 4)
 
     def test_partial_sum_route_agrees_with_closed_form(self):
-        # strip the closed form so the chunked direct summation runs
+        # strip the closed form so the direct alternating sum runs
         g = replace(get_series("grandi"), abel_closed_form=None)
-        out = abel_sum(g, schedule=default_abel_schedule(3, 13))
+        out = abel_sum(g)
         assert out.verdict == "finite"
         assert abs(out.value - 0.5) <= 1e-6
 
-    @pytest.mark.parametrize("key,verdict", [("monomial:41", "divergent"),
-                                             ("alt-zeta:-218", "oscillating-no-limit")])
-    def test_last_exponent_whose_closed_form_stays_a_float(self, key, verdict):
-        assert abel_sum(get_series(key)).verdict == verdict
+    @pytest.mark.parametrize("key,verdict,value", [("monomial:41", "divergent", None),
+                                                   ("alt-zeta:-218", "finite", 0)])
+    def test_last_exponent_whose_closed_form_stayed_a_float(self, key, verdict, value):
+        out = abel_sum(get_series(key))
+        assert (out.verdict, out.value) == (verdict, value)
 
-    @pytest.mark.parametrize("key,t", [("monomial:42", "1048575/1048576"), ("alt-zeta:-219", "7/8")])
-    def test_first_exponent_past_float_range_names_its_t(self, key, t):
-        with pytest.raises(NonFiniteResultError,
-                           match=f"^the closed form of {key} at t = {t} is past float64 range$"):
-            abel_sum(get_series(key))
+    @pytest.mark.parametrize("key", ["monomial:42", "alt-zeta:-219"])
+    def test_first_exponent_past_float_range_is_exact(self, key):
+        out = abel_sum(get_series(key))
+        if key.startswith("monomial"):
+            assert out.verdict == "divergent"
+        else:  # eta(-219) = (1 - 2^220) zeta(-219)
+            assert out.value == (1 - 2**220) * ramanujan_monomial(219) != 0
 
-    @pytest.mark.parametrize("key", ["monomial:500", "alt-zeta:-500"])
-    def test_closed_form_at_the_cap_raises_at_its_first_t(self, key):
+    @pytest.mark.parametrize("key", ["monomial:500", "alt-zeta:-500", "alt-zeta:-499"])
+    def test_closed_form_at_the_cap_is_read_once_at_t_1(self, key):
         series = get_series(key)
         seen = []
 
@@ -228,38 +230,45 @@ class TestAbel:
             seen.append(t)
             return series.abel_closed_form(t)
 
-        with pytest.raises(NonFiniteResultError, match=f"{key} at t = 7/8 is past float64"):
-            abel_sum(replace(series, abel_closed_form=counting))
-        assert seen == [Fraction(7, 8)]
+        out = abel_sum(replace(series, abel_closed_form=counting))
+        assert seen == [Fraction(1)]
+        if key.startswith("monomial"):
+            assert out.verdict == "divergent"
+        else:
+            m = -parse_key(key)[1]
+            assert out.value == (1 - 2 ** (m + 1)) * ramanujan_monomial(m)
 
     def test_inner_series_error_is_not_a_verdict(self):
-        with pytest.raises(AbelInnerSeriesError):
+        with pytest.raises(AbelInnerSeriesError, match=r"radius 1/\|r\| is below 1"):
             abel_sum(get_series("geometric:2"))
+        with pytest.raises(AbelInnerSeriesError):
+            abel_sum(get_series("geometric:-3/2"))
 
-    def test_schedule_validation(self):
-        g = get_series("grandi")
-        with pytest.raises(ValueError):
-            abel_sum(g, schedule=[0.5, 0.4, 0.9])
-        with pytest.raises(ValueError):
-            abel_sum(g, schedule=[0.5, 1.1, 0.9])
-
-    @pytest.mark.parametrize("r", ["1/3", "1/2", "2/3", "-1/2"])
+    @pytest.mark.parametrize("r", ["1/3", "1/2", "2/3", "-1/2", "-1"])
     def test_regularity_on_geometric_family(self, r):
         rf = Fraction(r)
-        truth = float(rf / (1 - rf))
+        truth = rf / (1 - rf)
         out = abel_sum(get_series(f"geometric:{r}"))
-        assert out.verdict == "finite"
-        assert abs(out.value - truth) <= 1e-6
+        assert (out.verdict, out.value) == ("finite", truth)
         ces = cesaro_sum(get_series(f"geometric:{r}"), 10**4)
         assert ces.verdict == "finite"
-        assert abs(ces.value - truth) <= 1e-3
+        assert abs(ces.value - float(truth)) <= 1e-3
 
     @given(st.fractions(min_value=Fraction(-4, 5), max_value=Fraction(4, 5)))
     @settings(max_examples=25, deadline=None)
     def test_regularity_random_ratio(self, rf):
         out = abel_sum(get_series(f"geometric:{rf}"))
         assert out.verdict == "finite"
-        assert abs(out.value - float(rf / (1 - rf))) <= 1e-6
+        assert out.value == rf / (1 - rf)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 10, 50, 500])
+    def test_direct_sum_bound_covers_the_true_error(self, s):
+        import mpmath as mp
+
+        out = abel_sum(get_series(f"alt-zeta:{s}"))
+        assert out.verdict == "finite" and out.diagnostics == {}
+        with mp.workdps(40):
+            assert abs(mp.mpf(out.value) - mp.altzeta(s)) <= out.error_estimate
 
 
 class TestRamanujanMonomial:
@@ -291,11 +300,21 @@ class TestZetaViaEta:
         assert abs(out.value + 1.0 / 12.0) <= 1e-6
 
     def test_zeta_two(self):
+        import mpmath as mp
+
         out = zeta_via_eta(2)
         assert abs(out.value - math.pi**2 / 6.0) <= 1e-6
+        with mp.workdps(40):
+            assert abs(mp.mpf(out.value) - mp.zeta(2)) <= out.error_estimate
 
     def test_trivial_zero(self):
-        assert abs(zeta_via_eta(-2).value) <= 1e-9
+        assert zeta_via_eta(-2).value == 0
+
+    @pytest.mark.parametrize("s", [0, -1, -2, -7, -218, -499])
+    def test_exact_below_zero(self, s):
+        out = zeta_via_eta(s)
+        assert (out.value, out.error_estimate) == (ramanujan_monomial(-s), 0.0)
+        assert out.diagnostics == {"s": s, "factor": str(1 / (1 - Fraction(2) ** (1 - s)))}
 
 
 class TestOutcomeInvariant:
