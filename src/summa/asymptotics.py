@@ -19,7 +19,6 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoefficientOracle:
+class CoefficientOracle(NamedTuple):
     """Coefficients a_n with a declared growth class for tail control.
 
     ``exp_rate`` is a constant c with |B(z)| <= M e^(c z) for the Borel

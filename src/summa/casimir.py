@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .cutoffs import Cutoff, make_cutoff
@@ -74,29 +73,40 @@ C_LIGHT = 2.99792458e8  # m / s
 MAX_CELLS = 10**6
 
 
-@dataclass(frozen=True)
-class CasimirConfig:
+class _CasimirFields(NamedTuple):
+    d: float = 1e-6
+    lam: float = 1.0
+    N: float = 200.0
+    cutoff: Cutoff = make_cutoff("bump")  # cutoffs are never mutated, so one is shared
+    quad_tol: float = 1e-8
+
+
+class CasimirConfig(_CasimirFields):
     """Parameters of one smoothed plate-energy computation.
 
     ``lam`` is the dimensionless ratio pi c / (d omega_a) tying the mode
     index to the physical frequency cutoff; ``N`` is the smoothing scale.
+    The checks run in ``__new__``, and ``_make`` (so ``_replace`` too) goes
+    through it.
     """
 
-    d: float = 1e-6
-    lam: float = 1.0
-    N: float = 200.0
-    cutoff: Cutoff = field(default_factory=lambda: make_cutoff("bump"))
-    quad_tol: float = 1e-8
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError(f"plate separation must be positive, got {self.d}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.N < 10:
-            raise ValueError(f"smoothing scale N must be >= 10, got {self.N}")
-        if self.quad_tol <= 0:
-            raise ValueError(f"quad_tol must be positive, got {self.quad_tol}")
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if cfg.d <= 0:
+            raise ValueError(f"plate separation must be positive, got {cfg.d}")
+        if cfg.lam <= 0:
+            raise ValueError(f"lam must be positive, got {cfg.lam}")
+        if cfg.N < 10:
+            raise ValueError(f"smoothing scale N must be >= 10, got {cfg.N}")
+        if cfg.quad_tol <= 0:
+            raise ValueError(f"quad_tol must be positive, got {cfg.quad_tol}")
+        return cfg
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def support_end(self) -> float:
@@ -350,9 +360,7 @@ def casimir_force(d: float, cfg: CasimirConfig) -> float:
     3 E / d.  Negative values mean attraction; the closed-form comparison
     point is -pi^2 hbar c / (240 d^4).
     """
-    if d <= 0:
-        raise ValueError(f"plate separation must be positive, got {d}")
-    return 3.0 * energy_density(replace(cfg, d=d)) / d
+    return 3.0 * energy_density(cfg._replace(d=d)) / d  # _replace checks d > 0
 
 
 def closed_form_energy_density(d: float) -> float:

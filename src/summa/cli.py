@@ -13,18 +13,20 @@ its lower bound and a float flag outside its domain, such as a smoothing
 scale --N below the least its computation accepts or a grid point at or
 below 0; so is work past a declared cap, before any compute).
 
-Importing this module loads only argparse, json, fractions, ``errors`` and
-``exact``: each handler imports its own layer when it is dispatched, so the
-exact subcommands start without numpy.  So does every subcommand on a
-polynomial cutoff poly:p (``smoothed``, ``grandi``, ``scaling-demo``,
-``extract``, ``em-tail``, ``casimir`` and ``casimir-force``): its values are
-exact rationals from the Faulhaber and Bernoulli sums, each rounded once.
+Importing this module loads only argparse, fractions, typing, ``errors`` and
+``exact``; json is imported when JSON is emitted.  Each handler imports its
+own layer when it is dispatched, and no layer loads dataclasses (its records
+are NamedTuples), so the exact subcommands start without numpy or mpmath
+(``stirling`` computes g(n) in integer fixed point).  So does every
+subcommand on a polynomial cutoff poly:p (``smoothed``, ``grandi``,
+``scaling-demo``, ``extract``, ``em-tail``, ``casimir`` and
+``casimir-force``): its values are exact rationals from the Faulhaber and
+Bernoulli sums, each rounded once.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -47,8 +49,8 @@ MAX_BERNOULLI_INDEX = 1000
 MAX_CESARO_N = 10**6  # Cesaro window, ~32 B a term: 62 MB at 10^6
 MAX_TRUNCATE_ROWS = 10**5  # truncate's table of floor(1/alpha) + 5 rows: ~0.5 s at 10^5
 MAX_STIRLING_ROWS = 2000  # stirling --table rows 2..n: ~0.9 s at 2000, ~7 s at 3000
-# stirling --n: the 50-digit g(n) is measured within 7e-17 relative up to 10^16 (past it the
-# cancellation of ~2 log10 n digits shows); --terms 499 takes ~1.2 s at the cap
+# stirling --n: a work cap, since g(n) is correctly rounded at any n; the exact series of
+# --terms 499 has ~16,000-digit integers at the cap (~0.2 s cold)
 MAX_STIRLING_N = 10**16
 # delta-seq --j: ~0.3 s up to 9*10^4 at the default --tol; at 10^5 the pairing spends its
 # 2*10^6-evaluation budget and fails (exit 1)
@@ -703,6 +705,8 @@ def _check_finite(result, csv_block) -> None:
 def _emit(args, result, csv_block) -> str:
     config = _config_echo(args)
     if args.format == "json":
+        import json
+
         return json.dumps({"config": config, "result": result},
                           sort_keys=True, allow_nan=False)
     header, rows = csv_block

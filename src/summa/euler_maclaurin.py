@@ -18,7 +18,10 @@ series
 with the remainder bounded by the magnitude of the first omitted term
 (|B_{2T+2}| / ((2T+1)(2T+2) n^{2T+1})).  For fixed n the terms eventually
 grow -- the series diverges -- and ``em_divergence_demo`` locates the first
-growth index by exact rational scan.
+growth index by exact rational scan.  g(n) itself is computed on the same
+exact backbone, as an integer with an error bound (``stirling_g_fixed``):
+``stirling_g`` rounds it correctly and ``stirling_gap`` subtracts the exact
+partial sum from it, so no extended-precision library is involved.
 
 Note on orientation: one classical presentation writes the sum-minus-integral
 combination with the constant +log(2pi)/2 folded in on the other side; here
@@ -27,7 +30,7 @@ Stirling's approximation).  One canonical internal form avoids sign bugs.
 
 numpy and ``smoothed`` are imported where they are used
 (``monomial_cutoff_deriv``, ``em_tail`` and ``sup_norm_check``), so the
-Stirling series and the divergence scan run without them.
+Stirling functions and the divergence scan run on ``exact`` alone.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .errors import GrowthNotFoundError
-from .exact import bernoulli, to_floats
+from .exact import bernoulli, bernoulli_integers, to_floats
 
 if TYPE_CHECKING:
     from .cutoffs import Cutoff
@@ -47,8 +50,8 @@ __all__ = [
     "EmTailResult",
     "em_tail",
     "sup_norm_check",
+    "stirling_g_fixed",
     "stirling_g",
-    "stirling_g_mp",
     "StirlingSeries",
     "stirling_series",
     "stirling_series_exact",
@@ -122,28 +125,56 @@ def sup_norm_check(s: int, cutoff: Cutoff, N: float) -> float:
     return float(np.max(np.abs(monomial_cutoff_deriv(s, cutoff, N, s + 2, xs))))
 
 
-_DPS = 50  # working digits of the Stirling gap
+def stirling_g_fixed(n: int, P: int) -> Tuple[int, int]:
+    """g(n) in fixed point: (G, E) with |g(n) - G 2^-P| <= E 2^-P, in integer arithmetic.
 
-
-def stirling_g_mp(n: int):
-    """g(n) = log n! - (n + 1/2) log n + n - log(2pi)/2 as a 50-digit mpmath value.
-
-    log n! is mpmath's loggamma(n + 1), O(1) in n; the combination cancels
-    ~log10(n^2) digits, which is why a float64 version cannot feed the
-    remainder-bound checks.
+    The series is summed at M = max(n, ceil(P ln2 / 2pi)), where its least
+    term, ~e^(-2 pi M), is below one unit: each term is one integer division
+    by the exact Bernoulli number, the sum stops before the first term below
+    one unit, and that term bounds the remainder (DLMF 5.11.ii).  Then
+    g(k) = g(k+1) + (2k+1) atanh(1/(2k+1)) - 1 steps down to n, the step
+    being the positive series sum_{j>=1} 1/((2j+1)(2k+1)^(2j)), summed in
+    floored units until a term floors to 0; the geometric tail is then below
+    9/8 unit.  E counts one unit per floored term plus those tail bounds.
     """
-    import mpmath as mp
-
     if n < 1:
         raise ValueError(f"stirling_g requires n >= 1, got {n}")
-    with mp.workdps(_DPS):
-        g = mp.loggamma(n + 1) - (mp.mpf(n) + mp.mpf(1) / 2) * mp.log(n) + n - mp.log(2 * mp.pi) / 2
-        return +g
+    M = max(n, math.ceil(P * math.log(2) / (2 * math.pi)))
+    G = E = 0
+    m, power = 1, M  # M^(2m - 1)
+    while True:
+        b = bernoulli(2 * m)
+        den = b.denominator * 2 * m * (2 * m - 1) * power
+        if abs(b.numerator) << P < den:
+            break
+        G += (b.numerator << P) // den
+        m, power, E = m + 1, power * M * M, E + 1
+    E += 1  # the first omitted term
+    one = 1 << P
+    for k in range(M - 1, n - 1, -1):
+        x2 = (2 * k + 1) ** 2
+        j, power = 1, x2
+        while t := one // ((2 * j + 1) * power):
+            G += t
+            j, power, E = j + 1, power * x2, E + 1
+        E += 2  # the tail
+    return G, E
 
 
 def stirling_g(n: int) -> float:
-    """Float value of the Stirling gap g(n); g(n) -> 0 is Stirling's formula."""
-    return float(stirling_g_mp(n))
+    """g(n) rounded once to float64: correctly rounded, at any n >= 1.
+
+    ``stirling_g_fixed`` runs at 10 guard bits past 2^-70 g (g > 1/(12n + 1));
+    should its interval straddle a rounding boundary, it runs again at
+    twice the bits.
+    """
+    P = 80 + (12 * n + 1).bit_length()
+    while True:
+        G, E = stirling_g_fixed(n, P)
+        lo = (G - E) / (1 << P)
+        if lo == (G + E) / (1 << P):
+            return lo
+        P *= 2
 
 
 class StirlingSeries(NamedTuple):
@@ -161,13 +192,22 @@ def stirling_series_exact(n: int, terms: int) -> Tuple[Fraction, Fraction]:
 
     value = sum_{m=1}^{terms} B_{2m} / (2m (2m-1) n^{2m-1});
     bound = |B_{2 terms + 2}| / ((2 terms + 1)(2 terms + 2) n^{2 terms + 1}).
+    The value is one integer numerator over D L n^(2 terms - 1), with D the
+    Bernoulli denominator of ``bernoulli_integers`` and L = lcm 2m(2m-1),
+    built by Horner's rule in n^2 and reduced once.
     """
     if n < 1:
         raise ValueError(f"stirling_series requires n >= 1, got {n}")
     if terms < 1:
         raise ValueError(f"stirling_series requires terms >= 1, got {terms}")
-    value = sum(stirling_term(n, m) for m in range(1, terms + 1))
-    return value, abs(stirling_term(n, terms + 1))
+    D, beta = bernoulli_integers(2 * terms + 2)  # one table fill for the value and the bound
+    L = math.lcm(*(2 * m * (2 * m - 1) for m in range(1, terms + 1)))
+    acc, n2 = 0, n * n
+    for m in range(1, terms + 1):
+        acc = acc * n2 + beta[2 * m] * (L // (2 * m * (2 * m - 1)))
+    value = Fraction(acc, D * L * n ** (2 * terms - 1))
+    T = terms + 1
+    return value, Fraction(abs(beta[2 * T]), D * 2 * T * (2 * T - 1) * n ** (2 * T - 1))
 
 
 def stirling_series(n: int, terms: int) -> StirlingSeries:
@@ -178,18 +218,17 @@ def stirling_series(n: int, terms: int) -> StirlingSeries:
 
 
 def stirling_gap(n: int, terms: int) -> float:
-    """|stirling_g(n) - series(n, terms)| with the difference taken in mpmath.
+    """|g(n) - series(n, terms)|, the difference taken exactly and rounded once.
 
     The bounds being checked reach below float64 resolution of g(n) itself
-    (e.g. ~4e-19 at n = 50, terms = 4), so the subtraction must happen before
-    any rounding to float.
+    (e.g. ~4e-19 at n = 50, terms = 4), so g(n) comes from
+    ``stirling_g_fixed`` at 80 bits below the remainder bound: the gap is
+    then off by at most E 2^-P, ~2^-70 of that bound.
     """
-    import mpmath as mp
-
-    value, _ = stirling_series_exact(n, terms)
-    with mp.workdps(_DPS):
-        gap = abs(stirling_g_mp(n) - mp.mpf(value.numerator) / value.denominator)
-        return float(gap)
+    value, bound = stirling_series_exact(n, terms)
+    P = 80 + (bound.denominator // bound.numerator).bit_length()
+    G, _ = stirling_g_fixed(n, P)
+    return abs(G * value.denominator - (value.numerator << P)) / (value.denominator << P)
 
 
 class DivergenceScan(NamedTuple):

@@ -122,7 +122,8 @@ def bernoulli_table(K: int) -> Sequence[Fraction]:
     return tuple(_bernoulli_cache[: K + 1])
 
 
-@functools.lru_cache(maxsize=8)
+# a process mixing the Faulhaber, drift, u_t and Stirling sums reads about a dozen tables
+@functools.lru_cache(maxsize=16)
 def bernoulli_integers(K: int) -> Tuple[int, Tuple[int, ...]]:
     """(D, (D B_0, ..., D B_K)): B_0 .. B_K over their least common denominator D.
 

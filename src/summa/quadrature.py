@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ _K_MINUS_G = GK_WEIGHTS - GAUSS_WEIGHTS
 _FLOOR_WEIGHTS = 2.0 * np.finfo(float).eps * GK_WEIGHTS  # a few ulps of the absolute integral
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     error: float
     nevals: int

@@ -30,9 +30,8 @@ so building a series and its exact terms does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import AbelInnerSeriesError
 
@@ -42,8 +41,7 @@ if TYPE_CHECKING:
 __all__ = ["SeriesOracle", "parse_key", "get_series", "monomial_genfun", "alternating_genfun"]
 
 
-@dataclass(frozen=True)
-class SeriesOracle:
+class SeriesOracle(NamedTuple):
     """A deterministic sequence with exact and floating term evaluation."""
 
     label: str
@@ -215,8 +213,8 @@ _BUILDERS = {
     "monomial": _monomial_series,
     "alt-zeta": _alt_zeta_series,
     "geometric": _geometric,
-    "grandi": lambda _: replace(_alt_zeta_series(0), label="grandi"),
-    "zero": lambda _: replace(_geometric(Fraction(0)), label="zero"),
+    "grandi": lambda _: _alt_zeta_series(0)._replace(label="grandi"),
+    "zero": lambda _: _geometric(Fraction(0))._replace(label="zero"),
 }
 
 

@@ -32,9 +32,8 @@ float paths only, so the poly lane runs without numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 from .cutoffs import Cutoff, bump_deriv, make_cutoff
 from .errors import CutoffSmoothnessError
@@ -103,8 +102,7 @@ def mellin(cutoff: Cutoff, s: int, tol: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class AsymptoticFit:
+class AsymptoticFit(NamedTuple):
     """Result of removing the divergent term from a smoothed sum on a grid."""
 
     constant: float

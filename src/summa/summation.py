@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 from .errors import NonFiniteResultError
 from .exact import bernoulli
@@ -43,19 +42,33 @@ DIVERGENT = "divergent"
 OSCILLATING = "oscillating-no-limit"
 
 
-@dataclass(frozen=True)
-class SummationOutcome:
+class _OutcomeFields(NamedTuple):
     method: str
     verdict: str
     value: Union[float, Fraction, None]
     error_estimate: Optional[float]
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Optional[dict] = None
 
-    def __post_init__(self):
-        if self.verdict not in (FINITE, DIVERGENT, OSCILLATING):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == FINITE and self.error_estimate is None:
+
+class SummationOutcome(_OutcomeFields):
+    """One method's verdict on a series; ``diagnostics`` is a fresh dict when not given.
+
+    The checks run in ``__new__``, and ``_make`` (so ``_replace`` too) goes through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, method, verdict, value, error_estimate, diagnostics=None):
+        if verdict not in (FINITE, DIVERGENT, OSCILLATING):
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if verdict == FINITE and error_estimate is None:
             raise ValueError("a finite verdict must carry an error estimate")
+        return super().__new__(cls, method, verdict, value, error_estimate,
+                               {} if diagnostics is None else diagnostics)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def partial_sum(series: SeriesOracle, N: int) -> Fraction:
@@ -179,16 +192,14 @@ def zeta_via_eta(s: int) -> SummationOutcome:
                             abs(float(factor)) * eta.error_estimate, {"s": s, "factor": str(factor)})
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
     identity: str
     rule_a: Optional[Fraction]
     rule_b: Optional[Fraction]
     clash: bool
 
 
-@dataclass(frozen=True)
-class LedgerReport:
+class LedgerReport(NamedTuple):
     rows: List[LedgerRow]
 
     def by_identity(self, name: str) -> LedgerRow:

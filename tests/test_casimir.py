@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -60,6 +59,13 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             CasimirConfig(**kwargs)
+        with pytest.raises(ValueError):
+            CasimirConfig()._replace(**kwargs)
+
+    @pytest.mark.parametrize("d", [0.0, -1e-6])
+    def test_force_at_a_bad_separation(self, d):
+        with pytest.raises(ValueError, match="plate separation"):
+            casimir_force(d, CasimirConfig())
 
 
 class TestCapitalF:
@@ -227,7 +233,7 @@ class TestUt:
         assert sorted(sweeps) == [20.0, 40.0, 80.0, 160.0, 320.0]  # levels + 1 sweeps
         assert [N for N, _ in rows] == [40.0, 80.0, 160.0, 320.0]
         for N, r in rows:
-            assert r == u_t_dimensionless(replace(cfg, N=N))
+            assert r == u_t_dimensionless(cfg._replace(N=N))
 
     def test_poly_ladder_rows_are_exact_u_t_at_each_scale(self, monkeypatch):
         from summa import _kernels
@@ -240,7 +246,7 @@ class TestUt:
         rows = u_t_ladder(cfg, 4)
         assert [N for N, _ in rows] == [40.0, 80.0, 160.0, 320.0]
         for N, r in rows:
-            assert r == u_t_dimensionless(replace(cfg, N=N))
+            assert r == u_t_dimensionless(cfg._replace(N=N))
             half = float(exact_poly_ut(6, 1, (N / 2.0) / 0.75))
             assert r == (float(exact_poly_ut(6, 1, N / 0.75)), abs(r.value - half))
 
@@ -315,7 +321,7 @@ class TestPhysicalOutputs:
     def test_d_cubed_scaling(self):
         cfg = CasimirConfig(d=1e-6, N=200.0, cutoff=make_cutoff("bump"), quad_tol=1e-9)
         u1 = energy_density(cfg)
-        u2 = energy_density(replace(cfg, d=2e-6))
+        u2 = energy_density(cfg._replace(d=2e-6))
         assert u2 == pytest.approx(u1 / 8.0, rel=1e-2)
 
     def test_force_matches_closed_form(self):
@@ -328,14 +334,14 @@ class TestPhysicalOutputs:
     def test_force_scaling_and_sign(self):
         cfg = CasimirConfig(d=1e-6, N=400.0, cutoff=make_cutoff("bump"), quad_tol=1e-9)
         f1 = casimir_force(1e-6, cfg)
-        f2 = casimir_force(2e-6, replace(cfg, d=2e-6))
+        f2 = casimir_force(2e-6, cfg._replace(d=2e-6))
         assert abs(f1 / f2) == pytest.approx(16.0, rel=0.02)
         assert f1 < 0.0 and f2 < 0.0
 
     def test_force_is_exact_derivative_of_energy(self):
         cfg = CasimirConfig(d=1e-6, N=400.0, cutoff=make_cutoff("bump"), quad_tol=1e-9)
         for d in (1e-7, 1e-6, 3e-6):
-            assert casimir_force(d, cfg) == 3.0 * energy_density(replace(cfg, d=d)) / d
+            assert casimir_force(d, cfg) == 3.0 * energy_density(cfg._replace(d=d)) / d
 
     def test_closed_form_force_value(self):
         assert closed_form_force(1e-6) == pytest.approx(-1.30e-3, rel=5e-3)

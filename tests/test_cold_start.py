@@ -1,4 +1,5 @@
-"""Cold start: the exact subcommands, every subcommand on poly:p and the package surface load no numpy."""
+"""Cold start: the exact subcommands, every subcommand on poly:p and the package surface load
+neither numpy nor mpmath, no layer loads dataclasses, and CSV output loads no json."""
 
 import importlib
 
@@ -7,8 +8,8 @@ import pytest
 import summa
 from summa.cli import run
 
-# one argv of each subcommand whose every path is exact (or mpmath only), then one of each
-# subcommand with a cutoff on poly:p
+# one argv of each subcommand whose every path is exact, then one of each subcommand with a
+# cutoff on poly:p
 NUMPY_FREE = [
     ["bernoulli", "--k", "400"],
     ["faulhaber", "--s", "3", "--N", "100"],
@@ -17,6 +18,7 @@ NUMPY_FREE = [
     ["sum", "--method", "zeta-eta", "--series", "alt-zeta:-3"],
     ["--format", "csv", "ledger"],
     ["stirling", "--n", "10", "--terms", "3", "--table"],
+    ["--format", "csv", "stirling", "--n", "12", "--terms", "1"],
     ["em-diverge", "--n", "2", "--max-terms", "20"],
     ["truncate", "--alpha", "1/137"],
     ["gyro", "--alpha", "0.0072973525693", "--order", "2"],
@@ -44,30 +46,36 @@ EXPORTS = {
 }
 
 
+# heavy imports that no exact or poly call needs; dataclasses pulls in inspect, ast and dis
+WATCHED = ("numpy", "mpmath", "dataclasses", "inspect", "json")
+
+
 def cold_run(run_fresh, argv):
-    """(stdout, numpy loaded) of ``cli.run(argv)`` in a fresh interpreter; asserts exit 0."""
+    """(stdout, the WATCHED modules loaded) of ``cli.run(argv)`` in a fresh interpreter; asserts exit 0."""
     out = run_fresh("import sys\n"
                     "from summa.cli import run\n"
                     f"rc = run({argv!r})\n"
-                    "print(rc, 'numpy' in sys.modules)\n")
+                    f"print(rc, *sorted(set({WATCHED!r}) & set(sys.modules)))\n")
     text, status = out[:-1].rsplit("\n", 1)
-    rc, numpy_loaded = status.split()
+    rc, *loaded = status.split()
     assert rc == "0"
-    return text + "\n", numpy_loaded == "True"
+    return text + "\n", set(loaded)
 
 
 @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
 def test_exact_subcommand_runs_cold_without_numpy(run_fresh, capsys, argv):
-    text, numpy_loaded = cold_run(run_fresh, argv)
-    assert not numpy_loaded
+    text, loaded = cold_run(run_fresh, argv)
+    assert not loaded & {"numpy", "mpmath", "dataclasses", "inspect"}
+    if argv[:2] == ["--format", "csv"]:
+        assert "json" not in loaded
     assert run(argv) == 0
     assert text == capsys.readouterr().out
 
 
 def test_a_float_subcommand_loads_numpy(run_fresh, capsys):
     argv = ["smoothed", "--s", "1", "--N", "1000"]
-    text, numpy_loaded = cold_run(run_fresh, argv)
-    assert numpy_loaded
+    text, loaded = cold_run(run_fresh, argv)
+    assert "numpy" in loaded
     assert run(argv) == 0
     assert text == capsys.readouterr().out
 
@@ -75,7 +83,14 @@ def test_a_float_subcommand_loads_numpy(run_fresh, capsys):
 def test_import_loads_neither_numpy_nor_mpmath(run_fresh):
     out = run_fresh("import sys\n"
                     "import summa, summa.cli\n"
-                    "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n")
+                    "print(sorted({'numpy', 'mpmath', 'json'} & set(sys.modules)))\n")
+    assert out == "[]\n"
+
+
+def test_no_layer_loads_dataclasses(run_fresh):
+    out = run_fresh("import sys\n"
+                    "import summa.casimir, summa.asymptotics, summa.summation, summa.smoothed\n"
+                    "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
     assert out == "[]\n"
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -7,13 +8,14 @@ import pytest
 
 from summa import smoothed
 from summa.cutoffs import make_cutoff, parse_cutoff
+from summa.cli import MAX_STIRLING_N
 from summa.errors import CutoffSmoothnessError, GrowthNotFoundError, NonFiniteResultError
 from summa.euler_maclaurin import (
     em_divergence_demo,
     em_tail,
     monomial_cutoff_deriv,
     stirling_g,
-    stirling_g_mp,
+    stirling_g_fixed,
     stirling_gap,
     stirling_series,
     stirling_series_exact,
@@ -168,14 +170,48 @@ class TestStirling:
         assert time.perf_counter() - start < 1.0  # log n! summed term by term would take hours
         assert g == pytest.approx(1.0 / (12.0 * 10**12), rel=1e-12)
 
+    def test_fixed_point_bound_and_rounding_against_mpmath(self):
+        # seeded log-uniform n up to the CLI's cap, every n <= 50, and two n past the cap
+        import mpmath as mp
+
+        rng = random.Random(18)
+        ns = sorted({round(10 ** rng.uniform(0, math.log10(MAX_STIRLING_N))) for _ in range(150)}
+                    | set(range(1, 51)) | {MAX_STIRLING_N, 10**18, 10**30})
+        for n in ns:
+            with mp.workdps(110 + 2 * len(str(n))):  # 60 + 2 log10 n, and deep enough for P = 300
+                ref = (mp.loggamma(n + 1) - (n + mp.mpf(1) / 2) * mp.log(n) + n
+                       - mp.log(2 * mp.pi) / 2)
+                # stirling_g's precision, then one that steps down from M = 34 for n < 34
+                for P in (80 + (12 * n + 1).bit_length(), 300):
+                    G, E = stirling_g_fixed(n, P)
+                    assert abs(mp.mpf(G) / 2**P - ref) <= mp.mpf(E) / 2**P, (n, P)
+                assert stirling_g(n) == float(ref), n  # correctly rounded, so within 1 ulp
+
     @pytest.mark.parametrize("n", [3, 10, 50, 2000, 2001])
     def test_loggamma_matches_the_exact_factorial(self, n):
         import mpmath as mp
 
-        with mp.workdps(50):
+        with mp.workdps(60):
             ref = (mp.log(mp.mpf(math.factorial(n))) - (n + mp.mpf(1) / 2) * mp.log(n) + n
                    - mp.log(2 * mp.pi) / 2)
-            assert abs(stirling_g_mp(n) - ref) <= mp.mpf("1e-45") * abs(ref)
+            G, E = stirling_g_fixed(n, 150)
+            assert abs(mp.mpf(G) / 2**150 - ref) <= mp.mpf(E) / 2**150
+            assert stirling_g(n) == float(ref)
+
+    def test_past_the_cap_reads_the_leading_term(self):
+        assert stirling_g(10**18) == pytest.approx(1.0 / 12e18, rel=1e-15)
+        assert stirling_g(10**30) == pytest.approx(1.0 / 12e30, rel=1e-15)
+
+    def test_fixed_point_domain(self):
+        with pytest.raises(ValueError):
+            stirling_g_fixed(0, 80)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10**5, 10**16])
+    def test_series_is_the_sum_of_its_terms(self, n):
+        for terms in (1, 2, 5, 40):
+            value, bound = stirling_series_exact(n, terms)
+            assert value == sum(stirling_term(n, m) for m in range(1, terms + 1))
+            assert bound == abs(stirling_term(n, terms + 1))
 
     def test_leading_term_halves(self):
         # g ~ 1/(12 n): doubling n halves it within 5%

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import List
 
@@ -202,7 +201,7 @@ class TestAbel:
 
     def test_partial_sum_route_agrees_with_closed_form(self):
         # strip the closed form so the direct alternating sum runs
-        g = replace(get_series("grandi"), abel_closed_form=None)
+        g = get_series("grandi")._replace(abel_closed_form=None)
         out = abel_sum(g)
         assert out.verdict == "finite"
         assert abs(out.value - 0.5) <= 1e-6
@@ -230,7 +229,7 @@ class TestAbel:
             seen.append(t)
             return series.abel_closed_form(t)
 
-        out = abel_sum(replace(series, abel_closed_form=counting))
+        out = abel_sum(series._replace(abel_closed_form=counting))
         assert seen == [Fraction(1)]
         if key.startswith("monomial"):
             assert out.verdict == "divergent"
@@ -325,6 +324,17 @@ class TestOutcomeInvariant:
     def test_unknown_verdict(self):
         with pytest.raises(ValueError):
             SummationOutcome("test", "maybe", None, None)
+
+    def test_replace_checks_too(self):
+        out = SummationOutcome("test", "divergent", None, None)
+        with pytest.raises(ValueError):
+            out._replace(verdict="finite")
+        assert out._replace(verdict="finite", error_estimate=0.0).verdict == "finite"
+
+    def test_diagnostics_default_is_not_shared(self):
+        a = SummationOutcome("test", "divergent", None, None)
+        b = SummationOutcome("test", "divergent", None, None)
+        assert a.diagnostics == {} and a.diagnostics is not b.diagnostics
 
 
 class TestLedger:
