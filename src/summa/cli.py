@@ -71,17 +71,21 @@ MAX_EXTRACT_S = 260
 # --s 147 --cutoff poly:150 on README's grid (~0.25 s); --s 0 takes poly:236 there (~0.2 s).
 # The sums read B_0 .. B_{s+p}, s + p at most MAX_BERNOULLI_INDEX.
 MAX_FAULHABER_WORK = 906 * 298 * 955
-# bump: digits 25 + ceil((s + 1) log10 N_max) of the drift (--s 53 on README's grid
-# has 199, ~1.5 s), then digits x sum of ceil(N) over the points, a bound on the eta passes'
-# cost (--s 0 on a dyadic grid to 64,000, ~0.9 s; ~2.9 s at 199 digits and 3.4 * 10^6)
-MAX_BUMP_DIGITS = 199
+# bump: digits 25 + ceil((s + 1) log10 N_max) of the drift (--s 84 on README's grid has
+# 298, ~0.25 s), then digits x sum of ceil(N) over the points, a bound on the eta passes'
+# work (--s 0 on a dyadic grid to 64,000, ~0.35 s).  A pass costs ~digits^1.6 a term, so
+# the slowest call under both sits at the digits cap: --s 65 on the grid 1,2,3,12197 (295
+# digits, 3.6 * 10^6), ~1.0 s; at 400 digits the same corner takes ~1.6 s.
+MAX_BUMP_DIGITS = 298
 MAX_BUMP_WORK = 36 * 10**5
-# casimir and casimir-force on poly:p or the indicator (p = 0): digits of max(a, b)^(p + 3),
-# L = N / lambda = a/b, summed over the exact u_t values (a for L >= 1, b = 2^e for L < 1).
-# A value's integers have about that many digits and its cost grows about as their square.
-# casimir's default 5 values of poly:996 fit at any L from 1 to 2^53 (at most 15,940 digits
-# each; --N 1000000 --lambda 0.3, ~0.3 s cold), and casimir-force --cutoff poly:996 --N 1e80
-# (79,920 digits in one value) takes ~0.35 s cold
+# casimir and casimir-force on poly:p or the indicator (p = 0): d = digits of
+# max(a, b)^(p + 3), L = N / lambda = a/b, at each exact u_t value (a for L >= 1, b = 2^e
+# for L < 1).  A value's integers have about d digits and its cost grows about as d^2, so
+# the cap is on the root of the sum of d^2 over the values: one value of 80,000 digits, or
+# many smaller ones.  casimir-force --cutoff poly:996 --N 1e80 (79,920 digits in one value)
+# takes ~0.5 s cold; casimir --cutoff indicator --N 1e300 --lambda 1e298 --levels 2000 (995
+# values, root 17,513) ~0.1 s; the slowest found, casimir --cutoff poly:996 --lambda 1 from
+# --N 10 * 2^56 down 57 levels (58 values, root 78,328), ~1.0 s
 MAX_UT_DIGITS = 80_000
 
 
@@ -434,8 +438,9 @@ def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
     """The config of a plate-energy run whose u_t values are at the smoothing ``scales``.
 
     The bump sweeps at most casimir.MAX_CELLS cells; the exact u_t of poly:p
-    and of the indicator (p = 0) reads B_0 .. B_{p+4}, and its integers have
-    at most MAX_UT_DIGITS digits summed over the values.
+    and of the indicator (p = 0) reads B_0 .. B_{p+4}, and the digits of its
+    integers have a root sum of squares over the values of at most
+    MAX_UT_DIGITS.
     """
     from . import casimir
 
@@ -448,14 +453,15 @@ def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
                              f"plate-sweep cap of {casimir.MAX_CELLS}")
         return cfg
     _check_cap("Bernoulli index poly order + 4", cutoff.p + 4, MAX_BERNOULLI_INDEX)
-    digits = 0
+    squares = 0
     for N in scales:
         L = N / cfg.lam
         if math.isinf(L):
             raise UsageError(f"--N / --lambda = {L} is past float64 range")
-        digits += math.ceil((cutoff.p + 3) * math.log10(max(L.as_integer_ratio())))
-    _check_cap("exact u_t digits, (p + 3) log10 max(a, b) at each L = N / lambda = a/b",
-               digits, MAX_UT_DIGITS)
+        squares += math.ceil((cutoff.p + 3) * math.log10(max(L.as_integer_ratio()))) ** 2
+    root = math.isqrt(squares)
+    _check_cap("exact u_t digits (p + 3) log10 max(a, b) at each L = N / lambda = a/b, "
+               "root sum of squares", root + (root * root < squares), MAX_UT_DIGITS)
     return cfg
 
 

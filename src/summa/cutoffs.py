@@ -194,7 +194,7 @@ class Cutoff:
         raise NotImplementedError
 
     def eval_mp(self, x):
-        """eta(x) in mpmath arithmetic (extended-precision summation paths)."""
+        """eta(x) in mpmath arithmetic: the reference of the exact paths' tests."""
         raise NotImplementedError
 
     def mellin_exact(self, s: int) -> Optional[Fraction]:
@@ -221,23 +221,30 @@ class BumpCutoff(Cutoff):
             return mp.mpf(0)
         return mp.exp(1 - 1 / (1 - mp.mpf(x) ** 2))
 
-    def eval_fixed(self, top: float, W: int):
-        """Yield eta(m / top) * 2^W as integers, for m = 1..ceil(top).
+    def eval_fixed(self, top: float, W: int) -> List[int]:
+        """[eta(m / top) * 2^W] as integers, for m = 1..ceil(top).
 
         With top = P/q exactly, 1 - 1/(1 - x^2) = -b at x = m/top, where
         b = m^2 q^2 / (P^2 - m^2 q^2).  B = floor(b 2^W) is one exact integer
         division and mpmath's fixed-point exp of -B / 2^W gives the value:
-        each yielded integer is within 8 of the exact eta(m / top) 2^W
-        (exp_fixed measures within 6 units, the floor of b adds at most 1).
+        each integer is within 8 of the exact eta(m / top) 2^W (exp_fixed
+        measures within 6 units, the floor of b adds at most 1).  A total of
+        these times n^s over n < N is then within 8 N^(s+1) 2^-W of its exact
+        value, and ``smoothed._drift_bits`` takes a W that keeps this
+        under 2^-13 of one rounding at the drifts' precision: W = prec + 17 +
+        (s + 1) + bitlen(s + 1).  exp_fixed's cost grows with W.
         """
         from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
         P, q = float(top).as_integer_ratio()
         P2 = P * P
         ln2 = ln2_fixed(W)
-        for m in range(1, math.ceil(top) + 1):
+        values = []
+        for m in range(1, math.ceil(top)):  # m < top; m = ceil(top) is at or past x = 1
             a = (m * q) ** 2
-            yield exp_fixed(-((a << W) // (P2 - a)), W, ln2) if a < P2 else 0
+            values.append(exp_fixed(-((a << W) // (P2 - a)), W, ln2))
+        values.append(0)
+        return values
 
 
 class PolyCutoff(Cutoff):

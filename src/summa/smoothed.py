@@ -16,10 +16,15 @@ drift D(N) is therefore an exact rational (``drifts``, which the constant
 extraction and the Euler-Maclaurin tail identity share): a Faulhaber closed
 form costing O(p s) whatever N is for poly cutoffs.  For the bump one pass of
 fixed-point eta values (integers eta 2^W, one integer division and one
-fixed-point exp each) serves every grid point N_max / r with r an integer;
-the sums of eta n^s are exact integers, each rounded once to mpmath working
-precision (scaled to the grid) before C N^{s+1} is subtracted; the reported
-growth coefficient is that same moment, in float64.
+fixed-point exp each) serves every grid point N_max / r with r an integer,
+each point's sum of eta n^s a stride sum over the pass's one list of
+integers.  Each sum is rounded once to mpmath working precision, prec bits
+scaled to the grid, before C N^{s+1} is subtracted; W = prec + 17 + (s+1) +
+bitlen(s+1) keeps its fixed-point error under 2^-13 of that rounding, since
+eta >= e^(-1/3) on [0, 1/2] bounds C below (``_drift_bits``).  The bump's C
+is a closed form, a recurrence in s from three seeds built of K_0(1/2),
+K_1(1/2) and E_1(1) (``_bump_moment``); the reported growth coefficient is
+that same moment, in float64.
 
 The same Faulhaber expansion makes every smoothed sum of poly:p exact: the
 sum itself, the Grandi sum and both sides of the scaling counterexample are
@@ -32,6 +37,7 @@ float paths only, so the poly lane runs without numpy.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
@@ -121,20 +127,104 @@ class AsymptoticFit(NamedTuple):
         }
 
 
-_MELLIN_MP_CACHE: dict = {}
+# The forward recurrence of the bump moments loses at most 62 bits up to s = 261
+# (measured at 40, 300 and 880 digits against runs with 1000 more bits): 80 guard
+# bits cover every s up to the CLI's --s cap with 18 to spare.
+_MOMENT_GUARD_BITS = 80
+_BUMP_SEEDS: dict = {}
 
 
-def _mellin_mp(cutoff: Cutoff, s: int, dps: int):
+def _bump_seeds(wp: int) -> tuple:
+    """(C_0, C_1, C_2) of the bump as mpf at ``wp`` bits, memoized per precision.
+
+    Power series in fixed point at wp + 16 bits, z = 1/2 and z^2/4 = 1/16
+    (DLMF 10.25.2, 10.31.2, 10.28.2 and 6.6.2):
+
+        I_0 = sum q^k / k!^2,  I_1 = (1/4) sum q^k / (k! (k+1)!),  q = 1/16,
+        K_0 = (2 ln 2 - gamma) I_0 + sum H_k q^k / k!^2,
+        K_1 = (2 - K_0 I_1) / I_0                        (the Wronskian),
+        E_1(1) = -gamma + sum_{k>=1} (-1)^(k+1) / (k k!),
+
+    with K_v = K_v(1/2) and H_k the harmonic numbers.  The 16 bits beyond wp
+    take the truncation of each term (a unit each, a few hundred terms) and
+    the cancellation in 3 K_1 - 5 K_0 (2 bits).
+    """
+    hit = _BUMP_SEEDS.get(wp)
+    if hit is not None:
+        return hit
+    import mpmath as mp
+    from mpmath.libmp.gammazeta import euler_fixed
+    from mpmath.libmp.libelefun import e_fixed, ln2_fixed, sqrt_fixed
+
+    fp = wp + 16
+    one, gamma, e = 1 << fp, euler_fixed(fp), e_fixed(fp)
+    i0 = i1 = harmonic_sum = h = k = 0
+    t, u = one, one >> 2  # q^k / k!^2 and (1/4) q^k / (k! (k+1)!)
+    while t:
+        i0, i1, harmonic_sum = i0 + t, i1 + u, harmonic_sum + (h * t >> fp)
+        k += 1
+        t //= 16 * k * k
+        u //= 16 * k * (k + 1)
+        h += one // k
+    k0 = ((2 * ln2_fixed(fp) - gamma) * i0 >> fp) + harmonic_sum
+    k1 = (((2 << fp) - (k0 * i1 >> fp)) << fp) // i0
+    e1, f, k = -gamma, one, 0
+    while f:
+        k += 1
+        f //= k
+        e1 += f // k if k % 2 else -(f // k)
+    rte = sqrt_fixed(e, fp)
+    fixed = [rte * (k1 - k0) >> (fp + 1), (one - (e * e1 >> fp)) >> 1,
+             rte * (3 * k1 - 5 * k0) // (6 << fp)]
+    with mp.workprec(wp):
+        seeds = _BUMP_SEEDS[wp] = tuple(mp.mpf((v, -fp)) for v in fixed)
+    return seeds
+
+
+def _bump_moment(s: int, dps: int):
+    """C_s = integral_0^1 x^s eta(x) dx of the bump, as mpf at dps + 10 digits.
+
+    With t = x^2 and u = t/(1 - t), C_s = (1/2) Gamma(a) U(a, 0, 1) at
+    a = (s+1)/2, U Tricomi's confluent function (DLMF 13.4.4).  The b = 0
+    recurrence U(a+1) = ((2a+1) U(a) - U(a-1)) / (a (a+1)) (DLMF 13.3.7),
+    times Gamma(a)/2, is the integration by parts of x^(s-1) (1-x^2)^2 eta'
+    (eta' = -2x eta / (1-x^2)^2):
+
+        (s+3) C_(s+2) = 2 (s+2) C_s - (s-1) C_(s-2)   for s >= 2,
+        C_3 = (6 C_1 - 1) / 4                          (the boundary term at 0).
+
+    Its seeds: x = tanh(t/2) gives eta = sqrt(e) exp(-(cosh t)/2),
+    dx = dt / (1 + cosh t) and x^2 = 1 - 2 / (1 + cosh t), so C_0 = sqrt(e) F
+    and C_2 = sqrt(e) (F - 2G) at z = 1/2, where
+
+        F(z) = integral_0^inf exp(-z cosh t) / (1 + cosh t) dt,
+        G(z) = integral_0^inf exp(-z cosh t) / (1 + cosh t)^2 dt.
+
+    F - F' = K_0 and G - G' = F, and F e^-z, G e^-z vanish at infinity, so
+    F = z (K_1 - K_0) and G = (2/3) z^2 (K_0 - K_1) + (1/3) z K_1 (with
+    K_0' = -K_1, K_1' = -K_0 - K_1/z).  u = x^2/(1 - x^2) turns C_1 into
+    (1/2) integral_0^inf e^-u (1+u)^-2 du = (1 - e E_1(1)) / 2.  Together:
+
+        C_0 = sqrt(e) (K_1 - K_0) / 2,   C_2 = sqrt(e) (3 K_1 - 5 K_0) / 6,
+        C_1 = (1 - e E_1(1)) / 2,        K_v = K_v(1/2)   (``_bump_seeds``),
+
+    i.e. U(1/2) = f (K_1 - K_0), U(3/2) = f (6 K_1 - 10 K_0) / 3 with
+    f = sqrt(e / pi), and U(1) = 1 - e E_1(1).
+
+    The recurrence runs forward at _MOMENT_GUARD_BITS beyond the result's
+    precision; the result is rounded once to dps + 10 digits.
+    """
     import mpmath as mp
 
-    key = (cutoff.label, s)
-    hit = _MELLIN_MP_CACHE.get(key)
-    if hit is not None and hit[0] >= dps:
-        return hit[1]
     with mp.workdps(dps + 10):
-        val = mp.quad(lambda x: x**s * cutoff.eval_mp(x), [0, 1])
-    _MELLIN_MP_CACHE[key] = (dps, val)
-    return val
+        prec = mp.mp.prec
+    c0, c1, c2 = _bump_seeds(prec + _MOMENT_GUARD_BITS)
+    with mp.workprec(prec + _MOMENT_GUARD_BITS):
+        lo, hi, start = (c1, (6 * c1 - 1) / 4, 3) if s % 2 else (c0, c2, 2)
+        for j in range(start, s - 1, 2):  # (lo, hi) = (C_(j-2), C_j) becomes (C_j, C_(j+2))
+            lo, hi = hi, (2 * (j + 2) * hi - (j - 1) * lo) / (j + 3)
+    with mp.workprec(prec):
+        return +(lo if s < 2 else hi)
 
 
 def _poly_sum_parts(s: int, p: int, a: int, b: int) -> Tuple[int, int]:
@@ -181,14 +271,16 @@ def _bump_totals(s: int, cutoff: Cutoff, points: Sequence[float], W: int) -> Lis
     [eta(n/N) 2^W] is the bump's ``eval_fixed`` integer.  Each N whose ratio
     r = N_max / N is an exact integer shares one pass over m = 1..ceil(N_max):
     m / N_max and n / N = (m / r) / N are the same rational, so eval_fixed
-    gives the same integer, and an integer sum does not depend on its order:
-    every total is bit-identical to a pass over N alone.  Any other N makes
-    its own pass.  The ratio is tested on the exact rationals: in floats
-    N_max / N can round to an integer that is not the ratio.
+    gives the same integer, and N's total is the stride sum of the pass's
+    values at m = r, 2r, ... against 1^s, 2^s, ...; an integer sum does not
+    depend on its order, so every total is bit-identical to a pass over N
+    alone.  Any other N makes its own pass.  The ratio is tested on the exact
+    rationals: in floats N_max / N can round to an integer that is not the
+    ratio.
     """
     n_max = max(points)
     shared = []
-    passes = [(n_max, shared)]  # (top, [(index, ratio)]): one eta pass each
+    passes = [(n_max, shared)]  # (top, [(index, ratio)]): one eta pass each, N_max's first
     for i, N in enumerate(points):
         r = n_max / N
         if r.is_integer() and Fraction(N) * int(r) == Fraction(n_max):
@@ -197,32 +289,43 @@ def _bump_totals(s: int, cutoff: Cutoff, points: Sequence[float], W: int) -> Lis
             passes.append((N, [(i, 1)]))
 
     totals = [0] * len(points)
+    powers = [n**s for n in range(1, math.ceil(n_max) + 1)] if s else None  # the longest pass
     for top, members in passes:
-        for m, v in enumerate(cutoff.eval_fixed(top, W), 1):
-            if v:
-                for i, r in members:
-                    if m % r == 0:
-                        totals[i] += v * (m // r) ** s
+        values = cutoff.eval_fixed(top, W)
+        for i, r in members:
+            stride = values[r - 1::r]
+            totals[i] = sum(map(operator.mul, stride, powers)) if s else sum(stride)
     return totals
+
+
+def _drift_bits(s: int, prec: int) -> int:
+    """The fixed-point bits W of the bump's drift sums for mpf results at ``prec`` bits.
+
+    Each total is within 8 N^(s+1) 2^-W of its exact sum (``eval_fixed``)
+    and is rounded at prec on values of size C_s N^(s+1), where C_s is the
+    moment.  eta >= e^(-1/3) on [0, 1/2], so C_s >= e^(-1/3) / ((s+1) 2^(s+1)),
+    and W = prec + 17 + (s+1) + bitlen(s+1) makes 8 N^(s+1) 2^-W at most
+    2^-(prec+13) C_s N^(s+1): 2^-13 of one such rounding, whatever N is.
+    """
+    return prec + 17 + (s + 1) + (s + 1).bit_length()
 
 
 def _drifts_mp(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> list:
     """D(N) for the bump at every N in ``points``, as mpf at ``dps`` digits.
 
-    The sums are ``_bump_totals`` in fixed point at W = prec + (s + 1) L + 16
-    bits, where prec is the bit precision of ``dps`` and L the bit length of
-    ceil(N_max).  Each eta value is within 8 units of 2^-W, so each total is
-    within 8 ceil(N_max) N_max^s 2^-W <= 2^-(prec + 13) of the exact sum,
-    whatever the order of its terms.  It is rounded once to ``dps`` digits
-    (mp.mpf(total) 2^-W), and C_{eta,s} N^(s+1) is subtracted in mpmath at
-    ``dps``; those roundings, each ~2^-prec C_{eta,s} N^(s+1), dominate.
+    The sums are ``_bump_totals`` in fixed point at W = ``_drift_bits`` of
+    the bit precision prec of ``dps``: each is within 2^-(prec+13) C_s N^(s+1)
+    of the exact sum, whatever the order of its terms.  It is rounded once to
+    ``dps`` digits (mp.mpf(total) 2^-W), and C_s N^(s+1) (``_bump_moment``)
+    is subtracted in mpmath at ``dps``; those roundings, each ~2^-prec
+    C_s N^(s+1), dominate.
     """
     import mpmath as mp
 
     with mp.workdps(dps):
-        W = mp.mp.prec + (s + 1) * math.ceil(max(points)).bit_length() + 16
+        W = _drift_bits(s, mp.mp.prec)
         totals = _bump_totals(s, cutoff, points, W)
-        c = _mellin_mp(cutoff, s, dps)
+        c = _bump_moment(s, dps)
         return [mp.ldexp(mp.mpf(t), -W) - c * mp.mpf(N) ** (s + 1)
                 for t, N in zip(totals, points)]
 
@@ -292,9 +395,9 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
     ys = [math.log(max(r, 1e-300)) for r in residuals]
     slope = _lsq_slope(xs, ys)
 
-    # C_{eta,s}: the moment the drifts subtracted, exact for poly, cached mpf for the bump
+    # C_{eta,s}: the moment the drifts subtracted, exact for poly, the closed form for the bump
     growth = float(cutoff.mellin_exact(s) if cutoff.kind == "poly"
-                   else _mellin_mp(cutoff, s, working_digits(s, grid[-1])))
+                   else _bump_moment(s, working_digits(s, grid[-1])))
     return AsymptoticFit(constant, growth, slope, grid, error_estimate, residuals)
 
 

@@ -379,7 +379,7 @@ class TestErrors:
         (["em-tail", "--s", "261", "--N", "1"], cli.MAX_EXTRACT_S),
         (["em-tail", "--s", "400", "--N", "10"], cli.MAX_EXTRACT_S),
         (["em-tail", "--s", "999", "--N", "1"], cli.MAX_EXTRACT_S),
-        (["em-tail", "--s", "174", "--N", "5"], cli.MAX_BUMP_DIGITS),
+        (["em-tail", "--s", "91", "--N", "1000"], cli.MAX_BUMP_DIGITS),
         (["em-tail", "--s", "3", "--N", "100000"], cli.MAX_BUMP_WORK),
         (["em-tail", "--s", "1", "--cutoff", "poly:504", "--N", "10"], cli.MAX_FAULHABER_WORK),
         (["em-tail", "--s", "1", "--cutoff", "poly:80", "--N", str(10**300)],
@@ -407,7 +407,7 @@ class TestErrors:
          cli.MAX_FAULHABER_WORK),  # few sums of many digits
         (["extract", "--s", "0", "--cutoff", "poly:150", "--grid", "1e300,2e300,4e300,8e300"],
          cli.MAX_FAULHABER_WORK),
-        (["extract", "--s", "54", "--cutoff", "bump"], cli.MAX_BUMP_DIGITS),
+        (["extract", "--s", "85", "--cutoff", "bump"], cli.MAX_BUMP_DIGITS),
         (["extract", "--s", "200", "--cutoff", "bump"], cli.MAX_BUMP_DIGITS),
         (["extract", "--s", "0", "--cutoff", "bump", "--grid", "62500,125000,250000,500000"],
          cli.MAX_BUMP_WORK),
@@ -423,11 +423,11 @@ class TestErrors:
         (["stirling", "--n", str(cli.MAX_STIRLING_N + 1)], cli.MAX_STIRLING_N),
         (["stirling", "--n", str(10**30), "--terms", "499"], cli.MAX_STIRLING_N),
         (["casimir-force", "--cutoff", "poly:996", "--N", "1e81"], cli.MAX_UT_DIGITS),
-        (["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "0.3", "--levels", "5"],
-         cli.MAX_UT_DIGITS),  # one value more than the default ladder
+        (["casimir", "--cutoff", "poly:996", "--N", "7.205759403792794e+17", "--lambda", "1",
+          "--levels", "58"], cli.MAX_UT_DIGITS),  # root 80,334; one level less runs (~1 s)
         (["casimir", "--cutoff", "poly:996", "--N", "10", "--lambda", "1e300"], cli.MAX_UT_DIGITS),
-        (["casimir", "--cutoff", "indicator", "--N", "1e300", "--lambda", "1e298", "--levels",
-          "2000"], cli.MAX_UT_DIGITS),
+        (["casimir", "--cutoff", "poly:12", "--N", "1.1235582092889474e+308", "--lambda", "1",
+          "--levels", "2000"], cli.MAX_UT_DIGITS),  # 1022 values: root sum of squares 85,417
     ])
     def test_work_past_a_cap_is_usage_error(self, capsys, monkeypatch, argv, cap):
         def no_compute(*args, **kwargs):
@@ -450,16 +450,21 @@ class TestErrors:
         ["truncate", "--alpha", f"1/{cli.MAX_TRUNCATE_ROWS - 5}"],
         ["delta-seq", "--j", str(cli.MAX_DELTA_J)],
         ["extract", "--s", "147", "--cutoff", "poly:150"],  # 906 sums x 298 terms x 955 digits
-        ["extract", "--s", "53", "--cutoff", "bump"],  # 199 digits
-        ["em-tail", "--s", "173", "--N", "5"],  # 199 digits
+        ["extract", "--s", "84", "--cutoff", "bump"],  # 298 digits
+        ["em-tail", "--s", "90", "--N", "1000"],  # 298 digits
         ["extract", "--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64000"],
         ["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "1"],  # B_1000
-        ["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "0.3"],  # 79,195 digits
+        ["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "0.3"],  # root 35,417
         ["casimir-force", "--cutoff", "poly:996", "--N", "1e80"],  # 79,920 digits
         ["smoothed", "--s", "998", "--cutoff", "poly:2", "--N", "2"],  # B_1000
         ["smoothed", "--s", "100", "--cutoff", "poly:420", "--N", "10"],  # 2.29e8 Faulhaber work
         ["grandi", "--cutoff", "poly:74", "--N", "1e300"],  # 2.53e8 Faulhaber work
         ["stirling", "--n", str(cli.MAX_STIRLING_N), "--terms", "3"],
+        ["em-tail", "--s", "174", "--N", "5"],  # 200 digits, under the bump drift caps
+        ["extract", "--s", "54", "--cutoff", "bump"],  # 202 digits
+        ["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "0.3", "--levels", "5"],
+        ["casimir", "--cutoff", "indicator", "--N", "1e300", "--lambda", "1e298", "--levels",
+         "2000"],  # 995 values of ~900 digits: root sum of squares 17,513
     ])
     def test_work_at_a_cap_runs(self, capsys, argv):
         run_json(capsys, argv)
@@ -472,7 +477,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv,cap", [
         (["--s", "147", "--cutoff", "poly:150"], "MAX_FAULHABER_WORK"),
-        (["--s", "53", "--cutoff", "bump"], "MAX_BUMP_DIGITS"),
+        (["--s", "84", "--cutoff", "bump"], "MAX_BUMP_DIGITS"),
         (["--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64000"], "MAX_BUMP_WORK"),
     ])
     def test_extract_work_at_a_cap_is_exactly_the_cap(self, capsys, monkeypatch, argv, cap):
@@ -655,14 +660,16 @@ _EDGE_GRAMMAR = {
     # --s 999 and 1000 straddle MAX_BERNOULLI_INDEX (B_{s+p}) on poly:1
     "smoothed": {"--s": _int_edges(cli.MAX_BERNOULLI_INDEX - 1), "--cutoff": _CUTOFF_EDGES,
                  "--N": _float_edges(smoothed.MAX_TERMS)},
-    "extract": {"--s": _int_edges(cli.MAX_EXTRACT_S), "--cutoff": _CUTOFF_EDGES,
+    # --s 84 and 85 straddle MAX_BUMP_DIGITS on the bump and README's grid
+    "extract": {"--s": _int_edges(cli.MAX_EXTRACT_S) + ["84", "85"], "--cutoff": _CUTOFF_EDGES,
                 "--grid": _GRID_EDGES},
     "grandi": {"--cutoff": _CUTOFF_EDGES, "--N": _float_edges(smoothed.MAX_TERMS)},
     "scaling-demo": {"--cutoff": _CUTOFF_EDGES, "--N": _float_edges(smoothed.MAX_TERMS)},
     "delta-seq": {"--j": _int_edges(cli.MAX_DELTA_J), "--testfn": ["centered", "offset", "wat"],
                   "--tol": _float_edges()},
-    "em-tail": {"--s": _int_edges(cli.MAX_EXTRACT_S), "--cutoff": _CUTOFF_EDGES,
-                "--N": _int_edges()},
+    # --s 90 and 91 straddle MAX_BUMP_DIGITS on the bump at --N 1000
+    "em-tail": {"--s": _int_edges(cli.MAX_EXTRACT_S) + ["90", "91"], "--cutoff": _CUTOFF_EDGES,
+                "--N": _int_edges() + ["1000"]},
     "stirling": {"--n": _int_edges(cli.MAX_STIRLING_ROWS + 1)
                  + [str(cli.MAX_STIRLING_N), str(cli.MAX_STIRLING_N + 1)],
                  "--terms": _int_edges(cli.MAX_BERNOULLI_INDEX // 2 - 1), "--table": [None]},

@@ -6,15 +6,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from summa import smoothed
+from summa import euler_maclaurin, smoothed
+from summa.cli import MAX_EXTRACT_S
 from summa.cutoffs import BumpCutoff, make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError, NonFiniteResultError
 from summa.exact import bernoulli, faulhaber
 from summa.smoothed import (
+    _bump_moment,
     _bump_totals,
     _drift_exact_poly,
     _drifts_mp,
-    _mellin_mp,
     centered_bump,
     constant_extraction,
     delta_pairing,
@@ -227,9 +228,9 @@ class CountingBump(BumpCutoff):
         self.calls = 0
 
     def eval_fixed(self, top, W):
-        for v in super().eval_fixed(top, W):
-            self.calls += 1
-            yield v
+        values = super().eval_fixed(top, W)
+        self.calls += len(values)
+        return values
 
 
 def poly_drift_loop(s, cutoff, N):
@@ -252,7 +253,7 @@ def bump_drift_loop(s, cutoff, N, dps):
             e = cutoff.eval_mp(mp.mpf(n) / NM)
             if e:
                 total += e * mp.mpf(n) ** s
-        return total - _mellin_mp(cutoff, s, dps) * NM ** (s + 1)
+        return total - _bump_moment(s, dps) * NM ** (s + 1)
 
 
 class TestDrift:
@@ -272,16 +273,17 @@ class TestDrift:
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_bump_drift_within_its_bound_of_a_finer_reference(self, grid):
-        # the fixed-point sums are within 2^-(prec + 13) of the exact sums; the
-        # roundings at dps (the total, C, N^(s+1), the product, the difference)
-        # add a few units of 2^-prec on values of size C N^(s+1)
+        # the fixed-point sums are within 2^-(prec + 13) C N^(s+1) of the exact sums
+        # (_drift_bits), and the roundings at dps (the total, C, N^(s+1), the product,
+        # the difference) add a few units of 2^-prec on values of size C N^(s+1): the
+        # tolerance's 6 units cover both, and its absolute 2^-(prec + 13) is slack
         eta = make_cutoff("bump")
         for s in (0, 3, 6):
             dps = 25 + math.ceil((s + 1) * math.log10(max(grid)))
             with mp.workdps(dps):
                 prec = mp.mp.prec
             got = _drifts_mp(s, eta, grid, dps)
-            c = _mellin_mp(eta, s, dps)
+            c = _bump_moment(s, dps)
             for N, d in zip(grid, got):
                 want = bump_drift_loop(s, eta, N, dps + 20)
                 scale = abs(c) * mp.mpf(N) ** (s + 1) + abs(want)
@@ -308,11 +310,109 @@ class TestDrift:
             assert _bump_totals(s, eta, grid, W) == [_bump_totals(s, eta, [N], W)[0]
                                                      for N in grid], s
 
+    def test_fixed_point_bits_keep_their_error_under_a_rounding_at_every_s(self):
+        # a total's fixed-point error 8 N^(s+1) 2^-W is at most 2^-(prec + 13) C_s N^(s+1),
+        # 2^-13 of one rounding at prec, for every s the CLI accepts; N^(s+1) cancels
+        prec = 100
+        for s in range(MAX_EXTRACT_S + 1):
+            W = smoothed._drift_bits(s, prec)
+            assert 8 * mp.ldexp(1, -W) <= mp.ldexp(_bump_moment(s, 20), -(prec + 13)), s
+
     def test_dyadic_grid_evaluates_eta_once_per_n(self):
         eta = CountingBump()
         grid = [500.3 / 2**k for k in range(4, -1, -1)]
         constant_extraction(1, eta, grid)
         assert eta.calls == math.ceil(grid[-1])
+
+
+class TestBumpMoment:
+    @pytest.mark.parametrize("s,dps", [*((s, 30) for s in [*range(13), 53, 100, 260]), (53, 200)])
+    def test_closed_form_is_the_quadrature(self, s, dps):
+        with mp.workdps(dps + 10):  # split where x^s eta(x) peaks at high s
+            want = mp.quad(lambda x: x**s * mp.exp(1 - 1 / (1 - x * x)), [0, 0.5, 0.75, 0.9, 1])
+            assert abs(_bump_moment(s, dps) - want) <= want * mp.mpf(10) ** -(dps + 8)
+
+    def test_seeds_are_computed_once_per_precision(self):
+        assert smoothed._bump_seeds(300) is smoothed._bump_seeds(300)
+
+    def test_bump_extraction_and_em_tail_run_no_quadrature(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("mp.quad called")
+
+        monkeypatch.setattr(mp, "quad", no_quad)
+        monkeypatch.setattr(smoothed, "_BUMP_SEEDS", {})
+        constant_extraction(7, make_cutoff("bump"), [100.0, 200.0, 400.0, 800.0])
+        euler_maclaurin.em_tail(2, make_cutoff("bump"), 50)
+
+
+class TestBumpOutputsPinned:
+    """Every field of bump extractions and em_tail rows, by repr.
+
+    The values come from the drift as first implemented (each eta value
+    tested against every grid point, W = prec + (s+1) bitlen(ceil N_max) + 16
+    and the moment by mp.quad at dps + 10): the drift's fixed-point width,
+    its stride sums and the moment's closed form must leave every bit in
+    place.
+    """
+
+    README_GRID = [100.0, 200.0, 400.0, 800.0, 1600.0]
+    DYADIC_GRID = [1000.0, 2000.0, 4000.0, 8000.0, 16000.0]
+    EXTRACT = {
+        (0, 1600.0): "(-0.5, 0.6034501612189381, -290.557695377611, [100.0, 200.0, 400.0, 800.0, "
+                     "1600.0], 0.0, [2.8837487811567137e-11, 1.1624057130463306e-15, "
+                     "6.017446131155258e-22, 0.0])",
+        (1, 1600.0): "(-0.08333333658854136, 0.20182631883840296, -2.1283038086899686, [100.0, "
+                     "200.0, 400.0, 800.0, 1600.0], 9.765620458696339e-09, "
+                     "[8.271072657973139e-07, 2.0507666225606107e-07, 4.8828047797720354e-08, "
+                     "9.765620458696339e-09])",
+        (3, 1600.0): "(0.008333334883432221, 0.052739478257604444, -4.030755917869555, [100.0, "
+                     "200.0, 400.0, 800.0, 1600.0], 4.650292850680105e-09, "
+                     "[3.109443356297465e-05, 1.0583450905975737e-07, 2.325144640798521e-08, "
+                     "4.650292850680105e-09])",
+        (5, 1600.0): "(-0.003968255595857557, 0.020623690816539753, -9.187043335376936, [100.0, "
+                     "200.0, 400.0, 800.0, 1600.0], 4.882804254204224e-09, "
+                     "[0.31689660120640056, 0.0002985911430868123, 1.803289974879356e-08, "
+                     "4.882804254204224e-09])",
+        (6, 1600.0): "(2.9704084069554067e-24, 0.013917363091747735, -15.375982202150922, [100.0, "
+                     "200.0, 400.0, 800.0, 1600.0], 3.3623997502301795e-13, "
+                     "[32.11427180001107, 0.05697119753504495, 2.567337674526709e-06, "
+                     "3.3623997502301795e-13])",
+        (0, 16000.0): "(-0.5, 0.6034501612189381, 0.0, [1000.0, 2000.0, 4000.0, 8000.0, "
+                      "16000.0], 0.0, [0.0, 0.0, 0.0, 0.0])",
+        (1, 16000.0): "(-0.08333333336588541, 0.20182631883840296, -2.1298561057503766, [1000.0, "
+                      "2000.0, 4000.0, 8000.0, 16000.0], 9.765624954586937e-11, "
+                      "[8.300779265903986e-09, 2.05078112602235e-09, 4.882812422797795e-10, "
+                      "9.765624954586937e-11])",
+        (3, 16000.0): "(0.008333333348834326, 0.052739478257604444, -2.1298559757549143, [1000.0, "
+                      "2000.0, 4000.0, 8000.0, 16000.0], 4.6502975713639035e-11, "
+                      "[3.952750892890195e-09, 9.765623698234755e-10, 2.3251487284614957e-10, "
+                      "4.6502975713639035e-11])",
+        (5, 16000.0): "(-0.00396825398453001, 0.020623690816539753, -2.1298558017146556, [1000.0, "
+                      "2000.0, 4000.0, 8000.0, 16000.0], 4.8828124133023364e-11, "
+                      "[4.150386837085138e-09, 1.025390388315429e-09, 2.441406102613978e-10, "
+                      "4.8828124133023364e-11])",
+        (6, 16000.0): "(0.0, 0.013917363091747735, -373.4053988374802, [1000.0, 2000.0, 4000.0, "
+                      "8000.0, 16000.0], 0.0, [9.477337613885631e-17, 1.3558038844463308e-28, "
+                      "0.0, 0.0])",
+    }
+    EM_TAIL = {
+        (1, 100): "(0.08333416369580716, 0.08333333333333333, 8.303624738278936e-07)",
+        (1, 1000): "(0.08333334166666469, 0.08333333333333333, 8.333331349207043e-09)",
+        (2, 100): "(-3.013024593645373e-07, 0.0, -3.013024593645373e-07)",
+        (2, 1000): "(0.0, 0.0, 0.0)",
+        (3, 100): "(-0.008364429316995197, -0.008333333333333333, -3.109598366186311e-05)",
+        (3, 1000): "(-0.008333337301585218, -0.008333333333333333, -3.9682518849218974e-09)",
+    }
+
+    @pytest.mark.parametrize("s,top", sorted(EXTRACT))
+    def test_constant_extraction(self, s, top):
+        grid = self.README_GRID if top == self.README_GRID[-1] else self.DYADIC_GRID
+        fit = constant_extraction(s, make_cutoff("bump"), grid)
+        assert repr(tuple(fit)) == self.EXTRACT[s, top]
+
+    @pytest.mark.parametrize("s,N", sorted(EM_TAIL))
+    def test_em_tail(self, s, N):
+        assert repr(tuple(euler_maclaurin.em_tail(s, make_cutoff("bump"), N))) == self.EM_TAIL[s, N]
 
 
 class TestSharpIndicatorPathology:
