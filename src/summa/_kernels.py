@@ -8,8 +8,9 @@ alternating sums and the plate-energy cell sweep -- stream their index range
 in fixed chunks of ``CHUNK`` terms (``CHUNK // 15`` cells, 15 nodes each),
 so their working memory is O(CHUNK) at any N and their time is linear in N.
 A sum allocates its chunk arrays once and refills them for every chunk.
-The callers bound the work: ``smoothed.MAX_TERMS`` terms of a sum and
-``casimir.MAX_CELLS`` cells of a sweep.
+The callers bound the work: ``smoothed.MAX_TERMS`` terms of a sum, and
+``casimir`` sweeps only below N/lam ~ 1.35 * 10^3, where the bump's
+Euler-Maclaurin expansion at 0 does not yet meet its 2^-62 bound.
 Chunk sums are joined with ``math.fsum``; the cell sweep's accepted panels
 are summed once at the end, exactly as in one sweep over all cells.  The
 doubled sum sum 2n eta(2n/N) needs no kernel of its own: it is twice the
@@ -108,9 +109,11 @@ def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float
 def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
     """Dimensionless plate-energy combination sum + half-term - integral at scale N.
 
-    This sweep is the path of the bump, whose u_t has no closed form;
+    This sweep is the path of the bump below N/lam ~ 1.35 * 10^3, where its
+    Euler-Maclaurin expansion at 0 does not yet meet its 2^-62 bound;
     ``casimir`` computes a polynomial cutoff's u_t exactly instead, and for
-    those the sweep is a test oracle.  Evaluated through the exact regrouping
+    those, and for the bump at larger N/lam, the sweep is a test oracle.
+    Evaluated through the exact regrouping
 
         sum_{n>=1} F(n) + F(0)/2 - int_0^{N/lam} F(s) ds
             = int_0^{N/lam} v^2 eta(lam v/N) (floor(v) + 1/2 - v) dv,

@@ -11,8 +11,13 @@ whose combination
 is exactly the smoothed-sum tail object.  For a polynomial eta, (1 - x)^p
 on [0, 1] (poly:p, and the sharp indicator as p = 0), u_N is an exact
 rational in O(p) Bernoulli terms, computed in integers and rounded once
-(``_poly_ut``); the bump has no closed form and runs the cell sweep
-``_kernels.ut_value``.  As the smoothing scale N grows,
+(``_poly_ut``).  The bump has no closed form, but all its derivatives vanish
+at 1, so u_N is its Euler-Maclaurin expansion at 0 up to a remainder bounded
+from the shipped sup of one derivative (``_bump_em_ut``): one rational in 14
+terms, rounded once, wherever that bound is at most 2^-62 -- at N/lam from
+~1.35 * 10^3 -- and the cell sweep ``_kernels.ut_value`` over fewer cells
+below.  Which path runs is decided per scale by one integer comparison on
+N/lam; nothing else selects it.  As the smoothing scale N grows,
 u_N -> B_4/12 = -1/360 (with B_4 = -1/30), independent of the cutoff shape
 and of lam -- the dimensionless content of the plate-energy theorem.  The
 physical energy per unit area follows by the prefactor pi^2 hbar c / (2 d^3),
@@ -33,7 +38,8 @@ nothing integrated out to the support end; ``euler_maclaurin.sup_norm_check(2,
 ...)`` samples sup |F^(5)|, which scales as N^-2 at fixed lam.
 
 ``_kernels``, and with it numpy, is imported in the quadrature paths only,
-so the exact u_t of a polynomial eta runs without numpy.
+so the exact u_t of a polynomial eta, and the bump's expansion, run without
+numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .cutoffs import Cutoff, make_cutoff
 from .errors import CutoffSmoothnessError, NonFiniteResultError
-from .exact import bernoulli_integers
+from .exact import PI_LOWER, bernoulli, bernoulli_integers
 
 __all__ = [
     "HBAR",
@@ -68,9 +74,15 @@ __all__ = [
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
-# unit cells of one bump u_t sweep, ceil(N / lam); more raise ValueError.  The exact
-# u_t of a polynomial eta has no cells.
-MAX_CELLS = 10**6
+# The bump's Euler-Maclaurin expansion at 0 (``_bump_em_ut``) runs through B_J, J = _EM_ORDER,
+# with the remainder bound A_J >= sup_[0, 1] |(x^2 eta)^(J-1)| shipped as
+# _EM_LOG2_SUP = ceil(log2 A_J); tests/test_casimir.py regenerates it from Bernstein bounds
+# on 32 dyadic pieces.  The smallest L whose bound meets 2^-62, scanned over J = 20..40 with
+# the shipped ceilings: 2,045 at J = 20, 1,572 at 24, 1,397 at 28, 1,353 at 30, 1,350 at 32,
+# 1,344 at 36 and 1,475 at 40 (the unrounded A_J put the least at 1,320, J = 33-34).
+# J = 30 is within 1% of the best with 14 terms.
+_EM_ORDER = 30
+_EM_LOG2_SUP = 287
 
 
 class _CasimirFields(NamedTuple):
@@ -100,6 +112,8 @@ class CasimirConfig(_CasimirFields):
             raise ValueError(f"lam must be positive, got {cfg.lam}")
         if cfg.N < 10:
             raise ValueError(f"smoothing scale N must be >= 10, got {cfg.N}")
+        if math.isinf(cfg.N / cfg.lam):
+            raise ValueError(f"N / lam = {cfg.N / cfg.lam} is past float64 range")
         if cfg.quad_tol <= 0:
             raise ValueError(f"quad_tol must be positive, got {cfg.quad_tol}")
         return cfg
@@ -264,24 +278,83 @@ def _poly_ut(p: int, support: float) -> float:
         raise NonFiniteResultError(f"u_t at N/lam = {support!r} is past float64 range") from exc
 
 
-def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: bool):
-    """u_t at each smoothing scale in ``scales``: exact for a polynomial eta, a cell sweep for the bump.
+@functools.lru_cache(maxsize=1)
+def _bump_em_terms():
+    """Constants of ``_bump_em_ut``: (D, numerators, bound).
 
-    A sweep of more than ``MAX_CELLS`` cells raises ValueError.
+    The term of order L^(4-2k) is B_2k e_(2k-4) / (2k (2k-1)) = numerators[k-2] / D, for
+    k = 2 .. J/2.  The e_2m = c_m are the bump's Taylor coefficients at 0: with z = x^2,
+    eta = exp(-z / (1 - z)) = exp(-sum_{j>=1} z^j) = sum c_m z^m, and eta' = phi' eta
+    gives m c_m = -sum_{j=1}^{m} j c_(m-j), c_0 = 1.  ``bound`` is a rational upper
+    bound on 2 zeta(J) (2 pi)^-J A_J 2^62: zeta(J) <= 1 + 2^(1-J), pi > PI_LOWER and
+    A_J <= 2^_EM_LOG2_SUP.
+    """
+    from fractions import Fraction
+
+    J = _EM_ORDER
+    c = [Fraction(1)]
+    for m in range(1, J // 2 - 1):
+        c.append(-sum(j * c[m - j] for j in range(1, m + 1)) / m)
+    terms = [bernoulli(2 * k) * c[k - 2] / (2 * k * (2 * k - 1)) for k in range(2, J // 2 + 1)]
+    D = math.lcm(*(t.denominator for t in terms))
+    bound = (Fraction(2**J + 2, 2 ** (J - 1)) * (2 * PI_LOWER) ** -J
+             * 2 ** (_EM_LOG2_SUP + 62))
+    return D, tuple(t.numerator * (D // t.denominator) for t in terms), bound
+
+
+def _bump_em_ut(support: float):
+    """The bump's u_t at L = ``support`` from its Euler-Maclaurin expansion at 0, rounded once.
+
+    u_t = L^3 [sum_{n>=1} Phi(n/L) + Phi(0)/2 - L int_0^1 Phi] with
+    Phi(x) = int_x^1 y^2 eta(y) dy, and every derivative of the bump vanishes at 1, so
+    Euler-Maclaurin at 0 to order J (DLMF 2.10.1, 24.9), with
+    F^(2k-1)(0) = -(2k-2)! e_(2k-4) L^(4-2k), gives
+
+        u_t = sum_{k=2}^{J/2} B_2k e_(2k-4) / (2k (2k-1)) L^(4-2k) + R_J,
+        |R_J| <= 2 zeta(J) (2 pi)^-J L^(4-J) sup_[0, 1] |(x^2 eta)^(J-1)|,
+
+    the k = 2 term being B_4/12 = -1/360 and the k = 3 term -1/(1260 L^2).  With
+    L = a/b, b = 2^e, the sum is one integer over D a^(J-4), and int / int rounds it
+    once, correctly.  Returns None where the bound exceeds 2^-62, half an ulp of any
+    value in [2^-9, 2^-8) (|u_t| is within 10^-9 of 1/360 wherever the bound holds);
+    the test is one integer comparison on a and b, and it holds exactly from
+    L = 1353.16...  So a value returned is within 2^-62 + half an ulp of the true u_t.
+    """
+    a, b = support.as_integer_ratio()
+    e = b.bit_length() - 1
+    D, numerators, bound = _bump_em_terms()
+    if bound.numerator << (e * (_EM_ORDER - 4)) > bound.denominator * a ** (_EM_ORDER - 4):
+        return None
+    a2 = a * a
+    num = 0
+    for m, n in enumerate(numerators):  # sum_m n_m a^(2(M-m)) b^(2m) by Horner's rule in a^2
+        num = num * a2 + (n << (2 * m * e))
+    return num / (D * a2 ** (len(numerators) - 1))
+
+
+def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: bool):
+    """u_t at each smoothing scale in ``scales``.
+
+    Exact for a polynomial eta.  The bump takes its Euler-Maclaurin expansion wherever the
+    remainder bound is at most 2^-62 and the cell sweep below that, so a sweep has fewer
+    than ~1.35 * 10^3 cells.
     """
     if enforce_smoothness and cfg.cutoff.smoothness_order < 5:
         raise CutoffSmoothnessError(
             f"cutoff {cfg.cutoff.label!r} is below C^5; pass enforce_smoothness=False "
             "to run the non-stabilizing demonstration anyway"
         )
-    if cfg.cutoff.kind == "bump":
-        if not max(scales) / cfg.lam <= MAX_CELLS:
-            raise ValueError(f"plate sweep of N/lam = {max(scales) / cfg.lam:.6g} cells exceeds "
-                             f"MAX_CELLS = {MAX_CELLS}")
-        from . import _kernels
+    if cfg.cutoff.kind != "bump":
+        return [_poly_ut(cfg.cutoff.p, N / cfg.lam) for N in scales]
+    values = []
+    for N in scales:
+        value = _bump_em_ut(N / cfg.lam)
+        if value is None:
+            from . import _kernels
 
-        return [_kernels.ut_value(cfg.cutoff, cfg.lam, N, cfg.quad_tol)[0] for N in scales]
-    return [_poly_ut(cfg.cutoff.p, N / cfg.lam) for N in scales]
+            value = _kernels.ut_value(cfg.cutoff, cfg.lam, N, cfg.quad_tol)[0]
+        values.append(value)
+    return values
 
 
 def ladder_scales(N: float, levels: int) -> List[float]:
@@ -312,10 +385,13 @@ def u_t_dimensionless(cfg: CasimirConfig, *, enforce_smoothness: bool = True) ->
 
     Converges to -1/360 as N grows.  For poly:p and the indicator the value
     is the exact rational rounded once (``_poly_ut``), so its only error is
-    that rounding; the error estimate stays the N-halving difference, now
-    between two exact values.  For the bump the combination is evaluated
-    through an exact cell-by-cell regrouping that never forms the two large
-    canceling pieces (see ``_kernels.ut_value``).  The argument runs through
+    that rounding.  For the bump at N/lam from ~1.35 * 10^3 it is the
+    Euler-Maclaurin expansion at 0, rounded once, within 2^-62 + half an ulp
+    of the true value (``_bump_em_ut``); below that the combination is
+    evaluated through an exact cell-by-cell regrouping that never forms the
+    two large canceling pieces (see ``_kernels.ut_value``).  On every path the
+    error estimate stays the N-halving difference, the distance of the value
+    from the limit's next term, not a bound on its own error.  The argument runs through
     the C^5 norm of F, so cutoffs below C^5 are rejected unless
     ``enforce_smoothness=False`` (the sharp-indicator contrast runs need the
     escape hatch; their values never stabilize).

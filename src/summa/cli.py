@@ -21,7 +21,9 @@ are NamedTuples), so the exact subcommands start without numpy or mpmath
 subcommand on a polynomial cutoff poly:p (``smoothed``, ``grandi``,
 ``scaling-demo``, ``extract``, ``em-tail``, ``casimir`` and
 ``casimir-force``): its values are exact rationals from the Faulhaber and
-Bernoulli sums, each rounded once.
+Bernoulli sums, each rounded once.  So does a bump ``casimir`` or
+``casimir-force`` whose every N / lambda is past ~1.35 * 10^3, where u_t is
+its Euler-Maclaurin expansion at 0, rounded once.
 """
 
 from __future__ import annotations
@@ -437,27 +439,25 @@ def _cmd_em_diverge(args):
 def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
     """The config of a plate-energy run whose u_t values are at the smoothing ``scales``.
 
-    The bump sweeps at most casimir.MAX_CELLS cells; the exact u_t of poly:p
-    and of the indicator (p = 0) reads B_0 .. B_{p+4}, and the digits of its
-    integers have a root sum of squares over the values of at most
-    MAX_UT_DIGITS.
+    N / lambda must be finite at every scale.  The bump's u_t takes its expansion
+    at 0 from N / lambda ~ 1.35 * 10^3 and sweeps fewer cells below, so it has no
+    cap; the exact u_t of poly:p and of the indicator (p = 0) reads
+    B_0 .. B_{p+4}, and the digits of its integers have a root sum of squares
+    over the values of at most MAX_UT_DIGITS.
     """
     from . import casimir
 
     cutoff = _resolve_cutoff(args.cutoff)
-    cfg = casimir.CasimirConfig(d=args.d, lam=getattr(args, "lam"), N=args.N,
-                                cutoff=cutoff, quad_tol=args.quad_tol)
+    supports = [N / args.lam for N in scales]
+    if math.isinf(max(supports)):
+        raise UsageError(f"--N / --lambda = {max(supports)} is past float64 range")
+    cfg = casimir.CasimirConfig(d=args.d, lam=args.lam, N=args.N, cutoff=cutoff,
+                                quad_tol=args.quad_tol)
     if cutoff.kind == "bump":
-        if cfg.support_end > casimir.MAX_CELLS:  # the largest sweep has ceil(N / lambda) cells
-            raise UsageError(f"--N / --lambda = {cfg.support_end:.6g} cells exceeds the "
-                             f"plate-sweep cap of {casimir.MAX_CELLS}")
         return cfg
     _check_cap("Bernoulli index poly order + 4", cutoff.p + 4, MAX_BERNOULLI_INDEX)
     squares = 0
-    for N in scales:
-        L = N / cfg.lam
-        if math.isinf(L):
-            raise UsageError(f"--N / --lambda = {L} is past float64 range")
+    for L in supports:
         squares += math.ceil((cutoff.p + 3) * math.log10(max(L.as_integer_ratio()))) ** 2
     root = math.isqrt(squares)
     _check_cap("exact u_t digits (p + 3) log10 max(a, b) at each L = N / lambda = a/b, "

@@ -54,7 +54,7 @@ class TestConfig:
         assert C_LIGHT == 2.99792458e8
 
     @pytest.mark.parametrize("kwargs", [
-        {"d": 0.0}, {"lam": -1.0}, {"N": 5.0}, {"quad_tol": 0.0},
+        {"d": 0.0}, {"lam": -1.0}, {"N": 5.0}, {"quad_tol": 0.0}, {"N": 1e308, "lam": 1e-300},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -250,12 +250,18 @@ class TestUt:
             half = float(exact_poly_ut(6, 1, (N / 2.0) / 0.75))
             assert r == (float(exact_poly_ut(6, 1, N / 0.75)), abs(r.value - half))
 
-    def test_cell_cap_binds_the_bump_sweep_only(self):
-        with pytest.raises(ValueError, match="MAX_CELLS"):
-            u_t_dimensionless(CasimirConfig(N=20.0, lam=1e-9, cutoff=make_cutoff("bump")))
-        cfg = CasimirConfig(N=float(casimir_module.MAX_CELLS) + 0.5, cutoff=make_cutoff("bump"))
-        with pytest.raises(ValueError, match="MAX_CELLS"):
-            u_t_dimensionless(cfg)
+    def test_the_bump_has_no_cell_cap(self, monkeypatch):
+        # past N/lam ~ 1.35 * 10^3 the bump's u_t is its expansion at 0, at any finite N/lam
+        from summa import _kernels
+
+        def no_sweep(*args):
+            raise AssertionError("swept past the expansion's bound")
+
+        monkeypatch.setattr(_kernels, "ut_value", no_sweep)
+        for N, lam in [(20.0, 1e-9), (1e6 + 0.5, 1.0), (1e300, 1e-5)]:
+            r = u_t_dimensionless(CasimirConfig(N=N, lam=lam, cutoff=make_cutoff("bump")))
+            assert r.value == casimir_module._bump_em_ut(N / lam)
+            assert r.value == pytest.approx(LIMIT, rel=1e-12)
         # the exact u_t of poly:6 at 2 * 10^10 cells
         r = u_t_dimensionless(CasimirConfig(N=20.0, lam=1e-9, cutoff=make_cutoff("poly", 6)))
         assert r.value == pytest.approx(LIMIT, rel=1e-12)
@@ -305,6 +311,156 @@ class TestExactPolyUt:
         L = 1000.0
         u = u_t_dimensionless(CasimirConfig(N=L, cutoff=make_cutoff("poly", p))).value
         assert (u - LIMIT) * 1260.0 * L**2 / math.comb(p, 2) == pytest.approx(1.0, abs=1e-3)
+
+
+def _q_poly(K):
+    """Q_K, integer coefficients: (x^2 eta)^(K) = Q_K(x) y^(2K) e^(1-y), y = 1/(1 - x^2).
+
+    Leibniz on x^2 eta with eta^(k) = P_k y^(2k) eta gives
+    Q_K = x^2 P_K + 2K x (1-x^2)^2 P_(K-1) + K(K-1) (1-x^2)^4 P_(K-2).
+    """
+    from summa.cutoffs import _bump_numerator, _poly_add, _poly_mul_one_minus_x2, _poly_scale_xpow
+
+    def times_one_minus_x2(c, n):
+        for _ in range(n):
+            c = _poly_mul_one_minus_x2(c)
+        return c
+
+    q = _poly_scale_xpow(_bump_numerator(K), 1, 2)
+    q = _poly_add(q, _poly_scale_xpow(times_one_minus_x2(_bump_numerator(K - 1), 2), 2 * K, 1))
+    return _poly_add(q, times_one_minus_x2([K * (K - 1) * c for c in _bump_numerator(K - 2)], 4))
+
+
+def _bernstein_max(q, i, pieces):
+    """max |Bernstein coefficient| of q on [i/pieces, (i+1)/pieces], exactly: >= sup |q| there."""
+    n = len(q) - 1
+    # g(t) = pieces^n q((i + t) / pieces), by a Taylor shift of sum q_m pieces^(n-m) u^m
+    g = [c * pieces ** (n - m) for m, c in enumerate(q)]
+    for k in range(n):
+        for j in range(n - 1, k - 1, -1):
+            g[j] += i * g[j + 1]
+    best = max(Fraction(abs(sum(math.comb(n - k, j - k) * g[k] for k in range(j + 1))),
+                        math.comb(n, j)) for j in range(n + 1))
+    return best / pieces**n
+
+
+def _regenerate_sup_bound(J, pieces=32):
+    """An interval around max over the pieces of (Bernstein max of |Q_(J-1)|) x sup y^(2K) e^(1-y).
+
+    y^(2K) e^(1-y) rises up to y = 2K and falls after, and y rises with x, so its sup on a
+    piece is at 2K clamped to the piece's y range, evaluated in interval arithmetic.
+    """
+    from mpmath import iv
+
+    K = J - 1
+    q = _q_poly(K)
+    lo = hi = 0
+    for i in range(pieces):
+        y = max(Fraction(2 * K), Fraction(pieces**2, pieces**2 - i * i))
+        if i + 1 < pieces:
+            y = min(y, Fraction(pieces**2, pieces**2 - (i + 1) ** 2))
+        b = _bernstein_max(q, i, pieces)
+        y = iv.mpf(y.numerator) / y.denominator  # outward-rounded at iv's working precision
+        v = iv.mpf(b.numerator) / b.denominator * y ** (2 * K) * iv.exp(1 - y)
+        lo, hi = max(lo, v.a), max(hi, v.b)
+    return lo, hi
+
+
+def _em_reference(L, dps=50):
+    """The bump's expansion through B_J at L, from mpmath: B_2k by mp.bernoulli and
+    e_(2k-4) = L_(k-2)^(-1)(1), the generalized Laguerre value of exp(-z/(1-z))."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        L = mp.mpf(L)
+        return sum(mp.bernoulli(2 * k) / (2 * k * (2 * k - 1)) * mp.laguerre(k - 2, -1, 1)
+                   * L ** (4 - 2 * k) for k in range(2, casimir_module._EM_ORDER // 2 + 1))
+
+
+class TestBumpExpansion:
+    """The bump's u_t from its Euler-Maclaurin expansion at 0, where its remainder is <= 2^-62."""
+
+    def test_the_shipped_sup_is_its_regeneration_rounded_up(self):
+        J = casimir_module._EM_ORDER
+        lo, hi = _regenerate_sup_bound(J)
+        C = casimir_module._EM_LOG2_SUP
+        assert hi <= 2**C and lo > 2 ** (C - 1)
+
+    def test_q_is_the_derivative(self):
+        import mpmath as mp
+
+        K = casimir_module._EM_ORDER - 1
+        q = _q_poly(K)
+        with mp.workdps(60):
+            for x in (mp.mpf("0.3"), mp.mpf("0.8")):
+                y = 1 / (1 - x * x)
+                closed = mp.polyval(q[::-1], x) * y ** (2 * K) * mp.exp(1 - y)
+                fd = mp.diff(lambda t: t * t * mp.exp(1 - 1 / (1 - t * t)), x, K)
+                assert abs(closed / fd - 1) < mp.mpf(10) ** -20
+
+    def test_the_sweep_runs_exactly_below_the_bound(self, monkeypatch):
+        from summa import _kernels
+
+        lo, hi = 1000.0, 2000.0  # the first float whose bound meets 2^-62
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if casimir_module._bump_em_ut(mid) is None else (lo, mid)
+        assert 1353 < hi < 1354
+        sweeps = []
+        real = _kernels.ut_value
+
+        def counted(cutoff, lam, N, tol):
+            sweeps.append(N / lam)
+            return real(cutoff, lam, N, tol)
+
+        monkeypatch.setattr(_kernels, "ut_value", counted)
+        cfg = CasimirConfig(N=hi, cutoff=make_cutoff("bump"))
+        u_t_ladder(cfg, 1)  # N/lam = hi and hi/2
+        energy_density(cfg._replace(N=lo))
+        u_t_ladder(cfg._replace(N=4000.0, lam=2.0), 2)  # 2000, 1000 and 500
+        assert sweeps == [hi / 2, lo, 1000.0, 500.0]
+
+    @pytest.mark.parametrize("L", [500.0, 1000.0, 1353.0, 1354.0, 2000.0, 4000.0])
+    def test_the_sweep_agrees_with_the_expansion(self, L):
+        # the sweep stays measured: its gap to the expansion is 2.9e-9 at L = 1000 and peaks
+        # at 1.4e-8 near 2000, inside the quadrature's own estimate at every L here
+        from summa import _kernels
+
+        value, error = _kernels.ut_value(make_cutoff("bump"), 1.0, L, 1e-9)
+        gap = abs(value - float(_em_reference(L)))
+        assert gap <= error and gap <= 2e-8
+
+    def test_the_expansion_meets_an_independent_reference(self):
+        # per-cell 12-node Gauss-Legendre at 40 digits on int_0^L v^2 eta(v/L) (floor(v) + 1/2 - v)
+        import mpmath as mp
+        from mpmath.calculus.quadrature import GaussLegendre
+
+        L = 1360
+        with mp.workdps(40):
+            nodes = GaussLegendre(mp.mp).calc_nodes(3, mp.mp.prec)
+            ref = mp.mpf(0)
+            for n in range(L):
+                for x, w in nodes:
+                    v = n + (x + 1) / 2
+                    t = v / L
+                    ref += w * v * v * mp.exp(1 - 1 / (1 - t * t)) * (n + mp.mpf(0.5) - v)
+            ref /= 2
+            assert abs(_em_reference(L) - ref) <= mp.mpf(2) ** -62
+            u = u_t_dimensionless(CasimirConfig(N=float(L), cutoff=make_cutoff("bump"))).value
+            assert abs(u - ref) <= mp.mpf(2) ** -62 + math.ulp(u) / 2
+
+    def test_every_value_past_the_bound_is_certified(self):
+        import random
+
+        import mpmath as mp
+
+        rng = random.Random(21)
+        scales = [(1353.2, 1.0), (1e300, 1.0), (1e6, 0.5), (1e12, 1.0)]
+        for lam in (rng.uniform(0.25, 4.0) for _ in range(40)):  # N/lam log-uniform in [L0, 1e300]
+            scales.append((lam * 10 ** rng.uniform(math.log10(1353.2), 300), lam))
+        for N, lam in scales:
+            u = u_t_dimensionless(CasimirConfig(N=N, lam=lam, cutoff=make_cutoff("bump"))).value
+            assert abs(u - _em_reference(N / lam)) <= mp.mpf(2) ** -62 + math.ulp(u) / 2, (N, lam)
 
 
 class TestPhysicalOutputs:

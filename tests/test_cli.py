@@ -325,19 +325,6 @@ class TestErrors:
             errs.append(err)
         assert errs[0] == errs[1]
 
-    @pytest.mark.parametrize("name", ["casimir", "casimir-force"])
-    def test_cell_count_past_the_cap_is_usage_error(self, capsys, monkeypatch, name):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("swept before the cap check")
-
-        monkeypatch.setattr(_kernels, "ut_value", no_sweep)
-        rc, out, err = run_capture(capsys, [name, "--lambda", "1e-9", "--N", "20"])
-        assert rc == 2 and out == ""
-        assert str(casimir.MAX_CELLS) in err
-        # exactly at the cap is accepted by the CLI and reaches the sweep
-        with pytest.raises(AssertionError, match="before the cap"):
-            run([name, "--lambda", "1", "--N", str(casimir.MAX_CELLS)])
-
     @pytest.mark.parametrize("argv", [
         ["smoothed", "--s", "1", "--N", "1e11"],
         ["grandi", "--N", "1e11"],
@@ -350,13 +337,24 @@ class TestErrors:
         assert str(smoothed.MAX_TERMS) in err
 
     @pytest.mark.parametrize("name,cutoff", [("casimir", "poly:6"), ("casimir-force", "poly:6"),
-                                             ("casimir", "indicator")])
+                                             ("casimir", "indicator"), ("casimir", "bump"),
+                                             ("casimir-force", "bump")])
     def test_exact_u_t_has_no_cell_cap(self, capsys, monkeypatch, name, cutoff):
+        # the bump's u_t past N / lambda ~ 1.35 * 10^3 is its expansion at 0: the 2 * 10^10
+        # cells here, and 10^6 (the old sweep cap) and 10^12, run without a sweep
         def no_sweep(*args, **kwargs):
             raise AssertionError("an exact u_t reached the cell sweep")
 
         monkeypatch.setattr(_kernels, "ut_value", no_sweep)
         run_json(capsys, [name, "--cutoff", cutoff, "--lambda", "1e-9", "--N", "20"])
+        if cutoff != "bump":
+            return
+        for N in ("1000000", "1e12"):
+            result = run_json(capsys, [name, "--N", N])["result"]
+            u = casimir._bump_em_ut(float(N))
+            energy = casimir.energy_prefactor(1e-6) * u
+            expected = energy if name == "casimir" else 3.0 * energy / 1e-6
+            assert result["limit" if name == "casimir" else "force"] == expected
 
     @pytest.mark.parametrize("argv,value", [
         # sum_{n<N} (1 - n/N) n = (N^2 - 1)/6 at N = 10^11; scaling-demo's rhs is twice that
@@ -646,7 +644,8 @@ _SERIES_EDGES = ["S0", "S1", "grandi", "zero", "monomial:-1",
                                              -cli.MAX_SERIES_EXPONENT, -cli.MAX_SERIES_EXPONENT - 1)),
                  *(f"geometric:{r}" for r in (0, -1, 0.5, 1, 2, "1e300", "1e-300", "1e400"))]
 # --N 1e80 and 1e81 straddle MAX_UT_DIGITS for casimir-force on poly:996 at --lambda 1
-_CASIMIR_FLAGS = {"--d": _float_edges(), "--N": _float_edges(casimir.MAX_CELLS) + ["1e80", "1e81"],
+# --N 1353 and 1354 straddle the bump's switch from the cell sweep to its expansion at lambda 1
+_CASIMIR_FLAGS = {"--d": _float_edges(), "--N": _float_edges() + ["1353", "1354", "1e80", "1e81"],
                   "--cutoff": _CUTOFF_EDGES, "--lambda": _float_edges(),
                   "--quad-tol": _float_edges()}
 # each subcommand's flags and the values the property draws for them (None: a bare switch)

@@ -1,5 +1,6 @@
-"""Cold start: the exact subcommands, every subcommand on poly:p and the package surface load
-neither numpy nor mpmath, no layer loads dataclasses, and CSV output loads no json."""
+"""Cold start: the exact subcommands, every subcommand on poly:p, the bump's plate energy past
+its cell sweep and the package surface load neither numpy nor mpmath, no layer loads
+dataclasses, and CSV output loads no json."""
 
 import importlib
 
@@ -31,6 +32,9 @@ NUMPY_FREE = [
     ["em-tail", "--s", "3", "--cutoff", "poly:6", "--N", "100000"],
     ["casimir", "--cutoff", "poly:7", "--N", "400000", "--lambda", "0.5"],
     ["casimir-force", "--cutoff", "poly:6", "--N", "1e12"],
+    # the bump's plate energy where every scale is past its sweep: its expansion at 0
+    ["casimir-force", "--N", "1e12"],
+    ["casimir", "--N", "1e6", "--levels", "1"],
 ]
 
 # the public names of each submodule, as the package exported them eagerly
