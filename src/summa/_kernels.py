@@ -3,18 +3,17 @@
 Each kernel takes the ``Cutoff`` itself and evaluates eta through
 ``cutoff.eval`` on whole arrays, in place into an array it already holds.
 Sums are vectorized numpy; integrals run on the one adaptive Gauss-Kronrod
-core in ``summa.quadrature``.  The O(N) kernels -- the smoothed and
-alternating sums and the plate-energy cell sweep -- stream their index range
-in fixed chunks of ``CHUNK`` terms (``CHUNK // 15`` cells, 15 nodes each),
-so their working memory is O(CHUNK) at any N and their time is linear in N.
-A sum allocates its chunk arrays once and refills them for every chunk.
-The callers bound the work: ``smoothed.MAX_TERMS`` terms of a sum, and
-``casimir`` sweeps only below N/lam ~ 1.35 * 10^3, where the bump's
-Euler-Maclaurin expansion at 0 does not yet meet its 2^-62 bound.
-Chunk sums are joined with ``math.fsum``; the cell sweep's accepted panels
-are summed once at the end, exactly as in one sweep over all cells.  The
-doubled sum sum 2n eta(2n/N) needs no kernel of its own: it is twice the
-s = 1 smoothed sum at N/2 (see ``smoothed.scaling_counterexample``).
+core in ``summa.quadrature``.  The two O(N) sums -- the smoothed and the
+alternating sum -- stream their index range in fixed chunks of ``CHUNK``
+terms, so their working memory is O(CHUNK) at any N and their time is linear
+in N; a sum allocates its chunk arrays once, refills them for every chunk and
+joins the chunk sums with ``math.fsum``.  ``smoothed.MAX_TERMS`` bounds their
+work.  The plate-energy cell sweep does not stream: ``casimir`` runs it only
+below N/lam ~ 1.35 * 10^3, where the bump's Euler-Maclaurin expansion at 0
+does not yet meet its 2^-62 bound, so it is one batch of at most 1,354 unit
+cells (~20k nodes a level).  The doubled sum sum 2n eta(2n/N) needs no
+kernel of its own: it is twice the s = 1 smoothed sum at N/2 (see
+``smoothed.scaling_counterexample``).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ __all__ = [
     "ut_value",
 ]
 
-CHUNK = 15 * 4096  # terms per streamed chunk; CHUNK // 15 cells, a multiple of 4 (see ut_value)
+CHUNK = 61440  # terms per streamed chunk; even (see alternating_smoothed_value)
 # integrand evaluations of one moment integral, and of a plate sweep beyond each cell's first panel
 QUAD_BUDGET = 10**6
 
@@ -124,22 +123,14 @@ def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
     quantities to produce an O(1) value and loses ~N^3 * eps to correlated
     roundoff; this form never holds a large intermediate.  ``QUAD_BUDGET``
     caps the evaluations spent refining cells beyond the first panel of each.
-    The cells enter the quadrature ``CHUNK // 15`` at a time.  BLAS rounds a
-    panel's dot products by the row kernel its batch position lands on, and a
-    multiple of 4 cells per chunk keeps every cell's first panel on the same
-    kernel as in one batch of all cells: a sweep whose cells are accepted at
-    their first panel is bit-identical to that single batch.  Returns
-    (value, error_estimate).
+    All cells enter the quadrature as one batch.  Returns (value,
+    error_estimate).
     """
     c = lam / N
     support = N / lam
     ncells = math.ceil(support)
-
-    def cells():
-        step = CHUNK // 15
-        for start in range(0, ncells, step):
-            lo = np.arange(start, min(start + step, ncells), dtype=float)
-            yield lo, np.minimum(lo + 1.0, support)
+    lo = np.arange(ncells, dtype=float)
+    hi = np.minimum(lo + 1.0, support)
 
     def saw(v):
         # a panel's midpoint lies strictly inside its unit cell, so its floor
@@ -152,5 +143,5 @@ def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
         y *= cell + 0.5 - v
         return y
 
-    value, error, _, _ = _adapt(saw, cells(), support, tol, QUAD_BUDGET + 15 * ncells)
+    value, error, _, _ = _adapt(saw, lo, hi, support, tol, QUAD_BUDGET + 15 * ncells)
     return value, error

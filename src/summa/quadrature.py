@@ -3,12 +3,11 @@
 A 7-point Gauss rule embedded in the 15-point Kronrod extension supplies the
 per-panel error estimate |K15 - G7| (QUADPACK's qk15).  Panels are refined
 by bisection one level at a time: every pending panel of a level is
-evaluated in one call to the integrand (many initial panels, such as the
-plate sweep's unit cells, arrive in batches, each refined to the end before
-the next), and a panel is accepted once its error is within its width share
-``tol * width / span`` of the tolerance, or within twice its roundoff floor
-(no amount of subdivision improves it), or the panel is too narrow to
-split.  The accepted errors therefore sum to at
+evaluated in one call to the integrand (the initial panels may be many, such
+as the plate sweep's unit cells), and a panel is accepted once its error is
+within its width share ``tol * width / span`` of the tolerance, or within
+twice its roundoff floor (no amount of subdivision improves it), or the
+panel is too narrow to split.  The accepted errors therefore sum to at
 most ``tol`` plus the roundoff floors.  Exhausting the evaluation budget
 raises :class:`QuadratureError` instead of returning a silently degraded
 value.
@@ -98,49 +97,43 @@ def _fsum_arrays(arrays) -> float:
     return math.fsum(itertools.chain.from_iterable(a.tolist() for a in arrays))
 
 
-def _adapt(f, cells, span: float, tol: float, budget: int):
-    """Level-by-level bisection of the initial panels until each is accepted.
+def _adapt(f, lo: np.ndarray, hi: np.ndarray, span: float, tol: float, budget: int):
+    """Level-by-level bisection of the initial panels [lo, hi] until each is accepted.
 
-    ``cells`` yields (lo, hi) arrays of initial panels; each batch is refined
-    to the end before the next is drawn, so memory holds one batch's levels
-    plus two floats per accepted panel.  Returns (value, error, nevals,
-    npanels).  ``span`` is the total width of the panels and ``tol`` is
-    shared among them in proportion to their width; ``budget`` caps the
-    integrand evaluations over all batches, 15 per panel, first level
-    included.  Acceptance is per panel and the totals are correctly rounded
-    sums, so batching changes the work done in no way, and the result only
-    where BLAS rounds a panel differently at another row position.
+    Returns (value, error, nevals, npanels).  ``span`` is the total width of
+    the panels and ``tol`` is shared among them in proportion to their width;
+    ``budget`` caps the integrand evaluations, 15 per panel, first level
+    included.  The totals are correctly rounded sums of the accepted panels.
     """
     share = tol / span
     min_width = max(1e-14 * span, 5e-308)
     values, errors = [], []
+    pending = np.zeros(0)  # errors of the panels being refined
     nevals = npanels = 0
-    for lo, hi in cells:
-        pending = np.zeros(0)  # errors of the panels being refined
-        while True:
-            if nevals + 15 * lo.size > budget:
-                total = _fsum_arrays(errors + [pending])
-                raise QuadratureError(
-                    f"quadrature budget {budget} exhausted at error {total:.3e} "
-                    f"on the panels reached (tol {tol:.3e})"
-                )
-            val, err, floor = _gk15(f, lo, hi)
-            nevals += 15 * lo.size
-            width = hi - lo
-            split = (err > np.maximum(share * width, 2.0 * floor)) & (width > min_width)
-            nsplit = int(np.count_nonzero(split))
-            npanels += lo.size - nsplit
-            if not nsplit:
-                values.append(val)
-                errors.append(err)
-                break
-            keep = ~split
-            values.append(val[keep])
-            errors.append(err[keep])
-            pending = err[split]
-            lo, hi = lo[split], hi[split]
-            mid = 0.5 * (lo + hi)
-            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    while True:
+        if nevals + 15 * lo.size > budget:
+            total = _fsum_arrays(errors + [pending])
+            raise QuadratureError(
+                f"quadrature budget {budget} exhausted at error {total:.3e} "
+                f"on the panels reached (tol {tol:.3e})"
+            )
+        val, err, floor = _gk15(f, lo, hi)
+        nevals += 15 * lo.size
+        width = hi - lo
+        split = (err > np.maximum(share * width, 2.0 * floor)) & (width > min_width)
+        nsplit = int(np.count_nonzero(split))
+        npanels += lo.size - nsplit
+        if not nsplit:
+            values.append(val)
+            errors.append(err)
+            break
+        keep = ~split
+        values.append(val[keep])
+        errors.append(err[keep])
+        pending = err[split]
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
     return _fsum_arrays(values), _fsum_arrays(errors), nevals, npanels
 
 
@@ -161,5 +154,5 @@ def integrate(f, a: float, b: float, tol: float, budget: int = 10**6) -> QuadRes
         a, b = b, a
         sign = -1.0
     value, error, nevals, npanels = _adapt(
-        f, [(np.array([a], dtype=float), np.array([b], dtype=float))], b - a, tol, budget)
+        f, np.array([a], dtype=float), np.array([b], dtype=float), b - a, tol, budget)
     return QuadResult(sign * value, error, nevals, npanels)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -419,6 +420,13 @@ class TestBumpExpansion:
         energy_density(cfg._replace(N=lo))
         u_t_ladder(cfg._replace(N=4000.0, lam=2.0), 2)  # 2000, 1000 and 500
         assert sweeps == [hi / 2, lo, 1000.0, 500.0]
+        # so a sweep is one batch of at most 1,354 cells: log-uniform N/lam in [10^-2, 10^6]
+        rng = random.Random(7)
+        sweeps.clear()
+        for _ in range(40):
+            N, L = 10 ** rng.uniform(1, 6), 10 ** rng.uniform(-2, 6)
+            u_t_ladder(cfg._replace(N=N, lam=N / L), 2)
+        assert len(sweeps) > 40 and max(math.ceil(s) for s in sweeps) <= 1354
 
     @pytest.mark.parametrize("L", [500.0, 1000.0, 1353.0, 1354.0, 2000.0, 4000.0])
     def test_the_sweep_agrees_with_the_expansion(self, L):

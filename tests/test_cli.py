@@ -707,13 +707,11 @@ class TestExitContract:
         fmt = data.draw(st.sampled_from(["json", "csv"]), label="--format")
         out, err = io.StringIO(), io.StringIO()
         # the work the caps bound (minutes for a sum at smoothed.MAX_TERMS) is cut short here:
-        # a streamed float sum keeps its first chunk, a plate sweep its first 1000 cells
-        sum_terms, sweep = _kernels._streamed_sum, _kernels.ut_value
+        # a streamed float sum keeps its first chunk (a plate sweep has at most 1,354 cells)
+        sum_terms = _kernels._streamed_sum
         with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
             patch.setattr(_kernels, "_streamed_sum",
                           lambda terms, count: sum_terms(terms, min(count, _kernels.CHUNK)))
-            patch.setattr(_kernels, "ut_value", lambda cutoff, lam, N, tol: sweep(
-                cutoff, lam, min(N, 1000.0 * lam), tol))
             rc = run(["--format", fmt] + argv)
         out, err = out.getvalue(), err.getvalue()
         if rc == 0:

@@ -1,8 +1,11 @@
-"""The streamed O(N) kernels: chunked sums and the chunked plate-energy cell sweep."""
+"""The O(N) kernels: the chunked smoothed and alternating sums, and the plate-energy cell sweep.
+
+Only the sums stream; the sweep runs below N/lam ~ 1,353.16, so it is one batch of at most
+1,354 cells.
+"""
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,7 +156,7 @@ class TestEvalInto:
 
 
 def one_shot_ut(cut, lam, N, tol):
-    """The plate sweep with all cells in one batch: (value, error, nevals)."""
+    """The plate sweep written out independently of ``_adapt``: (value, error, nevals)."""
     c, support = lam / N, N / lam
     lo = np.arange(math.ceil(support), dtype=float)
     hi = np.minimum(lo + 1.0, support)
@@ -181,29 +184,17 @@ def one_shot_ut(cut, lam, N, tol):
     return math.fsum(values), math.fsum(errors), nevals
 
 
-# (cutoff, lam, N): each spans at least three cell chunks
-SWEEPS = [("bump", 1.0, 13000.0), ("poly:8", 0.5, 6600.5)]
+# (cutoff, lam, N) at scales the sweep serves: below N/lam ~ 1,353.16
+SWEEPS = [("bump", 0.37, 1353 * 0.37), ("bump", 0.37, 500.1 * 0.37), ("poly:8", 0.5, 600.5)]
 
 
-def sweep_bits(spec, lam, N, tol=1e-9):
-    """(chunked, one-shot) sweep results as hex strings."""
-    assert math.ceil(N / lam) > 2 * (CHUNK // 15)
-    cut = make_cutoff(spec)
-    value, error = _kernels.ut_value(cut, lam, N, tol)
-    ref_value, ref_error, _ = one_shot_ut(cut, lam, N, tol)
-    return [value.hex(), error.hex()], [ref_value.hex(), ref_error.hex()]
-
-
-class TestStreamedCellSweep:
-    def test_bit_identical_to_one_shot_sweep(self, run_fresh):
-        # BLAS on one thread: a multi-threaded gemv splits the one-shot batch at
-        # thread-count-dependent rows, which changes the reference's own bits
-        code = ("import importlib.util, json\n"
-                f"spec = importlib.util.spec_from_file_location('tk', {str(Path(__file__))!r})\n"
-                "tk = importlib.util.module_from_spec(spec); spec.loader.exec_module(tk)\n"
-                "print(json.dumps([tk.sweep_bits(*args) for args in tk.SWEEPS]))\n")
-        for args, (chunked, one_shot) in zip(SWEEPS, json.loads(run_fresh(code))):
-            assert chunked == one_shot, args
+class TestCellSweep:
+    def test_bit_identical_to_one_shot_sweep(self):
+        for spec, lam, N in SWEEPS:
+            cut = make_cutoff(spec)
+            value, error = _kernels.ut_value(cut, lam, N, 1e-9)
+            ref_value, ref_error, _ = one_shot_ut(cut, lam, N, 1e-9)
+            assert [value.hex(), error.hex()] == [ref_value.hex(), ref_error.hex()], spec
 
 
 def kink(v):
@@ -211,31 +202,16 @@ def kink(v):
     return np.abs(v - np.floor(v[:, MID_NODE, None]) - 1.0 / 3.0)
 
 
-def cell_batches(ncells, size):
-    for start in range(0, ncells, size):
-        lo = np.arange(start, min(start + size, ncells), dtype=float)
-        yield lo, lo + 1.0
-
-
-class TestAdaptBatches:
+class TestAdaptBudget:
     NCELLS, TOL = 301, 1e-7
 
-    def sweep(self, size, budget=10**7):
-        return _adapt(kink, cell_batches(self.NCELLS, size), float(self.NCELLS), self.TOL, budget)
+    def sweep(self, budget):
+        lo = np.arange(self.NCELLS, dtype=float)
+        return _adapt(kink, lo, lo + 1.0, float(self.NCELLS), self.TOL, budget)
 
-    def test_batches_do_the_same_work(self):
-        value, error, nevals, npanels = self.sweep(self.NCELLS)
+    def test_budget_admits_exactly_the_sweeps_work(self):
+        nevals = self.sweep(10**7)[2]
         assert nevals > 4 * 15 * self.NCELLS  # refined well past the first level
-        many = self.sweep(64)
-        assert many[2:] == (nevals, npanels)
-        # refined panels may sit at another BLAS row position: last-ulp changes only
-        assert many[0] == pytest.approx(value, rel=1e-14)
-        assert many[1] == pytest.approx(error, rel=1e-12)
-
-    def test_budget_is_shared_across_batches(self):
-        # raises if and only if one batch of all cells would: the shared budget
-        # admits exactly that sweep's work and not one evaluation less
-        nevals = self.sweep(self.NCELLS)[2]
-        assert self.sweep(64, budget=nevals)[2] == nevals
+        assert self.sweep(nevals)[2] == nevals
         with pytest.raises(QuadratureError, match="budget"):
-            self.sweep(64, budget=nevals - 1)
+            self.sweep(nevals - 1)
