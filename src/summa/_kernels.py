@@ -3,17 +3,16 @@
 Each kernel takes the ``Cutoff`` itself and evaluates eta through
 ``cutoff.eval`` on whole arrays, in place into an array it already holds.
 Sums are vectorized numpy; integrals run on the one adaptive Gauss-Kronrod
-core in ``summa.quadrature``.  The two O(N) sums -- the smoothed and the
-alternating sum -- stream their index range in fixed chunks of ``CHUNK``
-terms, so their working memory is O(CHUNK) at any N and their time is linear
-in N; a sum allocates its chunk arrays once, refills them for every chunk and
-joins the chunk sums with ``math.fsum``.  ``smoothed.MAX_TERMS`` bounds their
-work.  The plate-energy cell sweep does not stream: ``casimir`` runs it only
-below N/lam ~ 1.35 * 10^3, where the bump's Euler-Maclaurin expansion at 0
-does not yet meet its 2^-62 bound, so it is one batch of at most 1,354 unit
-cells (~20k nodes a level).  The doubled sum sum 2n eta(2n/N) needs no
-kernel of its own: it is twice the s = 1 smoothed sum at N/2 (see
-``smoothed.scaling_counterexample``).
+core in ``summa.quadrature``.  The two sums -- the smoothed and the
+alternating sum -- are one vectorized pass each over n = 1..ceil(N).
+``smoothed`` calls them only for the bump below the scale where its
+Euler-Maclaurin expansion at 0 meets its bound, so with at most 3,787
+terms (``smoothed._bump_sum``; the Grandi sum below N ~ 788).  The
+plate-energy cell sweep is one batch too: ``casimir`` runs it only below
+N/lam ~ 1.35 * 10^3, where the bump's expansion of u_t does not yet meet its
+2^-62 bound, so it has at most 1,354 unit cells (~20k nodes a level).  The
+doubled sum sum 2n eta(2n/N) needs no kernel of its own: it is twice the
+s = 1 smoothed sum at N/2 (see ``smoothed.scaling_counterexample``).
 """
 
 from __future__ import annotations
@@ -32,62 +31,39 @@ __all__ = [
     "ut_value",
 ]
 
-CHUNK = 61440  # terms per streamed chunk; even (see alternating_smoothed_value)
 # integrand evaluations of one moment integral, and of a plate sweep beyond each cell's first panel
 QUAD_BUDGET = 10**6
 
 
-def _streamed_sum(terms, count: int) -> float:
-    """fsum of the chunk sums of ``terms(n, y)`` over the floats n = 1..count.
-
-    ``n`` holds one chunk's indices and ``y`` is a work array of its length;
-    ``terms`` may overwrite both (the indices are refilled for every chunk)
-    and returns the array whose sum is the chunk's.  The buffers are
-    allocated once per call.  Overflow and invalid operations yield inf/nan
-    without warnings; callers report a non-finite result as an error.
-    """
-    size = min(CHUNK, count)
-    base = np.arange(1, size + 1, dtype=float)
-    idx, y = np.empty(size), np.empty(size)
-    partials = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, count + 1, CHUNK):
-            m = min(CHUNK, count + 1 - start)
-            n = np.add(base[:m], start - 1, out=idx[:m])
-            partials.append(float(np.sum(terms(n, y[:m]))))
-    try:
-        return math.fsum(partials)
-    except (OverflowError, ValueError):  # an intermediate overflow or inf - inf
-        return sum(partials)
-
-
 def smoothed_sum_value(s: int, cutoff: Cutoff, N: float) -> float:
-    """sum_{n=1}^{ceil(N)} eta(n/N) n^s."""
-    N = float(N)
+    """sum_{n=1}^{ceil(N)} eta(n/N) n^s, one vectorized pass.
 
-    def terms(n, y):
-        cutoff.eval(np.divide(n, N, out=y), out=y)
+    Overflow and invalid operations yield inf/nan without warnings; callers
+    report a non-finite result as an error.
+    """
+    N = float(N)
+    n = np.arange(1, math.ceil(N) + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = n / N
+        cutoff.eval(y, out=y)
         n **= s  # the in-place power takes the same route as n**s
         y *= n
-        return y
-
-    return _streamed_sum(terms, math.ceil(N))
+        return float(np.sum(y))
 
 
 def alternating_smoothed_value(cutoff: Cutoff, N: float) -> float:
-    """sum_{n=1}^{ceil(N)} (-1)^(n-1) eta(n/N)."""
+    """sum_{n=1}^{ceil(N)} (-1)^(n-1) eta(n/N).
+
+    Each +eta(n/N), n odd, is paired with the -eta((n+1)/N) after it:
+    neighbours within a factor 2 subtract exactly (Sterbenz), so the sum of
+    the pairs no longer cancels.
+    """
     N = float(N)
-
-    def terms(n, y):
-        # a chunk starts at an odd n (CHUNK is even), so it pairs +eta(n/N) with
-        # the -eta((n+1)/N) after it: neighbours within a factor 2 subtract
-        # exactly (Sterbenz) and the chunk sum no longer cancels
-        cutoff.eval(np.divide(n, N, out=y), out=y)
-        odd, even = y[0::2], y[1::2]
-        odd[:even.size] -= even
-        return odd
-
-    return _streamed_sum(terms, math.ceil(N))
+    y = np.arange(1, math.ceil(N) + 1, dtype=float) / N
+    cutoff.eval(y, out=y)
+    odd, even = y[0::2], y[1::2]
+    odd[:even.size] -= even
+    return float(np.sum(odd))
 
 
 def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float):

@@ -48,7 +48,7 @@ import functools
 import math
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .cutoffs import Cutoff, make_cutoff
+from .cutoffs import Cutoff, bump_taylor0, make_cutoff
 from .errors import CutoffSmoothnessError, NonFiniteResultError
 from .exact import PI_LOWER, bernoulli, bernoulli_integers
 
@@ -279,26 +279,29 @@ def _poly_ut(p: int, support: float) -> float:
 
 
 @functools.lru_cache(maxsize=1)
+def _em_factor():
+    """A rational upper bound on 2 zeta(J) (2 pi)^-J, J = _EM_ORDER: the Euler-Maclaurin
+    remainder's |B~_J| / J! (DLMF 24.9), with zeta(J) <= 1 + 2^(1-J) and pi > PI_LOWER."""
+    from fractions import Fraction
+
+    J = _EM_ORDER
+    return Fraction(2**J + 2, 2 ** (J - 1)) * (2 * PI_LOWER) ** -J
+
+
+@functools.lru_cache(maxsize=1)
 def _bump_em_terms():
     """Constants of ``_bump_em_ut``: (D, numerators, bound).
 
     The term of order L^(4-2k) is B_2k e_(2k-4) / (2k (2k-1)) = numerators[k-2] / D, for
-    k = 2 .. J/2.  The e_2m = c_m are the bump's Taylor coefficients at 0: with z = x^2,
-    eta = exp(-z / (1 - z)) = exp(-sum_{j>=1} z^j) = sum c_m z^m, and eta' = phi' eta
-    gives m c_m = -sum_{j=1}^{m} j c_(m-j), c_0 = 1.  ``bound`` is a rational upper
-    bound on 2 zeta(J) (2 pi)^-J A_J 2^62: zeta(J) <= 1 + 2^(1-J), pi > PI_LOWER and
-    A_J <= 2^_EM_LOG2_SUP.
+    k = 2 .. J/2.  The e_2m = c_m are the bump's Taylor coefficients at 0
+    (``cutoffs.bump_taylor0``).  ``bound`` is a rational upper bound on
+    2 zeta(J) (2 pi)^-J A_J 2^62 (``_em_factor``), with A_J <= 2^_EM_LOG2_SUP.
     """
-    from fractions import Fraction
-
     J = _EM_ORDER
-    c = [Fraction(1)]
-    for m in range(1, J // 2 - 1):
-        c.append(-sum(j * c[m - j] for j in range(1, m + 1)) / m)
-    terms = [bernoulli(2 * k) * c[k - 2] / (2 * k * (2 * k - 1)) for k in range(2, J // 2 + 1)]
+    terms = [bernoulli(2 * k) * bump_taylor0(k - 2) / (2 * k * (2 * k - 1))
+             for k in range(2, J // 2 + 1)]
     D = math.lcm(*(t.denominator for t in terms))
-    bound = (Fraction(2**J + 2, 2 ** (J - 1)) * (2 * PI_LOWER) ** -J
-             * 2 ** (_EM_LOG2_SUP + 62))
+    bound = _em_factor() * 2 ** (_EM_LOG2_SUP + 62)
     return D, tuple(t.numerator * (D // t.denominator) for t in terms), bound
 
 

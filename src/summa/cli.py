@@ -23,7 +23,10 @@ subcommand on a polynomial cutoff poly:p (``smoothed``, ``grandi``,
 ``casimir-force``): its values are exact rationals from the Faulhaber and
 Bernoulli sums, each rounded once.  So does a bump ``casimir`` or
 ``casimir-force`` whose every N / lambda is past ~1.35 * 10^3, where u_t is
-its Euler-Maclaurin expansion at 0, rounded once.
+its Euler-Maclaurin expansion at 0, rounded once.  The bump's ``smoothed``,
+``grandi`` and ``scaling-demo`` load no numpy past N ~ 4 * 10^2 (grandi
+~ 8 * 10^2), where each sum is its expansion at 0 (``smoothed._bump_em_sum``;
+the moment C_s comes from mpmath).
 """
 
 from __future__ import annotations
@@ -101,22 +104,21 @@ def _check_cap(what: str, value: int, cap: int) -> None:
 
 
 def _check_faulhaber_caps(s: int, cutoff, points) -> None:
-    """The caps on the exact sums of poly:p at every N in ``points``, N_max / 2 counted."""
+    """The caps on the exact sums of poly:p, and of the indicator as p = 0, at every N in
+    ``points``, N_max / 2 counted."""
     terms = s + cutoff.p + 1
     digits = math.ceil(terms * Fraction(math.log10(max(max(points), 10))))  # exact at any --s
-    _check_cap("poly Faulhaber work, sums x terms x digits",
+    _check_cap("Faulhaber work, sums x terms x digits",
                (cutoff.p + 1) * (len(points) + 1) * terms * digits, MAX_FAULHABER_WORK)
     _check_cap("Bernoulli index --s + poly order", s + cutoff.p, MAX_BERNOULLI_INDEX)
 
 
 def _check_sum_caps(s: int, cutoff, N: float) -> None:
-    """The caps of a smoothed sum to N (and N/2): the exact sums of poly:p, else MAX_TERMS terms."""
-    if cutoff.kind == "poly":
+    """The caps of a smoothed sum to N (and N/2): those of the exact sums of poly:p and the
+    indicator.  The bump's sum is its O(1) expansion at 0, or a float sum of at most 3,787
+    terms, or an overflow decided in O(1) (``smoothed._bump_sum``)."""
+    if cutoff.kind != "bump":
         _check_faulhaber_caps(s, cutoff, [N])
-    else:
-        from .smoothed import MAX_TERMS
-
-        _check_cap("summed terms ceil(--N)", math.ceil(N), MAX_TERMS)
 
 
 def _check_drift_caps(s: int, cutoff, points) -> None:

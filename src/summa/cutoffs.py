@@ -35,7 +35,7 @@ from .errors import CutoffSmoothnessError
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["BUMP_EDGE", "Cutoff", "bump_deriv", "make_cutoff", "parse_cutoff",
+__all__ = ["BUMP_EDGE", "Cutoff", "bump_deriv", "bump_taylor0", "make_cutoff", "parse_cutoff",
            "sharp_indicator"]
 
 # Beyond this point the bump's exp() underflows to 0 long before the rational
@@ -45,6 +45,8 @@ BUMP_EDGE = 1.0 - 1e-12
 
 # Cache of the integer-coefficient numerator polynomials P_k (index = power).
 _BUMP_P: List[List[int]] = [[1]]
+# Cache of the bump's Taylor coefficients at 0 (index = power of x^2).
+_BUMP_TAYLOR: List[Fraction] = [Fraction(1)]
 
 
 def _poly_deriv(c: List[int]) -> List[int]:
@@ -75,6 +77,18 @@ def _bump_numerator(k: int) -> List[int]:
         nxt = _poly_add(_poly_mul_one_minus_x2(inner), _poly_scale_xpow(pk, -2, 1))
         _BUMP_P.append(nxt)
     return _BUMP_P[k]
+
+
+def bump_taylor0(m: int) -> Fraction:
+    """c_m, the coefficient of x^(2m) in the bump's Taylor series at 0, exactly.
+
+    With z = x^2, eta = exp(-z / (1 - z)) = exp(-sum_{j>=1} z^j) = sum c_m z^m, and
+    eta' = phi' eta gives m c_m = -sum_{j=1}^{m} j c_(m-j), c_0 = 1.
+    """
+    while len(_BUMP_TAYLOR) <= m:
+        k = len(_BUMP_TAYLOR)
+        _BUMP_TAYLOR.append(-sum(j * _BUMP_TAYLOR[k - j] for j in range(1, k + 1)) / k)
+    return _BUMP_TAYLOR[m]
 
 
 def _horner(c: List[int], x: np.ndarray) -> np.ndarray:

@@ -28,10 +28,15 @@ that same moment, in float64.
 
 The same Faulhaber expansion makes every smoothed sum of poly:p exact: the
 sum itself, the Grandi sum and both sides of the scaling counterexample are
-rationals, each rounded once, at any N.  The streamed float kernels of
-``_kernels`` serve the bump and the sharp indicator, at most ``MAX_TERMS``
-terms a sum.  numpy, ``_kernels`` and ``quadrature`` are imported in those
-float paths only, so the poly lane runs without numpy.
+rationals, each rounded once, at any N; the sharp indicator's are Faulhaber
+sums S_s(floor(N)).  The bump's sum is its Euler-Maclaurin expansion at 0,
+C_s N^(s+1) plus at most 15 zeta terms, wherever the remainder bound is at
+most 2^-62 of the value (``_bump_em_sum``: from N ~ 370 at s = 0, ~ 388 at
+s = 1), and its Grandi sum is exactly 1/2 from N ~ 788.  Below that, the
+float kernels of ``_kernels`` sum at most 3,787 terms; a sum that
+certainly overflows is an error before any O(s) or O(N) work.  numpy,
+``_kernels`` and ``quadrature`` are imported in those float paths only, so
+the exact lanes and the bump past its thresholds run without numpy.
 """
 
 from __future__ import annotations
@@ -41,15 +46,14 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
-from .cutoffs import Cutoff, bump_deriv, make_cutoff
-from .errors import CutoffSmoothnessError
-from .exact import bernoulli_integers, faulhaber_numerator, to_floats
+from .cutoffs import Cutoff, bump_deriv, bump_taylor0, make_cutoff
+from .errors import CutoffSmoothnessError, NonFiniteResultError
+from .exact import bernoulli, bernoulli_integers, faulhaber, faulhaber_numerator, to_floats
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "MAX_TERMS",
     "AsymptoticFit",
     "smoothed_sum",
     "mellin",
@@ -65,35 +69,118 @@ __all__ = [
     "offset_bump",
 ]
 
-MAX_TERMS = 10**10  # terms of one streamed float sum, ceil(N) (minutes of work); more raise ValueError
 _SCALING_TOL = 1e-12  # scaling_counterexample's sides differ past this, relative to max(1, |rhs|)
-
-
-def _check_streamed_terms(N: float) -> None:
-    """ValueError unless a streamed float sum to N has at most ``MAX_TERMS`` terms."""
-    if math.ceil(N) > MAX_TERMS:
-        raise ValueError(f"a sum of {math.ceil(N)} terms exceeds MAX_TERMS = {MAX_TERMS}")
+# ceil(log2 sup_[0, 1] |eta^(k)|) of the bump for k = 0 .. J, J = casimir._EM_ORDER: the
+# remainder bound of its smoothed sums' expansion at 0 (``_bump_em_sum``).
+# tests/test_smoothed.py regenerates them from Bernstein bounds on P_k on pieces of [0, 1]
+# that grow geometrically in y = 1/(1 - x^2); the sups sampled at 200 digits lie 0.3 to 0.7
+# bit below those bounds (2^269.73 at k = 30).
+_BUMP_LOG2_SUPS = (0, 2, 5, 10, 15, 22, 29, 36, 44, 52, 60, 69, 78, 88, 97, 107, 117, 127,
+                   137, 147, 158, 169, 180, 191, 202, 213, 224, 236, 247, 259, 271)
 
 
 def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
     """sum_{n=1}^{ceil(N)} eta(n/N) n^s; terms with n/N >= 1 contribute 0.
 
-    For poly:p the exact rational rounded once (past float64 range:
-    NonFiniteResultError); otherwise a streamed float sum, which returns an
-    inf or nan as it is.
+    For poly:p and the sharp indicator the exact rational, rounded once
+    (``_exact_sum``).  For the bump the expansion at 0 where its remainder
+    bound allows (``_bump_em_sum``), and the float kernel below that.  A
+    value past float64 range raises NonFiniteResultError.
     """
     if s < 0:
         raise ValueError(f"smoothed_sum requires s >= 0, got {s}")
     if N < 1:
         raise ValueError(f"smoothed_sum requires N >= 1, got {N}")
-    if cutoff.kind == "poly":
-        value, = to_floats([_poly_sum(s, cutoff.p, N)],
-                           f"the smoothed sum of s = {s} on {cutoff.label} at N = {N} is")
+    what = f"the smoothed sum of s = {s} on {cutoff.label} at N = {N} is"
+    if cutoff.kind != "bump":
+        value, = to_floats([_exact_sum(s, cutoff, N)], what)
         return value
-    _check_streamed_terms(N)
+    return _bump_sum(s, cutoff, N, what)
+
+
+def _exact_sum(s: int, cutoff: Cutoff, N) -> Fraction:
+    """sum_{n>=1} eta(n/N) n^s exactly, for poly:p and the sharp indicator.
+
+    The indicator is 1 on [0, 1], endpoint included, so its sum is the
+    Faulhaber sum S_s(floor(N)).
+    """
+    if cutoff.kind == "indicator":
+        return faulhaber(s, math.floor(N))
+    return _poly_sum(s, cutoff.p, N)
+
+
+def _bump_sum_overflows(s: int, N: float) -> bool:
+    """True where the bump's S_s(N) is certainly past float64 range: O(1) work at any s.
+
+    eta >= e^(-1/3) on [0, 1/2], and sum_{n<=M} n^s >= M^(s+1)/(s+1), so
+    S_s(N) >= (7/10) M^(s+1)/(s+1) with M = floor(N/2).  Its log2 is above
+    (s+1) log2 M - log2(s+1) - 0.52, and a value of 2^1024 rounds to inf; the
+    half bit of slack covers the float logs' rounding.  The product is taken on
+    the exact rational of log2 M, so an s past float64 range does not overflow.
+    """
+    M = math.floor(N / 2)
+    return M > 1 and (s + 1) * Fraction(math.log2(M)) - Fraction(math.log2(s + 1)) >= 1025
+
+
+def _bump_em_sum(s: int, N: float):
+    """The bump's S_s(N) from its Euler-Maclaurin expansion at 0, as an exact rational;
+    None where its remainder bound is above 2^-62 of a lower bound on the value.
+
+    f(x) = x^s eta(x/N) has every derivative 0 at x = N, and near 0
+    f = sum_m c_m N^(-2m) x^(s+2m) (``cutoffs.bump_taylor0``), so Euler-Maclaurin at 0
+    to order J (DLMF 2.10.1, 24.9) gives, with zeta(-n) = -B_(n+1)/(n+1) (B_1 = +1/2),
+
+        S_s(N) = C_s N^(s+1) + sum_{m: s+2m+1 <= J} c_m zeta(-s-2m) N^(-2m) + R,
+        |R| <= 2 zeta(J) (2 pi)^-J N^(s+1-J) A_J(s).
+
+    For even s every zeta term vanishes but s = 0's -1/2, the -f(0)/2.  By the Leibniz
+    rule A_J(s) = sum_i C(J, i) s!/(s-i)! M_(J-i) >= sup_[0, 1] |(x^s eta)^(J)|, with
+    M_k = sup |eta^(k)| <= 2^_BUMP_LOG2_SUPS[k].  The value is at least
+    (7/10) (N/2 - 1)^(s+1)/(s+1) (as in ``_bump_sum_overflows``, with
+    floor(N/2) >= N/2 - 1), and the expansion runs where the bound is at most 2^-62 of
+    that: one comparison of rationals, which holds from some N on at each s.  It cannot
+    hold where 2^(s+1) >= N^J, which the bit lengths of N decide first.  C_s is
+    ``_bump_moment`` at 30 digits; the expansion runs at s <= 93 only, since from s = 94
+    on a sum past N_0(s) certainly overflows.  The sum is returned exact, so once rounded
+    it is within 2^-62 |V| + half an ulp of the true V.
+    """
+    from .casimir import _EM_ORDER as J, _em_factor
+
+    a, b = N.as_integer_ratio()
+    if N <= 2 or s + 1 >= J * (a.bit_length() - b.bit_length() + 1):
+        return None
+    A = sum(math.comb(J, i) * math.perm(s, i) << _BUMP_LOG2_SUPS[J - i]
+            for i in range(min(J, s) + 1))
+    x = Fraction(a, b)
+    if (_em_factor() * A * (s + 1) * 10 * 2 ** (s + 63) * x ** (s + 1 - J)
+            > 7 * (x - 2) ** (s + 1)):
+        return None
+    from mpmath.libmp import to_rational
+
+    value = Fraction(*to_rational(_bump_moment(s, 20)._mpf_)) * x ** (s + 1)
+    for m in range((J - s + 1) // 2):
+        B = bernoulli(s + 2 * m + 1)
+        if B:
+            value -= bump_taylor0(m) * B / (s + 2 * m + 1) / x ** (2 * m)
+    return value
+
+
+def _bump_sum(s: int, cutoff: Cutoff, N: float, what: str) -> float:
+    """The bump's S_s(N) as a float: NonFiniteResultError where it certainly overflows,
+    before any O(s) or O(N) work; the expansion at 0 where it runs; the float kernel
+    below that, over at most 3,787 terms (at s = 93)."""
+    if _bump_sum_overflows(s, N):
+        raise NonFiniteResultError(f"{what} past float64 range")
+    exact = _bump_em_sum(s, N)
+    if exact is not None:
+        value, = to_floats([exact], what)
+        return value
     from . import _kernels
 
-    return _kernels.smoothed_sum_value(s, cutoff, N)
+    value = _kernels.smoothed_sum_value(s, cutoff, N)
+    if not math.isfinite(value):
+        raise NonFiniteResultError(f"{what} {value} (float64 overflow or an invalid operation)")
+    return value
 
 
 def mellin(cutoff: Cutoff, s: int, tol: float) -> float:
@@ -417,10 +504,14 @@ def grandi_smoothed(cutoff: Cutoff, N: float) -> float:
 def grandi_with_deviation(cutoff: Cutoff, N: float) -> Tuple[float, float]:
     """(G, |G - 1/2|) for the smoothed Grandi sum G of ``grandi_smoothed``.
 
-    For poly:p, G = S_0(N) - 2 S_0(N/2) with S_0 the exact smoothed sum of
-    n^0 (the even terms eta(2m/N) are eta(m/(N/2))); G and |G - 1/2| are
-    taken exactly and each rounded once.  Otherwise G is a streamed float sum
-    and the deviation is taken in float64.
+    G = S_0(N) - 2 S_0(N/2), S_0 the smoothed sum of n^0: the even terms
+    eta(2m/N) are eta(m/(N/2)).  For poly:p both are exact, and G and
+    |G - 1/2| are each rounded once.  For the bump, the expansion at 0
+    (``_bump_em_sum``) gives G = 1/2 + R(N) - 2 R(N/2), and its remainder
+    bound falls with N, so |G - 1/2| <= 3 bound(N/2).  Where that is at most
+    2^-56, below half an ulp of any float near 1/2, G rounds to exactly 0.5
+    and the pair is (0.5, 0.0): the true deviation is below the bound, not 0.
+    Below that, G is the float kernel and the deviation is taken in float64.
     """
     if N < 1:
         raise ValueError(f"grandi_smoothed requires N >= 1, got {N}")
@@ -434,11 +525,21 @@ def grandi_with_deviation(cutoff: Cutoff, N: float) -> Tuple[float, float]:
         value, deviation = to_floats([G, abs(G - Fraction(1, 2))],
                                      f"the Grandi sum on {cutoff.label} at N = {N} is")
         return value, deviation
-    _check_streamed_terms(N)
+    if _bump_grandi_is_half(N):
+        return 0.5, 0.0
     from . import _kernels
 
     value = _kernels.alternating_smoothed_value(cutoff, N)
     return value, abs(value - 0.5)
+
+
+def _bump_grandi_is_half(N: float) -> bool:
+    """True where 3 bound(N/2) <= 2^-56 for the bump, bound(x) = 2 zeta(J) (2 pi)^-J
+    x^(1-J) A_J(0) the remainder bound of S_0(x) (``_bump_em_sum``): one comparison of
+    rationals."""
+    from .casimir import _EM_ORDER as J, _em_factor
+
+    return 3 * _em_factor() * 2 ** (_BUMP_LOG2_SUPS[J] + 56) <= (Fraction(N) / 2) ** (J - 1)
 
 
 def scaling_counterexample(cutoff: Cutoff, N: float):
@@ -449,25 +550,22 @@ def scaling_counterexample(cutoff: Cutoff, N: float):
         sum_n 2n eta(2n/N) = 2 sum_n n eta(n/(N/2)),
 
     and it is computed that way.  Returns (lhs, rhs, differ) with
-    differ = |lhs - rhs| > 1e-12 max(1, |rhs|).  For poly:p both sides are
-    exact, each rounded once, and differ is decided on the rationals.  For
-    the other cutoffs the float identity is exact: N/2 is exact, n/(N/2)
-    rounds the same real number as 2n/N, and scaling every term and partial
-    sum by 2 rounds nothing.
+    differ = |lhs - rhs| > 1e-12 max(1, |rhs|).  For poly:p and the sharp
+    indicator both sides are exact, each rounded once, and differ is decided
+    on the rationals.  For the bump each side is a bump sum of
+    ``smoothed_sum`` at N/2 and N (N/2 is exact), doubled without rounding.
     """
     if N < 2:
         raise ValueError(f"scaling_counterexample requires N >= 2, got {N}")
-    if cutoff.kind == "poly":
-        lhs = 2 * _poly_sum(1, cutoff.p, Fraction(N) / 2)
-        rhs = 2 * _poly_sum(1, cutoff.p, N)
+    what = f"the scaling sums on {cutoff.label} at N = {N} are"
+    if cutoff.kind != "bump":
+        lhs = 2 * _exact_sum(1, cutoff, Fraction(N) / 2)
+        rhs = 2 * _exact_sum(1, cutoff, N)
         differ = abs(lhs - rhs) > Fraction(_SCALING_TOL) * max(1, abs(rhs))
-        lhs, rhs = to_floats([lhs, rhs], f"the scaling sums on {cutoff.label} at N = {N} are")
+        lhs, rhs = to_floats([lhs, rhs], what)
         return lhs, rhs, differ
-    _check_streamed_terms(N)
-    from . import _kernels
-
-    lhs = 2.0 * _kernels.smoothed_sum_value(1, cutoff, N / 2.0)
-    rhs = 2.0 * _kernels.smoothed_sum_value(1, cutoff, N)
+    lhs = 2.0 * _bump_sum(1, cutoff, N / 2.0, what)
+    rhs = 2.0 * _bump_sum(1, cutoff, N, what)
     differ = abs(lhs - rhs) > _SCALING_TOL * max(1.0, abs(rhs))
     return lhs, rhs, differ
 

@@ -23,6 +23,8 @@ from summa.cutoffs import make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
 from summa.smoothed import mellin
 
+from _bump_bounds import sup_bound
+
 LIMIT = -1.0 / 360.0
 
 
@@ -332,39 +334,10 @@ def _q_poly(K):
     return _poly_add(q, times_one_minus_x2([K * (K - 1) * c for c in _bump_numerator(K - 2)], 4))
 
 
-def _bernstein_max(q, i, pieces):
-    """max |Bernstein coefficient| of q on [i/pieces, (i+1)/pieces], exactly: >= sup |q| there."""
-    n = len(q) - 1
-    # g(t) = pieces^n q((i + t) / pieces), by a Taylor shift of sum q_m pieces^(n-m) u^m
-    g = [c * pieces ** (n - m) for m, c in enumerate(q)]
-    for k in range(n):
-        for j in range(n - 1, k - 1, -1):
-            g[j] += i * g[j + 1]
-    best = max(Fraction(abs(sum(math.comb(n - k, j - k) * g[k] for k in range(j + 1))),
-                        math.comb(n, j)) for j in range(n + 1))
-    return best / pieces**n
-
-
 def _regenerate_sup_bound(J, pieces=32):
-    """An interval around max over the pieces of (Bernstein max of |Q_(J-1)|) x sup y^(2K) e^(1-y).
-
-    y^(2K) e^(1-y) rises up to y = 2K and falls after, and y rises with x, so its sup on a
-    piece is at 2K clamped to the piece's y range, evaluated in interval arithmetic.
-    """
-    from mpmath import iv
-
-    K = J - 1
-    q = _q_poly(K)
-    lo = hi = 0
-    for i in range(pieces):
-        y = max(Fraction(2 * K), Fraction(pieces**2, pieces**2 - i * i))
-        if i + 1 < pieces:
-            y = min(y, Fraction(pieces**2, pieces**2 - (i + 1) ** 2))
-        b = _bernstein_max(q, i, pieces)
-        y = iv.mpf(y.numerator) / y.denominator  # outward-rounded at iv's working precision
-        v = iv.mpf(b.numerator) / b.denominator * y ** (2 * K) * iv.exp(1 - y)
-        lo, hi = max(lo, v.a), max(hi, v.b)
-    return lo, hi
+    """An interval around a bound on sup |(x^2 eta)^(J-1)| = sup |Q_(J-1) y^(2K) e^(1-y)|:
+    Bernstein bounds on |Q_(J-1)| on 32 equal pieces of [0, 1] (``_bump_bounds``)."""
+    return sup_bound(_q_poly(J - 1), J - 1, list(range(pieces + 1)), pieces.bit_length() - 1)
 
 
 def _em_reference(L, dps=50):

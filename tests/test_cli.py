@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -325,16 +326,40 @@ class TestErrors:
             errs.append(err)
         assert errs[0] == errs[1]
 
-    @pytest.mark.parametrize("argv", [
-        ["smoothed", "--s", "1", "--N", "1e11"],
-        ["grandi", "--N", "1e11"],
-        ["scaling-demo", "--N", "1e11"],
-        ["smoothed", "--s", "1", "--cutoff", "indicator", "--N", "1e11"],
+    @pytest.mark.parametrize("s", [10**6, 10**30])
+    def test_a_certain_bump_overflow_exits_1_at_once(self, capsys, s):
+        # decided in O(1) from a lower bound on the sum, before the O(s) moment or any term
+        start = time.perf_counter()
+        rc, out, err = run_capture(capsys, ["smoothed", "--s", str(s), "--cutoff", "bump",
+                                            "--N", "1e6"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1 and out == "" and err.startswith("error: NonFiniteResultError: ")
+
+    @pytest.mark.parametrize("argv,value", [
+        (["smoothed", "--s", "1", "--N", "1e11"], 2.0182631883840296e+21),
+        (["grandi", "--N", "1e11"], 0.5),
+        (["scaling-demo", "--N", "1e11"], 4.036526376768059e+21),
+        # S_1(10^11) = 10^11 (10^11 + 1) / 2, exact
+        (["smoothed", "--s", "1", "--cutoff", "indicator", "--N", "1e11"], (10**22 + 10**11) / 2),
     ])
-    def test_sum_past_the_term_cap_is_usage_error(self, capsys, argv):
+    def test_sums_past_the_old_term_cap_run(self, capsys, monkeypatch, argv, value):
+        # the 10^10-term cap of the streamed float sums is gone: none of these reaches a kernel
+        def no_float_sum(*args):
+            raise AssertionError("a sum past the bump's threshold reached the float kernel")
+
+        monkeypatch.setattr(_kernels, "smoothed_sum_value", no_float_sum)
+        monkeypatch.setattr(_kernels, "alternating_smoothed_value", no_float_sum)
+        result = run_json(capsys, argv)["result"]
+        assert result.get("value", result.get("rhs")) == value
+
+    @pytest.mark.parametrize("argv,cap", [
+        (["smoothed", "--s", "1001", "--cutoff", "indicator", "--N", "2"], cli.MAX_BERNOULLI_INDEX),
+        (["smoothed", "--s", "700", "--cutoff", "indicator", "--N", "1e300"],
+         cli.MAX_FAULHABER_WORK),
+    ])
+    def test_indicator_sums_take_the_faulhaber_caps(self, capsys, argv, cap):
         rc, out, err = run_capture(capsys, argv)
-        assert rc == 2 and out == ""
-        assert str(smoothed.MAX_TERMS) in err
+        assert rc == 2 and out == "" and str(cap) in err
 
     @pytest.mark.parametrize("name,cutoff", [("casimir", "poly:6"), ("casimir-force", "poly:6"),
                                              ("casimir", "indicator"), ("casimir", "bump"),
@@ -365,7 +390,7 @@ class TestErrors:
         def no_float_sum(*args):
             raise AssertionError("a poly sum reached the float kernel")
 
-        monkeypatch.setattr(_kernels, "_streamed_sum", no_float_sum)
+        monkeypatch.setattr(_kernels, "smoothed_sum_value", no_float_sum)
         result = run_json(capsys, argv)["result"]
         assert result.get("value", result.get("rhs")) == value
 
@@ -656,14 +681,19 @@ _EDGE_GRAMMAR = {
     "sum": {"--method": ["cesaro", "abel", "ramanujan", "zeta-eta"], "--series": _SERIES_EDGES,
             "--n": _int_edges(cli.MAX_CESARO_N), "--tol": _float_edges()},
     "ledger": {},
-    # --s 999 and 1000 straddle MAX_BERNOULLI_INDEX (B_{s+p}) on poly:1
+    # --s 999 and 1000 straddle MAX_BERNOULLI_INDEX (B_{s+p}) on poly:1; --N 370 and 371
+    # straddle the bump's switch from the float kernel to its expansion at 0 for s = 0, 388
+    # and 389 for s = 1, 402 and 403 for s = 2
     "smoothed": {"--s": _int_edges(cli.MAX_BERNOULLI_INDEX - 1), "--cutoff": _CUTOFF_EDGES,
-                 "--N": _float_edges(smoothed.MAX_TERMS)},
+                 "--N": _float_edges() + ["370", "371", "388", "389", "402", "403", "1e12"]},
     # --s 84 and 85 straddle MAX_BUMP_DIGITS on the bump and README's grid
     "extract": {"--s": _int_edges(cli.MAX_EXTRACT_S) + ["84", "85"], "--cutoff": _CUTOFF_EDGES,
                 "--grid": _GRID_EDGES},
-    "grandi": {"--cutoff": _CUTOFF_EDGES, "--N": _float_edges(smoothed.MAX_TERMS)},
-    "scaling-demo": {"--cutoff": _CUTOFF_EDGES, "--N": _float_edges(smoothed.MAX_TERMS)},
+    # --N 788 and 789 straddle the bump's exact 1/2; for scaling-demo, 775 and 777 put N/2
+    # either side of its s = 1 switch
+    "grandi": {"--cutoff": _CUTOFF_EDGES, "--N": _float_edges() + ["788", "789", "1e12"]},
+    "scaling-demo": {"--cutoff": _CUTOFF_EDGES,
+                     "--N": _float_edges() + ["775", "777", "1e12"]},
     "delta-seq": {"--j": _int_edges(cli.MAX_DELTA_J), "--testfn": ["centered", "offset", "wat"],
                   "--tol": _float_edges()},
     # --s 90 and 91 straddle MAX_BUMP_DIGITS on the bump at --N 1000
@@ -706,12 +736,7 @@ class TestExitContract:
                 argv += [flag] if value is None else [f"{flag}={value}"]
         fmt = data.draw(st.sampled_from(["json", "csv"]), label="--format")
         out, err = io.StringIO(), io.StringIO()
-        # the work the caps bound (minutes for a sum at smoothed.MAX_TERMS) is cut short here:
-        # a streamed float sum keeps its first chunk (a plate sweep has at most 1,354 cells)
-        sum_terms = _kernels._streamed_sum
-        with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
-            patch.setattr(_kernels, "_streamed_sum",
-                          lambda terms, count: sum_terms(terms, min(count, _kernels.CHUNK)))
+        with redirect_stdout(out), redirect_stderr(err):
             rc = run(["--format", fmt] + argv)
         out, err = out.getvalue(), err.getvalue()
         if rc == 0:

@@ -1,6 +1,7 @@
 """Cold start: the exact subcommands, every subcommand on poly:p, the bump's plate energy past
-its cell sweep and the package surface load neither numpy nor mpmath, no layer loads
-dataclasses, and CSV output loads no json."""
+its cell sweep and the package surface load neither numpy nor mpmath, the bump's smoothed
+sums past their float kernel load no numpy, no layer loads dataclasses, and CSV output loads
+no json."""
 
 import importlib
 
@@ -35,7 +36,14 @@ NUMPY_FREE = [
     # the bump's plate energy where every scale is past its sweep: its expansion at 0
     ["casimir-force", "--N", "1e12"],
     ["casimir", "--N", "1e6", "--levels", "1"],
+    # the bump's smoothed sums past their float kernel: the expansion at 0 (C_s from mpmath)
+    ["smoothed", "--s", "1", "--N", "1e7"],
+    ["grandi", "--N", "1e7"],
+    ["--format", "csv", "scaling-demo", "--N", "1e7"],
 ]
+# the runs of NUMPY_FREE that read the bump's moment C_s from mpmath
+NEEDS_MPMATH = [["smoothed", "--s", "1", "--N", "1e7"],
+                ["--format", "csv", "scaling-demo", "--N", "1e7"]]
 
 # the public names of each submodule, as the package exported them eagerly
 EXPORTS = {
@@ -69,7 +77,8 @@ def cold_run(run_fresh, argv):
 @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
 def test_exact_subcommand_runs_cold_without_numpy(run_fresh, capsys, argv):
     text, loaded = cold_run(run_fresh, argv)
-    assert not loaded & {"numpy", "mpmath", "dataclasses", "inspect"}
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
+    assert ("mpmath" in loaded) == (argv in NEEDS_MPMATH)
     if argv[:2] == ["--format", "csv"]:
         assert "json" not in loaded
     assert run(argv) == 0
@@ -77,7 +86,7 @@ def test_exact_subcommand_runs_cold_without_numpy(run_fresh, capsys, argv):
 
 
 def test_a_float_subcommand_loads_numpy(run_fresh, capsys):
-    argv = ["smoothed", "--s", "1", "--N", "1000"]
+    argv = ["smoothed", "--s", "1", "--N", "100"]  # the bump's float kernel, below N_0 ~ 388
     text, loaded = cold_run(run_fresh, argv)
     assert "numpy" in loaded
     assert run(argv) == 0

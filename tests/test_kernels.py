@@ -1,7 +1,8 @@
-"""The O(N) kernels: the chunked smoothed and alternating sums, and the plate-energy cell sweep.
+"""The O(N) kernels: the smoothed and alternating sums, and the plate-energy cell sweep.
 
-Only the sums stream; the sweep runs below N/lam ~ 1,353.16, so it is one batch of at most
-1,354 cells.
+Each is one vectorized pass.  ``smoothed`` asks the sums for at most 3,787 terms (the bump
+below its expansion's threshold) and runs the sweep below N/lam ~ 1,353.16, so over at most
+1,354 cells; the sums are tested here at sizes well past that, on every eta formula.
 """
 
 import json
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from summa import _kernels
-from summa._kernels import CHUNK
 from summa.cutoffs import BUMP_EDGE, make_cutoff, sharp_indicator
 from summa.errors import QuadratureError
 from summa.quadrature import MID_NODE, _adapt, _gk15
@@ -19,7 +19,8 @@ from summa.quadrature import MID_NODE, _adapt, _gk15
 BUMP = make_cutoff("bump")
 # test ids name (family, order): 0-0 is the bump, 1-3 is poly:3
 CUTOFFS = [pytest.param(BUMP, id="0-0"), pytest.param(make_cutoff("poly:3"), id="1-3")]
-SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 0.5, 3 * CHUNK + 1]
+# sizes once either side of the streamed sums' chunk of 61,440 terms, kept as the test ids
+SIZES = [61439, 61440, 61441, 122880.5, 184321]
 # every eta formula: the bump, poly:1/4/8 and the sharp indicator
 ALL_CUTOFFS = [pytest.param(cut, id=cut.label) for cut in
                [BUMP] + [make_cutoff(f"poly:{p}") for p in (1, 4, 8)] + [sharp_indicator()]]
@@ -45,14 +46,10 @@ def doubled(cut, N):
     return 2.0 * _kernels.smoothed_sum_value(1, cut, N / 2.0)
 
 
-def chunked_reference(terms, count):
-    """fsum of np.sum over fresh arange chunks of CHUNK terms."""
-    partials = []
+def fresh_reference(terms, count):
+    """np.sum of ``terms`` over one fresh arange of n = 1..count."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, count + 1, CHUNK):
-            n = np.arange(start, min(start + CHUNK, count + 1), dtype=float)
-            partials.append(float(np.sum(terms(n))))
-    return math.fsum(partials)
+        return float(np.sum(terms(np.arange(1, count + 1, dtype=float))))
 
 
 def alternating_terms(cut, N):
@@ -91,14 +88,15 @@ class TestStreamedSums:
         assert abs(doubled(cut, N) - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("cut", ALL_CUTOFFS)
-    @pytest.mark.parametrize("N", SIZES + [2.5 * CHUNK + 0.25])
+    @pytest.mark.parametrize("N", SIZES + [153600.25])
     def test_buffered_sums_are_bit_identical_to_fresh_chunks(self, cut, N):
+        # the in-place arithmetic against fresh arrays, over the one chunk the sums now take
         for s in range(5):
-            ref = chunked_reference(lambda n: masked_eta(cut, n / N) * n**s, math.ceil(N))
+            ref = fresh_reference(lambda n: masked_eta(cut, n / N) * n**s, math.ceil(N))
             assert _kernels.smoothed_sum_value(s, cut, N).hex() == ref.hex(), s
-        ref = chunked_reference(alternating_terms(cut, N), math.ceil(N))
+        ref = fresh_reference(alternating_terms(cut, N), math.ceil(N))
         assert _kernels.alternating_smoothed_value(cut, N).hex() == ref.hex()
-        ref = chunked_reference(lambda n: 2.0 * n * masked_eta(cut, 2.0 * n / N), math.ceil(N / 2.0))
+        ref = fresh_reference(lambda n: 2.0 * n * masked_eta(cut, 2.0 * n / N), math.ceil(N / 2.0))
         assert doubled(cut, N).hex() == ref.hex()
 
     def test_empty_range_is_zero(self):
@@ -110,6 +108,7 @@ class TestStreamedSums:
         assert not math.isfinite(_kernels.smoothed_sum_value(200, BUMP, 1000.0))
 
     def test_peak_memory_is_bounded_at_1e8_terms(self, run_fresh):
+        # the bump's sum at 10^8 is its expansion at 0 and sums no terms: it must stay small.
         # On Linux a freshly exec'd process's ru_maxrss also counts its parent's
         # resident set at spawn (this test process's), so read the process's own
         # high-water mark, VmHWM, where there is one.

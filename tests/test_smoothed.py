@@ -1,10 +1,12 @@
 import math
+import random
 import re
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from summa import euler_maclaurin, smoothed
 from summa.cli import MAX_EXTRACT_S
@@ -50,13 +52,15 @@ class TestSmoothedSum:
         with pytest.raises(ValueError):
             smoothed_sum(0, make_cutoff("bump"), 0.5)
 
-    def test_term_cap_binds_the_float_sums_only(self):
+    def test_sums_have_no_term_cap(self):
+        # past the old cap of 10^10 terms a bump sum is its expansion at 0, the indicator's
+        # a Faulhaber sum: O(1) work at any N
         bump = make_cutoff("bump")
-        with pytest.raises(ValueError, match="MAX_TERMS"):
-            smoothed_sum(1, bump, smoothed.MAX_TERMS + 0.5)
-        with pytest.raises(ValueError, match="MAX_TERMS"):
-            grandi_smoothed(bump, 1e300)
-        with pytest.raises(ValueError, match="MAX_TERMS"):
+        assert smoothed_sum(1, bump, 1e10 + 0.5) == pytest.approx(
+            0.20182631883840296 * (1e10 + 0.5) ** 2, rel=1e-15)  # C_1 N^2 - 1/12 + ...
+        assert grandi_smoothed(bump, 1e300) == 0.5
+        # the indicator's S_1(10^300) is ~5e599: past float64, a typed error
+        with pytest.raises(NonFiniteResultError, match="past float64 range"):
             scaling_counterexample(sharp_indicator(), 1e300)
         # poly:1 at N = 10^300: sum_{n<N} (1 - n/N) = (N - 1)/2, exact
         assert smoothed_sum(0, make_cutoff("poly:1"), 1e300) == float((Fraction(1e300) - 1) / 2)
@@ -112,7 +116,195 @@ class TestExactPolyLane:
             smoothed_sum(200, cut, 1000.0)
         with pytest.raises(NonFiniteResultError, match="past float64 range"):
             scaling_counterexample(cut, 1e200)
-        assert not math.isfinite(smoothed_sum(200, make_cutoff("bump"), 1000.0))  # the float sum as is
+        with pytest.raises(NonFiniteResultError, match="past float64 range"):
+            smoothed_sum(200, make_cutoff("bump"), 1000.0)  # decided before any sum
+
+
+class TestExactIndicatorLane:
+    """The sharp indicator is 1 on [0, 1], endpoint included: its sum is S_s(floor(N))."""
+
+    @pytest.mark.parametrize("N", [1, 1.5, 2, 7, 7.5, 100.25, 1000])
+    def test_equals_the_brute_force_rounded_once(self, N):
+        cut = sharp_indicator()
+        for s in range(6):
+            assert smoothed_sum(s, cut, N) == float(sum(n**s for n in range(1, math.floor(N) + 1)))
+        if N >= 2:
+            lhs = sum(n for n in range(2, math.floor(N) + 1, 2))  # sum 2m eta(2m/N)
+            rhs = 2 * sum(range(1, math.floor(N) + 1))
+            assert scaling_counterexample(cut, N) == (float(lhs), float(rhs), lhs != rhs)
+
+    def test_runs_no_float_kernel(self, monkeypatch):
+        from summa import _kernels
+
+        def no_float_sum(*args):
+            raise AssertionError("an indicator sum reached the float kernel")
+
+        monkeypatch.setattr(_kernels, "smoothed_sum_value", no_float_sum)
+        assert smoothed_sum(3, sharp_indicator(), 1e7) == float(faulhaber(3, 10**7))
+        assert scaling_counterexample(sharp_indicator(), 1e7 + 1.5)[1] == (10**7 + 1) * (10**7 + 2)
+
+
+J = 30  # casimir._EM_ORDER, checked in TestBumpExpansion
+# the most terms a float kernel sums for the bump (docs/work_caps.md): at s = 93, just below
+# N_0(93) ~ 3,786.97; from s = 94 on the certain overflow comes first
+KERNEL_MAX_TERMS = 3787
+_FIRST_EXPANSION_SCALE: dict = {}
+
+
+def first_expansion_scale(s):
+    """The least float N at which the bump's S_s(N) takes its expansion at 0, by bisection."""
+    if s not in _FIRST_EXPANSION_SCALE:
+        lo, hi = 1.0, 1e6
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if smoothed._bump_em_sum(s, mid) is not None else (mid, hi)
+        _FIRST_EXPANSION_SCALE[s] = hi
+    return _FIRST_EXPANSION_SCALE[s]
+
+
+_QUAD_MOMENTS: dict = {}
+
+
+def bump_sum_reference(s, N, dps=50):
+    """C_s N^(s+1) + sum_m c_m zeta(-s-2m) N^-2m from mpmath alone: C_s by mp.quad, c_m as
+    the generalized Laguerre value L_m^(-1)(1), zeta(-k) = -B_(k+1)/(k+1) by mp.bernoulli
+    (zeta(0) = -1/2)."""
+    with mp.workdps(dps):
+        if (s, dps) not in _QUAD_MOMENTS:
+            _QUAD_MOMENTS[s, dps] = mp.quad(lambda t: t**s * mp.exp(1 - 1 / (1 - t * t)),
+                                            [0, 0.5, 0.75, 0.9, 1])
+        x = mp.mpf(N)
+        value = _QUAD_MOMENTS[s, dps] * x ** (s + 1)
+        for m in range((J - s + 1) // 2):
+            k = s + 2 * m
+            zeta = mp.mpf(-0.5) if k == 0 else -mp.bernoulli(k + 1) / (k + 1)
+            value += mp.laguerre(m, -1, 1) * zeta / x ** (2 * m)
+        return value
+
+
+def assert_certified(value, ref):
+    """|value - ref| <= half an ulp + 2^-61 |ref|: the expansion's bound plus one rounding."""
+    assert abs(mp.mpf(value) - ref) <= math.ulp(value) / 2 + abs(ref) * mp.mpf(2) ** -61, (
+        value, ref)
+
+
+class TestBumpExpansion:
+    """The bump's smoothed sums from their Euler-Maclaurin expansion at 0, past N_0(s)."""
+
+    def test_the_shipped_sups_are_their_regeneration_rounded_up(self):
+        from _bump_bounds import geometric_points, sup_bound
+
+        from summa.casimir import _EM_ORDER
+        from summa.cutoffs import _bump_numerator
+
+        assert _EM_ORDER == J and len(smoothed._BUMP_LOG2_SUPS) == J + 1
+        for k, shipped in enumerate(smoothed._BUMP_LOG2_SUPS):
+            lo, hi = sup_bound(_bump_numerator(k), k, geometric_points(k), 24)
+            assert hi <= 2**shipped and lo > 2 ** (shipped - 1), k
+
+    def test_taylor_coefficients_are_the_laguerre_values(self):
+        from summa.cutoffs import bump_taylor0
+
+        with mp.workdps(50):
+            for m in range(J // 2 + 1):
+                c = bump_taylor0(m)
+                assert abs(mp.mpf(c.numerator) / c.denominator - mp.laguerre(m, -1, 1)) <= (
+                    mp.mpf(10) ** -45), m
+
+    def test_thresholds(self):
+        # N_0 at s = 0, 1, 3, 10, and where the Grandi sum becomes exactly 1/2
+        assert [math.floor(first_expansion_scale(s)) for s in (0, 1, 3, 10)] == [370, 387, 416, 507]
+        bump = make_cutoff("bump")
+        assert grandi_with_deviation(bump, 788.02) == (0.5, 0.0)
+        assert grandi_with_deviation(bump, 788.0) != (0.5, 0.0)
+
+    @given(s=st.integers(0, 12), u=st.floats(0, 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_printed_values_meet_an_independent_reference(self, s, u):
+        # N log-uniform in [N_0(s), 10^12]
+        N0 = first_expansion_scale(s)
+        N = min(max(N0 * (1e12 / N0) ** u, N0), 1e12)
+        value = smoothed_sum(s, make_cutoff("bump"), N)
+        assert_certified(value, bump_sum_reference(s, N))
+
+    @pytest.mark.parametrize("s,N", [(0, None), (1, 19999.5), (5, 1234.25)])
+    def test_the_expansion_meets_a_direct_sum(self, s, N):
+        N = first_expansion_scale(s) if N is None else N
+        with mp.workdps(30):
+            x = mp.mpf(N)
+            direct = mp.fsum(n**s * mp.exp(1 - 1 / (1 - (n / x) ** 2))
+                             for n in range(1, math.ceil(N)))
+        assert_certified(smoothed_sum(s, make_cutoff("bump"), N), direct)
+
+    def test_grandi_deviation_is_below_its_bound(self):
+        # the Grandi sum is printed as 0.5 from N ~ 788: its true deviation, summed directly
+        with mp.workdps(30):
+            for N in (789, 1000.5):
+                x = mp.mpf(N)
+                G = mp.fsum((-1) ** (n - 1) * mp.exp(1 - 1 / (1 - (n / x) ** 2))
+                            for n in range(1, math.ceil(N)))
+                assert abs(G - mp.mpf(0.5)) <= mp.mpf(2) ** -56
+                assert grandi_with_deviation(make_cutoff("bump"), N) == (0.5, 0.0)
+
+    def test_below_the_threshold_the_kernel_runs_unchanged(self):
+        from summa import _kernels
+
+        bump = make_cutoff("bump")
+        for s in (0, 1, 3, 10, 60):
+            N = math.nextafter(first_expansion_scale(s), 0)
+            assert smoothed_sum(s, bump, N) == _kernels.smoothed_sum_value(s, bump, N)
+        assert grandi_smoothed(bump, 788.0) == _kernels.alternating_smoothed_value(bump, 788.0)
+
+    def test_certain_overflow_is_decided_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("an overflowing sum did O(s) or O(N) work")
+
+        from summa import _kernels
+
+        monkeypatch.setattr(_kernels, "smoothed_sum_value", no_work)
+        monkeypatch.setattr(smoothed, "_bump_moment", no_work)
+        for s, N in [(10**6, 1e6), (10**30, 1e6), (10**400, 4.0), (94, 3787.0), (1, 1e300),
+                     (200, 1000.0)]:
+            with pytest.raises(NonFiniteResultError, match="past float64 range"):
+                smoothed_sum(s, make_cutoff("bump"), N)
+
+    def test_the_kernels_sum_at_most_the_recorded_terms(self, monkeypatch):
+        # the decisions only: C_s = 1 makes each expansion cheap
+        monkeypatch.setattr(smoothed, "_bump_moment", lambda s, dps: mp.mpf(1))
+
+        def kernel_terms(s, k):
+            # a kernel sums ceil(N) = k terms just above N = k - 1, if neither path takes N
+            N = math.nextafter(k - 1, math.inf)
+            return not smoothed._bump_sum_overflows(s, N) and smoothed._bump_em_sum(s, N) is None
+
+        worst = (0, None)
+        for s in range(0, 400):  # past s ~ 150 the overflow comes within ~230 terms
+            lo, hi = 1, 10**7  # both decisions are monotone in N
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if kernel_terms(s, mid) else (lo, mid)
+            worst = max(worst, (lo, s))
+        assert worst == (KERNEL_MAX_TERMS, 93)
+        # and through the public functions, the kernels never see more
+        from summa import _kernels
+
+        seen = []
+        real_sum, real_alt = _kernels.smoothed_sum_value, _kernels.alternating_smoothed_value
+        monkeypatch.setattr(_kernels, "smoothed_sum_value",
+                            lambda s, c, N: seen.append(math.ceil(N)) or real_sum(s, c, N))
+        monkeypatch.setattr(_kernels, "alternating_smoothed_value",
+                            lambda c, N: seen.append(math.ceil(N)) or real_alt(c, N))
+        rng = random.Random(25)
+        bump = make_cutoff("bump")
+        for _ in range(300):
+            s, N = rng.choice([rng.randrange(4), rng.randrange(200)]), 10 ** rng.uniform(0.3, 12)
+            for call in (lambda: smoothed_sum(s, bump, N), lambda: grandi_smoothed(bump, N),
+                         lambda: scaling_counterexample(bump, N)):
+                try:
+                    call()
+                except NonFiniteResultError:
+                    pass
+        assert seen and max(seen) <= KERNEL_MAX_TERMS
 
 
 class TestMellin:
