@@ -38,16 +38,20 @@ QUAD_BUDGET = 10**6
 def smoothed_sum_value(s: int, cutoff: Cutoff, N: float) -> float:
     """sum_{n=1}^{ceil(N)} eta(n/N) n^s, one vectorized pass.
 
-    Overflow and invalid operations yield inf/nan without warnings; callers
-    report a non-finite result as an error.
+    The power is n^min(s, 2048): past s = 1023 every n >= 2 overflows to inf
+    either way and 1^s = 1, and an s past float64 range stays an int.  Only
+    the terms with eta(n/N) != 0 are multiplied, so a term past the support
+    is 0 however large n^s is, not 0 * inf = nan; the array keeps its length,
+    so np.sum adds in the same pairwise order.  Overflow yields inf without
+    warnings; callers report a non-finite result as an error.
     """
     N = float(N)
     n = np.arange(1, math.ceil(N) + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         y = n / N
         cutoff.eval(y, out=y)
-        n **= s  # the in-place power takes the same route as n**s
-        y *= n
+        n **= min(s, 2048)  # the in-place power takes the same route as n**s
+        np.multiply(y, n, out=y, where=y != 0)
         return float(np.sum(y))
 
 

@@ -14,19 +14,23 @@ scale --N below the least its computation accepts or a grid point at or
 below 0; so is work past a declared cap, before any compute).
 
 Importing this module loads only argparse, fractions, typing, ``errors`` and
-``exact``; json is imported when JSON is emitted.  Each handler imports its
-own layer when it is dispatched, and no layer loads dataclasses (its records
-are NamedTuples), so the exact subcommands start without numpy or mpmath
-(``stirling`` computes g(n) in integer fixed point).  So does every
-subcommand on a polynomial cutoff poly:p (``smoothed``, ``grandi``,
-``scaling-demo``, ``extract``, ``em-tail``, ``casimir`` and
-``casimir-force``): its values are exact rationals from the Faulhaber and
-Bernoulli sums, each rounded once.  So does a bump ``casimir`` or
-``casimir-force`` whose every N / lambda is past ~1.35 * 10^3, where u_t is
-its Euler-Maclaurin expansion at 0, rounded once.  The bump's ``smoothed``,
+``exact``; json is imported when JSON is emitted, and the parser is built
+for the one subcommand that argv names (every subcommand's for --help and
+for a missing or unknown one).  Each handler imports its own layer when it
+is dispatched, and no layer loads dataclasses (its records are NamedTuples).
+No subcommand loads mpmath: the bump's moment C_s, its fixed-point eta pass
+and its drifts' roundings run in integers (``_fixed``).  The exact
+subcommands start without numpy (``stirling`` computes g(n) in integer
+fixed point).  So does every subcommand on a polynomial cutoff poly:p
+(``smoothed``, ``grandi``, ``scaling-demo``, ``extract``, ``em-tail``,
+``casimir`` and ``casimir-force``): its values are exact rationals from the
+Faulhaber and Bernoulli sums, each rounded once.  So do the bump's
+``extract`` and ``em-tail``, and a bump ``casimir`` or ``casimir-force``
+whose every N / lambda is past ~1.35 * 10^3, where u_t is its
+Euler-Maclaurin expansion at 0, rounded once.  The bump's ``smoothed``,
 ``grandi`` and ``scaling-demo`` load no numpy past N ~ 4 * 10^2 (grandi
-~ 8 * 10^2), where each sum is its expansion at 0 (``smoothed._bump_em_sum``;
-the moment C_s comes from mpmath).
+~ 8 * 10^2), where each sum is its expansion at 0
+(``smoothed._bump_em_sum``).
 """
 
 from __future__ import annotations
@@ -76,13 +80,16 @@ MAX_EXTRACT_S = 260
 # --s 147 --cutoff poly:150 on README's grid (~0.25 s); --s 0 takes poly:236 there (~0.2 s).
 # The sums read B_0 .. B_{s+p}, s + p at most MAX_BERNOULLI_INDEX.
 MAX_FAULHABER_WORK = 906 * 298 * 955
-# bump: digits 25 + ceil((s + 1) log10 N_max) of the drift (--s 84 on README's grid has
-# 298, ~0.25 s), then digits x sum of ceil(N) over the points, a bound on the eta passes'
-# work (--s 0 on a dyadic grid to 64,000, ~0.35 s).  A pass costs ~digits^1.6 a term, so
-# the slowest call under both sits at the digits cap: --s 65 on the grid 1,2,3,12197 (295
-# digits, 3.6 * 10^6), ~1.0 s; at 400 digits the same corner takes ~1.6 s.
+# bump: digits d = 25 + ceil((s + 1) log10 N_max) of the drift (--s 84 on README's grid has
+# 298, ~0.15 s), then floor(d^1.5) x the sum of ceil(N) over the points whose eta passes run
+# (extract's N_max / 2 counted), a bound on the passes' work.  A term of a pass costs ~1.5 us
+# at 31 digits, ~10 us at 190 and ~30-37 us at 298 (cold, in-process): ~d^1.5, and most per
+# d^1.5 at both ends.  So the slowest calls under both caps sit at the ends, ~0.9 s each:
+# --s 0 on the grid 1,2,3,400000 (31 digits, its N_max / 2 = 200,000 counted) and
+# --s 84 on a grid of four separate passes near 1,600 (298 digits, ~20,000 terms).  The
+# cap is --s 0 on the dyadic grid 40,000 .. 320,000, which shares one pass (~0.5 s).
 MAX_BUMP_DIGITS = 298
-MAX_BUMP_WORK = 36 * 10**5
+MAX_BUMP_WORK = 172 * 600_000
 # casimir and casimir-force on poly:p or the indicator (p = 0): d = digits of
 # max(a, b)^(p + 3), L = N / lambda = a/b, at each exact u_t value (a for L >= 1, b = 2^e
 # for L < 1).  A value's integers have about d digits and its cost grows about as d^2, so
@@ -121,8 +128,9 @@ def _check_sum_caps(s: int, cutoff, N: float) -> None:
         _check_faulhaber_caps(s, cutoff, [N])
 
 
-def _check_drift_caps(s: int, cutoff, points) -> None:
-    """The caps on --s and on the work of the exact drift D(N) at every N in ``points``."""
+def _check_drift_caps(s: int, cutoff, points, halved: bool = False) -> None:
+    """The caps on --s and on the work of the exact drift D(N) at every N in ``points``;
+    ``halved``: the bump's drift also runs at N_max / 2, as ``constant_extraction`` does."""
     from .smoothed import working_digits
 
     _check_cap("--s", s, MAX_EXTRACT_S)
@@ -134,8 +142,10 @@ def _check_drift_caps(s: int, cutoff, points) -> None:
     else:
         digits = working_digits(s, n_max)
         _check_cap("bump drift digits", digits, MAX_BUMP_DIGITS)
-        _check_cap("bump drift digits x sum of ceil(N)",
-                   digits * sum(math.ceil(N) for N in points), MAX_BUMP_WORK)
+        if halved and n_max / 2 not in points:
+            points = [*points, n_max / 2]
+        _check_cap("bump drift floor(digits^1.5) x sum of ceil(N)",
+                   math.isqrt(digits**3) * sum(math.ceil(N) for N in points), MAX_BUMP_WORK)
 
 
 def _fmt(value):
@@ -353,7 +363,7 @@ def _cmd_extract(args):
         smoothed.check_grid(grid)
     except ValueError as exc:
         raise UsageError(f"bad --grid {args.grid!r}: {exc}") from exc
-    _check_drift_caps(args.s, cutoff, grid)
+    _check_drift_caps(args.s, cutoff, grid, halved=True)
     fit = smoothed.constant_extraction(args.s, cutoff, grid)
     result = fit.to_json_dict()
     result["error_estimate"] = fit.error_estimate
@@ -560,7 +570,94 @@ def _cmd_flat_check(args):
             (("z", "probe"), rows))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _flag(name: str, **kwargs):
+    return name, kwargs
+
+
+_GRID_HELP = ("comma-separated N: at least 4, increasing, all > 0, max >= 100 "
+              "(a grid starting with a negative number is written --grid=-5,...)")
+_PLATE_FLAGS = [
+    _flag("--d", type=_positive_float, default=1e-6, help="plate separation (m)"),
+    _flag("--N", type=_float_at_least(10), default=400.0),
+    _flag("--cutoff", default="bump"),
+    _flag("--lambda", dest="lam", type=_positive_float, default=1.0),
+    _flag("--quad-tol", type=_positive_float, default=1e-9),
+]
+# name -> (help, handler, flags), in the order of the parser's choices
+_SUBCOMMANDS = {
+    "bernoulli": ("exact Bernoulli number B_k", _cmd_bernoulli,
+                  [_flag("--k", type=_int_at_least(0), required=True)]),
+    "faulhaber": ("exact power sum 1^s + ... + N^s", _cmd_faulhaber,
+                  [_flag("--s", type=_int_at_least(0), required=True),
+                   _flag("--N", type=_int_at_least(1), required=True)]),
+    "sum": ("summability methods on a catalog series", _cmd_sum,
+            [_flag("--method", choices=("cesaro", "abel", "ramanujan", "zeta-eta"),
+                   required=True),
+             _flag("--series", required=True, help=SERIES_GRAMMAR),
+             _flag("--n", type=_int_at_least(2), default=10000, help="Cesaro window"),
+             _flag("--tol", type=_positive_float, default=1e-3)]),
+    "ledger": ("two-rule-set divergent series catalog", _cmd_ledger, []),
+    "smoothed": ("smoothed monomial sum", _cmd_smoothed,
+                 [_flag("--s", type=_int_at_least(0), required=True),
+                  _flag("--cutoff", default="bump", help=CUTOFF_GRAMMAR),
+                  _flag("--N", type=_float_at_least(1), required=True)]),
+    "extract": ("constant extraction over an N grid", _cmd_extract,
+                [_flag("--s", type=_int_at_least(0), required=True),
+                 _flag("--cutoff", default="bump"),
+                 _flag("--grid", default="100,200,400,800,1600", help=_GRID_HELP)]),
+    "grandi": ("smoothed Grandi sum", _cmd_grandi,
+               [_flag("--cutoff", default="bump"),
+                _flag("--N", type=_float_at_least(1), default=1e4)]),
+    "scaling-demo": ("smoothed sums are not scale invariant", _cmd_scaling_demo,
+                     [_flag("--cutoff", default="bump"),
+                      _flag("--N", type=_float_at_least(2), default=100.0)]),
+    "delta-seq": ("Dirichlet kernel pairing", _cmd_delta_seq,
+                  [_flag("--j", type=_int_at_least(1), required=True),
+                   _flag("--testfn", default="centered", help="centered | offset"),
+                   _flag("--tol", type=_positive_float, default=1e-10)]),
+    "em-tail": ("Euler-Maclaurin tail identity", _cmd_em_tail,
+                [_flag("--s", type=_int_at_least(1), required=True),
+                 _flag("--cutoff", default="bump"),
+                 _flag("--N", type=_int_at_least(1), required=True)]),
+    "stirling": ("Stirling series vs the exact gap", _cmd_stirling,
+                 [_flag("--n", type=_int_at_least(1), required=True),
+                  _flag("--terms", type=_int_at_least(1), default=2),
+                  _flag("--table", action="store_true", help="rows for all 2..n")]),
+    "em-diverge": ("divergence onset of the Stirling series", _cmd_em_diverge,
+                   [_flag("--n", type=_int_at_least(1), required=True),
+                    _flag("--max-terms", type=_int_at_least(2), default=60)]),
+    "casimir": ("smoothed plate energy", _cmd_casimir,
+                [*_PLATE_FLAGS,
+                 _flag("--levels", type=_int_at_least(1), default=4,
+                       help="N-halving rows in the convergence table")]),
+    "casimir-force": ("plate force per unit area, 3 E / d", _cmd_casimir_force, _PLATE_FLAGS),
+    "truncate": ("optimal truncation scan of N! alpha^N", _cmd_truncate,
+                 [_flag("--alpha", type=_unit_rational, required=True,
+                        help="rational in (0,1), e.g. 1/137")]),
+    "borel": ("Borel summation", _cmd_borel,
+              [_flag("--coeffs", required=True, help="ones | euler | zero | geometric:r"),
+               _flag("--x", type=_positive_float, required=True),
+               _flag("--tol", type=_positive_float, default=1e-9)]),
+    "gyro": ("gyromagnetic anomaly partial sums", _cmd_gyro,
+             [_flag("--alpha", type=_float_at_least(0), required=True),
+              _flag("--order", type=int, choices=(1, 2), required=True)]),
+    "flat-check": ("right derivatives of exp(-z^-beta) at 0", _cmd_flat_check,
+                   [_flag("--beta", type=_unit_float, required=True),
+                    _flag("--n", type=_int_at_least(0), default=1),
+                    _flag("--grid", default="1e-2,1e-3,1e-4,1e-5,1e-6")]),
+}
+
+
+class _FullParserNeeded(Exception):
+    """A top-level parse error of a one-subcommand parser, whose usage lists one choice."""
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser with every subcommand, or with ``only`` that one (``run``).
+
+    A one-subcommand parser raises _FullParserNeeded where the full one would print a
+    top-level error, whose usage line lists every subcommand.
+    """
     ap = argparse.ArgumentParser(
         prog="summa",
         description="Summability methods for divergent series, smoothed sums, "
@@ -569,112 +666,33 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     ap.add_argument("--output", default=None, help="write to file instead of stdout")
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, handler, flags) in _SUBCOMMANDS.items():
+        if only is None or name == only:
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in flags:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=handler)
+    if only is not None:
+        def error(message):
+            raise _FullParserNeeded(message)
 
-    p = sub.add_parser("bernoulli", help="exact Bernoulli number B_k")
-    p.add_argument("--k", type=_int_at_least(0), required=True)
-    p.set_defaults(handler=_cmd_bernoulli)
-
-    p = sub.add_parser("faulhaber", help="exact power sum 1^s + ... + N^s")
-    p.add_argument("--s", type=_int_at_least(0), required=True)
-    p.add_argument("--N", type=_int_at_least(1), required=True)
-    p.set_defaults(handler=_cmd_faulhaber)
-
-    p = sub.add_parser("sum", help="summability methods on a catalog series")
-    p.add_argument("--method", choices=("cesaro", "abel", "ramanujan", "zeta-eta"),
-                   required=True)
-    p.add_argument("--series", required=True, help=SERIES_GRAMMAR)
-    p.add_argument("--n", type=_int_at_least(2), default=10000, help="Cesaro window")
-    p.add_argument("--tol", type=_positive_float, default=1e-3)
-    p.set_defaults(handler=_cmd_sum)
-
-    p = sub.add_parser("ledger", help="two-rule-set divergent series catalog")
-    p.set_defaults(handler=_cmd_ledger)
-
-    p = sub.add_parser("smoothed", help="smoothed monomial sum")
-    p.add_argument("--s", type=_int_at_least(0), required=True)
-    p.add_argument("--cutoff", default="bump", help=CUTOFF_GRAMMAR)
-    p.add_argument("--N", type=_float_at_least(1), required=True)
-    p.set_defaults(handler=_cmd_smoothed)
-
-    p = sub.add_parser("extract", help="constant extraction over an N grid")
-    p.add_argument("--s", type=_int_at_least(0), required=True)
-    p.add_argument("--cutoff", default="bump")
-    p.add_argument("--grid", default="100,200,400,800,1600",
-                   help="comma-separated N: at least 4, increasing, all > 0, max >= 100 "
-                        "(a grid starting with a negative number is written --grid=-5,...)")
-    p.set_defaults(handler=_cmd_extract)
-
-    p = sub.add_parser("grandi", help="smoothed Grandi sum")
-    p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=_float_at_least(1), default=1e4)
-    p.set_defaults(handler=_cmd_grandi)
-
-    p = sub.add_parser("scaling-demo", help="smoothed sums are not scale invariant")
-    p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=_float_at_least(2), default=100.0)
-    p.set_defaults(handler=_cmd_scaling_demo)
-
-    p = sub.add_parser("delta-seq", help="Dirichlet kernel pairing")
-    p.add_argument("--j", type=_int_at_least(1), required=True)
-    p.add_argument("--testfn", default="centered", help="centered | offset")
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
-    p.set_defaults(handler=_cmd_delta_seq)
-
-    p = sub.add_parser("em-tail", help="Euler-Maclaurin tail identity")
-    p.add_argument("--s", type=_int_at_least(1), required=True)
-    p.add_argument("--cutoff", default="bump")
-    p.add_argument("--N", type=_int_at_least(1), required=True)
-    p.set_defaults(handler=_cmd_em_tail)
-
-    p = sub.add_parser("stirling", help="Stirling series vs the exact gap")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--terms", type=_int_at_least(1), default=2)
-    p.add_argument("--table", action="store_true", help="rows for all 2..n")
-    p.set_defaults(handler=_cmd_stirling)
-
-    p = sub.add_parser("em-diverge", help="divergence onset of the Stirling series")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--max-terms", type=_int_at_least(2), default=60)
-    p.set_defaults(handler=_cmd_em_diverge)
-
-    for name in ("casimir", "casimir-force"):
-        p = sub.add_parser(name, help="smoothed plate energy" if name == "casimir"
-                           else "plate force per unit area, 3 E / d")
-        p.add_argument("--d", type=_positive_float, default=1e-6, help="plate separation (m)")
-        p.add_argument("--N", type=_float_at_least(10), default=400.0)
-        p.add_argument("--cutoff", default="bump")
-        p.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
-        p.add_argument("--quad-tol", type=_positive_float, default=1e-9)
-        if name == "casimir":
-            p.add_argument("--levels", type=_int_at_least(1), default=4,
-                           help="N-halving rows in the convergence table")
-            p.set_defaults(handler=_cmd_casimir)
-        else:
-            p.set_defaults(handler=_cmd_casimir_force)
-
-    p = sub.add_parser("truncate", help="optimal truncation scan of N! alpha^N")
-    p.add_argument("--alpha", type=_unit_rational, required=True,
-                   help="rational in (0,1), e.g. 1/137")
-    p.set_defaults(handler=_cmd_truncate)
-
-    p = sub.add_parser("borel", help="Borel summation")
-    p.add_argument("--coeffs", required=True, help="ones | euler | zero | geometric:r")
-    p.add_argument("--x", type=_positive_float, required=True)
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
-    p.set_defaults(handler=_cmd_borel)
-
-    p = sub.add_parser("gyro", help="gyromagnetic anomaly partial sums")
-    p.add_argument("--alpha", type=_float_at_least(0), required=True)
-    p.add_argument("--order", type=int, choices=(1, 2), required=True)
-    p.set_defaults(handler=_cmd_gyro)
-
-    p = sub.add_parser("flat-check", help="right derivatives of exp(-z^-beta) at 0")
-    p.add_argument("--beta", type=_unit_float, required=True)
-    p.add_argument("--n", type=_int_at_least(0), default=1)
-    p.add_argument("--grid", default="1e-2,1e-3,1e-4,1e-5,1e-6")
-    p.set_defaults(handler=_cmd_flat_check)
-
+        ap.error = error
     return ap
+
+
+def _named_subcommand(argv):
+    """The subcommand ``argv`` names after the top-level --format and --output, or None
+    where the full parser must read it: a help flag anywhere, another option first, or no
+    known subcommand."""
+    if any(token.startswith(("-h", "--h")) for token in argv):
+        return None
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("--format", "--output"):
+            next(tokens, None)
+        elif not token.startswith(("--format=", "--output=")):
+            return token if token in _SUBCOMMANDS else None
+    return None
 
 
 def _config_echo(args) -> dict:
@@ -727,9 +745,12 @@ def _emit(args, result, csv_block) -> str:
 
 def run(argv) -> int:
     """Parse argv, run the subcommand, write output; returns the exit code."""
-    ap = build_parser()
+    argv = list(argv)
     try:
-        args = ap.parse_args(argv)
+        try:
+            args = build_parser(_named_subcommand(argv)).parse_args(argv)
+        except _FullParserNeeded:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -240,25 +240,21 @@ class BumpCutoff(Cutoff):
 
         With top = P/q exactly, 1 - 1/(1 - x^2) = -b at x = m/top, where
         b = m^2 q^2 / (P^2 - m^2 q^2).  B = floor(b 2^W) is one exact integer
-        division and mpmath's fixed-point exp of -B / 2^W gives the value:
-        each integer is within 8 of the exact eta(m / top) 2^W (exp_fixed
-        measures within 6 units, the floor of b adds at most 1).  A total of
-        these times n^s over n < N is then within 8 N^(s+1) 2^-W of its exact
-        value, and ``smoothed._drift_bits`` takes a W that keeps this
-        under 2^-13 of one rounding at the drifts' precision: W = prec + 17 +
-        (s + 1) + bitlen(s + 1).  exp_fixed's cost grows with W.
+        division and the in-repo fixed-point exp of -B / 2^W gives the value
+        (``_fixed.exp_pass``): each integer is within 2 of the exact
+        eta(m / top) 2^W (the exp is within 1 + 2^-10 units, and the floor of b
+        adds less than one).  A total of these times n^s over n < N is then
+        within 2 N^(s+1) 2^-W of its exact value, and ``smoothed._drift_bits``
+        takes a W that keeps this under 2^-15 of one rounding at the drifts'
+        precision.  eta falls with m, so the pass stops at the first value
+        below a unit and the rest are 0.
         """
-        from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+        from ._fixed import exp_pass
 
         P, q = float(top).as_integer_ratio()
         P2 = P * P
-        ln2 = ln2_fixed(W)
-        values = []
-        for m in range(1, math.ceil(top)):  # m < top; m = ceil(top) is at or past x = 1
-            a = (m * q) ** 2
-            values.append(exp_fixed(-((a << W) // (P2 - a)), W, ln2))
-        values.append(0)
-        return values
+        squares = ((m * q) ** 2 for m in range(1, math.ceil(top)))  # m = ceil(top) is at x >= 1
+        return exp_pass(((a << W) // (P2 - a) for a in squares), W, math.ceil(top))
 
 
 class PolyCutoff(Cutoff):

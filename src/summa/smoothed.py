@@ -16,15 +16,16 @@ drift D(N) is therefore an exact rational (``drifts``, which the constant
 extraction and the Euler-Maclaurin tail identity share): a Faulhaber closed
 form costing O(p s) whatever N is for poly cutoffs.  For the bump one pass of
 fixed-point eta values (integers eta 2^W, one integer division and one
-fixed-point exp each) serves every grid point N_max / r with r an integer,
-each point's sum of eta n^s a stride sum over the pass's one list of
-integers.  Each sum is rounded once to mpmath working precision, prec bits
-scaled to the grid, before C N^{s+1} is subtracted; W = prec + 17 + (s+1) +
-bitlen(s+1) keeps its fixed-point error under 2^-13 of that rounding, since
+fixed-point exp each, ``_fixed.exp_pass``) serves every grid point N_max / r
+with r an integer, each point's sum of eta n^s a stride sum over the pass's
+one list of integers.  Each sum is rounded once at prec bits scaled to the
+grid before C N^{s+1} is subtracted, every step rounded to nearest in
+integers as mpmath's mpf arithmetic would; W = prec + 17 + (s+1) +
+bitlen(s+1) keeps its fixed-point error under 2^-15 of that rounding, since
 eta >= e^(-1/3) on [0, 1/2] bounds C below (``_drift_bits``).  The bump's C
-is a closed form, a recurrence in s from three seeds built of K_0(1/2),
-K_1(1/2) and E_1(1) (``_bump_moment``); the reported growth coefficient is
-that same moment, in float64.
+is a closed form, a fixed-point recurrence in s from three seeds built of
+K_0(1/2), K_1(1/2) and E_1(1) (``_bump_moment``); the reported growth
+coefficient is that same moment, in float64.  No path here imports mpmath.
 
 The same Faulhaber expansion makes every smoothed sum of poly:p exact: the
 sum itself, the Grandi sum and both sides of the scaling counterexample are
@@ -155,9 +156,7 @@ def _bump_em_sum(s: int, N: float):
     if (_em_factor() * A * (s + 1) * 10 * 2 ** (s + 63) * x ** (s + 1 - J)
             > 7 * (x - 2) ** (s + 1)):
         return None
-    from mpmath.libmp import to_rational
-
-    value = Fraction(*to_rational(_bump_moment(s, 20)._mpf_)) * x ** (s + 1)
+    value = _bump_moment(s, 20) * x ** (s + 1)
     for m in range((J - s + 1) // 2):
         B = bernoulli(s + 2 * m + 1)
         if B:
@@ -214,17 +213,18 @@ class AsymptoticFit(NamedTuple):
         }
 
 
-# The forward recurrence of the bump moments loses at most 62 bits up to s = 261
-# (measured at 40, 300 and 880 digits against runs with 1000 more bits): 80 guard
-# bits cover every s up to the CLI's --s cap with 18 to spare.
+# The forward recurrence of the bump moments, run in fixed point at F bits, loses at most 63
+# bits below the value of C_s up to s = 261, 37 of them C_s's own size at s = 260 (measured
+# at F = 150, 1000 and 3000 against runs with 1000 more bits): 80 guard bits cover every s
+# up to the CLI's --s cap with 17 to spare.
 _MOMENT_GUARD_BITS = 80
 _BUMP_SEEDS: dict = {}
 
 
-def _bump_seeds(wp: int) -> tuple:
-    """(C_0, C_1, C_2) of the bump as mpf at ``wp`` bits, memoized per precision.
+def _bump_seeds(F: int) -> tuple:
+    """(C_0, C_1, C_2) of the bump as integers C 2^F, each within 1 unit, memoized per F.
 
-    Power series in fixed point at wp + 16 bits, z = 1/2 and z^2/4 = 1/16
+    Power series in fixed point at F + 16 bits, z = 1/2 and z^2/4 = 1/16
     (DLMF 10.25.2, 10.31.2, 10.28.2 and 6.6.2):
 
         I_0 = sum q^k / k!^2,  I_1 = (1/4) sum q^k / (k! (k+1)!),  q = 1/16,
@@ -232,19 +232,18 @@ def _bump_seeds(wp: int) -> tuple:
         K_1 = (2 - K_0 I_1) / I_0                        (the Wronskian),
         E_1(1) = -gamma + sum_{k>=1} (-1)^(k+1) / (k k!),
 
-    with K_v = K_v(1/2) and H_k the harmonic numbers.  The 16 bits beyond wp
-    take the truncation of each term (a unit each, a few hundred terms) and
-    the cancellation in 3 K_1 - 5 K_0 (2 bits).
+    with K_v = K_v(1/2) and H_k the harmonic numbers; gamma, e and ln 2 are
+    ``_fixed``'s, and sqrt(e) is math.isqrt.  The 16 bits beyond F take the
+    truncation of each term (a unit each, a few hundred terms) and the
+    cancellation in 3 K_1 - 5 K_0 (2 bits).
     """
-    hit = _BUMP_SEEDS.get(wp)
+    hit = _BUMP_SEEDS.get(F)
     if hit is not None:
         return hit
-    import mpmath as mp
-    from mpmath.libmp.gammazeta import euler_fixed
-    from mpmath.libmp.libelefun import e_fixed, ln2_fixed, sqrt_fixed
+    from . import _fixed
 
-    fp = wp + 16
-    one, gamma, e = 1 << fp, euler_fixed(fp), e_fixed(fp)
+    fp = F + 16
+    one, gamma, e = 1 << fp, _fixed.euler_gamma(fp), _fixed.e(fp)
     i0 = i1 = harmonic_sum = h = k = 0
     t, u = one, one >> 2  # q^k / k!^2 and (1/4) q^k / (k! (k+1)!)
     while t:
@@ -253,23 +252,22 @@ def _bump_seeds(wp: int) -> tuple:
         t //= 16 * k * k
         u //= 16 * k * (k + 1)
         h += one // k
-    k0 = ((2 * ln2_fixed(fp) - gamma) * i0 >> fp) + harmonic_sum
+    k0 = ((2 * _fixed.ln2(fp) - gamma) * i0 >> fp) + harmonic_sum
     k1 = (((2 << fp) - (k0 * i1 >> fp)) << fp) // i0
     e1, f, k = -gamma, one, 0
     while f:
         k += 1
         f //= k
         e1 += f // k if k % 2 else -(f // k)
-    rte = sqrt_fixed(e, fp)
-    fixed = [rte * (k1 - k0) >> (fp + 1), (one - (e * e1 >> fp)) >> 1,
-             rte * (3 * k1 - 5 * k0) // (6 << fp)]
-    with mp.workprec(wp):
-        seeds = _BUMP_SEEDS[wp] = tuple(mp.mpf((v, -fp)) for v in fixed)
+    rte = math.isqrt(e << fp)
+    fixed = (rte * (k1 - k0) >> (fp + 1), (one - (e * e1 >> fp)) >> 1,
+             rte * (3 * k1 - 5 * k0) // (6 << fp))
+    seeds = _BUMP_SEEDS[F] = tuple(v >> 16 for v in fixed)
     return seeds
 
 
-def _bump_moment(s: int, dps: int):
-    """C_s = integral_0^1 x^s eta(x) dx of the bump, as mpf at dps + 10 digits.
+def _bump_moment(s: int, dps: int) -> Fraction:
+    """C_s = integral_0^1 x^s eta(x) dx of the bump, rounded to the bits of dps + 10 digits.
 
     With t = x^2 and u = t/(1 - t), C_s = (1/2) Gamma(a) U(a, 0, 1) at
     a = (s+1)/2, U Tricomi's confluent function (DLMF 13.4.4).  The b = 0
@@ -298,20 +296,25 @@ def _bump_moment(s: int, dps: int):
     i.e. U(1/2) = f (K_1 - K_0), U(3/2) = f (6 K_1 - 10 K_0) / 3 with
     f = sqrt(e / pi), and U(1) = 1 - e E_1(1).
 
-    The recurrence runs forward at _MOMENT_GUARD_BITS beyond the result's
-    precision; the result is rounded once to dps + 10 digits.
+    The recurrence runs forward in fixed point, _MOMENT_GUARD_BITS beyond the
+    result's precision prec (mpmath's bits of dps + 10 digits); the result is
+    rounded once to prec bits, to nearest, and returned as the exact dyadic
+    rational it is.
     """
-    import mpmath as mp
+    from ._fixed import digits_to_bits, round_bits
 
-    with mp.workdps(dps + 10):
-        prec = mp.mp.prec
-    c0, c1, c2 = _bump_seeds(prec + _MOMENT_GUARD_BITS)
-    with mp.workprec(prec + _MOMENT_GUARD_BITS):
-        lo, hi, start = (c1, (6 * c1 - 1) / 4, 3) if s % 2 else (c0, c2, 2)
-        for j in range(start, s - 1, 2):  # (lo, hi) = (C_(j-2), C_j) becomes (C_j, C_(j+2))
-            lo, hi = hi, (2 * (j + 2) * hi - (j - 1) * lo) / (j + 3)
-    with mp.workprec(prec):
-        return +(lo if s < 2 else hi)
+    prec = digits_to_bits(dps + 10)
+    F = prec + _MOMENT_GUARD_BITS
+    c0, c1, c2 = _bump_seeds(F)
+    lo, hi, start = (c1, (6 * c1 - (1 << F)) // 4, 3) if s % 2 else (c0, c2, 2)
+    for j in range(start, s - 1, 2):  # (lo, hi) = (C_(j-2), C_j) becomes (C_j, C_(j+2))
+        lo, hi = hi, (2 * (j + 2) * hi - (j - 1) * lo) // (j + 3)
+    return _dyadic(*round_bits(lo if s < 2 else hi, -F, prec))
+
+
+def _dyadic(man: int, exp: int) -> Fraction:
+    """man 2^exp as a Fraction."""
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _poly_sum_parts(s: int, p: int, a: int, b: int) -> Tuple[int, int]:
@@ -386,50 +389,56 @@ def _bump_totals(s: int, cutoff: Cutoff, points: Sequence[float], W: int) -> Lis
 
 
 def _drift_bits(s: int, prec: int) -> int:
-    """The fixed-point bits W of the bump's drift sums for mpf results at ``prec`` bits.
+    """The fixed-point bits W of the bump's drift sums for results rounded at ``prec`` bits.
 
-    Each total is within 8 N^(s+1) 2^-W of its exact sum (``eval_fixed``)
+    Each total is within 2 N^(s+1) 2^-W of its exact sum (``eval_fixed``)
     and is rounded at prec on values of size C_s N^(s+1), where C_s is the
     moment.  eta >= e^(-1/3) on [0, 1/2], so C_s >= e^(-1/3) / ((s+1) 2^(s+1)),
-    and W = prec + 17 + (s+1) + bitlen(s+1) makes 8 N^(s+1) 2^-W at most
-    2^-(prec+13) C_s N^(s+1): 2^-13 of one such rounding, whatever N is.
+    and W = prec + 17 + (s+1) + bitlen(s+1) makes 2 N^(s+1) 2^-W at most
+    2^-(prec+15) C_s N^(s+1): 2^-15 of one such rounding, whatever N is.
     """
     return prec + 17 + (s + 1) + (s + 1).bit_length()
 
 
-def _drifts_mp(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> list:
-    """D(N) for the bump at every N in ``points``, as mpf at ``dps`` digits.
+def _bump_drifts(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> List[Fraction]:
+    """D(N) for the bump at every N in ``points``, rounded at the bits prec of ``dps`` digits.
 
-    The sums are ``_bump_totals`` in fixed point at W = ``_drift_bits`` of
-    the bit precision prec of ``dps``: each is within 2^-(prec+13) C_s N^(s+1)
-    of the exact sum, whatever the order of its terms.  It is rounded once to
-    ``dps`` digits (mp.mpf(total) 2^-W), and C_s N^(s+1) (``_bump_moment``)
-    is subtracted in mpmath at ``dps``; those roundings, each ~2^-prec
-    C_s N^(s+1), dominate.
+    The sums T are ``_bump_totals`` in fixed point at W = ``_drift_bits(s, prec)``:
+    each is within 2^-(prec+15) C_s N^(s+1) of the exact sum, whatever the
+    order of its terms.  Then, in integers, each step rounded to nearest at
+    prec bits (``_fixed.round_bits``), as mpmath's mpf arithmetic at ``dps``
+    digits rounds it: T 2^-W, N^(s+1), C_s N^(s+1) with C_s = ``_bump_moment``,
+    and their difference.  Those roundings, each ~2^-prec C_s N^(s+1),
+    dominate.  Each D(N) is returned as the exact dyadic rational it is.
     """
-    import mpmath as mp
+    from ._fixed import digits_to_bits, round_bits
 
-    with mp.workdps(dps):
-        W = _drift_bits(s, mp.mp.prec)
-        totals = _bump_totals(s, cutoff, points, W)
-        c = _bump_moment(s, dps)
-        return [mp.ldexp(mp.mpf(t), -W) - c * mp.mpf(N) ** (s + 1)
-                for t, N in zip(totals, points)]
+    prec = digits_to_bits(dps)
+    W = _drift_bits(s, prec)
+    totals = _bump_totals(s, cutoff, points, W)
+    c_num, c_den = _bump_moment(s, dps).as_integer_ratio()
+    c_exp = 1 - c_den.bit_length()  # c_den is a power of 2
+    out = []
+    for t, N in zip(totals, points):
+        t_man, t_exp = round_bits(t, -W, prec)
+        n_num, n_den = N.as_integer_ratio()
+        p_man, p_exp = round_bits(n_num ** (s + 1), (1 - n_den.bit_length()) * (s + 1), prec)
+        q_man, q_exp = round_bits(c_num * p_man, c_exp + p_exp, prec)
+        e = min(t_exp, q_exp)
+        out.append(_dyadic(*round_bits((t_man << (t_exp - e)) - (q_man << (q_exp - e)), e, prec)))
+    return out
 
 
 def drifts(s: int, cutoff: Cutoff, points: Sequence[float]) -> List[Fraction]:
     """D(N) = sum_{1<=n<N} eta(n/N) n^s - C_{eta,s} N^{s+1} at every N in ``points``, exact
-    for poly:p; for the bump, the mpf of ``_drifts_mp`` as the rational it is."""
+    for poly:p; for the bump, ``_bump_drifts`` at ``working_digits``."""
     if cutoff.kind == "poly":
         return [_drift_exact_poly(s, cutoff, N) for N in points]
-    from mpmath.libmp import to_rational
-
-    dps = working_digits(s, max(points))
-    return [Fraction(*to_rational(d._mpf_)) for d in _drifts_mp(s, cutoff, points, dps)]
+    return _bump_drifts(s, cutoff, points, working_digits(s, max(points)))
 
 
 def working_digits(s: int, n_max: float) -> int:
-    """mpmath digits of the bump drifts up to N_max: 25 beyond the (s+1) log10 N_max that cancel."""
+    """Decimal digits of the bump drifts up to N_max: 25 beyond the (s+1) log10 N_max that cancel."""
     return 25 + int(math.ceil((s + 1) * math.log10(max(n_max, 10.0))))
 
 

@@ -335,6 +335,15 @@ class TestErrors:
         assert time.perf_counter() - start < 1.0
         assert rc == 1 and out == "" and err.startswith("error: NonFiniteResultError: ")
 
+    @pytest.mark.parametrize("s,N,value", [
+        (10**400, "2", math.exp(-1 / 3)),  # eta(1/2) 1^s: 2^s at n = 2 lies past the support
+        (2000, "1.5", math.exp(-0.8)),  # eta(2/3): 2^2000 = inf at n = 2, where eta is 0
+    ], ids=["s=10**400,N=2", "s=2000,N=1.5"])
+    def test_a_bump_sum_past_float_powers_is_its_one_term(self, capsys, s, N, value):
+        # n^s past float64 (or s past its range) at an n past the support is no term at all
+        payload = run_json(capsys, ["smoothed", "--s", str(s), "--cutoff", "bump", "--N", N])
+        assert abs(payload["result"]["value"] - value) <= 4 * math.ulp(value)
+
     @pytest.mark.parametrize("argv,value", [
         (["smoothed", "--s", "1", "--N", "1e11"], 2.0182631883840296e+21),
         (["grandi", "--N", "1e11"], 0.5),
@@ -403,7 +412,7 @@ class TestErrors:
         (["em-tail", "--s", "400", "--N", "10"], cli.MAX_EXTRACT_S),
         (["em-tail", "--s", "999", "--N", "1"], cli.MAX_EXTRACT_S),
         (["em-tail", "--s", "91", "--N", "1000"], cli.MAX_BUMP_DIGITS),
-        (["em-tail", "--s", "3", "--N", "100000"], cli.MAX_BUMP_WORK),
+        (["em-tail", "--s", "3", "--N", "400000"], cli.MAX_BUMP_WORK),
         (["em-tail", "--s", "1", "--cutoff", "poly:504", "--N", "10"], cli.MAX_FAULHABER_WORK),
         (["em-tail", "--s", "1", "--cutoff", "poly:80", "--N", str(10**300)],
          cli.MAX_FAULHABER_WORK),
@@ -434,9 +443,9 @@ class TestErrors:
         (["extract", "--s", "200", "--cutoff", "bump"], cli.MAX_BUMP_DIGITS),
         (["extract", "--s", "0", "--cutoff", "bump", "--grid", "62500,125000,250000,500000"],
          cli.MAX_BUMP_WORK),
-        (["extract", "--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64001"],
+        (["extract", "--s", "0", "--cutoff", "bump", "--grid", "40000,80000,160000,320001"],
          cli.MAX_BUMP_WORK),
-        (["extract", "--s", "40", "--cutoff", "bump", "--grid", "1500,3000,6000,12000"],
+        (["extract", "--s", "40", "--cutoff", "bump", "--grid", "3000,6000,12000,24000"],
          cli.MAX_BUMP_WORK),
         (["smoothed", "--s", str(10**30), "--cutoff", "poly:1", "--N", "2"], cli.MAX_FAULHABER_WORK),
         (["smoothed", "--s", "400", "--cutoff", "poly:102", "--N", "1e5"], cli.MAX_FAULHABER_WORK),
@@ -488,6 +497,8 @@ class TestErrors:
         ["casimir", "--cutoff", "poly:996", "--N", "1000000", "--lambda", "0.3", "--levels", "5"],
         ["casimir", "--cutoff", "indicator", "--N", "1e300", "--lambda", "1e298", "--levels",
          "2000"],  # 995 values of ~900 digits: root sum of squares 17,513
+        # at MAX_BUMP_WORK: 31 digits, one shared pass of 320,000 terms (~0.5 s)
+        ["extract", "--s", "0", "--cutoff", "bump", "--grid", "40000,80000,160000,320000"],
     ])
     def test_work_at_a_cap_runs(self, capsys, argv):
         run_json(capsys, argv)
@@ -501,7 +512,7 @@ class TestErrors:
     @pytest.mark.parametrize("argv,cap", [
         (["--s", "147", "--cutoff", "poly:150"], "MAX_FAULHABER_WORK"),
         (["--s", "84", "--cutoff", "bump"], "MAX_BUMP_DIGITS"),
-        (["--s", "0", "--cutoff", "bump", "--grid", "8000,16000,32000,64000"], "MAX_BUMP_WORK"),
+        (["--s", "0", "--cutoff", "bump", "--grid", "40000,80000,160000,320000"], "MAX_BUMP_WORK"),
     ])
     def test_extract_work_at_a_cap_is_exactly_the_cap(self, capsys, monkeypatch, argv, cap):
         # the rows of test_work_at_a_cap_runs sit on their cap, not below it

@@ -1,13 +1,14 @@
 """Cold start: the exact subcommands, every subcommand on poly:p, the bump's plate energy past
-its cell sweep and the package surface load neither numpy nor mpmath, the bump's smoothed
-sums past their float kernel load no numpy, no layer loads dataclasses, and CSV output loads
-no json."""
+its cell sweep and its smoothed sums past their float kernel, and the package surface load
+neither numpy nor mpmath; no subcommand needs mpmath at all; no layer loads dataclasses, and
+CSV output loads no json."""
 
 import importlib
 
 import pytest
 
 import summa
+from summa import cli
 from summa.cli import run
 
 # one argv of each subcommand whose every path is exact, then one of each subcommand with a
@@ -36,14 +37,33 @@ NUMPY_FREE = [
     # the bump's plate energy where every scale is past its sweep: its expansion at 0
     ["casimir-force", "--N", "1e12"],
     ["casimir", "--N", "1e6", "--levels", "1"],
-    # the bump's smoothed sums past their float kernel: the expansion at 0 (C_s from mpmath)
+    # the bump's smoothed sums past their float kernel: the expansion at 0 (C_s in integers)
     ["smoothed", "--s", "1", "--N", "1e7"],
     ["grandi", "--N", "1e7"],
     ["--format", "csv", "scaling-demo", "--N", "1e7"],
+    # the bump's drifts: the eta pass, C_s and the roundings in integers
+    ["extract", "--s", "1"],
+    ["--format", "csv", "em-tail", "--s", "2", "--N", "60"],
 ]
-# the runs of NUMPY_FREE that read the bump's moment C_s from mpmath
-NEEDS_MPMATH = [["smoothed", "--s", "1", "--N", "1e7"],
-                ["--format", "csv", "scaling-demo", "--N", "1e7"]]
+# the bump's subcommands with its exact paths (the moment C_s, the eta pass, the drifts'
+# roundings) and its float kernels, then one argv of every other subcommand
+WITHOUT_MPMATH = [
+    ["smoothed", "--s", "1", "--N", "1e7"],
+    ["smoothed", "--s", "3", "--N", "100"],
+    ["--format", "csv", "scaling-demo", "--N", "1e7"],
+    ["scaling-demo", "--N", "100"],
+    ["extract", "--s", "1"],
+    ["extract", "--s", "5", "--grid", "100,150,225,300,450"],
+    ["em-tail", "--s", "2", "--N", "60"],
+    ["em-tail", "--s", "90", "--N", "1000"],
+    ["grandi", "--N", "500"],
+    ["casimir", "--N", "400", "--levels", "2"],
+    ["casimir-force", "--N", "2000"],
+    ["delta-seq", "--j", "25"],
+    ["borel", "--coeffs", "euler", "--x", "0.1"],
+    ["sum", "--method", "cesaro", "--series", "grandi", "--n", "2000"],
+    *NUMPY_FREE[:12],
+]
 
 # the public names of each submodule, as the package exported them eagerly
 EXPORTS = {
@@ -77,8 +97,7 @@ def cold_run(run_fresh, argv):
 @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
 def test_exact_subcommand_runs_cold_without_numpy(run_fresh, capsys, argv):
     text, loaded = cold_run(run_fresh, argv)
-    assert not loaded & {"numpy", "dataclasses", "inspect"}
-    assert ("mpmath" in loaded) == (argv in NEEDS_MPMATH)
+    assert not loaded & {"numpy", "mpmath", "dataclasses", "inspect"}
     if argv[:2] == ["--format", "csv"]:
         assert "json" not in loaded
     assert run(argv) == 0
@@ -91,6 +110,22 @@ def test_a_float_subcommand_loads_numpy(run_fresh, capsys):
     assert "numpy" in loaded
     assert run(argv) == 0
     assert text == capsys.readouterr().out
+
+
+def test_every_subcommand_runs_with_mpmath_blocked(run_fresh, capsys):
+    # import mpmath raises ImportError in the fresh interpreter; its outputs are the same
+    assert {a[2] if a[0] == "--format" else a[0] for a in WITHOUT_MPMATH} == set(
+        cli._SUBCOMMANDS)
+    out = run_fresh("import sys\n"
+                    "sys.modules['mpmath'] = None\n"
+                    "from summa.cli import run\n"
+                    f"for argv in {WITHOUT_MPMATH!r}:\n"
+                    "    print(run(argv))\n")
+    want = []
+    for argv in WITHOUT_MPMATH:
+        assert run(argv) == 0
+        want.append(capsys.readouterr().out + "0\n")
+    assert out == "".join(want)
 
 
 def test_import_loads_neither_numpy_nor_mpmath(run_fresh):

@@ -69,7 +69,7 @@ class TestBump:
 
     @pytest.mark.parametrize("W", [120, 160, 220])
     def test_mpmath_exp_fixed_is_within_16_units(self, W):
-        # eval_fixed's error bound rests on this internal mpmath function
+        # the reference the in-repo exp of eval_fixed (_fixed.exp_pass) was measured against
         import random
 
         import mpmath as mp

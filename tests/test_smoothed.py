@@ -14,10 +14,10 @@ from summa.cutoffs import BumpCutoff, make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError, NonFiniteResultError
 from summa.exact import bernoulli, faulhaber
 from summa.smoothed import (
+    _bump_drifts,
     _bump_moment,
     _bump_totals,
     _drift_exact_poly,
-    _drifts_mp,
     centered_bump,
     constant_extraction,
     delta_pairing,
@@ -270,7 +270,7 @@ class TestBumpExpansion:
 
     def test_the_kernels_sum_at_most_the_recorded_terms(self, monkeypatch):
         # the decisions only: C_s = 1 makes each expansion cheap
-        monkeypatch.setattr(smoothed, "_bump_moment", lambda s, dps: mp.mpf(1))
+        monkeypatch.setattr(smoothed, "_bump_moment", lambda s, dps: Fraction(1))
 
         def kernel_terms(s, k):
             # a kernel sums ceil(N) = k terms just above N = k - 1, if neither path takes N
@@ -436,6 +436,12 @@ def poly_drift_loop(s, cutoff, N):
     return total - cutoff.mellin_exact(s) * NF ** (s + 1)
 
 
+def mpf_of(x):
+    """The mpf of a dyadic Fraction, exact: its numerator's bits, over a power of 2."""
+    with mp.workprec(max(53, x.numerator.bit_length())):
+        return mp.mpf(x.numerator) / x.denominator
+
+
 def bump_drift_loop(s, cutoff, N, dps):
     """Reference D(N) for the bump: one mpmath loop over n = 1..ceil(N)."""
     with mp.workdps(dps):
@@ -445,7 +451,7 @@ def bump_drift_loop(s, cutoff, N, dps):
             e = cutoff.eval_mp(mp.mpf(n) / NM)
             if e:
                 total += e * mp.mpf(n) ** s
-        return total - _bump_moment(s, dps) * NM ** (s + 1)
+        return total - mpf_of(_bump_moment(s, dps)) * NM ** (s + 1)
 
 
 class TestDrift:
@@ -474,9 +480,10 @@ class TestDrift:
             dps = 25 + math.ceil((s + 1) * math.log10(max(grid)))
             with mp.workdps(dps):
                 prec = mp.mp.prec
-            got = _drifts_mp(s, eta, grid, dps)
-            c = _bump_moment(s, dps)
+            got = _bump_drifts(s, eta, grid, dps)
+            c = mpf_of(_bump_moment(s, dps))
             for N, d in zip(grid, got):
+                d = mpf_of(d)
                 want = bump_drift_loop(s, eta, N, dps + 20)
                 scale = abs(c) * mp.mpf(N) ** (s + 1) + abs(want)
                 tol = mp.ldexp(1, -(prec + 13)) + 6 * scale * mp.ldexp(1, -prec)
@@ -484,14 +491,20 @@ class TestDrift:
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_drifts_are_the_exact_values_of_both_paths(self, grid):
-        # the bump's mpf at working_digits as the rational it is; poly's Fraction as is
+        # the bump's integer roundings are those of mpmath's mpf arithmetic at
+        # working_digits, value for value; poly's Fraction as is
         eta, cut = make_cutoff("bump"), make_cutoff("poly", 6)
-        dps = smoothed.working_digits(3, max(grid))
-        got = smoothed.drifts(3, eta, grid)
-        assert all(isinstance(d, Fraction) for d in got)
-        with mp.workdps(dps + 50):
-            exact = [mp.mpf(d.numerator) / d.denominator for d in got]
-            assert exact == _drifts_mp(3, eta, grid, dps)
+        for s in (0, 3, 17):
+            dps = smoothed.working_digits(s, max(grid))
+            got = smoothed.drifts(s, eta, grid)
+            assert all(isinstance(d, Fraction) for d in got)
+            c = mpf_of(_bump_moment(s, dps))
+            with mp.workdps(dps):
+                W = smoothed._drift_bits(s, mp.mp.prec)
+                want = [mp.ldexp(mp.mpf(t), -W) - c * mp.mpf(N) ** (s + 1)
+                        for t, N in zip(_bump_totals(s, eta, grid, W), grid)]
+            with mp.workdps(dps + 50):
+                assert [mpf_of(d) for d in got] == want, s
         assert smoothed.drifts(3, cut, grid) == [_drift_exact_poly(3, cut, N) for N in grid]
 
     @pytest.mark.parametrize("grid", GRIDS)
@@ -503,12 +516,12 @@ class TestDrift:
                                                      for N in grid], s
 
     def test_fixed_point_bits_keep_their_error_under_a_rounding_at_every_s(self):
-        # a total's fixed-point error 8 N^(s+1) 2^-W is at most 2^-(prec + 13) C_s N^(s+1),
-        # 2^-13 of one rounding at prec, for every s the CLI accepts; N^(s+1) cancels
+        # a total's fixed-point error 2 N^(s+1) 2^-W is at most 2^-(prec + 15) C_s N^(s+1),
+        # 2^-15 of one rounding at prec, for every s the CLI accepts; N^(s+1) cancels
         prec = 100
         for s in range(MAX_EXTRACT_S + 1):
             W = smoothed._drift_bits(s, prec)
-            assert 8 * mp.ldexp(1, -W) <= mp.ldexp(_bump_moment(s, 20), -(prec + 13)), s
+            assert Fraction(2, 2**W) <= _bump_moment(s, 20) / 2 ** (prec + 15), s
 
     def test_dyadic_grid_evaluates_eta_once_per_n(self):
         eta = CountingBump()
@@ -522,7 +535,7 @@ class TestBumpMoment:
     def test_closed_form_is_the_quadrature(self, s, dps):
         with mp.workdps(dps + 10):  # split where x^s eta(x) peaks at high s
             want = mp.quad(lambda x: x**s * mp.exp(1 - 1 / (1 - x * x)), [0, 0.5, 0.75, 0.9, 1])
-            assert abs(_bump_moment(s, dps) - want) <= want * mp.mpf(10) ** -(dps + 8)
+            assert abs(mpf_of(_bump_moment(s, dps)) - want) <= want * mp.mpf(10) ** -(dps + 8)
 
     def test_seeds_are_computed_once_per_precision(self):
         assert smoothed._bump_seeds(300) is smoothed._bump_seeds(300)
