@@ -10,7 +10,9 @@ Euler-Maclaurin expansion at 0 meets its bound, so with at most 3,787
 terms (``smoothed._bump_sum``; the Grandi sum below N ~ 788).  The
 plate-energy cell sweep is one batch too: ``casimir`` runs it only below
 N/lam ~ 1.35 * 10^3, where the bump's expansion of u_t does not yet meet its
-2^-62 bound, so it has at most 1,354 unit cells (~20k nodes a level).  The
+2^-62 bound, so it has at most 1,354 unit cells (~20k nodes a level).  A
+moment integral is a batch of intervals: ``casimir.derivative_identities``
+sends all its stencil gaps, at most 70, as one.  The
 doubled sum sum 2n eta(2n/N) needs no kernel of its own: it is twice the
 s = 1 smoothed sum at N/2 (see ``smoothed.scaling_counterexample``).
 """
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from .cutoffs import Cutoff
-from .quadrature import MID_NODE, _adapt, integrate
+from .quadrature import MID_NODE, _adapt, _fsum_arrays
 
 __all__ = [
     "smoothed_sum_value",
@@ -31,7 +33,7 @@ __all__ = [
     "ut_value",
 ]
 
-# integrand evaluations of one moment integral, and of a plate sweep beyond each cell's first panel
+# integrand evaluations of a moment batch or a plate sweep beyond each interval's first panel
 QUAD_BUDGET = 10**6
 
 
@@ -70,10 +72,18 @@ def alternating_smoothed_value(cutoff: Cutoff, N: float) -> float:
     return float(np.sum(odd))
 
 
-def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float):
-    """Integral of x^m * eta(c x) over [a, b]; returns (value, error_estimate)."""
-    if b <= a:
-        return 0.0, 0.0
+def moment_quad(cutoff: Cutoff, m: int, c: float, lo, hi, tol: float):
+    """Integrals of x^m * eta(c x) over each [lo[i], hi[i]], lo[i] < hi[i], in one batch.
+
+    Each interval is an initial panel of one adaptive quadrature with the
+    whole ``tol`` as its own absolute tolerance, and its value and error are
+    correctly rounded sums of its accepted panels.  Budget: ``QUAD_BUDGET``
+    caps the evaluations spent refining the intervals beyond their first
+    panel, so a batch of n intervals may spend QUAD_BUDGET + 15 n in all.
+    Returns (values, error_estimates), two lists in the order of ``lo``.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
 
     def integrand(x):
         y = c * x
@@ -81,8 +91,13 @@ def moment_quad(cutoff: Cutoff, m: int, c: float, a: float, b: float, tol: float
         y *= x**m
         return y
 
-    res = integrate(integrand, a, b, tol=tol, budget=QUAD_BUDGET)
-    return res.value, res.error
+    values, errors, owners, _ = _adapt(integrand, lo, hi, hi - lo, tol,
+                                       QUAD_BUDGET + 15 * lo.size)
+    panels = [([], []) for _ in range(lo.size)]
+    for i, value, error in zip(*(np.concatenate(a).tolist() for a in (owners, values, errors))):
+        panels[i][0].append(value)
+        panels[i][1].append(error)
+    return [math.fsum(v) for v, _ in panels], [math.fsum(e) for _, e in panels]
 
 
 def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
@@ -123,5 +138,5 @@ def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
         y *= cell + 0.5 - v
         return y
 
-    value, error, _, _ = _adapt(saw, lo, hi, support, tol, QUAD_BUDGET + 15 * ncells)
-    return value, error
+    values, errors, _, _ = _adapt(saw, lo, hi, support, tol, QUAD_BUDGET + 15 * ncells)
+    return _fsum_arrays(values), _fsum_arrays(errors)

@@ -50,7 +50,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .cutoffs import Cutoff, bump_taylor0, make_cutoff
 from .errors import CutoffSmoothnessError, NonFiniteResultError
-from .exact import PI_LOWER, bernoulli, bernoulli_integers
+from .exact import _EM_ORDER, _em_factor, bernoulli, bernoulli_integers
 
 __all__ = [
     "HBAR",
@@ -74,14 +74,13 @@ __all__ = [
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
-# The bump's Euler-Maclaurin expansion at 0 (``_bump_em_ut``) runs through B_J, J = _EM_ORDER,
-# with the remainder bound A_J >= sup_[0, 1] |(x^2 eta)^(J-1)| shipped as
+# The bump's Euler-Maclaurin expansion at 0 (``_bump_em_ut``) runs through B_J, J =
+# exact._EM_ORDER, with the remainder bound A_J >= sup_[0, 1] |(x^2 eta)^(J-1)| shipped as
 # _EM_LOG2_SUP = ceil(log2 A_J); tests/test_casimir.py regenerates it from Bernstein bounds
 # on 32 dyadic pieces.  The smallest L whose bound meets 2^-62, scanned over J = 20..40 with
 # the shipped ceilings: 2,045 at J = 20, 1,572 at 24, 1,397 at 28, 1,353 at 30, 1,350 at 32,
 # 1,344 at 36 and 1,475 at 40 (the unrounded A_J put the least at 1,320, J = 33-34).
 # J = 30 is within 1% of the best with 14 terms.
-_EM_ORDER = 30
 _EM_LOG2_SUP = 287
 
 
@@ -137,8 +136,8 @@ def capital_F(n: float, cfg: CasimirConfig) -> float:
         return 0.0
     from . import _kernels
 
-    value, _ = _kernels.moment_quad(cfg.cutoff, 2, cfg.lam / cfg.N, float(n), end,
-                                    cfg.quad_tol / 10.0)
+    (value,), _ = _kernels.moment_quad(cfg.cutoff, 2, cfg.lam / cfg.N, [n], [end],
+                                       cfg.quad_tol / 10.0)
     return value
 
 
@@ -175,11 +174,14 @@ def derivative_identities(cfg: CasimirConfig, order: int) -> float:
     only the integrals of v^2 eta(lam v/N) over the gaps between the probe's
     sorted stencil points (at most 14 over the steps h, h/2 and h/4), summed
     from the top down: each point is integrated once and nothing reaches the
-    support end.  A gap is O(h s^2), not the O(L^3) of F itself, so the inner
+    support end.  The gaps of all five probes, at most 70, go to the
+    quadrature as one batch (``_kernels.moment_quad``), each gap with its own
+    tolerance.  A gap is O(h s^2), not the O(L^3) of F itself, so the inner
     tolerance needs no floor relative to |F|; where min(quad_tol, 1e-11) sits
     below a gap's roundoff floor, the quadrature's floor acceptance ends it.
     """
     from . import _kernels
+    from .euler_maclaurin import monomial_cutoff_deriv
 
     if not 1 <= order <= 5:
         raise ValueError(f"order must be in 1..5, got {order}")
@@ -189,26 +191,31 @@ def derivative_identities(cfg: CasimirConfig, order: int) -> float:
     # high orders divide the quadrature noise by h^order: the step must stay
     # macroscopic and the inner tolerance near the roundoff floor of a gap
     h = max(0.5, 0.01 * end)
-    tol = min(cfg.quad_tol, 1e-11)
-    c = cfg.lam / cfg.N
     offsets, coeffs = _STENCILS[order]
     steps = (h, h / 2.0, h / 4.0)
-
-    worst = 0.0
-    scale = 0.0
+    stencils = []
     for s in probes:
         if s - 3.0 * h < 0.0:
             raise ValueError(f"probe {s} too close to 0 for step {h}")
         # 2 * (h/2) rounds onto h exactly, so shared points collapse here
-        points = sorted({s + o * step for step in steps for o in offsets})
+        stencils.append(sorted({s + o * step for step in steps for o in offsets}))
+    lo = [a for points in stencils for a in points[:-1]]
+    hi = [b for points in stencils for b in points[1:]]
+    gaps = iter(_kernels.moment_quad(cfg.cutoff, 2, cfg.lam / cfg.N, lo, hi,
+                                     min(cfg.quad_tol, 1e-11))[0])
+    # capital_F_deriv at every probe in one call (each probe is below the support end)
+    closed_forms = -monomial_cutoff_deriv(2, cfg.cutoff, end, order - 1, probes)
+
+    worst = 0.0
+    scale = 0.0
+    for s, points, closed in zip(probes, stencils, closed_forms.tolist()):
         G = {points[-1]: 0.0}
-        for a, b in reversed(list(zip(points, points[1:]))):
-            G[a] = G[b] + _kernels.moment_quad(cfg.cutoff, 2, c, a, b, tol)[0]
+        for a, b, gap in reversed([(a, b, next(gaps)) for a, b in zip(points, points[1:])]):
+            G[a] = G[b] + gap
 
         def fd(step):
             return math.fsum(w * G[s + o * step] for o, w in zip(offsets, coeffs)) / step**order
 
-        closed = capital_F_deriv(order, s, cfg)
         # two Richardson levels on the order-2 stencil: truncation O(h^6)
         d1, d2, d4 = (fd(step) for step in steps)
         r1a = (4.0 * d2 - d1) / 3.0
@@ -276,16 +283,6 @@ def _poly_ut(p: int, support: float) -> float:
         return num / (K * D * b**4 * a**p)
     except OverflowError as exc:
         raise NonFiniteResultError(f"u_t at N/lam = {support!r} is past float64 range") from exc
-
-
-@functools.lru_cache(maxsize=1)
-def _em_factor():
-    """A rational upper bound on 2 zeta(J) (2 pi)^-J, J = _EM_ORDER: the Euler-Maclaurin
-    remainder's |B~_J| / J! (DLMF 24.9), with zeta(J) <= 1 + 2^(1-J) and pi > PI_LOWER."""
-    from fractions import Fraction
-
-    J = _EM_ORDER
-    return Fraction(2**J + 2, 2 ** (J - 1)) * (2 * PI_LOWER) ** -J
 
 
 @functools.lru_cache(maxsize=1)

@@ -4,13 +4,17 @@ A 7-point Gauss rule embedded in the 15-point Kronrod extension supplies the
 per-panel error estimate |K15 - G7| (QUADPACK's qk15).  Panels are refined
 by bisection one level at a time: every pending panel of a level is
 evaluated in one call to the integrand (the initial panels may be many, such
-as the plate sweep's unit cells), and a panel is accepted once its error is
-within its width share ``tol * width / span`` of the tolerance, or within
-twice its roundoff floor (no amount of subdivision improves it), or the
-panel is too narrow to split.  The accepted errors therefore sum to at
-most ``tol`` plus the roundoff floors.  Exhausting the evaluation budget
-raises :class:`QuadratureError` instead of returning a silently degraded
-value.
+as the plate sweep's unit cells or the stencil gaps of the derivative
+identities).  Each initial panel carries its own tolerance share and
+minimum width, inherited by the panels bisected from it: a panel is accepted
+once its error is within its width share ``tol * width / span`` of its
+tolerance, or within twice its roundoff floor (no amount of subdivision
+improves it), or the panel is narrower than ~1e-14 of its span.  The
+accepted errors of a tolerance therefore sum to at most ``tol`` plus the
+roundoff floors.  The accepted panels come back tagged with their initial
+panel, so a caller sums them per initial panel or all at once, correctly
+rounded either way.  Exhausting the evaluation budget raises
+:class:`QuadratureError` instead of returning a silently degraded value.
 
 Integrands must be elementwise: they receive a numpy array of nodes, one
 row of 15 per panel, and return an array of values of the same shape.
@@ -97,19 +101,28 @@ def _fsum_arrays(arrays) -> float:
     return math.fsum(itertools.chain.from_iterable(a.tolist() for a in arrays))
 
 
-def _adapt(f, lo: np.ndarray, hi: np.ndarray, span: float, tol: float, budget: int):
+def _adapt(f, lo: np.ndarray, hi: np.ndarray, span, tol: float, budget: int):
     """Level-by-level bisection of the initial panels [lo, hi] until each is accepted.
 
-    Returns (value, error, nevals, npanels).  ``span`` is the total width of
-    the panels and ``tol`` is shared among them in proportion to their width;
-    ``budget`` caps the integrand evaluations, 15 per panel, first level
-    included.  The totals are correctly rounded sums of the accepted panels.
+    Returns (values, errors, owners, nevals): the accepted panels' values and
+    errors and the index into ``lo`` of the initial panel each was bisected
+    from, as lists of arrays, one per level, and the integrand evaluations
+    spent.  ``span`` is a scalar or an array over the initial panels: panel
+    i and its descendants share ``tol`` in proportion to their width out of
+    ``span[i]``, and stop splitting below 1e-14 ``span[i]``.  One span for all
+    the panels, their total width, shares one tolerance among them, as the
+    plate sweep does; span = hi - lo gives each initial panel the whole
+    ``tol``.  ``budget`` caps the integrand evaluations, 15 per panel, first
+    level included.
     """
+    per_panel = np.ndim(span) > 0  # else one share and one minimum width for every panel
     share = tol / span
-    min_width = max(1e-14 * span, 5e-308)
-    values, errors = [], []
+    min_width = np.maximum(1e-14 * span, 5e-308) if per_panel else max(1e-14 * span, 5e-308)
+    panel_share, panel_min = share, min_width
+    owner = np.arange(lo.size)
+    values, errors, owners = [], [], []
     pending = np.zeros(0)  # errors of the panels being refined
-    nevals = npanels = 0
+    nevals = 0
     while True:
         if nevals + 15 * lo.size > budget:
             total = _fsum_arrays(errors + [pending])
@@ -120,21 +133,24 @@ def _adapt(f, lo: np.ndarray, hi: np.ndarray, span: float, tol: float, budget: i
         val, err, floor = _gk15(f, lo, hi)
         nevals += 15 * lo.size
         width = hi - lo
-        split = (err > np.maximum(share * width, 2.0 * floor)) & (width > min_width)
-        nsplit = int(np.count_nonzero(split))
-        npanels += lo.size - nsplit
-        if not nsplit:
+        if per_panel:
+            panel_share, panel_min = share[owner], min_width[owner]
+        split = (err > np.maximum(panel_share * width, 2.0 * floor)) & (width > panel_min)
+        if not split.any():
             values.append(val)
             errors.append(err)
+            owners.append(owner)
             break
         keep = ~split
         values.append(val[keep])
         errors.append(err[keep])
+        owners.append(owner[keep])
         pending = err[split]
-        lo, hi = lo[split], hi[split]
+        lo, hi, owner = lo[split], hi[split], owner[split]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-    return _fsum_arrays(values), _fsum_arrays(errors), nevals, npanels
+        owner = np.concatenate((owner, owner))
+    return values, errors, owners, nevals
 
 
 def integrate(f, a: float, b: float, tol: float, budget: int = 10**6) -> QuadResult:
@@ -153,6 +169,7 @@ def integrate(f, a: float, b: float, tol: float, budget: int = 10**6) -> QuadRes
     if b < a:
         a, b = b, a
         sign = -1.0
-    value, error, nevals, npanels = _adapt(
+    values, errors, _, nevals = _adapt(
         f, np.array([a], dtype=float), np.array([b], dtype=float), b - a, tol, budget)
-    return QuadResult(sign * value, error, nevals, npanels)
+    return QuadResult(sign * _fsum_arrays(values), _fsum_arrays(errors), nevals,
+                      sum(v.size for v in values))

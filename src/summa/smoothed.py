@@ -49,7 +49,8 @@ from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 from .cutoffs import Cutoff, bump_deriv, bump_taylor0, make_cutoff
 from .errors import CutoffSmoothnessError, NonFiniteResultError
-from .exact import bernoulli, bernoulli_integers, faulhaber, faulhaber_numerator, to_floats
+from .exact import (_EM_ORDER, _em_factor, bernoulli, bernoulli_integers, faulhaber,
+                    faulhaber_numerator, to_floats)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,7 +72,7 @@ __all__ = [
 ]
 
 _SCALING_TOL = 1e-12  # scaling_counterexample's sides differ past this, relative to max(1, |rhs|)
-# ceil(log2 sup_[0, 1] |eta^(k)|) of the bump for k = 0 .. J, J = casimir._EM_ORDER: the
+# ceil(log2 sup_[0, 1] |eta^(k)|) of the bump for k = 0 .. J, J = exact._EM_ORDER: the
 # remainder bound of its smoothed sums' expansion at 0 (``_bump_em_sum``).
 # tests/test_smoothed.py regenerates them from Bernstein bounds on P_k on pieces of [0, 1]
 # that grow geometrically in y = 1/(1 - x^2); the sups sampled at 200 digits lie 0.3 to 0.7
@@ -145,8 +146,7 @@ def _bump_em_sum(s: int, N: float):
     on a sum past N_0(s) certainly overflows.  The sum is returned exact, so once rounded
     it is within 2^-62 |V| + half an ulp of the true V.
     """
-    from .casimir import _EM_ORDER as J, _em_factor
-
+    J = _EM_ORDER
     a, b = N.as_integer_ratio()
     if N <= 2 or s + 1 >= J * (a.bit_length() - b.bit_length() + 1):
         return None
@@ -190,7 +190,7 @@ def mellin(cutoff: Cutoff, s: int, tol: float) -> float:
         raise ValueError(f"mellin requires tol > 0, got {tol}")
     from . import _kernels
 
-    value, _ = _kernels.moment_quad(cutoff, s, 1.0, 0.0, 1.0, tol)
+    (value,), _ = _kernels.moment_quad(cutoff, s, 1.0, [0.0], [1.0], tol)
     return value
 
 
@@ -546,8 +546,7 @@ def _bump_grandi_is_half(N: float) -> bool:
     """True where 3 bound(N/2) <= 2^-56 for the bump, bound(x) = 2 zeta(J) (2 pi)^-J
     x^(1-J) A_J(0) the remainder bound of S_0(x) (``_bump_em_sum``): one comparison of
     rationals."""
-    from .casimir import _EM_ORDER as J, _em_factor
-
+    J = _EM_ORDER
     return 3 * _em_factor() * 2 ** (_BUMP_LOG2_SUPS[J] + 56) <= (Fraction(N) / 2) ** (J - 1)
 
 

@@ -142,6 +142,18 @@ class TestBorel:
                                   borel_transform=lambda z: 1.0 / (1.0 + z))
         assert abs(borel_sum(euler, x, 1e-9) - simpson) <= 1e-6
 
+    @pytest.mark.parametrize("x", [1e-3, 3e-4, 1e-4, 1e-6, 1e-9])
+    def test_euler_series_at_small_x_against_e1(self, x):
+        # e^(1/x) E_1(1/x) / x ~ 1 - x + 2 x^2, from an e^(-z/x) layer ~x wide
+        import mpmath as mp
+
+        euler = CoefficientOracle(a=lambda n: (-1.0) ** n * math.factorial(n),
+                                  label="euler", exp_rate=0.0,
+                                  borel_transform=lambda z: 1.0 / (1.0 + z))
+        with mp.workdps(30):
+            ref = float(mp.exp(1 / mp.mpf(x)) * mp.e1(1 / mp.mpf(x)) / x)
+        assert abs(borel_sum(euler, x, 1e-9) - ref) <= 1e-9
+
     def test_zero_series(self):
         zero = CoefficientOracle(a=lambda n: 0.0, label="zero")
         assert borel_sum(zero, 0.4, 1e-9) == 0.0

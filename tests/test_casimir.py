@@ -151,18 +151,47 @@ class TestDerivativeIdentities:
 
         cfg = CasimirConfig(N=50.0, cutoff=make_cutoff("bump"), quad_tol=1e-9)
         h = max(0.5, 0.01 * cfg.support_end)
-        seen = []
+        batches = []
         inner = _kernels.moment_quad
 
-        def recording(cutoff, m, c, a, b, tol):
-            seen.append((a, b))
-            return inner(cutoff, m, c, a, b, tol)
+        def recording(cutoff, m, c, lo, hi, tol):
+            batches.append(list(zip(lo, hi)))
+            return inner(cutoff, m, c, lo, hi, tol)
 
         monkeypatch.setattr(_kernels, "moment_quad", recording)
         derivative_identities(cfg, order)
+        assert len(batches) == 1  # every gap of every probe in one batch
+        seen = batches[0]
         assert seen
         assert all(b < cfg.support_end and 0.0 < b - a <= 6.0 * h for a, b in seen)
         assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("order", [2, 5])
+    @pytest.mark.parametrize("cutoff", ["bump", "poly:7"])
+    def test_each_batched_gap_within_its_tolerance_of_its_own_integral(self, monkeypatch,
+                                                                       cutoff, order):
+        from summa import _kernels
+        from summa.quadrature import integrate
+
+        cfg = CasimirConfig(N=50.0, cutoff=make_cutoff(cutoff), quad_tol=1e-9)
+        batches = []
+        inner = _kernels.moment_quad
+
+        def recording(cutoff, m, c, lo, hi, tol):
+            values, errors = inner(cutoff, m, c, lo, hi, tol)
+            batches.append((m, c, lo, hi, tol, values))
+            return values, errors
+
+        monkeypatch.setattr(_kernels, "moment_quad", recording)
+        derivative_identities(cfg, order)
+        ((m, c, lo, hi, tol, values),) = batches
+        assert tol == 1e-11 and len(values) == len(lo) > 5
+
+        def integrand(x):
+            return x**m * cfg.cutoff.eval(c * x)
+
+        for a, b, value in zip(lo, hi, values):
+            assert abs(value - integrate(integrand, a, b, tol).value) <= tol, (a, b)
 
     def test_rough_cutoff_rejected(self):
         cfg = CasimirConfig(N=50.0, cutoff=make_cutoff("poly", 2))

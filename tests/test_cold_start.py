@@ -1,7 +1,7 @@
 """Cold start: the exact subcommands, every subcommand on poly:p, the bump's plate energy past
 its cell sweep and its smoothed sums past their float kernel, and the package surface load
-neither numpy nor mpmath; no subcommand needs mpmath at all; no layer loads dataclasses, and
-CSV output loads no json."""
+neither numpy nor mpmath; no subcommand needs mpmath at all; the bump's smoothed sums load no
+casimir; no layer loads dataclasses, and CSV output loads no json."""
 
 import importlib
 
@@ -63,6 +63,15 @@ WITHOUT_MPMATH = [
     ["borel", "--coeffs", "euler", "--x", "0.1"],
     ["sum", "--method", "cesaro", "--series", "grandi", "--n", "2000"],
     *NUMPY_FREE[:12],
+]
+# the bump's smoothed sums, Grandi sum and scaling demo, past and below their float kernel
+WITHOUT_CASIMIR = [
+    ["smoothed", "--s", "1", "--cutoff", "bump", "--N", "1e7"],
+    ["grandi", "--cutoff", "bump", "--N", "1e7"],
+    ["scaling-demo", "--cutoff", "bump", "--N", "1e7"],
+    ["smoothed", "--s", "3", "--N", "100"],
+    ["grandi", "--N", "500"],
+    ["scaling-demo", "--N", "100"],
 ]
 
 # the public names of each submodule, as the package exported them eagerly
@@ -126,6 +135,15 @@ def test_every_subcommand_runs_with_mpmath_blocked(run_fresh, capsys):
         assert run(argv) == 0
         want.append(capsys.readouterr().out + "0\n")
     assert out == "".join(want)
+
+
+def test_bump_smoothed_subcommands_do_not_load_casimir(run_fresh):
+    out = run_fresh("import contextlib, io, sys\n"
+                    "from summa.cli import run\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    rcs = [run(argv) for argv in {WITHOUT_CASIMIR!r}]\n"
+                    "print(rcs, 'summa.casimir' in sys.modules)\n")
+    assert out == f"{[0] * len(WITHOUT_CASIMIR)} False\n"
 
 
 def test_import_loads_neither_numpy_nor_mpmath(run_fresh):

@@ -14,7 +14,7 @@ import pytest
 from summa import _kernels
 from summa.cutoffs import BUMP_EDGE, make_cutoff, sharp_indicator
 from summa.errors import QuadratureError
-from summa.quadrature import MID_NODE, _adapt, _gk15
+from summa.quadrature import MID_NODE, _adapt, _gk15, integrate
 
 BUMP = make_cutoff("bump")
 # test ids name (family, order): 0-0 is the bump, 1-3 is poly:3
@@ -154,8 +154,26 @@ class TestEvalInto:
 # --- the cell sweep ------------------------------------------------------------------
 
 
+def one_shot(f, lo, hi, span, tol):
+    """The adaptive loop written out independently of ``_adapt``, one tolerance shared over
+    ``span``: (value, error, nevals, npanels)."""
+    share, min_width = tol / span, max(1e-14 * span, 5e-308)
+    values, errors, nevals = [], [], 0
+    while lo.size:
+        val, err, floor = _gk15(f, lo, hi)
+        nevals += 15 * lo.size
+        width = hi - lo
+        split = (err > np.maximum(share * width, 2.0 * floor)) & (width > min_width)
+        values += val[~split].tolist()
+        errors += err[~split].tolist()
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    return math.fsum(values), math.fsum(errors), nevals, len(values)
+
+
 def one_shot_ut(cut, lam, N, tol):
-    """The plate sweep written out independently of ``_adapt``: (value, error, nevals)."""
+    """The plate sweep on ``one_shot``: (value, error, nevals, npanels)."""
     c, support = lam / N, N / lam
     lo = np.arange(math.ceil(support), dtype=float)
     hi = np.minimum(lo + 1.0, support)
@@ -168,19 +186,7 @@ def one_shot_ut(cut, lam, N, tol):
         y *= cell + 0.5 - v
         return y
 
-    share, min_width = tol / support, max(1e-14 * support, 5e-308)
-    values, errors, nevals = [], [], 0
-    while lo.size:
-        val, err, floor = _gk15(saw, lo, hi)
-        nevals += 15 * lo.size
-        width = hi - lo
-        split = (err > np.maximum(share * width, 2.0 * floor)) & (width > min_width)
-        values += val[~split].tolist()
-        errors += err[~split].tolist()
-        lo, hi = lo[split], hi[split]
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-    return math.fsum(values), math.fsum(errors), nevals
+    return one_shot(saw, lo, hi, support, tol)
 
 
 # (cutoff, lam, N) at scales the sweep serves: below N/lam ~ 1,353.16
@@ -192,7 +198,7 @@ class TestCellSweep:
         for spec, lam, N in SWEEPS:
             cut = make_cutoff(spec)
             value, error = _kernels.ut_value(cut, lam, N, 1e-9)
-            ref_value, ref_error, _ = one_shot_ut(cut, lam, N, 1e-9)
+            ref_value, ref_error, _, _ = one_shot_ut(cut, lam, N, 1e-9)
             assert [value.hex(), error.hex()] == [ref_value.hex(), ref_error.hex()], spec
 
 
@@ -209,8 +215,66 @@ class TestAdaptBudget:
         return _adapt(kink, lo, lo + 1.0, float(self.NCELLS), self.TOL, budget)
 
     def test_budget_admits_exactly_the_sweeps_work(self):
-        nevals = self.sweep(10**7)[2]
+        nevals = self.sweep(10**7)[3]
         assert nevals > 4 * 15 * self.NCELLS  # refined well past the first level
-        assert self.sweep(nevals)[2] == nevals
+        assert self.sweep(nevals)[3] == nevals
         with pytest.raises(QuadratureError, match="budget"):
             self.sweep(nevals - 1)
+
+
+# (integrand, a, b, tol): the kinks of the quadrature tests, on one initial panel
+KINKS = [
+    pytest.param(lambda x: np.abs(x - 1.0 / 3.0) ** 0.5, 0.0, 1.0, 1e-10, id="sqrt-kink"),
+    pytest.param(kink, 0.0, 7.5, 1e-7, id="cell-kink"),
+    pytest.param(lambda x: np.exp(-x) * np.sin(9.0 * x), 0.0, 6.0, 1e-11, id="damped-sine"),
+]
+
+
+class TestOnePanelPathUnchanged:
+    """``integrate`` accepts the same panels as a loop with one tolerance share and sums them
+    with one fsum: hex-identical values and errors (``ut_value``: ``TestCellSweep``)."""
+
+    @pytest.mark.parametrize("f,a,b,tol", KINKS)
+    def test_integrate(self, f, a, b, tol):
+        res = integrate(f, a, b, tol)
+        ref = one_shot(f, np.array([a]), np.array([b]), b - a, tol)
+        assert [res.value.hex(), res.error.hex(), res.nevals, res.nintervals] == [
+            ref[0].hex(), ref[1].hex(), ref[2], ref[3]]
+
+
+class TestMomentBatch:
+    """``moment_quad`` integrates each interval of a batch to the whole tolerance.  Budget:
+    a batch of n intervals may spend QUAD_BUDGET + 15 n evaluations, QUAD_BUDGET beyond the
+    first panel of each interval."""
+
+    CUT = make_cutoff("poly:1")  # its kink at 1 takes the last interval through many levels
+    LO, HI, TOL = [0.0, 0.5, 0.9, 0.99], [0.5, 0.9, 0.99, 1.3], 1e-13
+
+    def batch_nevals(self, monkeypatch):
+        spent = []
+
+        def recording(*args):
+            res = _adapt(*args)
+            spent.append(res[3])
+            return res
+
+        monkeypatch.setattr(_kernels, "_adapt", recording)
+        _kernels.moment_quad(self.CUT, 2, 1.0, self.LO, self.HI, self.TOL)
+        return spent[-1]
+
+    def test_each_interval_is_its_own_integral(self):
+        values, errors = _kernels.moment_quad(self.CUT, 2, 1.0, self.LO, self.HI, self.TOL)
+        for a, b, value, error in zip(self.LO, self.HI, values, errors):
+            ref = integrate(lambda x: x * x * self.CUT.eval(x), a, b, self.TOL)
+            assert error <= self.TOL
+            assert abs(value - ref.value) <= self.TOL
+
+    def test_budget_admits_exactly_the_batchs_work(self, monkeypatch):
+        first = 15 * len(self.LO)
+        nevals = self.batch_nevals(monkeypatch)
+        assert nevals > 3 * first  # refined well past the first level
+        monkeypatch.setattr(_kernels, "QUAD_BUDGET", nevals - first)
+        assert self.batch_nevals(monkeypatch) == nevals
+        monkeypatch.setattr(_kernels, "QUAD_BUDGET", nevals - first - 1)
+        with pytest.raises(QuadratureError, match="budget"):
+            self.batch_nevals(monkeypatch)
