@@ -138,5 +138,6 @@ def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
         y *= cell + 0.5 - v
         return y
 
-    values, errors, _, _ = _adapt(saw, lo, hi, support, tol, QUAD_BUDGET + 15 * ncells)
+    values, errors, _, _ = _adapt(saw, lo, hi, np.full(ncells, support), tol,
+                                  QUAD_BUDGET + 15 * ncells)
     return _fsum_arrays(values), _fsum_arrays(errors)

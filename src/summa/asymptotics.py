@@ -140,12 +140,12 @@ def optimal_truncation(alpha) -> int:
 def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
     """(1/x) integral_0^inf e^(-z/x) B(z) dz, B the Borel transform of coeffs.
 
-    The integration range truncates at z_max = (ln(10 / (tol x decay)) + 15) /
-    decay, decay = 1/x - c, where the declared growth bound |B(z)| <= M e^(c z)
-    makes the neglected tail at most M e^-15 tol/10.  The range is some tens
-    of widths x / (1 - c x) of the e^(-z/x) layer, never a fixed length: at x
-    far below 1 a range of fixed length puts the whole layer inside one
-    Kronrod panel, whose nodes all miss it.  The transform is evaluated from
+    The integration range truncates at z_max = ln(10 / (tol x decay)) / decay,
+    decay = 1/x - c, where the declared growth bound |B(z)| <= M e^(c z)
+    makes the neglected tail (1/x) M e^(-decay z_max) / decay = M tol/10.  The
+    range is some tens of widths x / (1 - c x) of the e^(-z/x) layer, never a
+    fixed length: at x far below 1 a range of fixed length puts the whole
+    layer inside one Kronrod panel, whose nodes all miss it.  The transform is evaluated from
     its closed form when the oracle carries one, else by adaptive partial
     sums with a ratio-based tail bound.  A growth rate at or above 1/x means
     the integrand does not decay: reported as ``BorelSummabilityError``.  An
@@ -168,7 +168,7 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
         )
     quad_tol = tol * x / 2.0
     try:
-        z_max = (math.log(10.0 / (tol * x * decay)) + 15.0) / decay
+        z_max = math.log(10.0 / (tol * x * decay)) / decay
     except (ValueError, ZeroDivisionError):
         z_max = math.inf
     if not math.isfinite(z_max) or quad_tol == 0:
@@ -202,7 +202,7 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
     try:
         with np.errstate(over="raise", invalid="raise"):
             res = integrate(lambda z: np.exp(-z / x) * transform(z), 0.0, z_max, tol=quad_tol)
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:  # OverflowError: a coefficient a(n)
         raise NonFiniteResultError(f"the Borel integrand of {coeffs.label!r} at x = {x!r} "
                                    f"leaves float64 range on [0, {z_max:.6g}]") from exc
     return res.value / x

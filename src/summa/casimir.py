@@ -141,15 +141,24 @@ def capital_F(n: float, cfg: CasimirConfig) -> float:
     return value
 
 
-def capital_F_deriv(k: int, s: float, cfg: CasimirConfig) -> float:
-    """Closed-form k-th derivative of F at s (k = 1..5): -(d/ds)^(k-1) [s^2 eta(s/L)]."""
+def capital_F_deriv(k: int, s, cfg: CasimirConfig):
+    """Closed-form k-th derivative of F at s (k = 1..5): -(d/ds)^(k-1) [s^2 eta(s/L)].
+
+    ``s`` is a point, giving a float, or a sequence of points, giving an array;
+    from the support end on the derivative is 0.
+    """
+    import numpy as np
+
     from .euler_maclaurin import monomial_cutoff_deriv
 
     if not 1 <= k <= 5:
         raise ValueError(f"derivative order must be in 1..5, got {k}")
-    if s >= cfg.support_end:
-        return 0.0
-    return -float(monomial_cutoff_deriv(2, cfg.cutoff, cfg.support_end, k - 1, [s])[0])
+    points = np.atleast_1d(np.asarray(s, dtype=float))
+    inside = points < cfg.support_end
+    d = -monomial_cutoff_deriv(2, cfg.cutoff, cfg.support_end, k - 1,
+                               np.where(inside, points, 0.0))
+    d = np.where(inside, d, 0.0)
+    return d if np.ndim(s) else float(d[0])
 
 
 _STENCILS = {
@@ -181,7 +190,6 @@ def derivative_identities(cfg: CasimirConfig, order: int) -> float:
     below a gap's roundoff floor, the quadrature's floor acceptance ends it.
     """
     from . import _kernels
-    from .euler_maclaurin import monomial_cutoff_deriv
 
     if not 1 <= order <= 5:
         raise ValueError(f"order must be in 1..5, got {order}")
@@ -203,8 +211,7 @@ def derivative_identities(cfg: CasimirConfig, order: int) -> float:
     hi = [b for points in stencils for b in points[1:]]
     gaps = iter(_kernels.moment_quad(cfg.cutoff, 2, cfg.lam / cfg.N, lo, hi,
                                      min(cfg.quad_tol, 1e-11))[0])
-    # capital_F_deriv at every probe in one call (each probe is below the support end)
-    closed_forms = -monomial_cutoff_deriv(2, cfg.cutoff, end, order - 1, probes)
+    closed_forms = capital_F_deriv(order, probes, cfg)
 
     worst = 0.0
     scale = 0.0

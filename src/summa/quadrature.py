@@ -101,24 +101,22 @@ def _fsum_arrays(arrays) -> float:
     return math.fsum(itertools.chain.from_iterable(a.tolist() for a in arrays))
 
 
-def _adapt(f, lo: np.ndarray, hi: np.ndarray, span, tol: float, budget: int):
+def _adapt(f, lo: np.ndarray, hi: np.ndarray, span: np.ndarray, tol: float, budget: int):
     """Level-by-level bisection of the initial panels [lo, hi] until each is accepted.
 
     Returns (values, errors, owners, nevals): the accepted panels' values and
     errors and the index into ``lo`` of the initial panel each was bisected
     from, as lists of arrays, one per level, and the integrand evaluations
-    spent.  ``span`` is a scalar or an array over the initial panels: panel
-    i and its descendants share ``tol`` in proportion to their width out of
-    ``span[i]``, and stop splitting below 1e-14 ``span[i]``.  One span for all
-    the panels, their total width, shares one tolerance among them, as the
+    spent.  ``span`` is an array over the initial panels: panel i and its
+    descendants share ``tol`` in proportion to their width out of
+    ``span[i]``, and stop splitting below 1e-14 ``span[i]``.  Every panel
+    given the panels' total width shares one tolerance among them, as the
     plate sweep does; span = hi - lo gives each initial panel the whole
     ``tol``.  ``budget`` caps the integrand evaluations, 15 per panel, first
     level included.
     """
-    per_panel = np.ndim(span) > 0  # else one share and one minimum width for every panel
     share = tol / span
-    min_width = np.maximum(1e-14 * span, 5e-308) if per_panel else max(1e-14 * span, 5e-308)
-    panel_share, panel_min = share, min_width
+    min_width = np.maximum(1e-14 * span, 5e-308)
     owner = np.arange(lo.size)
     values, errors, owners = [], [], []
     pending = np.zeros(0)  # errors of the panels being refined
@@ -133,9 +131,7 @@ def _adapt(f, lo: np.ndarray, hi: np.ndarray, span, tol: float, budget: int):
         val, err, floor = _gk15(f, lo, hi)
         nevals += 15 * lo.size
         width = hi - lo
-        if per_panel:
-            panel_share, panel_min = share[owner], min_width[owner]
-        split = (err > np.maximum(panel_share * width, 2.0 * floor)) & (width > panel_min)
+        split = (err > np.maximum(share[owner] * width, 2.0 * floor)) & (width > min_width[owner])
         if not split.any():
             values.append(val)
             errors.append(err)
@@ -170,6 +166,6 @@ def integrate(f, a: float, b: float, tol: float, budget: int = 10**6) -> QuadRes
         a, b = b, a
         sign = -1.0
     values, errors, _, nevals = _adapt(
-        f, np.array([a], dtype=float), np.array([b], dtype=float), b - a, tol, budget)
+        f, np.array([a], dtype=float), np.array([b], dtype=float), np.array([b - a]), tol, budget)
     return QuadResult(sign * _fsum_arrays(values), _fsum_arrays(errors), nevals,
                       sum(v.size for v in values))

@@ -154,6 +154,12 @@ class TestBorel:
             ref = float(mp.exp(1 / mp.mpf(x)) * mp.e1(1 / mp.mpf(x)) / x)
         assert abs(borel_sum(euler, x, 1e-9) - ref) <= 1e-9
 
+    @pytest.mark.parametrize("r,x", [(1.0, 0.95), (0.5, 1.8)])
+    def test_geometric_series_near_its_pole(self, r, x):
+        # the range end ln(10 / (tol x decay)) / decay keeps the partial sums of e^(rz) in range
+        geometric = CoefficientOracle(a=lambda n: r**n, label="geometric", exp_rate=r)
+        assert abs(borel_sum(geometric, x, 1e-9) - 1.0 / (1.0 - r * x)) <= 1e-6
+
     def test_zero_series(self):
         zero = CoefficientOracle(a=lambda n: 0.0, label="zero")
         assert borel_sum(zero, 0.4, 1e-9) == 0.0

@@ -221,6 +221,7 @@ class TestErrors:
         ["borel", "--coeffs", "geometric:1/2", "--x", "1e-300", "--tol", "1e-300"],  # tol x / 2
         ["casimir", "--d", "1e-300"],
         ["casimir-force", "--d", "1e300"],
+        ["borel", "--coeffs", "geometric:2", "--x", "0.48"],  # a(n) = 2^n overflows
     ])
     def test_float_range_escape_is_a_typed_error(self, capsys, argv):
         rc, out, err = run_capture(capsys, argv)

@@ -212,7 +212,8 @@ class TestAdaptBudget:
 
     def sweep(self, budget):
         lo = np.arange(self.NCELLS, dtype=float)
-        return _adapt(kink, lo, lo + 1.0, float(self.NCELLS), self.TOL, budget)
+        return _adapt(kink, lo, lo + 1.0, np.full(self.NCELLS, float(self.NCELLS)), self.TOL,
+                      budget)
 
     def test_budget_admits_exactly_the_sweeps_work(self):
         nevals = self.sweep(10**7)[3]
