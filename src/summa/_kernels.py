@@ -9,8 +9,8 @@ alternating sum -- are one vectorized pass each over n = 1..ceil(N).
 Euler-Maclaurin expansion at 0 meets its bound, so with at most 3,787
 terms (``smoothed._bump_sum``; the Grandi sum below N ~ 788).  The
 plate-energy cell sweep is one batch too: ``casimir`` runs it only below
-N/lam ~ 1.35 * 10^3, where the bump's expansion of u_t does not yet meet its
-2^-62 bound, so it has at most 1,354 unit cells (~20k nodes a level).  A
+N/lam ~ 642, where the bump's expansion of u_t does not yet meet its
+2^-62 bound, so it has at most 642 unit cells (~10k nodes a level).  A
 moment integral is a batch of intervals: ``casimir.derivative_identities``
 sends all its stencil gaps, at most 70, as one.  The
 doubled sum sum 2n eta(2n/N) needs no kernel of its own: it is twice the
@@ -103,7 +103,7 @@ def moment_quad(cutoff: Cutoff, m: int, c: float, lo, hi, tol: float):
 def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
     """Dimensionless plate-energy combination sum + half-term - integral at scale N.
 
-    This sweep is the path of the bump below N/lam ~ 1.35 * 10^3, where its
+    This sweep is the path of the bump below N/lam ~ 641.80, where its
     Euler-Maclaurin expansion at 0 does not yet meet its 2^-62 bound;
     ``casimir`` computes a polynomial cutoff's u_t exactly instead, and for
     those, and for the bump at larger N/lam, the sweep is a test oracle.

@@ -19,8 +19,9 @@ them.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 from .errors import BorelSummabilityError, NonFiniteResultError
 
@@ -42,10 +43,12 @@ class CoefficientOracle(NamedTuple):
     ``exp_rate`` is a constant c with |B(z)| <= M e^(c z) for the Borel
     transform B(z) = sum a_n z^n / n! (0 for bounded transforms, r for
     geometric coefficients r^n).  ``borel_transform``, when supplied, is the
-    closed form of B and is used instead of partial summation.
+    closed form of B and is used instead of partial summation.  ``a`` returns a
+    float or an exact rational; ``borel_sum`` takes an exact one's logarithm
+    without rounding it, so its terms stay where a(n) is below float64 range.
     """
 
-    a: Callable[[int], float]
+    a: Callable[[int], Union[float, Fraction]]
     label: str = ""
     exp_rate: float = 0.0
     borel_transform: Optional[Callable[[float], float]] = None
@@ -137,6 +140,9 @@ def optimal_truncation(alpha) -> int:
     return alpha.denominator // alpha.numerator
 
 
+_BOREL_TERMS = 100_000  # the partial sums' terms at one evaluation of the Borel integrand
+
+
 def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
     """(1/x) integral_0^inf e^(-z/x) B(z) dz, B the Borel transform of coeffs.
 
@@ -145,16 +151,21 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
     makes the neglected tail (1/x) M e^(-decay z_max) / decay = M tol/10.  The
     range is some tens of widths x / (1 - c x) of the e^(-z/x) layer, never a
     fixed length: at x far below 1 a range of fixed length puts the whole
-    layer inside one Kronrod panel, whose nodes all miss it.  The transform is evaluated from
-    its closed form when the oracle carries one, else by adaptive partial
-    sums with a ratio-based tail bound.  A growth rate at or above 1/x means
-    the integrand does not decay: reported as ``BorelSummabilityError``.  An
-    x whose 1/x, range end, quadrature tolerance tol x / 2 or integrand
-    leaves float64 range raises :class:`NonFiniteResultError`.
+    layer inside one Kronrod panel, whose nodes all miss it.  Its initial
+    panels double in width from [0, x], so the layer is never missed either
+    where the range is long.  The transform is evaluated from its closed form
+    when the oracle carries one, else by adaptive partial sums with a
+    ratio-based tail bound, each term weighted by e^(-z/x) and taken from its
+    logarithm; partial sums that need more than ``_BOREL_TERMS`` terms are
+    refused before any is summed.  A growth rate at or above 1/x means the
+    integrand does not decay: reported as ``BorelSummabilityError``.  An x
+    whose 1/x, range end, quadrature tolerance tol x / 2 or integrand leaves
+    float64 range, or a coefficient outside it (a float below its normal
+    range included), raises :class:`NonFiniteResultError`.
     """
     import numpy as np
 
-    from .quadrature import integrate
+    from .quadrature import _adapt, _fsum_arrays
 
     if x <= 0:
         raise ValueError(f"borel_sum requires x > 0, got {x}")
@@ -174,23 +185,40 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
     if not math.isfinite(z_max) or quad_tol == 0:
         raise NonFiniteResultError(f"borel_sum at x = {x!r}, tol = {tol!r} leaves float64 "
                                    "range: 1/x, the range end or tol x / 2")
+    z_max = max(z_max, x)  # a tol so large that the range end falls below one layer width
 
     if coeffs.borel_transform is not None:
         transform = np.vectorize(coeffs.borel_transform, otypes=[float])
+
+        def integrand(z):
+            return np.exp(-z / x) * transform(z)
+    elif 10 + 2.0 * abs(coeffs.exp_rate) * z_max >= _BOREL_TERMS:
+        raise BorelSummabilityError(
+            f"partial sums of the Borel transform of {coeffs.label!r} need ~2 c z_max terms "
+            f"on the range [0, {z_max:.6g}], past the budget of {_BOREL_TERMS}")
     else:
-        def transform(z):
+        def integrand(z):
+            # no term a(n) z^n e^(-z/x) / n! exceeds the integrand's bound M e^(-decay z)
             z = np.atleast_1d(z)
-            out = np.zeros_like(z)
-            term = np.ones_like(z)  # a_0 z^0 / 0!
-            out += coeffs.a(0) * term
+            log_z, log_w = np.log(z), -z / x
+            out = float(coeffs.a(0)) * np.exp(log_w)
             # stopping is safe only once the term ratio ~ c z / n is < 1/2,
-            # i.e. past n ~ 2 c max(z); then the tail is geometric.
+            # i.e. past n ~ 2 c max(z); then the tail is geometric, and terms
+            # below 1e-4 tol x / z_max keep its integral below 2e-4 tol.
             n_safe = 10 + int(2.0 * abs(coeffs.exp_rate) * float(np.max(z)))
-            for n in range(1, 100_000):
-                term = term * z / n
-                contrib = coeffs.a(n) * term
+            small = 1e-4 * tol * x / z_max
+            for n in range(1, _BOREL_TERMS):
+                # float(a) raises OverflowError past float64 range; a subnormal float
+                # a(n) has lost its digits
+                a = coeffs.a(n)
+                if isinstance(a, float) and 0 < abs(a) < sys.float_info.min:
+                    raise FloatingPointError(f"a({n}) = {a!r} underflows")
+                num, den = a.as_integer_ratio()
+                log_a = math.log(abs(num)) - math.log(den) if num else -math.inf
+                contrib = np.copysign(np.exp(n * log_z + log_w + log_a - math.lgamma(n + 1)),
+                                      float(a))
                 out += contrib
-                if n >= n_safe and np.all(np.abs(contrib) <= 1e-4 * tol):
+                if n >= n_safe and np.all(np.abs(contrib) <= small):
                     break
             else:
                 raise BorelSummabilityError(
@@ -199,13 +227,20 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
                 )
             return out
 
+    # panels [0, x], [x, 2x], [2x, 4x], ... sharing quad_tol as one panel over [0, z_max]
+    # would; r^n with r < 0 decays at 1/x + |r|, a layer that one long panel misses
+    edges, e = [0.0], x
+    while e < z_max:
+        edges.append(e)
+        e *= 2
+    lo, hi = np.array(edges), np.array(edges[1:] + [z_max])
     try:
         with np.errstate(over="raise", invalid="raise"):
-            res = integrate(lambda z: np.exp(-z / x) * transform(z), 0.0, z_max, tol=quad_tol)
+            values = _adapt(integrand, lo, hi, np.full(lo.size, z_max), quad_tol, 10**6)[0]
     except (FloatingPointError, OverflowError) as exc:  # OverflowError: a coefficient a(n)
         raise NonFiniteResultError(f"the Borel integrand of {coeffs.label!r} at x = {x!r} "
                                    f"leaves float64 range on [0, {z_max:.6g}]") from exc
-    return res.value / x
+    return _fsum_arrays(values) / x
 
 
 def gyro_partial(alpha: float, order: int) -> float:

@@ -13,10 +13,10 @@ on [0, 1] (poly:p, and the sharp indicator as p = 0), u_N is an exact
 rational in O(p) Bernoulli terms, computed in integers and rounded once
 (``_poly_ut``).  The bump has no closed form, but all its derivatives vanish
 at 1, so u_N is its Euler-Maclaurin expansion at 0 up to a remainder bounded
-from the shipped sup of one derivative (``_bump_em_ut``): one rational in 14
-terms, rounded once, wherever that bound is at most 2^-62 -- at N/lam from
-~1.35 * 10^3 -- and the cell sweep ``_kernels.ut_value`` over fewer cells
-below.  Which path runs is decided per scale by one integer comparison on
+from the bump's sup table (``cutoffs._bump_sup``, ``_bump_em_ut``): one
+rational in 14 terms, rounded once, wherever that bound is at most 2^-62 --
+at N/lam from ~642 -- and the cell sweep ``_kernels.ut_value`` over fewer
+cells below.  Which path runs is decided per scale by one integer comparison on
 N/lam; nothing else selects it.  As the smoothing scale N grows,
 u_N -> B_4/12 = -1/360 (with B_4 = -1/30), independent of the cutoff shape
 and of lam -- the dimensionless content of the plate-energy theorem.  The
@@ -48,9 +48,9 @@ import functools
 import math
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .cutoffs import Cutoff, bump_taylor0, make_cutoff
+from .cutoffs import _EM_ORDER, Cutoff, _bump_sup, _em_factor, bump_taylor0, make_cutoff
 from .errors import CutoffSmoothnessError, NonFiniteResultError
-from .exact import _EM_ORDER, _em_factor, bernoulli, bernoulli_integers
+from .exact import bernoulli, bernoulli_integers
 
 __all__ = [
     "HBAR",
@@ -73,16 +73,6 @@ __all__ = [
 # CODATA values, named once rather than scattered through formulas.
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
-
-# The bump's Euler-Maclaurin expansion at 0 (``_bump_em_ut``) runs through B_J, J =
-# exact._EM_ORDER, with the remainder bound A_J >= sup_[0, 1] |(x^2 eta)^(J-1)| shipped as
-# _EM_LOG2_SUP = ceil(log2 A_J); tests/test_casimir.py regenerates it from Bernstein bounds
-# on 32 dyadic pieces.  The smallest L whose bound meets 2^-62, scanned over J = 20..40 with
-# the shipped ceilings: 2,045 at J = 20, 1,572 at 24, 1,397 at 28, 1,353 at 30, 1,350 at 32,
-# 1,344 at 36 and 1,475 at 40 (the unrounded A_J put the least at 1,320, J = 33-34).
-# J = 30 is within 1% of the best with 14 terms.
-_EM_LOG2_SUP = 287
-
 
 class _CasimirFields(NamedTuple):
     d: float = 1e-6
@@ -299,13 +289,14 @@ def _bump_em_terms():
     The term of order L^(4-2k) is B_2k e_(2k-4) / (2k (2k-1)) = numerators[k-2] / D, for
     k = 2 .. J/2.  The e_2m = c_m are the bump's Taylor coefficients at 0
     (``cutoffs.bump_taylor0``).  ``bound`` is a rational upper bound on
-    2 zeta(J) (2 pi)^-J A_J 2^62 (``_em_factor``), with A_J <= 2^_EM_LOG2_SUP.
+    2 zeta(J) (2 pi)^-J 2^62 sup_[0, 1] |(x^2 eta)^(J-1)|: ``_em_factor`` times
+    A_(J-1)(2) (``cutoffs._bump_sup``) times 2^62.
     """
     J = _EM_ORDER
     terms = [bernoulli(2 * k) * bump_taylor0(k - 2) / (2 * k * (2 * k - 1))
              for k in range(2, J // 2 + 1)]
     D = math.lcm(*(t.denominator for t in terms))
-    bound = _em_factor() * 2 ** (_EM_LOG2_SUP + 62)
+    bound = _em_factor() * _bump_sup(2, J - 1) * 2**62
     return D, tuple(t.numerator * (D // t.denominator) for t in terms), bound
 
 
@@ -323,9 +314,9 @@ def _bump_em_ut(support: float):
     the k = 2 term being B_4/12 = -1/360 and the k = 3 term -1/(1260 L^2).  With
     L = a/b, b = 2^e, the sum is one integer over D a^(J-4), and int / int rounds it
     once, correctly.  Returns None where the bound exceeds 2^-62, half an ulp of any
-    value in [2^-9, 2^-8) (|u_t| is within 10^-9 of 1/360 wherever the bound holds);
-    the test is one integer comparison on a and b, and it holds exactly from
-    L = 1353.16...  So a value returned is within 2^-62 + half an ulp of the true u_t.
+    value in [2^-9, 2^-8) (|u_t| is within about 2 * 10^-9 of 1/360 wherever the bound
+    holds); the test is one integer comparison on a and b, and it holds exactly from
+    L = 641.80...  So a value returned is within 2^-62 + half an ulp of the true u_t.
     """
     a, b = support.as_integer_ratio()
     e = b.bit_length() - 1
@@ -343,8 +334,8 @@ def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: 
     """u_t at each smoothing scale in ``scales``.
 
     Exact for a polynomial eta.  The bump takes its Euler-Maclaurin expansion wherever the
-    remainder bound is at most 2^-62 and the cell sweep below that, so a sweep has fewer
-    than ~1.35 * 10^3 cells.
+    remainder bound is at most 2^-62 and the cell sweep below that, so a sweep has at
+    most 642 cells.
     """
     if enforce_smoothness and cfg.cutoff.smoothness_order < 5:
         raise CutoffSmoothnessError(
@@ -392,19 +383,19 @@ def u_t_dimensionless(cfg: CasimirConfig, *, enforce_smoothness: bool = True) ->
 
     Converges to -1/360 as N grows.  For poly:p and the indicator the value
     is the exact rational rounded once (``_poly_ut``), so its only error is
-    that rounding.  For the bump at N/lam from ~1.35 * 10^3 it is the
+    that rounding.  For the bump at N/lam from ~642 it is the
     Euler-Maclaurin expansion at 0, rounded once, within 2^-62 + half an ulp
     of the true value (``_bump_em_ut``); below that the combination is
     evaluated through an exact cell-by-cell regrouping that never forms the
     two large canceling pieces (see ``_kernels.ut_value``).  On every path the
     error estimate stays the N-halving difference, the distance of the value
     from the limit's next term, not a bound on its own error.  Below
-    N/lam ~ 1.35 * 10^3 it can be the smaller: at N = 1000 it is 6.8e-10,
-    while the swept value is 2.9e-9 from the expansion, whose remainder bound
-    there is ~5e-16.  The argument runs through
-    the C^5 norm of F, so cutoffs below C^5 are rejected unless
-    ``enforce_smoothness=False`` (the sharp-indicator contrast runs need the
-    escape hatch; their values never stabilize).
+    N/lam ~ 642 it stayed above the swept value's error at 48 sampled scales
+    from 10 to 641 (closest at N = 641: 5.2e-9 against an error of 5.6e-10,
+    measured on a 30-digit per-cell reference), but nothing bounds it there.
+    The argument runs through the C^5 norm of F, so cutoffs below C^5 are
+    rejected unless ``enforce_smoothness=False`` (the sharp-indicator contrast
+    runs need the escape hatch; their values never stabilize).
     """
     return u_t_ladder(cfg, 1, enforce_smoothness=enforce_smoothness)[0][1]
 

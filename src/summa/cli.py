@@ -26,7 +26,7 @@ fixed point).  So does every subcommand on a polynomial cutoff poly:p
 ``casimir`` and ``casimir-force``): its values are exact rationals from the
 Faulhaber and Bernoulli sums, each rounded once.  So do the bump's
 ``extract`` and ``em-tail``, and a bump ``casimir`` or ``casimir-force``
-whose every N / lambda is past ~1.35 * 10^3, where u_t is its
+whose every N / lambda is past ~642, where u_t is its
 Euler-Maclaurin expansion at 0, rounded once.  The bump's ``smoothed``,
 ``grandi`` and ``scaling-demo`` load no numpy past N ~ 4 * 10^2 (grandi
 ~ 8 * 10^2), where each sum is its expansion at 0
@@ -452,7 +452,7 @@ def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
     """The config of a plate-energy run whose u_t values are at the smoothing ``scales``.
 
     N / lambda must be finite at every scale.  The bump's u_t takes its expansion
-    at 0 from N / lambda ~ 1.35 * 10^3 and sweeps fewer cells below, so it has no
+    at 0 from N / lambda ~ 642 and sweeps fewer cells below, so it has no
     cap; the exact u_t of poly:p and of the indicator (p = 0) reads
     B_0 .. B_{p+4}, and the digits of its integers have a root sum of squares
     over the values of at most MAX_UT_DIGITS.
@@ -537,11 +537,11 @@ def _cmd_borel(args):
     key = args.coeffs
     if key.startswith("geometric:"):
         try:
-            r = float(parse_key(key)[1])
+            r = parse_key(key)[1]
         except KeyError as exc:
             raise UsageError(f"bad --coeffs {key!r}: r must be a rational like 1/2 or 0.5") from exc
         oracle = asymptotics.CoefficientOracle(
-            a=lambda n, r=r: r**n, label=key, exp_rate=abs(r))
+            a=lambda n, r=r: r**n, label=key, exp_rate=abs(float(r)))
     elif key in _BOREL_ORACLES:
         oracle = asymptotics.CoefficientOracle(**_BOREL_ORACLES[key])
     else:

@@ -26,11 +26,13 @@ moments, the mpmath and fixed-point values) run without it.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
 from .errors import CutoffSmoothnessError
+from .exact import PI_LOWER
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,6 +49,15 @@ BUMP_EDGE = 1.0 - 1e-12
 _BUMP_P: List[List[int]] = [[1]]
 # Cache of the bump's Taylor coefficients at 0 (index = power of x^2).
 _BUMP_TAYLOR: List[Fraction] = [Fraction(1)]
+# The order J of the bump's Euler-Maclaurin expansions at 0: its smoothed sums
+# (``smoothed._bump_em_sum``) and its plate energy (``casimir._bump_em_ut``).
+_EM_ORDER = 30
+# ceil(log2 sup_[0, 1] |eta^(k)|) of the bump for k = 0 .. J, which bound both expansions'
+# remainders (``_bump_sup``).  tests/test_smoothed.py regenerates them from Bernstein bounds
+# on P_k on pieces of [0, 1] that grow geometrically in y = 1/(1 - x^2); the sups sampled at
+# 200 digits lie 0.3 to 0.7 bit below those bounds (2^269.73 at k = 30).
+_BUMP_LOG2_SUPS = (0, 2, 5, 10, 15, 22, 29, 36, 44, 52, 60, 69, 78, 88, 97, 107, 117, 127,
+                   137, 147, 158, 169, 180, 191, 202, 213, 224, 236, 247, 259, 271)
 
 
 def _poly_deriv(c: List[int]) -> List[int]:
@@ -89,6 +100,21 @@ def bump_taylor0(m: int) -> Fraction:
         k = len(_BUMP_TAYLOR)
         _BUMP_TAYLOR.append(-sum(j * _BUMP_TAYLOR[k - j] for j in range(1, k + 1)) / k)
     return _BUMP_TAYLOR[m]
+
+
+@functools.lru_cache(maxsize=1)
+def _em_factor():
+    """A rational upper bound on 2 zeta(J) (2 pi)^-J, J = _EM_ORDER: the Euler-Maclaurin
+    remainder's |B~_J| / J! (DLMF 24.9), with zeta(J) <= 1 + 2^(1-J) and pi > PI_LOWER."""
+    J = _EM_ORDER
+    return Fraction(2**J + 2, 2 ** (J - 1)) * (2 * PI_LOWER) ** -J
+
+
+def _bump_sup(s: int, k: int) -> int:
+    """A_k(s) = sum_i C(k, i) s!/(s-i)! 2^_BUMP_LOG2_SUPS[k-i] >= sup_[0, 1] |(x^s eta)^(k)|,
+    for k <= J: the Leibniz rule, with |(x^s)^(i)| <= s!/(s-i)! on [0, 1]."""
+    return sum(math.comb(k, i) * math.perm(s, i) << _BUMP_LOG2_SUPS[k - i]
+               for i in range(min(k, s) + 1))
 
 
 def _horner(c: List[int], x: np.ndarray) -> np.ndarray:

@@ -60,19 +60,6 @@ Rational = Fraction
 PI_LOWER = Fraction(314159265358979, 10**14)
 PI_UPPER = Fraction(314159265358980, 10**14)
 
-# The order J of the bump's Euler-Maclaurin expansions at 0: its plate energy
-# (``casimir._bump_em_ut``) and its smoothed sums (``smoothed._bump_em_sum``).
-_EM_ORDER = 30
-
-
-@functools.lru_cache(maxsize=1)
-def _em_factor():
-    """A rational upper bound on 2 zeta(J) (2 pi)^-J, J = _EM_ORDER: the Euler-Maclaurin
-    remainder's |B~_J| / J! (DLMF 24.9), with zeta(J) <= 1 + 2^(1-J) and pi > PI_LOWER."""
-    J = _EM_ORDER
-    return Fraction(2**J + 2, 2 ** (J - 1)) * (2 * PI_LOWER) ** -J
-
-
 _bernoulli_cache: List[Fraction] = [Fraction(1)]
 _cache_lock = threading.Lock()
 

@@ -47,10 +47,10 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
-from .cutoffs import Cutoff, bump_deriv, bump_taylor0, make_cutoff
+from .cutoffs import (_EM_ORDER, Cutoff, _bump_sup, _em_factor, bump_deriv, bump_taylor0,
+                      make_cutoff)
 from .errors import CutoffSmoothnessError, NonFiniteResultError
-from .exact import (_EM_ORDER, _em_factor, bernoulli, bernoulli_integers, faulhaber,
-                    faulhaber_numerator, to_floats)
+from .exact import bernoulli, bernoulli_integers, faulhaber, faulhaber_numerator, to_floats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,13 +72,6 @@ __all__ = [
 ]
 
 _SCALING_TOL = 1e-12  # scaling_counterexample's sides differ past this, relative to max(1, |rhs|)
-# ceil(log2 sup_[0, 1] |eta^(k)|) of the bump for k = 0 .. J, J = exact._EM_ORDER: the
-# remainder bound of its smoothed sums' expansion at 0 (``_bump_em_sum``).
-# tests/test_smoothed.py regenerates them from Bernstein bounds on P_k on pieces of [0, 1]
-# that grow geometrically in y = 1/(1 - x^2); the sups sampled at 200 digits lie 0.3 to 0.7
-# bit below those bounds (2^269.73 at k = 30).
-_BUMP_LOG2_SUPS = (0, 2, 5, 10, 15, 22, 29, 36, 44, 52, 60, 69, 78, 88, 97, 107, 117, 127,
-                   137, 147, 158, 169, 180, 191, 202, 213, 224, 236, 247, 259, 271)
 
 
 def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
@@ -135,9 +128,8 @@ def _bump_em_sum(s: int, N: float):
         S_s(N) = C_s N^(s+1) + sum_{m: s+2m+1 <= J} c_m zeta(-s-2m) N^(-2m) + R,
         |R| <= 2 zeta(J) (2 pi)^-J N^(s+1-J) A_J(s).
 
-    For even s every zeta term vanishes but s = 0's -1/2, the -f(0)/2.  By the Leibniz
-    rule A_J(s) = sum_i C(J, i) s!/(s-i)! M_(J-i) >= sup_[0, 1] |(x^s eta)^(J)|, with
-    M_k = sup |eta^(k)| <= 2^_BUMP_LOG2_SUPS[k].  The value is at least
+    For even s every zeta term vanishes but s = 0's -1/2, the -f(0)/2.  A_J(s)
+    (``cutoffs._bump_sup``) bounds sup_[0, 1] |(x^s eta)^(J)|.  The value is at least
     (7/10) (N/2 - 1)^(s+1)/(s+1) (as in ``_bump_sum_overflows``, with
     floor(N/2) >= N/2 - 1), and the expansion runs where the bound is at most 2^-62 of
     that: one comparison of rationals, which holds from some N on at each s.  It cannot
@@ -150,10 +142,8 @@ def _bump_em_sum(s: int, N: float):
     a, b = N.as_integer_ratio()
     if N <= 2 or s + 1 >= J * (a.bit_length() - b.bit_length() + 1):
         return None
-    A = sum(math.comb(J, i) * math.perm(s, i) << _BUMP_LOG2_SUPS[J - i]
-            for i in range(min(J, s) + 1))
     x = Fraction(a, b)
-    if (_em_factor() * A * (s + 1) * 10 * 2 ** (s + 63) * x ** (s + 1 - J)
+    if (_em_factor() * _bump_sup(s, J) * (s + 1) * 10 * 2 ** (s + 63) * x ** (s + 1 - J)
             > 7 * (x - 2) ** (s + 1)):
         return None
     value = _bump_moment(s, 20) * x ** (s + 1)
@@ -547,7 +537,7 @@ def _bump_grandi_is_half(N: float) -> bool:
     x^(1-J) A_J(0) the remainder bound of S_0(x) (``_bump_em_sum``): one comparison of
     rationals."""
     J = _EM_ORDER
-    return 3 * _em_factor() * 2 ** (_BUMP_LOG2_SUPS[J] + 56) <= (Fraction(N) / 2) ** (J - 1)
+    return 3 * _em_factor() * _bump_sup(0, J) * 2**56 <= (Fraction(N) / 2) ** (J - 1)
 
 
 def scaling_counterexample(cutoff: Cutoff, N: float):

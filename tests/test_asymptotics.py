@@ -14,7 +14,7 @@ from summa.asymptotics import (
     optimal_truncation,
     verify_asymptotic,
 )
-from summa.errors import BorelSummabilityError
+from summa.errors import BorelSummabilityError, NonFiniteResultError
 
 TAYLOR_EXP = CoefficientOracle(a=lambda n: 1.0 / math.factorial(n), label="exp")
 GRID = [1e-1, 1e-2, 1e-3, 1e-4]
@@ -159,6 +159,28 @@ class TestBorel:
         # the range end ln(10 / (tol x decay)) / decay keeps the partial sums of e^(rz) in range
         geometric = CoefficientOracle(a=lambda n: r**n, label="geometric", exp_rate=r)
         assert abs(borel_sum(geometric, x, 1e-9) - 1.0 / (1.0 - r * x)) <= 1e-6
+
+    def test_exact_coefficients_below_float_range(self):
+        # (1/2)^n as a float underflows within the range's terms and is refused; as a
+        # rational it is taken exactly
+        for r, x in [(Fraction(1, 2), 1.99), (Fraction(-1, 2), 1.99)]:
+            geometric = CoefficientOracle(a=lambda n, r=r: r**n, exp_rate=abs(float(r)))
+            assert abs(borel_sum(geometric, x, 1e-9) - 1 / (1 - float(r) * x)) <= 1e-9
+        geometric = CoefficientOracle(a=lambda n: 0.5**n, exp_rate=0.5)
+        with pytest.raises(NonFiniteResultError):
+            borel_sum(geometric, 1.99, 1e-9)
+
+    def test_a_tol_past_the_whole_integral(self):
+        # ln(10 / (tol x decay)) < 0: the range still covers one width of the e^(-z/x) layer
+        ones = CoefficientOracle(a=lambda n: 1.0, label="ones", exp_rate=1.0)
+        assert abs(borel_sum(ones, 0.5, 50.0) - 2.0) <= 50.0
+
+    def test_past_the_term_budget_before_any_sum(self):
+        def never(n):
+            raise AssertionError("summed a term")
+
+        with pytest.raises(BorelSummabilityError, match="budget"):
+            borel_sum(CoefficientOracle(a=never, exp_rate=0.5), 1.999, 1e-9)
 
     def test_zero_series(self):
         zero = CoefficientOracle(a=lambda n: 0.0, label="zero")

@@ -23,7 +23,7 @@ from summa.cutoffs import make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
 from summa.smoothed import mellin
 
-from _bump_bounds import sup_bound
+from _bump_bounds import geometric_points
 
 LIMIT = -1.0 / 360.0
 
@@ -283,7 +283,7 @@ class TestUt:
             assert r == (float(exact_poly_ut(6, 1, N / 0.75)), abs(r.value - half))
 
     def test_the_bump_has_no_cell_cap(self, monkeypatch):
-        # past N/lam ~ 1.35 * 10^3 the bump's u_t is its expansion at 0, at any finite N/lam
+        # past N/lam ~ 642 the bump's u_t is its expansion at 0, at any finite N/lam
         from summa import _kernels
 
         def no_sweep(*args):
@@ -363,12 +363,6 @@ def _q_poly(K):
     return _poly_add(q, times_one_minus_x2([K * (K - 1) * c for c in _bump_numerator(K - 2)], 4))
 
 
-def _regenerate_sup_bound(J, pieces=32):
-    """An interval around a bound on sup |(x^2 eta)^(J-1)| = sup |Q_(J-1) y^(2K) e^(1-y)|:
-    Bernstein bounds on |Q_(J-1)| on 32 equal pieces of [0, 1] (``_bump_bounds``)."""
-    return sup_bound(_q_poly(J - 1), J - 1, list(range(pieces + 1)), pieces.bit_length() - 1)
-
-
 def _em_reference(L, dps=50):
     """The bump's expansion through B_J at L, from mpmath: B_2k by mp.bernoulli and
     e_(2k-4) = L_(k-2)^(-1)(1), the generalized Laguerre value of exp(-z/(1-z))."""
@@ -383,11 +377,24 @@ def _em_reference(L, dps=50):
 class TestBumpExpansion:
     """The bump's u_t from its Euler-Maclaurin expansion at 0, where its remainder is <= 2^-62."""
 
-    def test_the_shipped_sup_is_its_regeneration_rounded_up(self):
-        J = casimir_module._EM_ORDER
-        lo, hi = _regenerate_sup_bound(J)
-        C = casimir_module._EM_LOG2_SUP
-        assert hi <= 2**C and lo > 2 ** (C - 1)
+    def test_the_shared_table_bounds_the_remainders_derivative(self):
+        # |(x^2 eta)^(J-1)| sampled at 60 digits on the pieces' ends stays below A_(J-1)(2),
+        # the remainder's bound from the sup table, and within two bits of it (2^257.67 and
+        # 2^259.02)
+        import mpmath as mp
+
+        from summa.cutoffs import _bump_sup
+
+        K = casimir_module._EM_ORDER - 1
+        q, E = _q_poly(K)[::-1], 24
+        peak = 0
+        with mp.workdps(60):
+            for p in geometric_points(K, E)[:-1]:
+                x = mp.mpf(p) / 2**E
+                y = 1 / (1 - x * x)
+                peak = max(peak, abs(mp.polyval(q, x) * y ** (2 * K) * mp.exp(1 - y)))
+        A = _bump_sup(2, K)
+        assert peak < A < 4 * peak
 
     def test_q_is_the_derivative(self):
         import mpmath as mp
@@ -404,11 +411,11 @@ class TestBumpExpansion:
     def test_the_sweep_runs_exactly_below_the_bound(self, monkeypatch):
         from summa import _kernels
 
-        lo, hi = 1000.0, 2000.0  # the first float whose bound meets 2^-62
+        lo, hi = 500.0, 1000.0  # the first float whose bound meets 2^-62
         while math.nextafter(lo, hi) < hi:
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if casimir_module._bump_em_ut(mid) is None else (lo, mid)
-        assert 1353 < hi < 1354
+        assert 641 < hi < 642
         sweeps = []
         real = _kernels.ut_value
 
@@ -421,14 +428,14 @@ class TestBumpExpansion:
         u_t_ladder(cfg, 1)  # N/lam = hi and hi/2
         energy_density(cfg._replace(N=lo))
         u_t_ladder(cfg._replace(N=4000.0, lam=2.0), 2)  # 2000, 1000 and 500
-        assert sweeps == [hi / 2, lo, 1000.0, 500.0]
-        # so a sweep is one batch of at most 1,354 cells: log-uniform N/lam in [10^-2, 10^6]
+        assert sweeps == [hi / 2, lo, 500.0]
+        # so a sweep is one batch of at most 642 cells: log-uniform N/lam in [10^-2, 10^6]
         rng = random.Random(7)
         sweeps.clear()
         for _ in range(40):
             N, L = 10 ** rng.uniform(1, 6), 10 ** rng.uniform(-2, 6)
             u_t_ladder(cfg._replace(N=N, lam=N / L), 2)
-        assert len(sweeps) > 40 and max(math.ceil(s) for s in sweeps) <= 1354
+        assert len(sweeps) > 40 and max(math.ceil(s) for s in sweeps) <= 642
 
     @pytest.mark.parametrize("L", [500.0, 1000.0, 1353.0, 1354.0, 2000.0, 4000.0])
     def test_the_sweep_agrees_with_the_expansion(self, L):
@@ -445,7 +452,7 @@ class TestBumpExpansion:
         import mpmath as mp
         from mpmath.calculus.quadrature import GaussLegendre
 
-        L = 1360
+        L = 650
         with mp.workdps(40):
             nodes = GaussLegendre(mp.mp).calc_nodes(3, mp.mp.prec)
             ref = mp.mpf(0)
@@ -465,9 +472,10 @@ class TestBumpExpansion:
         import mpmath as mp
 
         rng = random.Random(21)
-        scales = [(1353.2, 1.0), (1e300, 1.0), (1e6, 0.5), (1e12, 1.0)]
+        scales = [(641.81, 1.0), (1000.0, 1.0), (1353.0, 1.0), (1e300, 1.0), (1e6, 0.5),
+                  (1e12, 1.0)]
         for lam in (rng.uniform(0.25, 4.0) for _ in range(40)):  # N/lam log-uniform in [L0, 1e300]
-            scales.append((lam * 10 ** rng.uniform(math.log10(1353.2), 300), lam))
+            scales.append((lam * 10 ** rng.uniform(math.log10(641.81), 300), lam))
         for N, lam in scales:
             u = u_t_dimensionless(CasimirConfig(N=N, lam=lam, cutoff=make_cutoff("bump"))).value
             assert abs(u - _em_reference(N / lam)) <= mp.mpf(2) ** -62 + math.ulp(u) / 2, (N, lam)

@@ -82,6 +82,18 @@ class TestJsonOutputs:
         cfg = casimir.CasimirConfig(d=1e-6, N=400.0, quad_tol=1e-9)
         assert payload["result"]["force"] == 3.0 * casimir.energy_density(cfg) / 1e-6
 
+    @pytest.mark.parametrize("coeffs,x,r", [("ones", "0.97", 1.0), ("ones", "0.99", 1.0),
+                                            ("geometric:1/2", "1.9", 0.5),
+                                            ("geometric:1/2", "1.95", 0.5),
+                                            ("geometric:1/2", "1.99", 0.5),
+                                            ("geometric:-1/2", "1.99", -0.5)])
+    def test_borel_partial_sums_past_float_range(self, capsys, coeffs, x, r):
+        # the Borel range ends past z = 710, where z^n / n! alone leaves float64 range; at
+        # 1.99 (1/2)^n falls below it too, and for r < 0 the integrand is a layer of width
+        # ~1 at 0 on a range of ~10^4
+        result = run_json(capsys, ["borel", "--coeffs", coeffs, "--x", x])["result"]
+        assert abs(result["value"] - 1 / (1 - r * float(x))) <= result["tol"]
+
     def test_every_subcommand_emits_valid_json(self, capsys):
         argvs = [
             ["bernoulli", "--k", "12"],
@@ -375,7 +387,7 @@ class TestErrors:
                                              ("casimir", "indicator"), ("casimir", "bump"),
                                              ("casimir-force", "bump")])
     def test_exact_u_t_has_no_cell_cap(self, capsys, monkeypatch, name, cutoff):
-        # the bump's u_t past N / lambda ~ 1.35 * 10^3 is its expansion at 0: the 2 * 10^10
+        # the bump's u_t past N / lambda ~ 642 is its expansion at 0: the 2 * 10^10
         # cells here, and 10^6 (the old sweep cap) and 10^12, run without a sweep
         def no_sweep(*args, **kwargs):
             raise AssertionError("an exact u_t reached the cell sweep")
@@ -681,8 +693,8 @@ _SERIES_EDGES = ["S0", "S1", "grandi", "zero", "monomial:-1",
                                              -cli.MAX_SERIES_EXPONENT, -cli.MAX_SERIES_EXPONENT - 1)),
                  *(f"geometric:{r}" for r in (0, -1, 0.5, 1, 2, "1e300", "1e-300", "1e400"))]
 # --N 1e80 and 1e81 straddle MAX_UT_DIGITS for casimir-force on poly:996 at --lambda 1
-# --N 1353 and 1354 straddle the bump's switch from the cell sweep to its expansion at lambda 1
-_CASIMIR_FLAGS = {"--d": _float_edges(), "--N": _float_edges() + ["1353", "1354", "1e80", "1e81"],
+# --N 641 and 642 straddle the bump's switch from the cell sweep to its expansion at lambda 1
+_CASIMIR_FLAGS = {"--d": _float_edges(), "--N": _float_edges() + ["641", "642", "1e80", "1e81"],
                   "--cutoff": _CUTOFF_EDGES, "--lambda": _float_edges(),
                   "--quad-tol": _float_edges()}
 # each subcommand's flags and the values the property draws for them (None: a bare switch)

@@ -36,6 +36,7 @@ NUMPY_FREE = [
     ["casimir-force", "--cutoff", "poly:6", "--N", "1e12"],
     # the bump's plate energy where every scale is past its sweep: its expansion at 0
     ["casimir-force", "--N", "1e12"],
+    ["casimir-force", "--N", "800"],
     ["casimir", "--N", "1e6", "--levels", "1"],
     # the bump's smoothed sums past their float kernel: the expansion at 0 (C_s in integers)
     ["smoothed", "--s", "1", "--N", "1e7"],

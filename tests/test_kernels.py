@@ -1,8 +1,8 @@
 """The O(N) kernels: the smoothed and alternating sums, and the plate-energy cell sweep.
 
 Each is one vectorized pass.  ``smoothed`` asks the sums for at most 3,787 terms (the bump
-below its expansion's threshold) and runs the sweep below N/lam ~ 1,353.16, so over at most
-1,354 cells; the sums are tested here at sizes well past that, on every eta formula.
+below its expansion's threshold) and runs the sweep below N/lam ~ 641.80, so over at most
+642 cells; the sums are tested here at sizes well past that, on every eta formula.
 """
 
 import json
@@ -189,8 +189,8 @@ def one_shot_ut(cut, lam, N, tol):
     return one_shot(saw, lo, hi, support, tol)
 
 
-# (cutoff, lam, N) at scales the sweep serves: below N/lam ~ 1,353.16
-SWEEPS = [("bump", 0.37, 1353 * 0.37), ("bump", 0.37, 500.1 * 0.37), ("poly:8", 0.5, 600.5)]
+# (cutoff, lam, N) at scales the sweep serves: below N/lam ~ 641.80
+SWEEPS = [("bump", 0.37, 641 * 0.37), ("bump", 0.37, 500.1 * 0.37), ("poly:8", 0.5, 600.5)]
 
 
 class TestCellSweep:

@@ -144,7 +144,7 @@ class TestExactIndicatorLane:
         assert scaling_counterexample(sharp_indicator(), 1e7 + 1.5)[1] == (10**7 + 1) * (10**7 + 2)
 
 
-J = 30  # exact._EM_ORDER, checked in TestBumpExpansion
+J = 30  # cutoffs._EM_ORDER, checked in TestBumpExpansion
 # the most terms a float kernel sums for the bump (docs/work_caps.md): at s = 93, just below
 # N_0(93) ~ 3,786.97; from s = 94 on the certain overflow comes first
 KERNEL_MAX_TERMS = 3787
@@ -194,11 +194,10 @@ class TestBumpExpansion:
     def test_the_shipped_sups_are_their_regeneration_rounded_up(self):
         from _bump_bounds import geometric_points, sup_bound
 
-        from summa.cutoffs import _bump_numerator
-        from summa.exact import _EM_ORDER
+        from summa.cutoffs import _BUMP_LOG2_SUPS, _EM_ORDER, _bump_numerator
 
-        assert _EM_ORDER == J and len(smoothed._BUMP_LOG2_SUPS) == J + 1
-        for k, shipped in enumerate(smoothed._BUMP_LOG2_SUPS):
+        assert _EM_ORDER == J and len(_BUMP_LOG2_SUPS) == J + 1
+        for k, shipped in enumerate(_BUMP_LOG2_SUPS):
             lo, hi = sup_bound(_bump_numerator(k), k, geometric_points(k), 24)
             assert hi <= 2**shipped and lo > 2 ** (shipped - 1), k
 
