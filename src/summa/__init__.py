@@ -18,7 +18,7 @@ _SUBMODULE_EXPORTS = {
     "summation": ("SummationOutcome", "abel_sum", "cesaro_sum", "inconsistency_ledger",
                   "partial_sum", "ramanujan_monomial", "zeta_via_eta"),
     "smoothed": ("AsymptoticFit", "constant_extraction", "delta_pairing", "grandi_smoothed",
-                 "mellin", "scaling_counterexample", "sine_pairing", "smoothed_sum"),
+                 "scaling_counterexample", "sine_pairing", "smoothed_sum"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 
@@ -47,7 +47,6 @@ __all__ = [
     "inconsistency_ledger",
     "AsymptoticFit",
     "smoothed_sum",
-    "mellin",
     "constant_extraction",
     "grandi_smoothed",
     "scaling_counterexample",

@@ -8,14 +8,19 @@ argument reduction by ln 2, then 8-bit table levels and a short Taylor tail,
 as in Brent and Zimmermann, *Modern Computer Arithmetic* (2010), section 4.4.
 ``round_bits`` rounds m 2^e to nearest, ties to even, at a given number of bits,
 as mpmath's mpf arithmetic does, so a chain of correctly rounded operations
-can be run in integers.  Nothing here imports mpmath.
+can be run in integers; ``round_rising`` rounds fixed-point intervals to
+float64 correctly, by rising precision.  Nothing here imports mpmath.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, List, Tuple
+from fractions import Fraction
+from typing import Callable, Iterable, List, Tuple
+
+from .errors import PrecisionCapError
+from .exact import to_floats
 
 
 def digits_to_bits(dps: int) -> int:
@@ -33,6 +38,20 @@ def round_bits(man: int, exp: int, prec: int) -> Tuple[int, int]:
     if r > half or (r == half and q & 1):
         q += 1
     return q, exp + shift
+
+
+def round_rising(balls: Callable[[int], List[Tuple[int, int]]], W: int, what: str,
+                 cap: float = math.inf) -> List[float]:
+    """Values v correctly rounded by rising precision (Ziv 1991): ``balls(W)`` gives (T, E)
+    with |v 2^W - T| <= E for each v, and W doubles until every T - E and T + E round alike.
+    A W past ``cap`` raises PrecisionCapError before ``balls`` runs at it, and an end past
+    float64 range NonFiniteResultError, each on ``what``."""
+    while W <= cap:
+        ends = to_floats([Fraction(T + d, 1 << W) for T, E in balls(W) for d in (-E, E)], what)
+        if ends[::2] == ends[1::2]:
+            return ends[1::2]
+        W *= 2
+    raise PrecisionCapError(f"{what} not rounded within {cap} fixed-point bits")
 
 
 def _guard(P: int) -> int:

@@ -1,30 +1,22 @@
-"""Hot numeric kernels: the smoothed sums, moment integrals and plate-energy sweep.
+"""Hot numeric kernels: the bump's sums, moment integrals and plate-energy sweep.
 
-Each kernel takes the ``Cutoff`` itself and evaluates eta through
-``cutoff.eval`` on whole arrays, in place into an array it already holds.
-Sums are vectorized numpy; integrals run on the one adaptive Gauss-Kronrod
-core in ``summa.quadrature``.  The two sums -- the smoothed and the
-alternating sum -- are one vectorized pass each over n = 1..ceil(N).
-``smoothed`` calls them only for the bump below the scale where its
-Euler-Maclaurin expansion at 0 meets its bound, so with at most 3,787
-terms (``smoothed._bump_sum``; the Grandi sum below N ~ 788).  The
-plate-energy cell sweep is one batch too: ``casimir`` runs it only below
-N/lam ~ 642, where the bump's expansion of u_t does not yet meet its
-2^-62 bound, so it has at most 642 unit cells (~10k nodes a level).  A
-moment integral is a batch of intervals: ``casimir.derivative_identities``
-sends all its stencil gaps, at most 70, as one.  The
-doubled sum sum 2n eta(2n/N) needs no kernel of its own: it is twice the
-s = 1 smoothed sum at N/2 (see ``smoothed.scaling_counterexample``).
+The sums are the bump's fixed-point eta pass (``smoothed._bump_totals``), correctly
+rounded; ``smoothed`` calls them only below the scale where its Euler-Maclaurin expansion
+at 0 meets its bound, so with at most 3,787 terms (the Grandi sum below N ~ 788).  The
+integrals evaluate eta through ``cutoff.eval`` on whole arrays and run on the adaptive
+Gauss-Kronrod core of ``summa.quadrature``, which they alone import, with numpy.  The
+plate-energy cell sweep is one batch of at most 642 unit cells (~10k nodes a level):
+``casimir`` runs it only below N/lam ~ 642, where the bump's expansion of u_t does not yet
+meet its 2^-62 bound.  ``casimir.derivative_identities`` sends all its stencil gaps, at
+most 70, as one batch of moment integrals.  The doubled sum sum 2n eta(2n/N) is twice the
+s = 1 sum at N/2 (``smoothed.scaling_counterexample``).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .cutoffs import Cutoff
-from .quadrature import MID_NODE, _adapt, _fsum_arrays
 
 __all__ = [
     "smoothed_sum_value",
@@ -38,38 +30,32 @@ QUAD_BUDGET = 10**6
 
 
 def smoothed_sum_value(s: int, cutoff: Cutoff, N: float) -> float:
-    """sum_{n=1}^{ceil(N)} eta(n/N) n^s, one vectorized pass.
+    """sum_{1<=n<N} eta(n/N) n^s of the bump, correctly rounded: the eta pass's total at W
+    bits is within 2 units a term, 2 L^(s+1) in all (L = ceil(N) - 1), and W doubles from
+    ``smoothed._bump_sum_bits`` up to ``smoothed.MAX_SUM_BITS``."""
+    from ._fixed import round_rising
+    from .smoothed import MAX_SUM_BITS, _bump_sum_bits, _bump_totals
 
-    The power is n^min(s, 2048): past s = 1023 every n >= 2 overflows to inf
-    either way and 1^s = 1, and an s past float64 range stays an int.  Only
-    the terms with eta(n/N) != 0 are multiplied, so a term past the support
-    is 0 however large n^s is, not 0 * inf = nan; the array keeps its length,
-    so np.sum adds in the same pairwise order.  Overflow yields inf without
-    warnings; callers report a non-finite result as an error.
-    """
-    N = float(N)
-    n = np.arange(1, math.ceil(N) + 1, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = n / N
-        cutoff.eval(y, out=y)
-        n **= min(s, 2048)  # the in-place power takes the same route as n**s
-        np.multiply(y, n, out=y, where=y != 0)
-        return float(np.sum(y))
+    return round_rising(
+        lambda W: [(_bump_totals(s, cutoff, [N], W)[0], 2 * (math.ceil(N) - 1) ** (s + 1))],
+        _bump_sum_bits(s, N), f"the smoothed sum of s = {s} on {cutoff.label} at N = {N} is",
+        MAX_SUM_BITS)[0]
 
 
-def alternating_smoothed_value(cutoff: Cutoff, N: float) -> float:
-    """sum_{n=1}^{ceil(N)} (-1)^(n-1) eta(n/N).
+def alternating_smoothed_value(cutoff: Cutoff, N: float):
+    """(G, |G - 1/2|), each correctly rounded, for the bump's G = sum_{1<=n<N} (-1)^(n-1)
+    eta(n/N) = T(N) - 2 T(N/2): the s = 0 totals of one eta pass, as ``smoothed_sum_value``
+    rounds them, within 2 units a term."""
+    from ._fixed import round_rising
+    from .smoothed import MAX_SUM_BITS, _bump_sum_bits, _bump_totals
 
-    Each +eta(n/N), n odd, is paired with the -eta((n+1)/N) after it:
-    neighbours within a factor 2 subtract exactly (Sterbenz), so the sum of
-    the pairs no longer cancels.
-    """
-    N = float(N)
-    y = np.arange(1, math.ceil(N) + 1, dtype=float) / N
-    cutoff.eval(y, out=y)
-    odd, even = y[0::2], y[1::2]
-    odd[:even.size] -= even
-    return float(np.sum(odd))
+    def balls(W):
+        T, T_half = _bump_totals(0, cutoff, [N, N / 2], W)
+        G, E = T - 2 * T_half, 2 * (math.ceil(N) - 1)
+        return [(G, E), (abs(G - (1 << (W - 1))), E)]
+
+    return tuple(round_rising(balls, _bump_sum_bits(0, N), f"the Grandi sum on "
+                              f"{cutoff.label} at N = {N} is", MAX_SUM_BITS))
 
 
 def moment_quad(cutoff: Cutoff, m: int, c: float, lo, hi, tol: float):
@@ -82,6 +68,10 @@ def moment_quad(cutoff: Cutoff, m: int, c: float, lo, hi, tol: float):
     panel, so a batch of n intervals may spend QUAD_BUDGET + 15 n in all.
     Returns (values, error_estimates), two lists in the order of ``lo``.
     """
+    import numpy as np
+
+    from .quadrature import _adapt
+
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
 
@@ -121,6 +111,10 @@ def ut_value(cutoff: Cutoff, lam: float, N: float, tol: float):
     All cells enter the quadrature as one batch.  Returns (value,
     error_estimate).
     """
+    import numpy as np
+
+    from .quadrature import MID_NODE, _adapt, _fsum_arrays
+
     c = lam / N
     support = N / lam
     ncells = math.ceil(support)

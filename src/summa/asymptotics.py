@@ -197,6 +197,22 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
             f"partial sums of the Borel transform of {coeffs.label!r} need ~2 c z_max terms "
             f"on the range [0, {z_max:.6g}], past the budget of {_BOREL_TERMS}")
     else:
+        # (log|a(n)|, log n!, sign of a(n)) for n = 1, 2, ...: each taken once a call, from
+        # the exact a(n), as the integrand first reaches n
+        terms = []
+
+        def term(n):
+            while len(terms) < n:
+                k = len(terms) + 1
+                a = coeffs.a(k)
+                # a subnormal float a(n) has lost its digits
+                if isinstance(a, float) and 0 < abs(a) < sys.float_info.min:
+                    raise FloatingPointError(f"a({k}) = {a!r} underflows")
+                num, den = a.as_integer_ratio()
+                log_a = math.log(abs(num)) - math.log(den) if num else -math.inf
+                terms.append((log_a, math.lgamma(k + 1), -1.0 if num < 0 else 1.0))
+            return terms[n - 1]
+
         def integrand(z):
             # no term a(n) z^n e^(-z/x) / n! exceeds the integrand's bound M e^(-decay z)
             z = np.atleast_1d(z)
@@ -208,15 +224,8 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
             n_safe = 10 + int(2.0 * abs(coeffs.exp_rate) * float(np.max(z)))
             small = 1e-4 * tol * x / z_max
             for n in range(1, _BOREL_TERMS):
-                # float(a) raises OverflowError past float64 range; a subnormal float
-                # a(n) has lost its digits
-                a = coeffs.a(n)
-                if isinstance(a, float) and 0 < abs(a) < sys.float_info.min:
-                    raise FloatingPointError(f"a({n}) = {a!r} underflows")
-                num, den = a.as_integer_ratio()
-                log_a = math.log(abs(num)) - math.log(den) if num else -math.inf
-                contrib = np.copysign(np.exp(n * log_z + log_w + log_a - math.lgamma(n + 1)),
-                                      float(a))
+                log_a, log_fact, sign = term(n)
+                contrib = sign * np.exp(n * log_z + log_w + log_a - log_fact)
                 out += contrib
                 if n >= n_safe and np.all(np.abs(contrib) <= small):
                     break
@@ -237,7 +246,7 @@ def borel_sum(coeffs: CoefficientOracle, x: float, tol: float) -> float:
     try:
         with np.errstate(over="raise", invalid="raise"):
             values = _adapt(integrand, lo, hi, np.full(lo.size, z_max), quad_tol, 10**6)[0]
-    except (FloatingPointError, OverflowError) as exc:  # OverflowError: a coefficient a(n)
+    except (FloatingPointError, OverflowError) as exc:
         raise NonFiniteResultError(f"the Borel integrand of {coeffs.label!r} at x = {x!r} "
                                    f"leaves float64 range on [0, {z_max:.6g}]") from exc
     return _fsum_arrays(values) / x

@@ -28,9 +28,9 @@ Faulhaber and Bernoulli sums, each rounded once.  So do the bump's
 ``extract`` and ``em-tail``, and a bump ``casimir`` or ``casimir-force``
 whose every N / lambda is past ~642, where u_t is its
 Euler-Maclaurin expansion at 0, rounded once.  The bump's ``smoothed``,
-``grandi`` and ``scaling-demo`` load no numpy past N ~ 4 * 10^2 (grandi
-~ 8 * 10^2), where each sum is its expansion at 0
-(``smoothed._bump_em_sum``).
+``grandi`` and ``scaling-demo`` load no numpy at any N: each sum is its
+expansion at 0 (``smoothed._bump_em_sum``) past N_0(s), and the eta pass,
+correctly rounded, below it (``_kernels.smoothed_sum_value``).
 """
 
 from __future__ import annotations
@@ -122,10 +122,14 @@ def _check_faulhaber_caps(s: int, cutoff, points) -> None:
 
 def _check_sum_caps(s: int, cutoff, N: float) -> None:
     """The caps of a smoothed sum to N (and N/2): those of the exact sums of poly:p and the
-    indicator.  The bump's sum is its O(1) expansion at 0, or a float sum of at most 3,787
-    terms, or an overflow decided in O(1) (``smoothed._bump_sum``)."""
+    indicator, and the start bits of the bump's eta pass where its sum may not overflow."""
+    from . import smoothed
+
     if cutoff.kind != "bump":
         _check_faulhaber_caps(s, cutoff, [N])
+    elif not smoothed._bump_sum_overflows(s, N):
+        _check_cap("bump sum fixed-point bits", smoothed._bump_sum_bits(s, N),
+                   smoothed.MAX_SUM_BITS)
 
 
 def _check_drift_caps(s: int, cutoff, points, halved: bool = False) -> None:

@@ -31,3 +31,7 @@ class GrowthNotFoundError(SummaError, ValueError):
 
 class NonFiniteResultError(SummaError):
     """A computed result is inf or nan, typically after a float64 overflow."""
+
+
+class PrecisionCapError(SummaError):
+    """An exact fixed-point pass would need more bits than its stated cap."""

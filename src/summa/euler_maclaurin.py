@@ -164,17 +164,14 @@ def stirling_g_fixed(n: int, P: int) -> Tuple[int, int]:
 def stirling_g(n: int) -> float:
     """g(n) rounded once to float64: correctly rounded, at any n >= 1.
 
-    ``stirling_g_fixed`` runs at 10 guard bits past 2^-70 g (g > 1/(12n + 1));
-    should its interval straddle a rounding boundary, it runs again at
-    twice the bits.
+    ``stirling_g_fixed`` runs at 10 guard bits past 2^-70 g (g > 1/(12n + 1)),
+    and at twice the bits while its interval straddles a rounding boundary
+    (``_fixed.round_rising``).
     """
-    P = 80 + (12 * n + 1).bit_length()
-    while True:
-        G, E = stirling_g_fixed(n, P)
-        lo = (G - E) / (1 << P)
-        if lo == (G + E) / (1 << P):
-            return lo
-        P *= 2
+    from ._fixed import round_rising
+
+    return round_rising(lambda P: [stirling_g_fixed(n, P)], 80 + (12 * n + 1).bit_length(),
+                        f"g({n}) is")[0]
 
 
 class StirlingSeries(NamedTuple):

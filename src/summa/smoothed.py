@@ -34,10 +34,8 @@ sums S_s(floor(N)).  The bump's sum is its Euler-Maclaurin expansion at 0,
 C_s N^(s+1) plus at most 15 zeta terms, wherever the remainder bound is at
 most 2^-62 of the value (``_bump_em_sum``: from N ~ 370 at s = 0, ~ 388 at
 s = 1), and its Grandi sum is exactly 1/2 from N ~ 788.  Below that, the
-float kernels of ``_kernels`` sum at most 3,787 terms; a sum that
-certainly overflows is an error before any O(s) or O(N) work.  numpy,
-``_kernels`` and ``quadrature`` are imported in those float paths only, so
-the exact lanes and the bump past its thresholds run without numpy.
+drifts' eta pass (``_kernels``) sums at most 3,787 terms, correctly rounded.
+numpy is imported by the pairings and delta sequences only.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ if TYPE_CHECKING:
 __all__ = [
     "AsymptoticFit",
     "smoothed_sum",
-    "mellin",
     "drifts",
     "constant_extraction",
     "grandi_smoothed",
@@ -72,15 +69,18 @@ __all__ = [
 ]
 
 _SCALING_TOL = 1e-12  # scaling_counterexample's sides differ past this, relative to max(1, |rhs|)
+# the start W past which the bump's eta pass is refused: its exp tables take ~0.3 s there
+MAX_SUM_BITS = 4096
 
 
 def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
     """sum_{n=1}^{ceil(N)} eta(n/N) n^s; terms with n/N >= 1 contribute 0.
 
     For poly:p and the sharp indicator the exact rational, rounded once
-    (``_exact_sum``).  For the bump the expansion at 0 where its remainder
-    bound allows (``_bump_em_sum``), and the float kernel below that.  A
-    value past float64 range raises NonFiniteResultError.
+    (``_exact_sum``).  For the bump an error where it certainly overflows,
+    before any O(s) or O(N) work, the expansion at 0 where its remainder bound
+    allows (``_bump_em_sum``), and the eta pass, correctly rounded, below that;
+    a pass that would start past ``MAX_SUM_BITS`` raises PrecisionCapError.
     """
     if s < 0:
         raise ValueError(f"smoothed_sum requires s >= 0, got {s}")
@@ -88,9 +88,17 @@ def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
         raise ValueError(f"smoothed_sum requires N >= 1, got {N}")
     what = f"the smoothed sum of s = {s} on {cutoff.label} at N = {N} is"
     if cutoff.kind != "bump":
-        value, = to_floats([_exact_sum(s, cutoff, N)], what)
-        return value
-    return _bump_sum(s, cutoff, N, what)
+        exact = _exact_sum(s, cutoff, N)
+    elif _bump_sum_overflows(s, N):
+        raise NonFiniteResultError(f"{what} past float64 range")
+    else:
+        exact = _bump_em_sum(s, N)
+        if exact is None:  # below N_0(s): at most 3,787 terms (at s = 93)
+            from . import _kernels
+
+            return _kernels.smoothed_sum_value(s, cutoff, N)
+    value, = to_floats([exact], what)
+    return value
 
 
 def _exact_sum(s: int, cutoff: Cutoff, N) -> Fraction:
@@ -110,11 +118,39 @@ def _bump_sum_overflows(s: int, N: float) -> bool:
     eta >= e^(-1/3) on [0, 1/2], and sum_{n<=M} n^s >= M^(s+1)/(s+1), so
     S_s(N) >= (7/10) M^(s+1)/(s+1) with M = floor(N/2).  Its log2 is above
     (s+1) log2 M - log2(s+1) - 0.52, and a value of 2^1024 rounds to inf; the
-    half bit of slack covers the float logs' rounding.  The product is taken on
-    the exact rational of log2 M, so an s past float64 range does not overflow.
+    half bit of slack covers the float logs' rounding.  Below N = 4 the terms n = 2, 3
+    below N are bounded alone, by ``_log2_eta``.  The products are taken on the exact
+    rationals of the logs, so an s past float64 range forms no power n^s.
     """
     M = math.floor(N / 2)
-    return M > 1 and (s + 1) * Fraction(math.log2(M)) - Fraction(math.log2(s + 1)) >= 1025
+    if M > 1:
+        return (s + 1) * Fraction(math.log2(M)) - Fraction(math.log2(s + 1)) >= 1025
+    return any(s * Fraction(math.log2(n)) + Fraction(_log2_eta(n, N)) >= 1025
+               for n in (2, 3) if n < N)
+
+
+def _log2_eta(n: int, N: float) -> float:
+    """A lower bound on log2 eta(n/N), 1 <= n < N: -log2(e) n^2 / (N^2 - n^2), the quotient
+    exact before its one rounding, and 2^-40 of it to spare for the float product's."""
+    q = float(n * n / (Fraction(N) ** 2 - n * n))
+    return -1.4426950408889634 * q * (1 + 2**-40)
+
+
+def _bump_sum_bits(s: int, N: float) -> int:
+    """The bits W at which the bump's eta pass for S_s(N) starts, from logs of s and N alone,
+    where the sum does not certainly overflow.  The pass's total is within E = 2 L^(s+1)
+    units, L = ceil(N) - 1 the last n, and W puts E 2^-W 10 bits below the float grain,
+    2^-53 S or 2^-1075, at a lower bound S on the sum: its largest term eta(n/N) n^s, at an
+    integer either side of N x, x^2 = (s + 1 - sqrt(2s + 1)) / s the peak of x^s eta(x) (the
+    log of a term is concave in n).  At L = 1 the one term is eta(1/N), whatever s is."""
+    L = math.ceil(N) - 1
+    if L < 1:
+        return 53  # no term: the sum is 0 at any W
+    s = s if L > 1 else 0
+    peak = N * math.sqrt((s + 1 - math.sqrt(2 * s + 1)) / s) if s else 1.0
+    log2_term = max(s * math.log2(n) + _log2_eta(n, N)
+                    for n in {min(max(k, 1), L) for k in (math.floor(peak), math.ceil(peak))})
+    return 10 + math.ceil(1 + (s + 1) * math.log2(L) + min(53 - log2_term, 1075))
 
 
 def _bump_em_sum(s: int, N: float):
@@ -151,36 +187,6 @@ def _bump_em_sum(s: int, N: float):
         B = bernoulli(s + 2 * m + 1)
         if B:
             value -= bump_taylor0(m) * B / (s + 2 * m + 1) / x ** (2 * m)
-    return value
-
-
-def _bump_sum(s: int, cutoff: Cutoff, N: float, what: str) -> float:
-    """The bump's S_s(N) as a float: NonFiniteResultError where it certainly overflows,
-    before any O(s) or O(N) work; the expansion at 0 where it runs; the float kernel
-    below that, over at most 3,787 terms (at s = 93)."""
-    if _bump_sum_overflows(s, N):
-        raise NonFiniteResultError(f"{what} past float64 range")
-    exact = _bump_em_sum(s, N)
-    if exact is not None:
-        value, = to_floats([exact], what)
-        return value
-    from . import _kernels
-
-    value = _kernels.smoothed_sum_value(s, cutoff, N)
-    if not math.isfinite(value):
-        raise NonFiniteResultError(f"{what} {value} (float64 overflow or an invalid operation)")
-    return value
-
-
-def mellin(cutoff: Cutoff, s: int, tol: float) -> float:
-    """Moment integral_0^1 x^s eta(x) dx by adaptive quadrature to abs tol."""
-    if s < 0:
-        raise ValueError(f"mellin requires s >= 0, got {s}")
-    if tol <= 0:
-        raise ValueError(f"mellin requires tol > 0, got {tol}")
-    from . import _kernels
-
-    (value,), _ = _kernels.moment_quad(cutoff, s, 1.0, [0.0], [1.0], tol)
     return value
 
 
@@ -369,7 +375,7 @@ def _bump_totals(s: int, cutoff: Cutoff, points: Sequence[float], W: int) -> Lis
             passes.append((N, [(i, 1)]))
 
     totals = [0] * len(points)
-    powers = [n**s for n in range(1, math.ceil(n_max) + 1)] if s else None  # the longest pass
+    powers = [n**s for n in range(1, math.ceil(n_max))] if s else None  # every n < N_max
     for top, members in passes:
         values = cutoff.eval_fixed(top, W)
         for i, r in members:
@@ -510,7 +516,7 @@ def grandi_with_deviation(cutoff: Cutoff, N: float) -> Tuple[float, float]:
     bound falls with N, so |G - 1/2| <= 3 bound(N/2).  Where that is at most
     2^-56, below half an ulp of any float near 1/2, G rounds to exactly 0.5
     and the pair is (0.5, 0.0): the true deviation is below the bound, not 0.
-    Below that, G is the float kernel and the deviation is taken in float64.
+    Below that, G and |G - 1/2| are the eta pass's, each correctly rounded.
     """
     if N < 1:
         raise ValueError(f"grandi_smoothed requires N >= 1, got {N}")
@@ -528,8 +534,7 @@ def grandi_with_deviation(cutoff: Cutoff, N: float) -> Tuple[float, float]:
         return 0.5, 0.0
     from . import _kernels
 
-    value = _kernels.alternating_smoothed_value(cutoff, N)
-    return value, abs(value - 0.5)
+    return _kernels.alternating_smoothed_value(cutoff, N)
 
 
 def _bump_grandi_is_half(N: float) -> bool:
@@ -550,8 +555,8 @@ def scaling_counterexample(cutoff: Cutoff, N: float):
     and it is computed that way.  Returns (lhs, rhs, differ) with
     differ = |lhs - rhs| > 1e-12 max(1, |rhs|).  For poly:p and the sharp
     indicator both sides are exact, each rounded once, and differ is decided
-    on the rationals.  For the bump each side is a bump sum of
-    ``smoothed_sum`` at N/2 and N (N/2 is exact), doubled without rounding.
+    on the rationals.  For the bump each side is ``smoothed_sum`` at N/2 and N
+    (N/2 is exact), doubled without rounding.
     """
     if N < 2:
         raise ValueError(f"scaling_counterexample requires N >= 2, got {N}")
@@ -562,8 +567,8 @@ def scaling_counterexample(cutoff: Cutoff, N: float):
         differ = abs(lhs - rhs) > Fraction(_SCALING_TOL) * max(1, abs(rhs))
         lhs, rhs = to_floats([lhs, rhs], what)
         return lhs, rhs, differ
-    lhs = 2.0 * _bump_sum(1, cutoff, N / 2.0, what)
-    rhs = 2.0 * _bump_sum(1, cutoff, N, what)
+    lhs = 2.0 * smoothed_sum(1, cutoff, N / 2.0)
+    rhs = 2.0 * smoothed_sum(1, cutoff, N)
     differ = abs(lhs - rhs) > _SCALING_TOL * max(1.0, abs(rhs))
     return lhs, rhs, differ
 

@@ -21,9 +21,9 @@ from summa.casimir import (
 )
 from summa.cutoffs import make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
-from summa.smoothed import mellin
 
 from _bump_bounds import geometric_points
+from _mellin import mellin
 
 LIMIT = -1.0 / 360.0
 

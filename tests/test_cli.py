@@ -233,12 +233,20 @@ class TestErrors:
         ["borel", "--coeffs", "geometric:1/2", "--x", "1e-300", "--tol", "1e-300"],  # tol x / 2
         ["casimir", "--d", "1e-300"],
         ["casimir-force", "--d", "1e300"],
-        ["borel", "--coeffs", "geometric:2", "--x", "0.48"],  # a(n) = 2^n overflows
+        ["smoothed", "--s", str(10**400), "--N", "3.5"],  # eta(2/3.5) 2^s, decided in logs
     ])
     def test_float_range_escape_is_a_typed_error(self, capsys, argv):
         rc, out, err = run_capture(capsys, argv)
         assert rc == 1 and out == ""
         assert err.startswith("error: NonFiniteResultError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("r,x", [("2", 0.48), ("2", 0.485), ("3/2", 0.66)])
+    def test_borel_coefficients_past_float64_keep_their_sign(self, capsys, r, x):
+        # a(n) = r^n leaves float64 range, but each term's sign and log come from the exact
+        # a(n): the sum is 1/(1 - r x) within the default tol
+        rc, out, _ = run_capture(capsys, ["borel", "--coeffs", f"geometric:{r}", "--x", str(x)])
+        want = 1 / (1 - float(Fraction(r)) * x)
+        assert rc == 0 and abs(json.loads(out)["result"]["value"] - want) <= 1e-9 * want
 
     @pytest.mark.parametrize("argv", [
         ["smoothed", "--s", "-1", "--N", "10"],
@@ -367,7 +375,7 @@ class TestErrors:
     def test_sums_past_the_old_term_cap_run(self, capsys, monkeypatch, argv, value):
         # the 10^10-term cap of the streamed float sums is gone: none of these reaches a kernel
         def no_float_sum(*args):
-            raise AssertionError("a sum past the bump's threshold reached the float kernel")
+            raise AssertionError("a sum past the bump's threshold reached its eta pass")
 
         monkeypatch.setattr(_kernels, "smoothed_sum_value", no_float_sum)
         monkeypatch.setattr(_kernels, "alternating_smoothed_value", no_float_sum)
@@ -706,7 +714,7 @@ _EDGE_GRAMMAR = {
             "--n": _int_edges(cli.MAX_CESARO_N), "--tol": _float_edges()},
     "ledger": {},
     # --s 999 and 1000 straddle MAX_BERNOULLI_INDEX (B_{s+p}) on poly:1; --N 370 and 371
-    # straddle the bump's switch from the float kernel to its expansion at 0 for s = 0, 388
+    # straddle the bump's switch from its eta pass to its expansion at 0 for s = 0, 388
     # and 389 for s = 1, 402 and 403 for s = 2
     "smoothed": {"--s": _int_edges(cli.MAX_BERNOULLI_INDEX - 1), "--cutoff": _CUTOFF_EDGES,
                  "--N": _float_edges() + ["370", "371", "388", "389", "402", "403", "1e12"]},

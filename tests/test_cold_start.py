@@ -1,6 +1,6 @@
 """Cold start: the exact subcommands, every subcommand on poly:p, the bump's plate energy past
-its cell sweep and its smoothed sums past their float kernel, and the package surface load
-neither numpy nor mpmath; no subcommand needs mpmath at all; the bump's smoothed sums load no
+its cell sweep and its smoothed sums at any N, and the package surface load neither numpy
+nor mpmath; no subcommand needs mpmath at all; the bump's smoothed sums load no
 casimir; no layer loads dataclasses, and CSV output loads no json."""
 
 import importlib
@@ -38,16 +38,18 @@ NUMPY_FREE = [
     ["casimir-force", "--N", "1e12"],
     ["casimir-force", "--N", "800"],
     ["casimir", "--N", "1e6", "--levels", "1"],
-    # the bump's smoothed sums past their float kernel: the expansion at 0 (C_s in integers)
+    # the bump's smoothed sums: the expansion at 0 (C_s in integers), and below N_0(s) the
+    # eta pass, correctly rounded
     ["smoothed", "--s", "1", "--N", "1e7"],
     ["grandi", "--N", "1e7"],
     ["--format", "csv", "scaling-demo", "--N", "1e7"],
+    ["smoothed", "--s", "1", "--N", "100"],
     # the bump's drifts: the eta pass, C_s and the roundings in integers
     ["extract", "--s", "1"],
     ["--format", "csv", "em-tail", "--s", "2", "--N", "60"],
 ]
 # the bump's subcommands with its exact paths (the moment C_s, the eta pass, the drifts'
-# roundings) and its float kernels, then one argv of every other subcommand
+# roundings) past and below N_0(s), then one argv of every other subcommand
 WITHOUT_MPMATH = [
     ["smoothed", "--s", "1", "--N", "1e7"],
     ["smoothed", "--s", "3", "--N", "100"],
@@ -65,7 +67,7 @@ WITHOUT_MPMATH = [
     ["sum", "--method", "cesaro", "--series", "grandi", "--n", "2000"],
     *NUMPY_FREE[:12],
 ]
-# the bump's smoothed sums, Grandi sum and scaling demo, past and below their float kernel
+# the bump's smoothed sums, Grandi sum and scaling demo, past and below N_0(s)
 WITHOUT_CASIMIR = [
     ["smoothed", "--s", "1", "--cutoff", "bump", "--N", "1e7"],
     ["grandi", "--cutoff", "bump", "--N", "1e7"],
@@ -83,7 +85,7 @@ EXPORTS = {
     "series": ["SeriesOracle", "get_series"],
     "summation": ["SummationOutcome", "partial_sum", "cesaro_sum", "abel_sum",
                   "ramanujan_monomial", "zeta_via_eta", "inconsistency_ledger"],
-    "smoothed": ["AsymptoticFit", "smoothed_sum", "mellin", "constant_extraction",
+    "smoothed": ["AsymptoticFit", "smoothed_sum", "constant_extraction",
                  "grandi_smoothed", "scaling_counterexample", "delta_pairing", "sine_pairing"],
 }
 
@@ -115,7 +117,7 @@ def test_exact_subcommand_runs_cold_without_numpy(run_fresh, capsys, argv):
 
 
 def test_a_float_subcommand_loads_numpy(run_fresh, capsys):
-    argv = ["smoothed", "--s", "1", "--N", "100"]  # the bump's float kernel, below N_0 ~ 388
+    argv = ["delta-seq", "--j", "25"]  # the Dirichlet pairing: GK15 quadrature on arrays
     text, loaded = cold_run(run_fresh, argv)
     assert "numpy" in loaded
     assert run(argv) == 0

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from summa.cutoffs import make_cutoff, parse_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
-from summa.smoothed import mellin
+
+from _mellin import mellin
 
 
 _STENCILS = {

@@ -24,7 +24,9 @@ from summa.euler_maclaurin import (
 )
 from summa.exact import bernoulli
 from summa.quadrature import integrate
-from summa.smoothed import _drift_exact_poly, mellin, smoothed_sum
+from summa.smoothed import _drift_exact_poly, smoothed_sum
+
+from _mellin import mellin
 
 
 class TestEmTail:

@@ -1,26 +1,29 @@
-"""The O(N) kernels: the smoothed and alternating sums, and the plate-energy cell sweep.
+"""The kernels: the bump's sums below N_0(s), the eta formulas and the plate-energy cell sweep.
 
-Each is one vectorized pass.  ``smoothed`` asks the sums for at most 3,787 terms (the bump
-below its expansion's threshold) and runs the sweep below N/lam ~ 641.80, so over at most
-642 cells; the sums are tested here at sizes well past that, on every eta formula.
+``smoothed`` asks the sums for at most 3,787 terms (the bump below its expansion's
+threshold), each an exact eta pass correctly rounded; the sweep runs below N/lam ~ 641.80,
+so over at most 642 cells.
 """
 
 import json
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from summa import _kernels
+from summa import _kernels, quadrature, smoothed
+from summa.cli import run
 from summa.cutoffs import BUMP_EDGE, make_cutoff, sharp_indicator
-from summa.errors import QuadratureError
+from summa.errors import NonFiniteResultError, PrecisionCapError, QuadratureError
 from summa.quadrature import MID_NODE, _adapt, _gk15, integrate
+from summa.smoothed import grandi_with_deviation, scaling_counterexample, smoothed_sum
+
+from test_smoothed import first_expansion_scale
 
 BUMP = make_cutoff("bump")
-# test ids name (family, order): 0-0 is the bump, 1-3 is poly:3
-CUTOFFS = [pytest.param(BUMP, id="0-0"), pytest.param(make_cutoff("poly:3"), id="1-3")]
-# sizes once either side of the streamed sums' chunk of 61,440 terms, kept as the test ids
-SIZES = [61439, 61440, 61441, 122880.5, 184321]
 # every eta formula: the bump, poly:1/4/8 and the sharp indicator
 ALL_CUTOFFS = [pytest.param(cut, id=cut.label) for cut in
                [BUMP] + [make_cutoff(f"poly:{p}") for p in (1, 4, 8)] + [sharp_indicator()]]
@@ -41,71 +44,115 @@ def masked_eta(cut, x):
     return out
 
 
-def doubled(cut, N):
-    """sum 2n eta(2n/N) in the form ``smoothed.scaling_counterexample`` computes it."""
-    return 2.0 * _kernels.smoothed_sum_value(1, cut, N / 2.0)
+def correctly_rounded(x):
+    """The mpf x rounded once to float64 (subnormals and 0 included), through its exact
+    rational; None past float64 range."""
+    man, exp = x.man_exp
+    top = abs(man).bit_length() + exp  # |x| < 2^top
+    if top > 1025:
+        return None
+    return float(Fraction(man) * Fraction(2) ** exp) if top > -1100 else 0.0
 
 
-def fresh_reference(terms, count):
-    """np.sum of ``terms`` over one fresh arange of n = 1..count."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(terms(np.arange(1, count + 1, dtype=float))))
+def bump_terms(N, dps=50):
+    """[eta(n/N) for 1 <= n < N] at ``dps`` digits."""
+    with mp.workdps(dps):
+        x = mp.mpf(N)
+        return [mp.exp(1 - 1 / (1 - (n / x) ** 2)) for n in range(1, math.ceil(N))]
 
 
-def alternating_terms(cut, N):
-    def terms(n):
-        y = masked_eta(cut, n / N)
-        odd, even = y[0::2], y[1::2]
-        odd[:even.size] -= even
-        return odd
-
-    return terms
+def reference_sum(s, N, dps=50):
+    """sum_{1<=n<N} eta(n/N) n^s at ``dps`` digits, correctly rounded (None past float64)."""
+    with mp.workdps(dps):
+        return correctly_rounded(mp.fsum(e * mp.mpf(n) ** s
+                                         for n, e in enumerate(bump_terms(N, dps), 1)))
 
 
-class TestStreamedSums:
-    @pytest.mark.parametrize("cut", CUTOFFS)
-    @pytest.mark.parametrize("N", SIZES)
-    def test_smoothed_sum_matches_fsum_of_its_terms(self, cut, N):
-        n = np.arange(1, math.ceil(N) + 1, dtype=float)
-        for s in (0, 1):
-            ref = math.fsum((cut.eval(n / N) * n**s).tolist())
-            assert abs(_kernels.smoothed_sum_value(s, cut, N) - ref) <= 1e-12 * abs(ref)
+def reference_grandi(N, dps=50):
+    """(G, |G - 1/2|) of the bump at ``dps`` digits, each correctly rounded."""
+    with mp.workdps(dps):
+        G = mp.fsum(e if n % 2 else -e for n, e in enumerate(bump_terms(N, dps), 1))
+        return correctly_rounded(G), correctly_rounded(abs(G - mp.mpf(0.5)))
 
-    @pytest.mark.parametrize("cut", CUTOFFS)
-    @pytest.mark.parametrize("N", SIZES)
-    def test_alternating_sum_keeps_global_sign_parity(self, cut, N):
-        # the +eta, -eta pairs subtract exactly: within rounding of the fsum itself
-        terms = cut.eval(np.arange(1, math.ceil(N) + 1, dtype=float) / N).tolist()
-        ref = math.fsum(t if n % 2 else -t for n, t in enumerate(terms, start=1))
-        assert abs(_kernels.alternating_smoothed_value(cut, N) - ref) <= 1e-15
 
-    @pytest.mark.parametrize("cut", CUTOFFS)
-    @pytest.mark.parametrize("N", SIZES)
-    def test_doubled_sum_matches_fsum_of_its_terms(self, cut, N):
-        # the doubled sum sum 2n eta(2n/N) is twice the s = 1 sum at N/2
-        n = np.arange(1, math.ceil(N / 2.0) + 1, dtype=float)
-        ref = math.fsum((2.0 * n * cut.eval(2.0 * n / N)).tolist())
-        assert abs(doubled(cut, N) - ref) <= 1e-12 * abs(ref)
+def assert_sum_or_overflow(call, want):
+    """``call()`` is ``want``, or a typed overflow where the reference is past float64."""
+    if want is None:
+        with pytest.raises(NonFiniteResultError):
+            call()
+    else:
+        assert call() == want
 
-    @pytest.mark.parametrize("cut", ALL_CUTOFFS)
-    @pytest.mark.parametrize("N", SIZES + [153600.25])
-    def test_buffered_sums_are_bit_identical_to_fresh_chunks(self, cut, N):
-        # the in-place arithmetic against fresh arrays, over the one chunk the sums now take
-        for s in range(5):
-            ref = fresh_reference(lambda n: masked_eta(cut, n / N) * n**s, math.ceil(N))
-            assert _kernels.smoothed_sum_value(s, cut, N).hex() == ref.hex(), s
-        ref = fresh_reference(alternating_terms(cut, N), math.ceil(N))
-        assert _kernels.alternating_smoothed_value(cut, N).hex() == ref.hex()
-        ref = fresh_reference(lambda n: 2.0 * n * masked_eta(cut, 2.0 * n / N), math.ceil(N / 2.0))
-        assert doubled(cut, N).hex() == ref.hex()
 
-    def test_empty_range_is_zero(self):
-        assert _kernels.smoothed_sum_value(1, BUMP, 0.0) == 0.0
-        assert _kernels.alternating_smoothed_value(BUMP, 0.0) == 0.0
+class TestBumpSumLane:
+    """Below N_0(s) the bump's smoothed, Grandi and scaling sums are the eta pass's integer
+    totals, each correctly rounded, and numpy is never loaded."""
 
-    def test_overflow_is_a_quiet_non_finite_value(self):
-        # n^200 overflows float64: no RuntimeWarning escapes, the caller sees nan/inf
-        assert not math.isfinite(_kernels.smoothed_sum_value(200, BUMP, 1000.0))
+    @given(s=st.integers(0, 93), u=st.floats(0, 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_every_value_is_the_correctly_rounded_sum(self, s, u):
+        # N log-uniform in [1, N_0(s))
+        N0 = first_expansion_scale(s)
+        N = min(N0**u, math.nextafter(N0, 0))
+        assert_sum_or_overflow(lambda: smoothed_sum(s, BUMP, N), reference_sum(s, N))
+        G, deviation = grandi_with_deviation(BUMP, N)
+        want = reference_grandi(N)
+        if smoothed._bump_grandi_is_half(N):  # 0.5 is G rounded; 0.0 stands for its bound
+            assert (G, deviation) == (want[0], 0.0) == (0.5, 0.0)
+        else:
+            assert (G, deviation) == want
+        if N >= 2:
+            lhs, rhs, _ = scaling_counterexample(BUMP, N)
+            assert (lhs, rhs) == (2 * reference_sum(1, N / 2), 2 * reference_sum(1, N))
+
+    @pytest.mark.parametrize("s,N,want", [
+        (3000, 2.0004808405450554, 1.7166843741353017),  # eta(1/N) + eta(2/N) 2^3000, both ~1
+        (2000, 1.5, 0.4493289641172216),  # eta(2/3): n = 2 is not below N
+        (10**400, 1.5, 0.4493289641172216),
+        (0, 1.0001, 0.0),  # eta(1/N) ~ e^-5000 rounds to 0
+        (5, 1.0, 0.0),  # no n below N
+    ])
+    def test_crafted_sums(self, s, N, want):
+        assert smoothed_sum(s, BUMP, N) == want
+        if s < 10**4:
+            assert reference_sum(s, N) == want
+
+    @pytest.mark.parametrize("N", [1.0, 1.5, 2.5, 787.0])  # 1.0: no term, G = 0
+    def test_crafted_grandi_sums(self, N):
+        assert grandi_with_deviation(BUMP, N) == reference_grandi(N, dps=60)
+
+    @pytest.mark.parametrize("N", [2.0000000001, 3.5])
+    def test_overflow_is_decided_before_any_power(self, monkeypatch, N):
+        def no_pass(*args):
+            raise AssertionError("an overflowing sum reached the eta pass")
+
+        monkeypatch.setattr(smoothed, "_bump_totals", no_pass)
+        with pytest.raises(NonFiniteResultError, match="past float64 range"):
+            smoothed_sum(10**400, BUMP, N)
+        assert run(["smoothed", "--s", str(10**400), "--N", str(N)]) == 1
+
+    def test_a_start_past_the_bits_cap_is_refused_before_any_pass(self, monkeypatch, capsys):
+        s, N = 30000, 2.000048089256552  # ~30,066 bits to resolve eta(2/N) 2^30000 ~ 1
+        assert smoothed._bump_sum_bits(s, N) > smoothed.MAX_SUM_BITS
+        monkeypatch.setattr(smoothed, "_bump_totals", lambda *args: pytest.fail("a pass ran"))
+        with pytest.raises(PrecisionCapError):
+            smoothed_sum(s, BUMP, N)
+        assert run(["smoothed", "--s", str(s), "--N", str(N)]) == 2
+        assert "bump sum fixed-point bits" in capsys.readouterr().err
+
+    def test_no_numpy_at_any_scale(self, run_fresh):
+        # with numpy unimportable every call runs; scaling-demo takes N >= 2 (exit 2 at 1.5)
+        argvs = [[cmd, *(["--s", "2"] if cmd == "smoothed" else []), "--N", str(N)]
+                 for cmd in ("smoothed", "grandi", "scaling-demo")
+                 for N in (1.5, 2.5, 300, 787, 1e7)]
+        out = run_fresh("import contextlib, io, sys\n"
+                        "sys.modules['numpy'] = None\n"
+                        "from summa.cli import run\n"
+                        "with contextlib.redirect_stdout(io.StringIO()), "
+                        "contextlib.redirect_stderr(io.StringIO()):\n"
+                        f"    rcs = [run(a) for a in {argvs!r}]\n"
+                        "print(rcs)\n")
+        assert out == f"{[0] * 10 + [2] + [0] * 4}\n"
 
     def test_peak_memory_is_bounded_at_1e8_terms(self, run_fresh):
         # the bump's sum at 10^8 is its expansion at 0 and sums no terms: it must stay small.
@@ -259,7 +306,7 @@ class TestMomentBatch:
             spent.append(res[3])
             return res
 
-        monkeypatch.setattr(_kernels, "_adapt", recording)
+        monkeypatch.setattr(quadrature, "_adapt", recording)
         _kernels.moment_quad(self.CUT, 2, 1.0, self.LO, self.HI, self.TOL)
         return spent[-1]
 
