@@ -2,14 +2,14 @@
 
 The sums are the bump's fixed-point eta pass (``smoothed._bump_totals``), correctly
 rounded; ``smoothed`` calls them only below the scale where its Euler-Maclaurin expansion
-at 0 meets its bound, so with at most 3,787 terms (the Grandi sum below N ~ 788).  The
-integrals evaluate eta through ``cutoff.eval`` on whole arrays and run on the adaptive
-Gauss-Kronrod core of ``summa.quadrature``, which they alone import, with numpy.  The
-plate-energy cell sweep is one batch of at most 642 unit cells (~10k nodes a level):
-``casimir`` runs it only below N/lam ~ 642, where the bump's expansion of u_t does not yet
-meet its 2^-62 bound.  ``casimir.derivative_identities`` sends all its stencil gaps, at
-most 70, as one batch of moment integrals.  The doubled sum sum 2n eta(2n/N) is twice the
-s = 1 sum at N/2 (``smoothed.scaling_counterexample``).
+at 0 meets its bound and below a certain overflow, so with at most 3,386 terms (the Grandi
+sum below N ~ 788).  The integrals evaluate eta through ``cutoff.eval`` on whole arrays
+and run on the adaptive Gauss-Kronrod core of ``summa.quadrature``, which they alone
+import, with numpy.  The plate-energy cell sweep is one batch of at most 642 unit cells
+(~10k nodes a level): ``casimir`` runs it only below N/lam ~ 642, where the bump's
+expansion of u_t does not yet meet its 2^-62 bound.  ``casimir.derivative_identities``
+sends all its stencil gaps, at most 70, as one batch of moment integrals.  The doubled sum
+sum 2n eta(2n/N) is twice the s = 1 sum at N/2 (``smoothed.scaling_counterexample``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ QUAD_BUDGET = 10**6
 def smoothed_sum_value(s: int, cutoff: Cutoff, N: float) -> float:
     """sum_{1<=n<N} eta(n/N) n^s of the bump, correctly rounded: the eta pass's total at W
     bits is within 2 units a term, 2 L^(s+1) in all (L = ceil(N) - 1), and W doubles from
-    ``smoothed._bump_sum_bits`` up to ``smoothed.MAX_SUM_BITS``."""
+    ``smoothed._bump_sum_bits`` (a certain overflow refused first) to ``MAX_SUM_BITS``."""
     from ._fixed import round_rising
     from .smoothed import MAX_SUM_BITS, _bump_sum_bits, _bump_totals
 

@@ -13,15 +13,16 @@ on [0, 1] (poly:p, and the sharp indicator as p = 0), u_N is an exact
 rational in O(p) Bernoulli terms, computed in integers and rounded once
 (``_poly_ut``).  The bump has no closed form, but all its derivatives vanish
 at 1, so u_N is its Euler-Maclaurin expansion at 0 up to a remainder bounded
-from the bump's sup table (``cutoffs._bump_sup``, ``_bump_em_ut``): one
-rational in 14 terms, rounded once, wherever that bound is at most 2^-62 --
-at N/lam from ~642 -- and the cell sweep ``_kernels.ut_value`` over fewer
-cells below.  Which path runs is decided per scale by one integer comparison on
-N/lam; nothing else selects it.  As the smoothing scale N grows,
-u_N -> B_4/12 = -1/360 (with B_4 = -1/30), independent of the cutoff shape
-and of lam -- the dimensionless content of the plate-energy theorem.  The
-physical energy per unit area follows by the prefactor pi^2 hbar c / (2 d^3),
-giving -pi^2 hbar c / (720 d^3), and the force -d/dd of it, 3 E / d.
+from the bump's sup table: ``cutoffs.bump_em``'s integrated s = 3 case, the
+smoothed sum's terms each times -1/(2m+3).  It is one rational in 14 terms,
+rounded once, wherever that bound is at most 2^-62 -- at N/lam from ~642 --
+and the cell sweep ``_kernels.ut_value`` over fewer cells below.  Which path
+runs is decided per scale by that bound's exact test on N/lam; nothing else
+selects it.  As the smoothing scale N grows, u_N -> B_4/12 = -1/360 (with
+B_4 = -1/30), independent of the cutoff shape and of lam -- the dimensionless
+content of the plate-energy theorem.  The physical energy per unit area
+follows by the prefactor pi^2 hbar c / (2 d^3), giving -pi^2 hbar c / (720 d^3),
+and the force -d/dd of it, 3 E / d.
 
 Derivatives of F have closed forms: with L = N / lam,
 
@@ -46,11 +47,12 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .cutoffs import _EM_ORDER, Cutoff, _bump_sup, _em_factor, bump_taylor0, make_cutoff
+from .cutoffs import Cutoff, bump_em, make_cutoff
 from .errors import CutoffSmoothnessError, NonFiniteResultError
-from .exact import bernoulli, bernoulli_integers
+from .exact import bernoulli_integers
 
 __all__ = [
     "HBAR",
@@ -282,60 +284,15 @@ def _poly_ut(p: int, support: float) -> float:
         raise NonFiniteResultError(f"u_t at N/lam = {support!r} is past float64 range") from exc
 
 
-@functools.lru_cache(maxsize=1)
-def _bump_em_terms():
-    """Constants of ``_bump_em_ut``: (D, numerators, bound).
-
-    The term of order L^(4-2k) is B_2k e_(2k-4) / (2k (2k-1)) = numerators[k-2] / D, for
-    k = 2 .. J/2.  The e_2m = c_m are the bump's Taylor coefficients at 0
-    (``cutoffs.bump_taylor0``).  ``bound`` is a rational upper bound on
-    2 zeta(J) (2 pi)^-J 2^62 sup_[0, 1] |(x^2 eta)^(J-1)|: ``_em_factor`` times
-    A_(J-1)(2) (``cutoffs._bump_sup``) times 2^62.
-    """
-    J = _EM_ORDER
-    terms = [bernoulli(2 * k) * bump_taylor0(k - 2) / (2 * k * (2 * k - 1))
-             for k in range(2, J // 2 + 1)]
-    D = math.lcm(*(t.denominator for t in terms))
-    bound = _em_factor() * _bump_sup(2, J - 1) * 2**62
-    return D, tuple(t.numerator * (D // t.denominator) for t in terms), bound
-
-
-def _bump_em_ut(support: float):
-    """The bump's u_t at L = ``support`` from its Euler-Maclaurin expansion at 0, rounded once.
-
-    u_t = L^3 [sum_{n>=1} Phi(n/L) + Phi(0)/2 - L int_0^1 Phi] with
-    Phi(x) = int_x^1 y^2 eta(y) dy, and every derivative of the bump vanishes at 1, so
-    Euler-Maclaurin at 0 to order J (DLMF 2.10.1, 24.9), with
-    F^(2k-1)(0) = -(2k-2)! e_(2k-4) L^(4-2k), gives
-
-        u_t = sum_{k=2}^{J/2} B_2k e_(2k-4) / (2k (2k-1)) L^(4-2k) + R_J,
-        |R_J| <= 2 zeta(J) (2 pi)^-J L^(4-J) sup_[0, 1] |(x^2 eta)^(J-1)|,
-
-    the k = 2 term being B_4/12 = -1/360 and the k = 3 term -1/(1260 L^2).  With
-    L = a/b, b = 2^e, the sum is one integer over D a^(J-4), and int / int rounds it
-    once, correctly.  Returns None where the bound exceeds 2^-62, half an ulp of any
-    value in [2^-9, 2^-8) (|u_t| is within about 2 * 10^-9 of 1/360 wherever the bound
-    holds); the test is one integer comparison on a and b, and it holds exactly from
-    L = 641.80...  So a value returned is within 2^-62 + half an ulp of the true u_t.
-    """
-    a, b = support.as_integer_ratio()
-    e = b.bit_length() - 1
-    D, numerators, bound = _bump_em_terms()
-    if bound.numerator << (e * (_EM_ORDER - 4)) > bound.denominator * a ** (_EM_ORDER - 4):
-        return None
-    a2 = a * a
-    num = 0
-    for m, n in enumerate(numerators):  # sum_m n_m a^(2(M-m)) b^(2m) by Horner's rule in a^2
-        num = num * a2 + (n << (2 * m * e))
-    return num / (D * a2 ** (len(numerators) - 1))
+_UT_LIMIT = Fraction(1, 1 << 62)
 
 
 def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: bool):
     """u_t at each smoothing scale in ``scales``.
 
     Exact for a polynomial eta.  The bump takes its Euler-Maclaurin expansion wherever the
-    remainder bound is at most 2^-62 and the cell sweep below that, so a sweep has at
-    most 642 cells.
+    remainder bound is at most ``_UT_LIMIT`` = 2^-62, half an ulp of any value in [2^-9, 2^-8)
+    (|u_t| is there, from N/lam = 641.80...), and the cell sweep below, at most 642 cells.
     """
     if enforce_smoothness and cfg.cutoff.smoothness_order < 5:
         raise CutoffSmoothnessError(
@@ -346,12 +303,13 @@ def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: 
         return [_poly_ut(cfg.cutoff.p, N / cfg.lam) for N in scales]
     values = []
     for N in scales:
-        value = _bump_em_ut(N / cfg.lam)
-        if value is None:
+        terms = bump_em(3, N / cfg.lam, lambda s, L: _UT_LIMIT, integrated=True)
+        if terms is None:
             from . import _kernels
 
-            value = _kernels.ut_value(cfg.cutoff, cfg.lam, N, cfg.quad_tol)[0]
-        values.append(value)
+            values.append(_kernels.ut_value(cfg.cutoff, cfg.lam, N, cfg.quad_tol)[0])
+        else:
+            values.append(terms[0] / terms[1])
     return values
 
 
@@ -385,7 +343,7 @@ def u_t_dimensionless(cfg: CasimirConfig, *, enforce_smoothness: bool = True) ->
     is the exact rational rounded once (``_poly_ut``), so its only error is
     that rounding.  For the bump at N/lam from ~642 it is the
     Euler-Maclaurin expansion at 0, rounded once, within 2^-62 + half an ulp
-    of the true value (``_bump_em_ut``); below that the combination is
+    of the true value (``cutoffs.bump_em``); below that the combination is
     evaluated through an exact cell-by-cell regrouping that never forms the
     two large canceling pieces (see ``_kernels.ut_value``).  On every path the
     error estimate stays the N-halving difference, the distance of the value

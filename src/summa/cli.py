@@ -29,7 +29,7 @@ Faulhaber and Bernoulli sums, each rounded once.  So do the bump's
 whose every N / lambda is past ~642, where u_t is its
 Euler-Maclaurin expansion at 0, rounded once.  The bump's ``smoothed``,
 ``grandi`` and ``scaling-demo`` load no numpy at any N: each sum is its
-expansion at 0 (``smoothed._bump_em_sum``) past N_0(s), and the eta pass,
+expansion at 0 (``cutoffs.bump_em``, as u_t's) past N_0(s), and the eta pass,
 correctly rounded, below it (``_kernels.smoothed_sum_value``).
 """
 
@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import NonFiniteResultError, SummaError
+from .errors import CutoffSmoothnessError, NonFiniteResultError, SummaError
 from .exact import bernoulli, faulhaber
 
 if TYPE_CHECKING:
@@ -122,12 +122,12 @@ def _check_faulhaber_caps(s: int, cutoff, points) -> None:
 
 def _check_sum_caps(s: int, cutoff, N: float) -> None:
     """The caps of a smoothed sum to N (and N/2): those of the exact sums of poly:p and the
-    indicator, and the start bits of the bump's eta pass where its sum may not overflow."""
+    indicator, and the start bits of the bump's eta pass, after its certain overflow (exit 1)."""
     from . import smoothed
 
     if cutoff.kind != "bump":
         _check_faulhaber_caps(s, cutoff, [N])
-    elif not smoothed._bump_sum_overflows(s, N):
+    else:
         _check_cap("bump sum fixed-point bits", smoothed._bump_sum_bits(s, N),
                    smoothed.MAX_SUM_BITS)
 
@@ -459,7 +459,7 @@ def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
     at 0 from N / lambda ~ 642 and sweeps fewer cells below, so it has no
     cap; the exact u_t of poly:p and of the indicator (p = 0) reads
     B_0 .. B_{p+4}, and the digits of its integers have a root sum of squares
-    over the values of at most MAX_UT_DIGITS.
+    over the values of at most MAX_UT_DIGITS.  Below C^5 only casimir's indicator runs.
     """
     from . import casimir
 
@@ -478,6 +478,10 @@ def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
     root = math.isqrt(squares)
     _check_cap("exact u_t digits (p + 3) log10 max(a, b) at each L = N / lambda = a/b, "
                "root sum of squares", root + (root * root < squares), MAX_UT_DIGITS)
+    if cutoff.smoothness_order < 5 and (cutoff.kind == "poly" or args.subcommand != "casimir"):
+        raise CutoffSmoothnessError(
+            f"cutoff {cutoff.label!r} is below C^5, which u_t needs: use --cutoff bump or "
+            "poly:p with p >= 6; casimir --cutoff indicator runs the non-stabilizing contrast")
     return cfg
 
 
@@ -485,8 +489,7 @@ def _cmd_casimir(args):
     from . import casimir
 
     cfg = _make_casimir_config(args, casimir.ladder_scales(args.N, args.levels))
-    enforce = cfg.cutoff.kind != "indicator"
-    ladder = casimir.u_t_ladder(cfg, args.levels, enforce_smoothness=enforce)
+    ladder = casimir.u_t_ladder(cfg, args.levels, enforce_smoothness=False)  # refused above
     rows = [(N, r.value, r.error_estimate) for N, r in ladder]
     value = rows[-1][1]
     energy = casimir.energy_prefactor(cfg.d) * value

@@ -28,17 +28,18 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
 from .errors import CutoffSmoothnessError
-from .exact import PI_LOWER
+from .exact import PI_LOWER, bernoulli
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["BUMP_EDGE", "Cutoff", "bump_deriv", "bump_taylor0", "make_cutoff", "parse_cutoff",
-           "sharp_indicator"]
+__all__ = ["BUMP_EDGE", "Cutoff", "bump_deriv", "bump_em", "bump_taylor0", "make_cutoff",
+           "parse_cutoff", "sharp_indicator"]
 
 # Beyond this point the bump's exp() underflows to 0 long before the rational
 # prefactors of its derivatives overflow; treating the tail as exactly 0
@@ -49,10 +50,10 @@ BUMP_EDGE = 1.0 - 1e-12
 _BUMP_P: List[List[int]] = [[1]]
 # Cache of the bump's Taylor coefficients at 0 (index = power of x^2).
 _BUMP_TAYLOR: List[Fraction] = [Fraction(1)]
-# The order J of the bump's Euler-Maclaurin expansions at 0: its smoothed sums
-# (``smoothed._bump_em_sum``) and its plate energy (``casimir._bump_em_ut``).
+# The order J of the bump's Euler-Maclaurin expansions at 0 (``bump_em``): its smoothed sums,
+# the Grandi test and its plate energy u_t.
 _EM_ORDER = 30
-# ceil(log2 sup_[0, 1] |eta^(k)|) of the bump for k = 0 .. J, which bound both expansions'
+# ceil(log2 sup_[0, 1] |eta^(k)|) of the bump for k = 0 .. J, which bound the expansions'
 # remainders (``_bump_sup``).  tests/test_smoothed.py regenerates them from Bernstein bounds
 # on P_k on pieces of [0, 1] that grow geometrically in y = 1/(1 - x^2); the sups sampled at
 # 200 digits lie 0.3 to 0.7 bit below those bounds (2^269.73 at k = 30).
@@ -102,19 +103,67 @@ def bump_taylor0(m: int) -> Fraction:
     return _BUMP_TAYLOR[m]
 
 
-@functools.lru_cache(maxsize=1)
-def _em_factor():
-    """A rational upper bound on 2 zeta(J) (2 pi)^-J, J = _EM_ORDER: the Euler-Maclaurin
-    remainder's |B~_J| / J! (DLMF 24.9), with zeta(J) <= 1 + 2^(1-J) and pi > PI_LOWER."""
-    J = _EM_ORDER
-    return Fraction(2**J + 2, 2 ** (J - 1)) * (2 * PI_LOWER) ** -J
-
-
 def _bump_sup(s: int, k: int) -> int:
     """A_k(s) = sum_i C(k, i) s!/(s-i)! 2^_BUMP_LOG2_SUPS[k-i] >= sup_[0, 1] |(x^s eta)^(k)|,
     for k <= J: the Leibniz rule, with |(x^s)^(i)| <= s!/(s-i)! on [0, 1]."""
     return sum(math.comb(k, i) * math.perm(s, i) << _BUMP_LOG2_SUPS[k - i]
                for i in range(min(k, s) + 1))
+
+
+@functools.lru_cache
+def _bump_em_table(s: int, integrated: bool):
+    """(D, numerators, bound) of ``bump_em``: term m, c_m zeta(-k) = -c_m B_(k+1)/(k+1) at
+    k = s + 2m < J (times -1/k if ``integrated``), is numerators[m] / D x^(-2m), none of them
+    0 (no c_m is, and zeta(-k) is 0 at even k > 0 alone); ``bound`` (num, den) is at least
+    2 zeta(J) (2 pi)^-J (DLMF 24.9: zeta(J) <= 1 + 2^(1-J), pi > PI_LOWER) times A_J(s), or
+    A_(J-1)(s-1) if ``integrated``."""
+    J = _EM_ORDER
+    terms = [bump_taylor0((k - s) // 2) * bernoulli(k + 1) / (k + 1)
+             * (Fraction(1, k) if integrated else -1) for k in range(s, J if s % 2 else 1, 2)]
+    D = math.lcm(*(t.denominator for t in terms))
+    bound = (Fraction(2**J + 2, 2 ** (J - 1)) * (2 * PI_LOWER) ** -J
+             * (_bump_sup(s - 1, J - 1) if integrated else _bump_sup(s, J)))
+    return D, tuple(t.numerator * (D // t.denominator) for t in terms), bound.as_integer_ratio()
+
+
+def bump_em(s: int, x: float, limit, integrated: bool = False):
+    """The bump's Euler-Maclaurin expansion at 0 at scale x > 0: its terms' sum, exactly, as
+    (num, den), or None where its remainder bound exceeds ``limit(s, x)``, a Fraction.
+
+    f(y) = y^s eta(y/x) has every derivative 0 at y = x, and f = sum_m c_m x^(-2m) y^(s+2m)
+    near 0 (``bump_taylor0``), so Euler-Maclaurin at 0 to order J (DLMF 2.10.1, 24.9) gives,
+    with zeta(-n) = -B_(n+1)/(n+1) (B_1 = +1/2) and A_J(s) from ``_bump_sup``,
+
+        sum_{n>=1} f(n) = C_s x^(s+1) + sum_{m: s+2m+1 <= J} c_m zeta(-s-2m) x^(-2m) + R,
+        |R| <= 2 zeta(J) (2 pi)^-J x^(s+1-J) A_J(s);
+
+    the moment term C_s x^(s+1) is the caller's.  ``integrated`` takes
+    F(y) = int_y^x t^(s-1) eta(t/x) dt (s >= 1) instead: sum_{n>=1} F(n) + F(0)/2 - int_0^x F
+    is the same terms, each times -1/(s+2m), with no moment term and A_(J-1)(s-1) for A_J(s);
+    at s = 3 and x = N/lam it is the plate energy u_t = -1/360 - 1/(1260 x^2) + ....
+    With x = a/2^e the terms are one integer over D a^(2M) (Horner's rule in a^2), so
+    int / int rounds them once, correctly.  Float logs test the bound, and one integer
+    comparison where they are within 2^-20 of a tie, far above their few ulps of error.
+    Where x^J < 2^(s+1), by the bit lengths of a and b, None comes first: the bound is
+    above 2^180 (x/2)^(s+1) there, above each caller's limit, and no a^(s+1) is formed.
+    """
+    J = _EM_ORDER
+    a, b = x.as_integer_ratio()
+    e = b.bit_length() - 1
+    if s + 1 >= J * (a.bit_length() - e):
+        return None
+    D, numerators, (p, q) = _bump_em_table(s, integrated)
+    u, v = limit(s, x).as_integer_ratio()
+    k = J - s - 1  # bound x^-k <= limit: p v 2^(ek) <= q u a^k, in integers near a tie only
+    gap = math.log2(p) + math.log2(v) - math.log2(q) - math.log2(u) - k * math.log2(x) if u else 1
+    if abs(gap) < 2**-20:
+        gap = (p * v << e * k) - q * u * a**k if k >= 0 else p * v * a**-k - (q * u << -e * k)
+    if gap > 0:
+        return None
+    a2, num = a * a, 0
+    for n in map(operator.lshift, numerators, range(0, 2 * J * e, 2 * e)) if e else numerators:
+        num = num * a2 + n  # sum_m n_m a^(2(M-m)) b^(2m)
+    return num, D * a2 ** max(len(numerators) - 1, 0)
 
 
 def _horner(c: List[int], x: np.ndarray) -> np.ndarray:
@@ -170,8 +219,8 @@ class Cutoff:
     The kernels take the cutoff itself and evaluate it through ``eval``.
     Each subclass supplies its float formula (``_eval_array``, which writes
     eta into a given array), its analytic derivatives (``_deriv_array``) and
-    its mpmath formula (``eval_mp``); the bump also has a fixed-point integer
-    pass (``eval_fixed``) for its exact drift.
+    its mpmath formula (``eval_mp``, the tests' reference: mpmath is a ``test`` extra);
+    the bump also has a fixed-point integer pass (``eval_fixed``) for its exact drift.
     ``smoothness_order`` is math.inf for the bump, p - 1 for poly:p and -1
     for the sharp indicator.
     """
@@ -234,7 +283,7 @@ class Cutoff:
         raise NotImplementedError
 
     def eval_mp(self, x):
-        """eta(x) in mpmath arithmetic: the reference of the exact paths' tests."""
+        """eta(x) in mpmath, from the ``test`` extra: the exact paths' tests' reference."""
         raise NotImplementedError
 
     def mellin_exact(self, s: int) -> Optional[Fraction]:

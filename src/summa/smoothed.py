@@ -32,9 +32,11 @@ sum itself, the Grandi sum and both sides of the scaling counterexample are
 rationals, each rounded once, at any N; the sharp indicator's are Faulhaber
 sums S_s(floor(N)).  The bump's sum is its Euler-Maclaurin expansion at 0,
 C_s N^(s+1) plus at most 15 zeta terms, wherever the remainder bound is at
-most 2^-62 of the value (``_bump_em_sum``: from N ~ 370 at s = 0, ~ 388 at
-s = 1), and its Grandi sum is exactly 1/2 from N ~ 788.  Below that, the
-drifts' eta pass (``_kernels``) sums at most 3,787 terms, correctly rounded.
+most 2^-62 of the value (``cutoffs.bump_em``, whose integrated s = 3 case is
+the plate energy u_t: from N ~ 370 at s = 0, ~ 388 at s = 1), and its Grandi
+sum is exactly 1/2 from N ~ 788.  Below that, the drifts' eta pass
+(``_kernels``) sums at most 3,386 terms, correctly rounded: from s = 89 on, a sum
+past N_0(s) certainly overflows.
 numpy is imported by the pairings and delta sequences only.
 """
 
@@ -45,10 +47,9 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
-from .cutoffs import (_EM_ORDER, Cutoff, _bump_sup, _em_factor, bump_deriv, bump_taylor0,
-                      make_cutoff)
+from .cutoffs import Cutoff, bump_deriv, bump_em, make_cutoff
 from .errors import CutoffSmoothnessError, NonFiniteResultError
-from .exact import bernoulli, bernoulli_integers, faulhaber, faulhaber_numerator, to_floats
+from .exact import bernoulli_integers, faulhaber, faulhaber_numerator, to_floats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,28 +77,28 @@ MAX_SUM_BITS = 4096
 def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
     """sum_{n=1}^{ceil(N)} eta(n/N) n^s; terms with n/N >= 1 contribute 0.
 
-    For poly:p and the sharp indicator the exact rational, rounded once
-    (``_exact_sum``).  For the bump an error where it certainly overflows,
-    before any O(s) or O(N) work, the expansion at 0 where its remainder bound
-    allows (``_bump_em_sum``), and the eta pass, correctly rounded, below that;
-    a pass that would start past ``MAX_SUM_BITS`` raises PrecisionCapError.
+    For poly:p and the sharp indicator the exact rational, rounded once (``_exact_sum``).
+    For the bump an error where it certainly overflows, before any O(s) or O(N) work
+    (``_bump_sum_bits``); past N_0(s) its expansion at 0 (``cutoffs.bump_em`` within
+    ``_bump_sum_limit``) plus C_s N^(s+1), C_s ``_bump_moment`` at 30 digits, exact and
+    rounded once, so within 2^-62 |V| + half an ulp of the true V; below N_0(s) the eta
+    pass, correctly rounded, or PrecisionCapError where it would start past MAX_SUM_BITS.
     """
     if s < 0:
         raise ValueError(f"smoothed_sum requires s >= 0, got {s}")
     if N < 1:
         raise ValueError(f"smoothed_sum requires N >= 1, got {N}")
-    what = f"the smoothed sum of s = {s} on {cutoff.label} at N = {N} is"
     if cutoff.kind != "bump":
         exact = _exact_sum(s, cutoff, N)
-    elif _bump_sum_overflows(s, N):
-        raise NonFiniteResultError(f"{what} past float64 range")
     else:
-        exact = _bump_em_sum(s, N)
-        if exact is None:  # below N_0(s): at most 3,787 terms (at s = 93)
+        _bump_sum_bits(s, N)  # NonFiniteResultError where the sum certainly overflows
+        terms = bump_em(s, N, _bump_sum_limit)
+        if terms is None:  # below N_0(s): at most 3,386 terms (at s = 89)
             from . import _kernels
 
             return _kernels.smoothed_sum_value(s, cutoff, N)
-    value, = to_floats([exact], what)
+        exact = Fraction(*terms) + _bump_moment(s, 20) * Fraction(N) ** (s + 1)
+    value, = to_floats([exact], f"the smoothed sum of s = {s} on {cutoff.label} at N = {N} is")
     return value
 
 
@@ -112,82 +113,48 @@ def _exact_sum(s: int, cutoff: Cutoff, N) -> Fraction:
     return _poly_sum(s, cutoff.p, N)
 
 
-def _bump_sum_overflows(s: int, N: float) -> bool:
-    """True where the bump's S_s(N) is certainly past float64 range: O(1) work at any s.
-
-    eta >= e^(-1/3) on [0, 1/2], and sum_{n<=M} n^s >= M^(s+1)/(s+1), so
-    S_s(N) >= (7/10) M^(s+1)/(s+1) with M = floor(N/2).  Its log2 is above
-    (s+1) log2 M - log2(s+1) - 0.52, and a value of 2^1024 rounds to inf; the
-    half bit of slack covers the float logs' rounding.  Below N = 4 the terms n = 2, 3
-    below N are bounded alone, by ``_log2_eta``.  The products are taken on the exact
-    rationals of the logs, so an s past float64 range forms no power n^s.
-    """
-    M = math.floor(N / 2)
-    if M > 1:
-        return (s + 1) * Fraction(math.log2(M)) - Fraction(math.log2(s + 1)) >= 1025
-    return any(s * Fraction(math.log2(n)) + Fraction(_log2_eta(n, N)) >= 1025
-               for n in (2, 3) if n < N)
-
-
-def _log2_eta(n: int, N: float) -> float:
-    """A lower bound on log2 eta(n/N), 1 <= n < N: -log2(e) n^2 / (N^2 - n^2), the quotient
-    exact before its one rounding, and 2^-40 of it to spare for the float product's."""
-    q = float(n * n / (Fraction(N) ** 2 - n * n))
-    return -1.4426950408889634 * q * (1 + 2**-40)
+def _bump_sum_limit(s: int, x: float) -> Fraction:
+    """``bump_em``'s limit for S_s(x), met from N_0(s): 2^-62 of (7/10) (x/2 - 1)^(s+1)/(s+1),
+    0 at x <= 2, ``_bump_sum_bits``' lower bound on the sum with floor(x/2) >= x/2 - 1."""
+    return Fraction(7, 10 * (s + 1) << (s + 63)) * max(Fraction(x) - 2, 0) ** (s + 1)
 
 
 def _bump_sum_bits(s: int, N: float) -> int:
-    """The bits W at which the bump's eta pass for S_s(N) starts, from logs of s and N alone,
-    where the sum does not certainly overflow.  The pass's total is within E = 2 L^(s+1)
-    units, L = ceil(N) - 1 the last n, and W puts E 2^-W 10 bits below the float grain,
-    2^-53 S or 2^-1075, at a lower bound S on the sum: its largest term eta(n/N) n^s, at an
-    integer either side of N x, x^2 = (s + 1 - sqrt(2s + 1)) / s the peak of x^s eta(x) (the
-    log of a term is concave in n).  At L = 1 the one term is eta(1/N), whatever s is."""
-    L = math.ceil(N) - 1
+    """The bits W at which the bump's eta pass for S_s(N) starts, from logs of s and N alone;
+    first NonFiniteResultError where a lower bound on log2 S_s(N), on the exact rationals of
+    float logs (so no power n^s is formed at any s), is 1025 or more: 2^1024 rounds to inf,
+    and the half bit spare covers the logs' rounding.  Below N = 4 the bound is the largest
+    of its at most three terms.  From there the O(1) bound comes first: eta >= e^(-1/3) on
+    [0, 1/2], so S_s(N) >= (7/10) M^(s+1)/(s+1), M = floor(N/2), of log2 above
+    (s+1) log2 M - log2(s+1) - 0.52; then the largest term eta(n/N) n^s, at an integer either
+    side of N x, x^2 = (s + 1 - sqrt(2s + 1)) / s the peak of x^s eta(x) (a term's log is
+    concave in n).  The pass's total is within 2 L^(s+1) units, L = ceil(N) - 1 the last n,
+    and W puts that 10 bits below the float grain, 2^-53 S or 2^-1075, at the largest term S.
+    """
+    def exact(c, f, g):  # c f - g on the exact rationals of the floats f and g
+        (p, q), (u, v) = f.as_integer_ratio(), g.as_integer_ratio()
+        return Fraction(c * p * v - u * q, q * v)
+
+    def log2_term(n):  # log2 eta(n/N) >= -log2(e) n^2 / (N^2 - n^2), 2^-40 spare for floats
+        nb2 = (n * b) ** 2
+        return exact(s, math.log2(n), 1.4426950408889634 * (nb2 / (a * a - nb2)) * (1 + 2**-40))
+
+    (a, b), M, L = N.as_integer_ratio(), math.floor(N / 2), math.ceil(N) - 1
     if L < 1:
         return 53  # no term: the sum is 0 at any W
-    s = s if L > 1 else 0
-    peak = N * math.sqrt((s + 1 - math.sqrt(2 * s + 1)) / s) if s else 1.0
-    log2_term = max(s * math.log2(n) + _log2_eta(n, N)
-                    for n in {min(max(k, 1), L) for k in (math.floor(peak), math.ceil(peak))})
-    return 10 + math.ceil(1 + (s + 1) * math.log2(L) + min(53 - log2_term, 1075))
-
-
-def _bump_em_sum(s: int, N: float):
-    """The bump's S_s(N) from its Euler-Maclaurin expansion at 0, as an exact rational;
-    None where its remainder bound is above 2^-62 of a lower bound on the value.
-
-    f(x) = x^s eta(x/N) has every derivative 0 at x = N, and near 0
-    f = sum_m c_m N^(-2m) x^(s+2m) (``cutoffs.bump_taylor0``), so Euler-Maclaurin at 0
-    to order J (DLMF 2.10.1, 24.9) gives, with zeta(-n) = -B_(n+1)/(n+1) (B_1 = +1/2),
-
-        S_s(N) = C_s N^(s+1) + sum_{m: s+2m+1 <= J} c_m zeta(-s-2m) N^(-2m) + R,
-        |R| <= 2 zeta(J) (2 pi)^-J N^(s+1-J) A_J(s).
-
-    For even s every zeta term vanishes but s = 0's -1/2, the -f(0)/2.  A_J(s)
-    (``cutoffs._bump_sup``) bounds sup_[0, 1] |(x^s eta)^(J)|.  The value is at least
-    (7/10) (N/2 - 1)^(s+1)/(s+1) (as in ``_bump_sum_overflows``, with
-    floor(N/2) >= N/2 - 1), and the expansion runs where the bound is at most 2^-62 of
-    that: one comparison of rationals, which holds from some N on at each s.  It cannot
-    hold where 2^(s+1) >= N^J, which the bit lengths of N decide first.  C_s is
-    ``_bump_moment`` at 30 digits; the expansion runs at s <= 93 only, since from s = 94
-    on a sum past N_0(s) certainly overflows.  The sum is returned exact, so once rounded
-    it is within 2^-62 |V| + half an ulp of the true V.
-    """
-    J = _EM_ORDER
-    a, b = N.as_integer_ratio()
-    if N <= 2 or s + 1 >= J * (a.bit_length() - b.bit_length() + 1):
-        return None
-    x = Fraction(a, b)
-    if (_em_factor() * _bump_sup(s, J) * (s + 1) * 10 * 2 ** (s + 63) * x ** (s + 1 - J)
-            > 7 * (x - 2) ** (s + 1)):
-        return None
-    value = _bump_moment(s, 20) * x ** (s + 1)
-    for m in range((J - s + 1) // 2):
-        B = bernoulli(s + 2 * m + 1)
-        if B:
-            value -= bump_taylor0(m) * B / (s + 2 * m + 1) / x ** (2 * m)
-    return value
+    if M < 2:  # N < 4: at most three terms, at any s
+        log2_low = max(log2_term(n) for n in range(1, L + 1))
+    else:
+        log2_low = exact(s + 1, math.log2(M), math.log2(s + 1))
+        if log2_low < 1025:  # so s is below ~1,040
+            peak = N * math.sqrt((s + 1 - math.sqrt(2 * s + 1)) / s) if s else 1.0
+            log2_low = max(log2_term(n) for n in {min(max(k, 1), L)
+                                                  for k in (math.floor(peak), math.ceil(peak))})
+    if log2_low >= 1025:
+        raise NonFiniteResultError(f"the smoothed sum of s = {s} on bump at N = {N} is past "
+                                   "float64 range")
+    return 10 + math.ceil(1 + (s + 1 if L > 1 else 0) * math.log2(L)
+                          + min(53 - float(log2_low), 1075))
 
 
 class AsymptoticFit(NamedTuple):
@@ -512,10 +479,10 @@ def grandi_with_deviation(cutoff: Cutoff, N: float) -> Tuple[float, float]:
     G = S_0(N) - 2 S_0(N/2), S_0 the smoothed sum of n^0: the even terms
     eta(2m/N) are eta(m/(N/2)).  For poly:p both are exact, and G and
     |G - 1/2| are each rounded once.  For the bump, the expansion at 0
-    (``_bump_em_sum``) gives G = 1/2 + R(N) - 2 R(N/2), and its remainder
+    (``cutoffs.bump_em``) gives G = 1/2 + R(N) - 2 R(N/2), and its remainder
     bound falls with N, so |G - 1/2| <= 3 bound(N/2).  Where that is at most
-    2^-56, below half an ulp of any float near 1/2, G rounds to exactly 0.5
-    and the pair is (0.5, 0.0): the true deviation is below the bound, not 0.
+    2^-56, below half an ulp of any float near 1/2 (from N ~ 788), G rounds to
+    exactly 0.5 and the pair is (0.5, 0.0): the true deviation is below the bound, not 0.
     Below that, G and |G - 1/2| are the eta pass's, each correctly rounded.
     """
     if N < 1:
@@ -530,19 +497,11 @@ def grandi_with_deviation(cutoff: Cutoff, N: float) -> Tuple[float, float]:
         value, deviation = to_floats([G, abs(G - Fraction(1, 2))],
                                      f"the Grandi sum on {cutoff.label} at N = {N} is")
         return value, deviation
-    if _bump_grandi_is_half(N):
+    if bump_em(0, N / 2, lambda s, x: Fraction(1, 3 << 56)) is not None:
         return 0.5, 0.0
     from . import _kernels
 
     return _kernels.alternating_smoothed_value(cutoff, N)
-
-
-def _bump_grandi_is_half(N: float) -> bool:
-    """True where 3 bound(N/2) <= 2^-56 for the bump, bound(x) = 2 zeta(J) (2 pi)^-J
-    x^(1-J) A_J(0) the remainder bound of S_0(x) (``_bump_em_sum``): one comparison of
-    rationals."""
-    J = _EM_ORDER
-    return 3 * _em_factor() * _bump_sup(0, J) * 2**56 <= (Fraction(N) / 2) ** (J - 1)
 
 
 def scaling_counterexample(cutoff: Cutoff, N: float):

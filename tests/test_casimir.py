@@ -19,13 +19,20 @@ from summa.casimir import (
     u_t_dimensionless,
     u_t_ladder,
 )
-from summa.cutoffs import make_cutoff, sharp_indicator
+from summa.cutoffs import _EM_ORDER, bump_em, make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
 
 from _bump_bounds import geometric_points
 from _mellin import mellin
 
 LIMIT = -1.0 / 360.0
+
+
+def expansion_ut(L):
+    """The bump's u_t at N/lam = L from its expansion at 0, rounded once; None below its
+    2^-62 bound."""
+    terms = bump_em(3, L, lambda s, x: casimir_module._UT_LIMIT, integrated=True)
+    return None if terms is None else terms[0] / terms[1]
 
 
 def exact_poly_F(n, p, lam, N):
@@ -292,7 +299,7 @@ class TestUt:
         monkeypatch.setattr(_kernels, "ut_value", no_sweep)
         for N, lam in [(20.0, 1e-9), (1e6 + 0.5, 1.0), (1e300, 1e-5)]:
             r = u_t_dimensionless(CasimirConfig(N=N, lam=lam, cutoff=make_cutoff("bump")))
-            assert r.value == casimir_module._bump_em_ut(N / lam)
+            assert r.value == expansion_ut(N / lam)
             assert r.value == pytest.approx(LIMIT, rel=1e-12)
         # the exact u_t of poly:6 at 2 * 10^10 cells
         r = u_t_dimensionless(CasimirConfig(N=20.0, lam=1e-9, cutoff=make_cutoff("poly", 6)))
@@ -371,7 +378,7 @@ def _em_reference(L, dps=50):
     with mp.workdps(dps):
         L = mp.mpf(L)
         return sum(mp.bernoulli(2 * k) / (2 * k * (2 * k - 1)) * mp.laguerre(k - 2, -1, 1)
-                   * L ** (4 - 2 * k) for k in range(2, casimir_module._EM_ORDER // 2 + 1))
+                   * L ** (4 - 2 * k) for k in range(2, _EM_ORDER // 2 + 1))
 
 
 class TestBumpExpansion:
@@ -385,7 +392,7 @@ class TestBumpExpansion:
 
         from summa.cutoffs import _bump_sup
 
-        K = casimir_module._EM_ORDER - 1
+        K = _EM_ORDER - 1
         q, E = _q_poly(K)[::-1], 24
         peak = 0
         with mp.workdps(60):
@@ -399,7 +406,7 @@ class TestBumpExpansion:
     def test_q_is_the_derivative(self):
         import mpmath as mp
 
-        K = casimir_module._EM_ORDER - 1
+        K = _EM_ORDER - 1
         q = _q_poly(K)
         with mp.workdps(60):
             for x in (mp.mpf("0.3"), mp.mpf("0.8")):
@@ -414,7 +421,7 @@ class TestBumpExpansion:
         lo, hi = 500.0, 1000.0  # the first float whose bound meets 2^-62
         while math.nextafter(lo, hi) < hi:
             mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if casimir_module._bump_em_ut(mid) is None else (lo, mid)
+            lo, hi = (mid, hi) if expansion_ut(mid) is None else (lo, mid)
         assert 641 < hi < 642
         sweeps = []
         real = _kernels.ut_value

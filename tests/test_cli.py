@@ -16,6 +16,8 @@ from summa import _kernels, casimir, cli, errors, euler_maclaurin, series, smoot
 from summa.cli import build_parser, run
 from summa.errors import NonFiniteResultError
 
+from test_casimir import expansion_ut
+
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
@@ -191,6 +193,21 @@ class TestErrors:
                                           "--grid", "100,200,400,800"])
         assert rc == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["casimir", "--cutoff", "poly:3"],
+        ["casimir-force", "--cutoff", "poly:5"],
+        ["casimir-force", "--cutoff", "indicator"],
+    ])
+    def test_a_rough_plate_cutoff_names_the_cli_choices(self, capsys, argv):
+        # u_t needs C^5: the error names the cutoffs that have it and the contrast run, not
+        # the library's enforce_smoothness keyword
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: CutoffSmoothnessError: ") and "C^5" in err
+        assert "--cutoff bump or poly:p with p >= 6" in err
+        assert "casimir --cutoff indicator" in err and "enforce_smoothness" not in err
+        assert run_capture(capsys, ["casimir", "--cutoff", "indicator", "--N", "100"])[0] == 0
 
     def test_usage_error_from_argparse(self, capsys):
         rc, _, _ = run_capture(capsys, ["bernoulli"])  # missing --k
@@ -406,7 +423,7 @@ class TestErrors:
             return
         for N in ("1000000", "1e12"):
             result = run_json(capsys, [name, "--N", N])["result"]
-            u = casimir._bump_em_ut(float(N))
+            u = expansion_ut(float(N))
             energy = casimir.energy_prefactor(1e-6) * u
             expected = energy if name == "casimir" else 3.0 * energy / 1e-6
             assert result["limit" if name == "casimir" else "force"] == expected

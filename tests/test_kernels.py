@@ -1,6 +1,6 @@
 """The kernels: the bump's sums below N_0(s), the eta formulas and the plate-energy cell sweep.
 
-``smoothed`` asks the sums for at most 3,787 terms (the bump below its expansion's
+``smoothed`` asks the sums for at most 3,386 terms (the bump below its expansion's
 threshold), each an exact eta pass correctly rounded; the sweep runs below N/lam ~ 641.80,
 so over at most 642 cells.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from summa import _kernels, quadrature, smoothed
 from summa.cli import run
-from summa.cutoffs import BUMP_EDGE, make_cutoff, sharp_indicator
+from summa.cutoffs import BUMP_EDGE, bump_em, make_cutoff, sharp_indicator
 from summa.errors import NonFiniteResultError, PrecisionCapError, QuadratureError
 from summa.quadrature import MID_NODE, _adapt, _gk15, integrate
 from summa.smoothed import grandi_with_deviation, scaling_counterexample, smoothed_sum
@@ -97,7 +97,8 @@ class TestBumpSumLane:
         assert_sum_or_overflow(lambda: smoothed_sum(s, BUMP, N), reference_sum(s, N))
         G, deviation = grandi_with_deviation(BUMP, N)
         want = reference_grandi(N)
-        if smoothed._bump_grandi_is_half(N):  # 0.5 is G rounded; 0.0 stands for its bound
+        # where 3 bound(N/2) <= 2^-56, 0.5 is G rounded and 0.0 stands for its bound
+        if bump_em(0, N / 2, lambda s, x: Fraction(1, 3 << 56)) is not None:
             assert (G, deviation) == (want[0], 0.0) == (0.5, 0.0)
         else:
             assert (G, deviation) == want

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from summa import euler_maclaurin, smoothed
 from summa.cli import MAX_EXTRACT_S
-from summa.cutoffs import BumpCutoff, make_cutoff, sharp_indicator
+from summa.cutoffs import BumpCutoff, bump_em, bump_taylor0, make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError, NonFiniteResultError
 from summa.exact import bernoulli, faulhaber
 from summa.smoothed import (
@@ -126,10 +126,15 @@ class TestExactIndicatorLane:
 
 
 J = 30  # cutoffs._EM_ORDER, checked in TestBumpExpansion
-# the most terms a kernel sums for the bump (docs/work_caps.md): at s = 93, just below
-# N_0(93) ~ 3,786.97; from s = 94 on the certain overflow comes first
-KERNEL_MAX_TERMS = 3787
+# the most terms a kernel sums for the bump (docs/work_caps.md): at s = 89, just below its
+# certain overflow at N ~ 3,385.66; from s = 89 on that overflow comes before N_0(s)
+KERNEL_MAX_TERMS = 3386
 _FIRST_EXPANSION_SCALE: dict = {}
+
+
+def expands(s, N):
+    """True where the bump's S_s(N) is its expansion at 0, if it does not overflow."""
+    return bump_em(s, N, smoothed._bump_sum_limit) is not None
 
 
 def first_expansion_scale(s):
@@ -138,7 +143,7 @@ def first_expansion_scale(s):
         lo, hi = 1.0, 1e6
         while math.nextafter(lo, hi) < hi:
             mid = (lo + hi) / 2
-            lo, hi = (lo, mid) if smoothed._bump_em_sum(s, mid) is not None else (mid, hi)
+            lo, hi = (lo, mid) if expands(s, mid) else (mid, hi)
         _FIRST_EXPANSION_SCALE[s] = hi
     return _FIRST_EXPANSION_SCALE[s]
 
@@ -183,13 +188,40 @@ class TestBumpExpansion:
             assert hi <= 2**shipped and lo > 2 ** (shipped - 1), k
 
     def test_taylor_coefficients_are_the_laguerre_values(self):
-        from summa.cutoffs import bump_taylor0
-
         with mp.workdps(50):
             for m in range(J // 2 + 1):
                 c = bump_taylor0(m)
                 assert abs(mp.mpf(c.numerator) / c.denominator - mp.laguerre(m, -1, 1)) <= (
                     mp.mpf(10) ** -45), m
+
+    def test_the_u_t_terms_are_the_s3_sum_terms_integrated(self):
+        # one table per kind: u_t's term m is the s = 3 sum's times -1/(2m+3), exactly
+        from summa.cutoffs import _bump_em_table
+
+        D_sum, sum_terms, _ = _bump_em_table(3, False)
+        D_ut, ut_terms, _ = _bump_em_table(3, True)
+        assert len(ut_terms) == len(sum_terms) == 14
+        for m, (t_sum, t_ut) in enumerate(zip(sum_terms, ut_terms)):
+            assert Fraction(t_ut, D_ut) == -Fraction(t_sum, D_sum) / (2 * m + 3)
+            assert Fraction(t_ut, D_ut) == (bernoulli(2 * m + 4) * bump_taylor0(m)
+                                            / ((2 * m + 4) * (2 * m + 3)))
+        assert Fraction(ut_terms[0], D_ut) == Fraction(-1, 360)
+
+    @pytest.mark.parametrize("s,integrated,limit,x", [
+        *[(s, False, smoothed._bump_sum_limit, None) for s in (0, 1, 3, 10)],
+        (3, True, lambda s, x: Fraction(1, 1 << 62), 641.8010240145408),  # u_t's L_0
+        (0, False, lambda s, x: Fraction(1, 3 << 56), 788.0108460053535 / 2),  # Grandi's N/2
+    ])
+    def test_each_switch_point_is_the_exact_comparison(self, s, integrated, limit, x):
+        # float logs decide away from a tie only: at each switch point and the float below
+        # it, bump_em's choice is bound x^(s+1-J) <= limit on the rationals
+        from summa.cutoffs import _bump_em_table
+
+        x = x or first_expansion_scale(s)
+        bound = Fraction(*_bump_em_table(s, integrated)[2])
+        for y, holds in ((x, True), (math.nextafter(x, 0), False)):
+            assert (bound * Fraction(y) ** (s + 1 - J) <= limit(s, y)) == holds
+            assert (bump_em(s, y, limit, integrated) is not None) == holds
 
     def test_thresholds(self):
         # N_0 at s = 0, 1, 3, 10, and where the Grandi sum becomes exactly 1/2
@@ -244,7 +276,7 @@ class TestBumpExpansion:
         monkeypatch.setattr(_kernels, "smoothed_sum_value", no_work)
         monkeypatch.setattr(smoothed, "_bump_moment", no_work)
         for s, N in [(10**6, 1e6), (10**30, 1e6), (10**400, 4.0), (94, 3787.0), (1, 1e300),
-                     (200, 1000.0)]:
+                     (200, 1000.0), (93, 3786.96), (93, 3000.0)]:
             with pytest.raises(NonFiniteResultError, match="past float64 range"):
                 smoothed_sum(s, make_cutoff("bump"), N)
 
@@ -255,7 +287,11 @@ class TestBumpExpansion:
         def kernel_terms(s, k):
             # a kernel sums ceil(N) = k terms just above N = k - 1, if neither path takes N
             N = math.nextafter(k - 1, math.inf)
-            return not smoothed._bump_sum_overflows(s, N) and smoothed._bump_em_sum(s, N) is None
+            try:
+                smoothed._bump_sum_bits(s, N)
+            except NonFiniteResultError:
+                return False
+            return not expands(s, N)
 
         worst = (0, None)
         for s in range(0, 400):  # past s ~ 150 the overflow comes within ~230 terms
@@ -264,7 +300,7 @@ class TestBumpExpansion:
                 mid = (lo + hi) // 2
                 lo, hi = (mid, hi) if kernel_terms(s, mid) else (lo, mid)
             worst = max(worst, (lo, s))
-        assert worst == (KERNEL_MAX_TERMS, 93)
+        assert worst == (KERNEL_MAX_TERMS, 89)
         # and through the public functions, the kernels never see more
         from summa import _kernels
 
