@@ -459,7 +459,7 @@ def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
     at 0 from N / lambda ~ 642 and sweeps fewer cells below, so it has no
     cap; the exact u_t of poly:p and of the indicator (p = 0) reads
     B_0 .. B_{p+4}, and the digits of its integers have a root sum of squares
-    over the values of at most MAX_UT_DIGITS.  Below C^5 only casimir's indicator runs.
+    over the values of at most MAX_UT_DIGITS.
     """
     from . import casimir
 
@@ -478,18 +478,27 @@ def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
     root = math.isqrt(squares)
     _check_cap("exact u_t digits (p + 3) log10 max(a, b) at each L = N / lambda = a/b, "
                "root sum of squares", root + (root * root < squares), MAX_UT_DIGITS)
-    if cutoff.smoothness_order < 5 and (cutoff.kind == "poly" or args.subcommand != "casimir"):
+    return cfg
+
+
+def _plate_run(cutoff, compute):
+    """``compute()``, with the library's refusal of a cutoff below C^5 in the CLI's terms."""
+    try:
+        return compute()
+    except CutoffSmoothnessError as exc:
         raise CutoffSmoothnessError(
             f"cutoff {cutoff.label!r} is below C^5, which u_t needs: use --cutoff bump or "
-            "poly:p with p >= 6; casimir --cutoff indicator runs the non-stabilizing contrast")
-    return cfg
+            "poly:p with p >= 6; casimir --cutoff indicator runs the non-stabilizing contrast"
+        ) from exc
 
 
 def _cmd_casimir(args):
     from . import casimir
 
     cfg = _make_casimir_config(args, casimir.ladder_scales(args.N, args.levels))
-    ladder = casimir.u_t_ladder(cfg, args.levels, enforce_smoothness=False)  # refused above
+    enforce = cfg.cutoff.kind != "indicator"
+    ladder = _plate_run(cfg.cutoff, lambda: casimir.u_t_ladder(cfg, args.levels,
+                                                               enforce_smoothness=enforce))
     rows = [(N, r.value, r.error_estimate) for N, r in ladder]
     value = rows[-1][1]
     energy = casimir.energy_prefactor(cfg.d) * value
@@ -508,7 +517,7 @@ def _cmd_casimir_force(args):
     from . import casimir
 
     cfg = _make_casimir_config(args, [args.N])
-    force = casimir.casimir_force(args.d, cfg)
+    force = _plate_run(cfg.cutoff, lambda: casimir.casimir_force(args.d, cfg))
     closed = casimir.closed_form_force(args.d)
     result = {"force": force, "closed_form": closed,
               "relative_error": abs(force - closed) / abs(closed)}

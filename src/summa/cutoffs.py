@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
@@ -142,8 +141,7 @@ def bump_em(s: int, x: float, limit, integrated: bool = False):
     is the same terms, each times -1/(s+2m), with no moment term and A_(J-1)(s-1) for A_J(s);
     at s = 3 and x = N/lam it is the plate energy u_t = -1/360 - 1/(1260 x^2) + ....
     With x = a/2^e the terms are one integer over D a^(2M) (Horner's rule in a^2), so
-    int / int rounds them once, correctly.  Float logs test the bound, and one integer
-    comparison where they are within 2^-20 of a tie, far above their few ulps of error.
+    int / int rounds them once, correctly, and the bound's test is one integer comparison.
     Where x^J < 2^(s+1), by the bit lengths of a and b, None comes first: the bound is
     above 2^180 (x/2)^(s+1) there, above each caller's limit, and no a^(s+1) is formed.
     """
@@ -154,16 +152,14 @@ def bump_em(s: int, x: float, limit, integrated: bool = False):
         return None
     D, numerators, (p, q) = _bump_em_table(s, integrated)
     u, v = limit(s, x).as_integer_ratio()
-    k = J - s - 1  # bound x^-k <= limit: p v 2^(ek) <= q u a^k, in integers near a tie only
-    gap = math.log2(p) + math.log2(v) - math.log2(q) - math.log2(u) - k * math.log2(x) if u else 1
-    if abs(gap) < 2**-20:
-        gap = (p * v << e * k) - q * u * a**k if k >= 0 else p * v * a**-k - (q * u << -e * k)
-    if gap > 0:
+    k = J - s - 1  # bound x^-k <= limit: p v 2^(ek) <= q u a^k
+    ak = a ** abs(k)
+    if (p * v << e * k) > q * u * ak if k >= 0 else p * v * ak > (q * u << -e * k):
         return None
     a2, num = a * a, 0
-    for n in map(operator.lshift, numerators, range(0, 2 * J * e, 2 * e)) if e else numerators:
-        num = num * a2 + n  # sum_m n_m a^(2(M-m)) b^(2m)
-    return num, D * a2 ** max(len(numerators) - 1, 0)
+    for m, n in enumerate(numerators):  # sum_m n_m a^(2(M-m)) b^(2m)
+        num = num * a2 + (n << 2 * m * e)
+    return num, D * ak if len(numerators) > 1 else D  # M > 0 at odd s only, and then 2M = k
 
 
 def _horner(c: List[int], x: np.ndarray) -> np.ndarray:

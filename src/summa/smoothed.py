@@ -119,6 +119,10 @@ def _bump_sum_limit(s: int, x: float) -> Fraction:
     return Fraction(7, 10 * (s + 1) << (s + 63)) * max(Fraction(x) - 2, 0) ** (s + 1)
 
 
+# The Grandi test's limit at N/2: 3 bound(N/2) <= 2^-56 (``grandi_with_deviation``).
+_GRANDI_LIMIT = Fraction(1, 3 << 56)
+
+
 def _bump_sum_bits(s: int, N: float) -> int:
     """The bits W at which the bump's eta pass for S_s(N) starts, from logs of s and N alone;
     first NonFiniteResultError where a lower bound on log2 S_s(N), on the exact rationals of
@@ -497,7 +501,7 @@ def grandi_with_deviation(cutoff: Cutoff, N: float) -> Tuple[float, float]:
         value, deviation = to_floats([G, abs(G - Fraction(1, 2))],
                                      f"the Grandi sum on {cutoff.label} at N = {N} is")
         return value, deviation
-    if bump_em(0, N / 2, lambda s, x: Fraction(1, 3 << 56)) is not None:
+    if bump_em(0, N / 2, lambda s, x: _GRANDI_LIMIT) is not None:
         return 0.5, 0.0
     from . import _kernels
 

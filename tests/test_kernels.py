@@ -98,7 +98,7 @@ class TestBumpSumLane:
         G, deviation = grandi_with_deviation(BUMP, N)
         want = reference_grandi(N)
         # where 3 bound(N/2) <= 2^-56, 0.5 is G rounded and 0.0 stands for its bound
-        if bump_em(0, N / 2, lambda s, x: Fraction(1, 3 << 56)) is not None:
+        if bump_em(0, N / 2, lambda s, x: smoothed._GRANDI_LIMIT) is not None:
             assert (G, deviation) == (want[0], 0.0) == (0.5, 0.0)
         else:
             assert (G, deviation) == want

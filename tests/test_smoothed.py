@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from summa import euler_maclaurin, smoothed
+from summa.casimir import _UT_LIMIT
 from summa.cli import MAX_EXTRACT_S
 from summa.cutoffs import BumpCutoff, bump_em, bump_taylor0, make_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError, NonFiniteResultError
@@ -209,12 +210,12 @@ class TestBumpExpansion:
 
     @pytest.mark.parametrize("s,integrated,limit,x", [
         *[(s, False, smoothed._bump_sum_limit, None) for s in (0, 1, 3, 10)],
-        (3, True, lambda s, x: Fraction(1, 1 << 62), 641.8010240145408),  # u_t's L_0
-        (0, False, lambda s, x: Fraction(1, 3 << 56), 788.0108460053535 / 2),  # Grandi's N/2
+        (3, True, lambda s, x: _UT_LIMIT, 641.8010240145408),  # u_t's L_0
+        (0, False, lambda s, x: smoothed._GRANDI_LIMIT, 788.0108460053535 / 2),  # Grandi's N/2
     ])
     def test_each_switch_point_is_the_exact_comparison(self, s, integrated, limit, x):
-        # float logs decide away from a tie only: at each switch point and the float below
-        # it, bump_em's choice is bound x^(s+1-J) <= limit on the rationals
+        # at each switch point and the float below it, bump_em's choice is
+        # bound x^(s+1-J) <= limit on the rationals
         from summa.cutoffs import _bump_em_table
 
         x = x or first_expansion_scale(s)
