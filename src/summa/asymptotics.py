@@ -1,10 +1,10 @@
-"""Asymptotic-series utilities: verification, optimal truncation, Borel sums.
+"""Asymptotic-series utilities: flat functions, optimal truncation, Borel sums.
 
 A series sum a_n (x-a)^n is asymptotic to f at a when the order-N remainder
-vanishes faster than (x-a)^N as x -> a+.  ``verify_asymptotic`` checks that
-numerically on a decreasing grid.  The flat function exp(-z^-beta) has all
-right-derivatives zero at 0, so adding it to f never changes the verdict:
-asymptotic expansions do not pin down the function.
+vanishes faster than (x-a)^N as x -> a+.  The flat function exp(-z^-beta) has
+all right-derivatives zero at 0 (``flat_derivative_probe`` shows them
+vanish), so adding it to f keeps every such remainder's order: asymptotic
+expansions do not pin down the function.
 
 For factorial-type remainders R_N ~ N! alpha^N the best truncation order
 sits at N ~ 1/alpha; ``optimal_truncation`` finds the exact discrete argmin.
@@ -27,8 +27,6 @@ from .errors import BorelSummabilityError, NonFiniteResultError
 
 __all__ = [
     "CoefficientOracle",
-    "AsymptoticCheck",
-    "verify_asymptotic",
     "flat_function",
     "flat_derivative_probe",
     "optimal_truncation",
@@ -52,37 +50,6 @@ class CoefficientOracle(NamedTuple):
     label: str = ""
     exp_rate: float = 0.0
     borel_transform: Optional[Callable[[float], float]] = None
-
-
-class AsymptoticCheck(NamedTuple):
-    passed: bool
-    residuals: List[float]
-    grid: List[float]
-
-
-def verify_asymptotic(f: Callable[[float], float], coeffs: CoefficientOracle,
-                      a: float, N: int, grid: Sequence[float]) -> AsymptoticCheck:
-    """Check that sum_{n<=N} a_n (x-a)^n is asymptotic to f of order N at a.
-
-    Evaluates r(x) = (f(x) - partial(x)) / (x-a)^N on the grid (strictly
-    decreasing towards a) and passes when |r| falls by at least 10x from the
-    first to the last point.  Failure is a verdict, not an error.
-    """
-    grid = [float(x) for x in grid]
-    if len(grid) < 2:
-        raise ValueError("grid needs at least 2 points")
-    if any(x <= a for x in grid) or any(y >= x for x, y in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly decreasing towards a from the right")
-    an = [float(coeffs.a(n)) for n in range(N + 1)]
-    residuals = []
-    for x in grid:
-        dx = x - a
-        # fsum keeps the big cancellation f - partial down to one rounding
-        # of f(x) itself; the term list is exact to float precision.
-        r = math.fsum([float(f(x))] + [-c * dx**n for n, c in enumerate(an)])
-        residuals.append(r / dx**N)
-    passed = abs(residuals[-1]) <= abs(residuals[0]) / 10.0
-    return AsymptoticCheck(passed, residuals, grid)
 
 
 def flat_function(beta: float, z: float) -> float:

@@ -35,8 +35,7 @@ particular F^(3)(0) = -2 eta(0+), the only number the limit depends on.
 ``derivative_identities`` verifies these forms against finite differences of
 the computed F, orders 1 through 5.  Its stencils difference F only through
 the integrals over the gaps between their points, each point taken once and
-nothing integrated out to the support end; ``euler_maclaurin.sup_norm_check(2,
-...)`` samples sup |F^(5)|, which scales as N^-2 at fixed lam.
+nothing integrated out to the support end.
 
 ``_kernels``, and with it numpy, is imported in the quadrature paths only,
 so the exact u_t of a polynomial eta, and the bump's expansion, run without
@@ -58,7 +57,6 @@ __all__ = [
     "HBAR",
     "C_LIGHT",
     "CasimirConfig",
-    "capital_F",
     "capital_F_deriv",
     "derivative_identities",
     "UtResult",
@@ -117,20 +115,6 @@ class CasimirConfig(_CasimirFields):
     def support_end(self) -> float:
         """The mode value beyond which F vanishes: N / lam."""
         return self.N / self.lam
-
-
-def capital_F(n: float, cfg: CasimirConfig) -> float:
-    """F(n) = integral_n^{N/lam} v^2 eta(lam v/N) dv; exactly 0 for n >= N/lam."""
-    if n < 0:
-        raise ValueError(f"capital_F requires n >= 0, got {n}")
-    end = cfg.support_end
-    if n >= end:
-        return 0.0
-    from . import _kernels
-
-    (value,), _ = _kernels.moment_quad(cfg.cutoff, 2, cfg.lam / cfg.N, [n], [end],
-                                       cfg.quad_tol / 10.0)
-    return value
 
 
 def capital_F_deriv(k: int, s, cfg: CasimirConfig):

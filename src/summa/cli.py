@@ -20,13 +20,14 @@ for a missing or unknown one).  Each handler imports its own layer when it
 is dispatched, and no layer loads dataclasses (its records are NamedTuples).
 No subcommand loads mpmath: the bump's moment C_s, its fixed-point eta pass
 and its drifts' roundings run in integers (``_fixed``).  The exact
-subcommands start without numpy (``stirling`` computes g(n) in integer
-fixed point).  So does every subcommand on a polynomial cutoff poly:p
-(``smoothed``, ``grandi``, ``scaling-demo``, ``extract``, ``em-tail``,
-``casimir`` and ``casimir-force``): its values are exact rationals from the
-Faulhaber and Bernoulli sums, each rounded once.  So do the bump's
-``extract`` and ``em-tail``, and a bump ``casimir`` or ``casimir-force``
-whose every N / lambda is past ~642, where u_t is its
+subcommands start without numpy (``stirling``'s g(n) and abel's alternating
+sums of alt-zeta:s, s >= 1, run in integers), as do ``borel`` on the
+geometric family (a closed form) and every subcommand on a polynomial
+cutoff poly:p (``smoothed``, ``grandi``, ``scaling-demo``, ``extract``,
+``em-tail``, ``casimir`` and ``casimir-force``), whose values are exact
+rationals from the Faulhaber and Bernoulli sums, each rounded once.  So do
+the bump's ``extract`` and ``em-tail``, and a bump ``casimir`` or
+``casimir-force`` whose every N / lambda is past ~642, where u_t is its
 Euler-Maclaurin expansion at 0, rounded once.  The bump's ``smoothed``,
 ``grandi`` and ``scaling-demo`` load no numpy at any N: each sum is its
 expansion at 0 (``cutoffs.bump_em``, as u_t's) past N_0(s), and the eta pass,
@@ -42,8 +43,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import CutoffSmoothnessError, NonFiniteResultError, SummaError
-from .exact import bernoulli, faulhaber
+from .errors import BorelSummabilityError, CutoffSmoothnessError, NonFiniteResultError, SummaError
+from .exact import bernoulli, faulhaber, to_floats
 
 if TYPE_CHECKING:
     from . import casimir, summation
@@ -65,9 +66,9 @@ MAX_STIRLING_N = 10**16
 # 2*10^6-evaluation budget and fails (exit 1)
 MAX_DELTA_J = 50_000
 # |s| of a monomial:s or alt-zeta:s key; abel and zeta-eta build the Eulerian numbers of
-# alt-zeta:-s as ints, O(s^2) work: cold, every sum method takes ~0.07-0.21 s at 500 (that
-# build ~0.13 s, abel's direct float sum on alt-zeta:500 ~0.21 s); the build takes ~0.5 s
-# at 1000
+# alt-zeta:-s as ints, O(s^2) work: cold, every sum method takes ~0.06-0.13 s at 500 (that
+# build ~0.1 s, cesaro's float means ~0.13 s; abel's integer sum on alt-zeta:500 is ~0.3 ms
+# of a ~0.06 s call); the build takes ~0.5 s at 1000
 MAX_SERIES_EXPONENT = 500
 # digits of N^(s + 1), above faulhaber's S_s(N): past CPython's default limit the int
 # cannot be printed; ~0.3 s at s = 1000, N = 19,000 (4,283 digits)
@@ -537,33 +538,43 @@ def _cmd_truncate(args):
     return ({"alpha": _fmt(alpha), "n_star": n_star}, (("N", "log10_term"), rows))
 
 
-# the asymptotics.CoefficientOracle arguments of each named oracle
-_BOREL_ORACLES = {
-    "ones": dict(a=lambda n: 1.0, label="ones", exp_rate=1.0),
-    "euler": dict(a=lambda n: (-1.0) ** n * float(math.factorial(n)), label="euler",
-                  exp_rate=0.0, borel_transform=lambda z: 1.0 / (1.0 + z)),
-    "zero": dict(a=lambda n: 0.0, label="zero"),
-}
+def _borel_geometric(key: str, x: float, tol: float) -> float:
+    """a_0 / (1 - r x), exact and rounded once, for a_n = a_0 r^n: a_0 is 0 for zero, else 1."""
+    a0 = 0 if key == "zero" else 1
+    if key in ("ones", "zero"):
+        r = Fraction(1 if key == "ones" else 0)
+    elif key.startswith("geometric:"):
+        from .series import parse_key
 
-
-def _cmd_borel(args):
-    from . import asymptotics
-    from .series import parse_key
-
-    key = args.coeffs
-    if key.startswith("geometric:"):
         try:
             r = parse_key(key)[1]
         except KeyError as exc:
             raise UsageError(f"bad --coeffs {key!r}: r must be a rational like 1/2 or 0.5") from exc
-        oracle = asymptotics.CoefficientOracle(
-            a=lambda n, r=r: r**n, label=key, exp_rate=abs(float(r)))
-    elif key in _BOREL_ORACLES:
-        oracle = asymptotics.CoefficientOracle(**_BOREL_ORACLES[key])
     else:
         raise UsageError(
             f"unknown coefficient oracle {key!r}; grammar: ones | euler | zero | geometric:r")
-    val = asymptotics.borel_sum(oracle, args.x, args.tol)
+    rx = r * Fraction(x)
+    if rx >= 1:
+        raise BorelSummabilityError(f"the Borel transform exp({float(r)} z) of {key!r} is not "
+                                    f"integrable against exp(-z/{x})")
+    # as on euler's quadrature path, an x whose 1/x or tol x / 2 leaves float64 range exits 1
+    if math.isinf(1 / x) or tol * x / 2 == 0:
+        raise NonFiniteResultError(f"borel at x = {x!r}, tol = {tol!r} leaves float64 range: "
+                                   "1/x or tol x / 2")
+    return to_floats([a0 / (1 - rx)], f"the Borel sum of {key!r} at x = {x!r} is")[0]
+
+
+def _cmd_borel(args):
+    key = args.coeffs
+    if key == "euler":
+        from . import asymptotics
+
+        oracle = asymptotics.CoefficientOracle(
+            a=lambda n: (-1.0) ** n * float(math.factorial(n)), label=key,
+            borel_transform=lambda z: 1.0 / (1.0 + z))
+        val = asymptotics.borel_sum(oracle, args.x, args.tol)
+    else:
+        val = _borel_geometric(key, args.x, args.tol)
     return ({"coeffs": key, "x": args.x, "tol": args.tol, "value": val},
             (("coeffs", "x", "value"), [(key, args.x, val)]))
 

@@ -29,8 +29,8 @@ g(n) is normalized so that it *equals* the Bernoulli series above (g -> 0 is
 Stirling's approximation).  One canonical internal form avoids sign bugs.
 
 numpy and ``smoothed`` are imported where they are used
-(``monomial_cutoff_deriv``, ``em_tail`` and ``sup_norm_check``), so the
-Stirling functions and the divergence scan run on ``exact`` alone.
+(``monomial_cutoff_deriv`` and ``em_tail``), so the Stirling functions and
+the divergence scan run on ``exact`` alone.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "monomial_cutoff_deriv",
     "EmTailResult",
     "em_tail",
-    "sup_norm_check",
     "stirling_g_fixed",
     "stirling_g",
     "StirlingSeries",
@@ -106,23 +105,6 @@ def em_tail(s: int, cutoff: Cutoff, N: int) -> EmTailResult:
     lhs, residual = to_floats([-drift, -(drift + term)],
                               f"the tail identity at s = {s}, N = {N} is")
     return EmTailResult(lhs, series, residual)
-
-
-_SUP_NORM_SAMPLES = 4097
-
-
-def sup_norm_check(s: int, cutoff: Cutoff, N: float) -> float:
-    """Grid-sampled sup of |d^(s+2)/dx^(s+2) [x^s eta(x/N)]| over the support.
-
-    Scales as 1/N^2 (doubling N divides it by ~4): every Leibniz term carries
-    at least two powers of 1/N once x ~ N is factored out.  At s = 2, with
-    the plate support end N/lam as N, this is sup |F^(5)| of ``casimir``.
-    """
-    import numpy as np
-
-    cutoff.require_smoothness(s + 2, "the sup-norm bound")
-    xs = np.linspace(0.0, float(N), _SUP_NORM_SAMPLES)
-    return float(np.max(np.abs(monomial_cutoff_deriv(s, cutoff, N, s + 2, xs))))
 
 
 def stirling_g_fixed(n: int, P: int) -> Tuple[int, int]:

@@ -24,8 +24,9 @@ series is alt-zeta:0 and the zero series is geometric:0, each under its own
 label.  A closed form raises ZeroDivisionError at a pole, and the geometric
 one raises AbelInnerSeriesError past its power series' radius 1/|r|.
 
-numpy is imported in the float paths only (``term_array``, ``term_float``),
-so building a series and its exact terms does not load it.
+The exact terms feed the Abel sums (correctly rounded where no closed form
+exists) and the float ``term_array`` the Cesaro means; numpy is imported in
+``term_array`` only, so building a series and its exact terms does not load it.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ class SeriesOracle(NamedTuple):
     term_exact: Callable[[int], Fraction]
     term_array: Callable[[np.ndarray], np.ndarray]
     abel_closed_form: Optional[Callable[[Fraction], Fraction]] = None
-
-    def term_float(self, n: int) -> float:
-        import numpy as np
-
-        return float(self.term_array(np.array([n], dtype=float))[0])
 
     def __repr__(self):
         return f"SeriesOracle({self.label!r})"

@@ -1,8 +1,8 @@
 """Classical summability methods and the two-rule-set inconsistency ledger.
 
 Methods: exact partial sums, Cesaro averaging of partial sums, Abel limits
-(here also called Euler sums: lim_{t->1-} sum a_n t^n), and the closed-form
-zeta-regularized value for monomial series,
+lim_{t->1-} sum a_n t^n, and the closed-form zeta-regularized value for
+monomial series,
 
     1^s + 2^s + 3^s + ...  |->  -B_{s+1} / (s + 1).
 
@@ -10,16 +10,17 @@ zeta-regularized value for monomial series,
 identities under two incompatible rule sets and flags where naive term
 algebra contradicts position-aware analytic continuation.
 
-numpy is imported in the float paths only (``cesaro_sum`` and the direct
-sum of a convergent alternating series), so the exact paths run without it.
+Abel values are exact rationals where the series has a closed form, and the
+convergent alternating sums (alt-zeta:s, s >= 1) are correctly rounded, from
+an integer Cohen-Rodriguez Villegas-Zagier sum.  numpy is imported in
+``cesaro_sum`` only, so every other path runs without it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import NonFiniteResultError
 from .exact import bernoulli
@@ -30,7 +31,6 @@ __all__ = [
     "partial_sum",
     "cesaro_sum",
     "abel_sum",
-    "euler_sum",
     "ramanujan_monomial",
     "zeta_via_eta",
     "LedgerRow",
@@ -115,57 +115,53 @@ def cesaro_sum(series: SeriesOracle, n: int, tol: float = 1e-3) -> SummationOutc
     return SummationOutcome("cesaro", OSCILLATING, None, None, diag)
 
 
-_ALT_TERMS = 200_000  # terms summed by a direct alternating sum
-_TAIL_STEPS = 2  # terms of Euler's transform of the rest
-# numpy's pairwise float64 sum of N terms rounds each term fewer than log2(N) + 19 times
-# (8 lanes of 16 in its blocks of 128, a 3-level fold, up to 7 leftovers); at eps = 2u a
-# rounding, + 16 also covers the terms' own rounding and the tail steps
-_ROUNDING = sys.float_info.epsilon * (math.log2(_ALT_TERMS) + 16)
+def _crvz_ball(term, W: int, n: Optional[int] = None) -> Tuple[int, int]:
+    """(T, E) with |S 2^W - T| <= E for the sum S of the exact ``term(k)``, k >= 1, of an
+    alternating series whose |term(k)| are the moments of a positive measure on [0, 1]:
+    Algorithm 1 of Cohen, Rodriguez Villegas and Zagier (2000).
 
-
-def _alternating_sum(series: SeriesOracle) -> tuple[float, float]:
-    """sum a_n of an alternating series with completely monotone |a_n| (n^-s, s >= 0), and a bound.
-
-    The rest after N terms is sign(a_{N+1}) sum_k D^k b / 2^(k+1), Euler's
-    transform over the forward differences D^k b of b_n = |a_n| at N + 1.
-    Its first K terms are added; as 0 <= D^(k+1) b <= D^k b, the others sum
-    below D^K b / 2^K.  The bound adds numpy's summation rounding, at most
-    _ROUNDING * sum |a_n|.
+    With d_n = T_n(3) = 6 d_(n-1) - d_(n-2) and the integers c_k of T_n(1 - 2x),
+    sum_{k<n} |c_k| term(k+1) / d_n is within |S| / d_n <= |term(1)| / d_n of S; n is the
+    least with d_n >= 2^W unless given.  The n floored terms (|c_k| term 2^W) // den lose
+    under n / d_n < 1 unit, and the last floor, by d_n, under one more.
     """
-    import numpy as np
-
-    vals = series.term_array(np.arange(1, _ALT_TERMS + _TAIL_STEPS + 2, dtype=float))
-    b = np.abs(vals[_ALT_TERMS:])  # b_{N+1} .. b_{N+K+1}
-    est = float(vals[:_ALT_TERMS].sum())
-    for k in range(_TAIL_STEPS):
-        est += math.copysign(float(b[0]), vals[_ALT_TERMS]) / 2 ** (k + 1)
-        b = b[:-1] - b[1:]
-    err = float(b[0]) / 2**_TAIL_STEPS + _ROUNDING * float(np.abs(vals).sum())
-    return est, err
+    d_prev, d, m = 3, 1, 0  # T_(m-1)(3), T_m(3)
+    while d < 1 << W if n is None else m < n:
+        d_prev, d, m = d, 6 * d - d_prev, m + 1
+    b, c, total = -1, -d, 0
+    for k in range(m):
+        c = b - c
+        a = term(k + 1)
+        total += (abs(c) * a.numerator << W) // a.denominator
+        b = 2 * (k + m) * (k - m) * b // ((2 * k + 1) * (k + 1))
+    a1 = abs(term(1))
+    return total // d, -(-(a1.numerator << W) // (d * a1.denominator)) + 2
 
 
 def abel_sum(series: SeriesOracle) -> SummationOutcome:
-    """Abel (Euler) sum lim_{t->1-} sum a_n t^n, read at t = 1.
+    """Abel sum lim_{t->1-} sum a_n t^n, read at t = 1.
 
     Every closed form in the catalog is a rational function of t, so the
     limit is its exact value at t = 1 (error 0); a pole there
     (``ZeroDivisionError``) is the divergent verdict, and a power series of
     radius below 1 raises :class:`AbelInnerSeriesError` from the closed
     form.  The series without one, the convergent alt-zeta:s with s >= 1, are
-    summed directly: by Abel's theorem their Abel sum is their sum.
+    summed directly (by Abel's theorem their Abel sum is their sum): the
+    ``_crvz_ball`` of the exact terms, correctly rounded by rising precision
+    from 64 bits, with half an ulp as its error.  A sum that needs more than
+    4,096 bits, such as one on a rounding midpoint, raises PrecisionCapError.
     """
     if series.abel_closed_form is None:
-        return SummationOutcome("abel", FINITE, *_alternating_sum(series))
+        from ._fixed import round_rising
+
+        value, = round_rising(lambda W: [_crvz_ball(series.term_exact, W)], 64,
+                              f"the Abel sum of {series.label}", 4096)
+        return SummationOutcome("abel", FINITE, value, math.ulp(value) / 2)
     try:
         value = series.abel_closed_form(Fraction(1))
     except ZeroDivisionError:
         return SummationOutcome("abel", DIVERGENT, None, None)
     return SummationOutcome("abel", FINITE, value, 0.0)
-
-
-# historical alias: this limit construction is often named after Euler when
-# applied to divergent series; both names address the same operation
-euler_sum = abel_sum
 
 
 def ramanujan_monomial(s: int) -> Fraction:
@@ -179,8 +175,8 @@ def zeta_via_eta(s: int) -> SummationOutcome:
     """zeta(s) through the alternating-series identity for integer s <= 2, s != 1.
 
     zeta(s) = (1 - 2^(1-s))^-1 * eta(s), with eta(s) = sum (-1)^(n-1) n^-s
-    the Abel sum of alt-zeta:s: exact for s <= 0, a float for s = 2, where
-    the factor is 2 and the product exact.
+    the Abel sum of alt-zeta:s: exact for s <= 0, and at s = 2 the correctly
+    rounded eta(2) times the factor 2, exact, so pi^2/6 correctly rounded.
     """
     if s == 1:
         raise ValueError("s = 1 is the pole of zeta")

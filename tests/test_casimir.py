@@ -9,7 +9,6 @@ from summa.casimir import (
     C_LIGHT,
     HBAR,
     CasimirConfig,
-    capital_F,
     capital_F_deriv,
     casimir_force,
     closed_form_energy_density,
@@ -78,30 +77,38 @@ class TestConfig:
             casimir_force(d, CasimirConfig())
 
 
+def moment_F(n, cfg):
+    """F(n) = integral_n^{N/lam} v^2 eta(lam v/N) dv by the plate energy's moment quadrature."""
+    from summa._kernels import moment_quad
+
+    (value,), _ = moment_quad(cfg.cutoff, 2, cfg.lam / cfg.N, [n], [cfg.support_end],
+                              cfg.quad_tol / 10.0)
+    return value
+
+
 class TestCapitalF:
     def test_zero_beyond_support(self):
-        cfg = CasimirConfig(N=100.0)
-        assert capital_F(100.0, cfg) == 0.0
-        assert capital_F(250.0, cfg) == 0.0
+        # x^2 eta(c x) is exactly 0 past the support end 1/c
+        from summa._kernels import moment_quad
+
+        values, errors = moment_quad(make_cutoff("bump"), 2, 0.01, [100.0, 250.0],
+                                     [250.0, 1e4], 1e-9)
+        assert values == errors == [0.0, 0.0]
 
     def test_poly_against_exact_oracle(self):
         # scale-equivalent of the unit-scale hand case: int_0^M v^2 (1-v/M) dv = M^3/12
         cfg = CasimirConfig(N=10.0, lam=1.0, cutoff=make_cutoff("poly", 1), quad_tol=1e-11)
-        assert capital_F(0.0, cfg) == pytest.approx(1000.0 / 12.0, abs=1e-8)
+        assert moment_F(0.0, cfg) == pytest.approx(1000.0 / 12.0, abs=1e-8)
         for n in (0.0, 1.5, 4.0, 7.25, 9.9):
             cfg2 = CasimirConfig(N=40.0, lam=2.0, cutoff=make_cutoff("poly", 4), quad_tol=1e-11)
-            assert capital_F(n, cfg2) == pytest.approx(
+            assert moment_F(n, cfg2) == pytest.approx(
                 float(exact_poly_F(Fraction(n), 4, 2, 40)), rel=1e-9, abs=1e-9)
 
     def test_bump_matches_moment_identity(self):
         # F(0) = (N/lam)^3 * integral x^2 eta(x)
         cfg = CasimirConfig(N=100.0, cutoff=make_cutoff("bump"), quad_tol=1e-10)
         target = 100.0**3 * mellin(cfg.cutoff, 2, 1e-13)
-        assert capital_F(0.0, cfg) == pytest.approx(target, rel=1e-9)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            capital_F(-1.0, CasimirConfig())
+        assert moment_F(0.0, cfg) == pytest.approx(target, rel=1e-9)
 
 
 class TestDerivativeIdentities:

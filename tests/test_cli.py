@@ -90,11 +90,34 @@ class TestJsonOutputs:
                                             ("geometric:1/2", "1.99", 0.5),
                                             ("geometric:-1/2", "1.99", -0.5)])
     def test_borel_partial_sums_past_float_range(self, capsys, coeffs, x, r):
-        # the Borel range ends past z = 710, where z^n / n! alone leaves float64 range; at
-        # 1.99 (1/2)^n falls below it too, and for r < 0 the integrand is a layer of width
-        # ~1 at 0 on a range of ~10^4
+        # near the pole x = 1/r, where partial sums of the transform leave float64 range,
+        # and for r < 0, the closed form is within tol of 1/(1 - r x)
         result = run_json(capsys, ["borel", "--coeffs", coeffs, "--x", x])["result"]
         assert abs(result["value"] - 1 / (1 - r * float(x))) <= result["tol"]
+
+    @pytest.mark.parametrize("coeffs,x,want", [
+        ("geometric:-1", "2", 0.3333333333333333), ("geometric:-1/2", "3", 0.4),
+        ("zero", "7", 0.0), ("geometric:0", "7", 1.0), ("ones", "0.5", 2.0),
+        ("geometric:3", "0.25", 4.0),
+    ])
+    def test_borel_geometric_family_is_its_closed_form(self, capsys, coeffs, x, want):
+        # a_0 / (1 - r x), exact in r and x and rounded once; for r < 0 the transform decays,
+        # and zero's a_0 is 0 where geometric:0's is 0^0 = 1
+        result = run_json(capsys, ["borel", "--coeffs", coeffs, "--x", x])["result"]
+        assert result["value"] == want
+
+    @given(r=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
+           x=st.floats(min_value=1e-6, max_value=1e6))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_borel_geometric_is_correctly_rounded_or_refused(self, r, x):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = run(["borel", "--coeffs", f"geometric:{r}", "--x", repr(x)])
+        if r * Fraction(x) >= 1:
+            assert rc == 1 and err.getvalue().startswith("error: BorelSummabilityError")
+        else:
+            want = float(1 / (1 - r * Fraction(x)))
+            assert rc == 0 and json.loads(out.getvalue())["result"]["value"] == want
 
     def test_every_subcommand_emits_valid_json(self, capsys):
         argvs = [

@@ -1,7 +1,8 @@
 """Cold start: the exact subcommands, every subcommand on poly:p, the bump's plate energy past
-its cell sweep and its smoothed sums at any N, and the package surface load neither numpy
-nor mpmath; no subcommand needs mpmath at all; the bump's smoothed sums load no
-casimir; no layer loads dataclasses, and CSV output loads no json."""
+its cell sweep and its smoothed sums at any N, the alternating Abel sums, Borel's geometric
+family and the package surface load neither numpy nor mpmath; no subcommand needs mpmath at
+all; the bump's smoothed sums load no casimir; no layer loads dataclasses, and CSV output
+loads no json."""
 
 import importlib
 
@@ -47,6 +48,11 @@ NUMPY_FREE = [
     # the bump's drifts: the eta pass, C_s and the roundings in integers
     ["extract", "--s", "1"],
     ["--format", "csv", "em-tail", "--s", "2", "--N", "60"],
+    # the alternating Abel sums in integers, correctly rounded, and Borel's geometric family
+    # by its closed form
+    ["sum", "--method", "abel", "--series", "alt-zeta:1"],
+    ["sum", "--method", "zeta-eta", "--series", "alt-zeta:2"],
+    ["borel", "--coeffs", "geometric:-1", "--x", "2"],
 ]
 # the bump's subcommands with its exact paths (the moment C_s, the eta pass, the drifts'
 # roundings) past and below N_0(s), then one argv of every other subcommand

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from summa import smoothed
-from summa.cutoffs import make_cutoff, parse_cutoff
+from summa.cutoffs import _bump_sup, make_cutoff, parse_cutoff
 from summa.cli import MAX_STIRLING_N
 from summa.errors import CutoffSmoothnessError, GrowthNotFoundError, NonFiniteResultError
 from summa.euler_maclaurin import (
@@ -20,7 +20,6 @@ from summa.euler_maclaurin import (
     stirling_series,
     stirling_series_exact,
     stirling_term,
-    sup_norm_check,
 )
 from summa.exact import bernoulli
 from summa.quadrature import integrate
@@ -34,8 +33,8 @@ class TestEmTail:
         # for f = x^s eta(x/N) only the k = s+1 term survives: B_{s+1}/(s+1)
         res = em_tail(1, make_cutoff("bump"), 100)
         assert res.series == pytest.approx(1.0 / 12.0, abs=1e-14)
-        # residual consistent with O(N ||f||_{C^{s+2}})
-        bound = 100.0 * sup_norm_check(1, make_cutoff("bump"), 100.0)
+        # residual consistent with O(N ||f||_{C^{s+2}}), with the certified sup A_3(1) / N^2
+        bound = 100.0 * _bump_sup(1, 3) / 100.0**2
         assert abs(res.residual) <= bound
         assert abs(res.lhs - res.series) <= bound
 
@@ -141,22 +140,29 @@ class TestMonomialCutoffDeriv:
                 assert monomial_cutoff_deriv(s, cut, N, j, [N])[0] == 0.0
 
 
+def sampled_sup(s, cutoff, N):
+    """max |d^(s+2)/dx^(s+2) [x^s eta(x/N)]| over 4097 points of [0, N]."""
+    xs = np.linspace(0.0, N, 4097)
+    return float(np.max(np.abs(monomial_cutoff_deriv(s, cutoff, N, s + 2, xs))))
+
+
 class TestSupNormCheck:
     @pytest.mark.parametrize("s", [0, 1, 2])  # s = 2 is sup |F^(5)| of the plate energy
     def test_doubling_ratio_near_four(self, s):
-        a = sup_norm_check(s, make_cutoff("bump"), 100.0)
-        b = sup_norm_check(s, make_cutoff("bump"), 200.0)
+        # every Leibniz term carries two powers of 1/N, so the sup is the certified
+        # A_(s+2)(s) / N^2 at most, and halves twice as N doubles
+        a = sampled_sup(s, make_cutoff("bump"), 100.0)
+        b = sampled_sup(s, make_cutoff("bump"), 200.0)
         assert 3.5 <= a / b <= 4.5
+        assert a <= _bump_sup(s, s + 2) / 100.0**2
 
     def test_poly3_exact_value(self):
         # d^2/dx^2 eta(x/N) has sup 6/N^2 for eta = (1-x)^3
-        assert sup_norm_check(0, make_cutoff("poly", 3), 100.0) == pytest.approx(6e-4, rel=1e-9)
+        assert sampled_sup(0, make_cutoff("poly", 3), 100.0) == pytest.approx(6e-4, rel=1e-9)
 
     def test_rough_cutoff_rejected(self):
-        from summa.errors import CutoffSmoothnessError
-
         with pytest.raises(CutoffSmoothnessError):
-            sup_norm_check(3, make_cutoff("poly", 3), 100.0)
+            sampled_sup(3, make_cutoff("poly", 3), 100.0)
 
 
 class TestStirling:

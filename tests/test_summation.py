@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from summa import series as series_module
-from summa.errors import AbelInnerSeriesError
+from summa.errors import AbelInnerSeriesError, PrecisionCapError
 from summa.series import alternating_genfun, get_series, monomial_genfun, parse_key
 from summa.summation import (
     SummationOutcome,
+    _crvz_ball,
     abel_sum,
-    euler_sum,
     cesaro_sum,
     inconsistency_ledger,
     partial_sum,
@@ -73,7 +73,7 @@ class TestSeriesCatalog:
         series = get_series(key)
         for n in list(range(1, 40)) + [100, 1000]:
             exact = float(series.term_exact(n))
-            approx = series.term_float(n)
+            approx = float(series.term_array([n])[0])
             assert approx == pytest.approx(exact, rel=4e-16, abs=1e-300)
 
     def test_monomial_genfun_exact_value(self):
@@ -184,9 +184,6 @@ class TestAbel:
         out = abel_sum(get_series("grandi"))
         assert (out.verdict, out.value, out.error_estimate) == ("finite", Fraction(1, 2), 0.0)
 
-    def test_euler_alias(self):
-        assert euler_sum is abel_sum
-
     def test_s0_divergent(self):
         for key in ("S0", "geometric:1"):  # the same terms, poles t/(1-t) and rt/(1-rt) at t = 1
             assert abel_sum(get_series(key)).verdict == "divergent"
@@ -204,7 +201,16 @@ class TestAbel:
         g = get_series("grandi")._replace(abel_closed_form=None)
         out = abel_sum(g)
         assert out.verdict == "finite"
-        assert abs(out.value - 0.5) <= 1e-6
+        assert out.value == 0.5
+
+    def test_a_sum_on_a_rounding_midpoint_hits_the_precision_cap(self):
+        # (1 + 2^-53) (1 - 1 + 1 - ...) = 1/2 + 2^-54, halfway between two floats: every ball
+        # straddles it, so the rising precision stops at its cap instead of looping
+        half_ulp = get_series("grandi")._replace(
+            term_exact=lambda n: (-1) ** (n - 1) * (1 + Fraction(1, 2**53)),
+            abel_closed_form=None)
+        with pytest.raises(PrecisionCapError, match="4096"):
+            abel_sum(half_ulp)
 
     @pytest.mark.parametrize("key,verdict,value", [("monomial:41", "divergent", None),
                                                    ("alt-zeta:-218", "finite", 0)])
@@ -269,6 +275,41 @@ class TestAbel:
         with mp.workdps(40):
             assert abs(mp.mpf(out.value) - mp.altzeta(s)) <= out.error_estimate
 
+    @given(st.floats(min_value=0, max_value=math.log(500)))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_alternating_sum_is_correctly_rounded(self, log_s):
+        # s log-uniform on [1, 500]: the value is eta(s) rounded from 50 digits, and its
+        # half ulp covers the true error
+        import mpmath as mp
+
+        s = round(math.exp(log_s))
+        out = abel_sum(get_series(f"alt-zeta:{s}"))
+        with mp.workdps(50):
+            eta = mp.altzeta(s)
+            assert out.value == float(eta)
+            assert abs(mp.mpf(out.value) - eta) <= out.error_estimate
+
+    def test_one_term_fewer_widens_the_ball(self):
+        # the ball's radius follows the terms run: at n - 1 terms it widens, and the radius of
+        # n terms would miss the sum at some W.  alt-zeta:500's measure sits at 0, where
+        # T_n(1 - 2x) is 1, so its error is the bound's |a_1| / d_n: 5 units at W = 80
+        import mpmath as mp
+
+        term = get_series("alt-zeta:500").term_exact
+        missed = []
+        with mp.workdps(100):
+            S = mp.altzeta(500)
+            for W in (64, 80, 96, 112, 128, 144, 160):
+                d, n = 1, 0
+                while d < 2**W:
+                    d, n = int(mp.chebyt(n + 1, 3)), n + 1
+                T, E = _crvz_ball(term, W)
+                T1, E1 = _crvz_ball(term, W, n - 1)
+                assert _crvz_ball(term, W, n) == (T, E) and E1 > E
+                assert abs(S * 2**W - T) <= E and abs(S * 2**W - T1) <= E1
+                missed += [W] if abs(S * 2**W - T1) > E else []
+        assert 80 in missed
+
 
 class TestRamanujanMonomial:
     def test_values(self):
@@ -302,8 +343,9 @@ class TestZetaViaEta:
         import mpmath as mp
 
         out = zeta_via_eta(2)
-        assert abs(out.value - math.pi**2 / 6.0) <= 1e-6
-        with mp.workdps(40):
+        assert out.value == 1.6449340668482264  # pi^2/6 correctly rounded
+        with mp.workdps(50):
+            assert out.value == float(mp.zeta(2))
             assert abs(mp.mpf(out.value) - mp.zeta(2)) <= out.error_estimate
 
     def test_trivial_zero(self):
