@@ -15,44 +15,16 @@ _SUBMODULE_EXPORTS = {
               "genfun_coefficients"),
     "cutoffs": ("Cutoff", "make_cutoff", "parse_cutoff", "sharp_indicator"),
     "series": ("SeriesOracle", "get_series"),
-    "summation": ("SummationOutcome", "abel_sum", "cesaro_sum", "inconsistency_ledger",
-                  "partial_sum", "ramanujan_monomial", "zeta_via_eta"),
-    "smoothed": ("AsymptoticFit", "constant_extraction", "delta_pairing", "grandi_smoothed",
-                 "scaling_counterexample", "sine_pairing", "smoothed_sum"),
+    "summation": ("SummationOutcome", "partial_sum", "cesaro_sum", "abel_sum",
+                  "ramanujan_monomial", "zeta_via_eta", "inconsistency_ledger"),
+    "smoothed": ("AsymptoticFit", "smoothed_sum", "constant_extraction", "grandi_smoothed",
+                 "scaling_counterexample", "delta_pairing", "sine_pairing"),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Rational",
-    "bernoulli",
-    "bernoulli_table",
-    "binomial",
-    "faulhaber",
-    "genfun_coefficients",
-    "Cutoff",
-    "make_cutoff",
-    "parse_cutoff",
-    "sharp_indicator",
-    "SeriesOracle",
-    "get_series",
-    "SummationOutcome",
-    "partial_sum",
-    "cesaro_sum",
-    "abel_sum",
-    "ramanujan_monomial",
-    "zeta_via_eta",
-    "inconsistency_ledger",
-    "AsymptoticFit",
-    "smoothed_sum",
-    "constant_extraction",
-    "grandi_smoothed",
-    "scaling_counterexample",
-    "delta_pairing",
-    "sine_pairing",
-]
+__all__ = ["__version__", *_EXPORTS]
 
 
 def __getattr__(name):

@@ -298,7 +298,8 @@ def _ut_values(cfg: CasimirConfig, scales: Sequence[float], enforce_smoothness: 
 
 
 def ladder_scales(N: float, levels: int) -> List[float]:
-    """The smoothing scales of ``u_t_ladder``: N / 2^k for its rows, descending, then half the last."""
+    """The smoothing scales of ``u_t_ladder``: N / 2^k for its rows, descending, then half the
+    last."""
     scales = [N]  # halving is exact, so each scale is N / 2^k to the bit
     while len(scales) < levels and scales[-1] / 2.0 >= 10:
         scales.append(scales[-1] / 2.0)

@@ -264,21 +264,22 @@ def _outcome_payload(out: summation.SummationOutcome) -> dict:
     return {
         "method": out.method,
         "verdict": out.verdict,
-        "value": _fmt(out.value) if out.value is not None else None,
+        "value": _fmt(out.value),
         "error_estimate": out.error_estimate,
         "diagnostics": {k: _fmt(v) for k, v in out.diagnostics.items()
                         if isinstance(v, (int, float, str, Fraction))},
     }
 
 
-# --- subcommand handlers: each returns (result_dict, csv_rows_or_None) --------
-# csv rows: (header_tuple, [row_tuple, ...])
+# --- subcommand handlers: each returns (result_dict, csv_rows) -----------------
+# csv rows: [row_tuple, ...] in the subcommand's columns, or None where they are the result's
+# own fields or those of the items of its "rows" list (``_result_rows``)
 
 
 def _cmd_bernoulli(args):
     _check_cap("Bernoulli index --k", args.k, MAX_BERNOULLI_INDEX)
     val = bernoulli(args.k)
-    return {"k": args.k, "value": _fmt(val)}, (("k", "value"), [(args.k, _fmt(val))])
+    return {"k": args.k, "value": _fmt(val)}, None
 
 
 def _cmd_faulhaber(args):
@@ -286,8 +287,7 @@ def _cmd_faulhaber(args):
     digits = math.floor((args.s + 1) * math.log10(args.N)) + 1
     _check_cap("digits of --N^(--s + 1)", digits, MAX_RESULT_DIGITS)
     val = faulhaber(args.s, args.N)
-    return ({"s": args.s, "N": args.N, "value": _fmt(val)},
-            (("s", "N", "value"), [(args.s, args.N, _fmt(val))]))
+    return {"s": args.s, "N": args.N, "value": _fmt(val)}, None
 
 
 def _cmd_sum(args):
@@ -311,10 +311,7 @@ def _cmd_sum(args):
         raise UsageError(f"unknown method {args.method}")
     payload = _outcome_payload(out)
     payload["series"] = series.label
-    return payload, ((("series", "method", "verdict", "value", "error_estimate"),
-                      [(series.label, out.method, out.verdict,
-                        _fmt(out.value) if out.value is not None else "",
-                        out.error_estimate if out.error_estimate is not None else "")]))
+    return payload, None
 
 
 def _ramanujan_outcome(family: str, param, label: str) -> summation.SummationOutcome:
@@ -337,16 +334,9 @@ def _cmd_ledger(args):
     from . import summation
 
     report = summation.inconsistency_ledger()
-    rows = [(r.identity,
-             _fmt(r.rule_a) if r.rule_a is not None else "",
-             _fmt(r.rule_b) if r.rule_b is not None else "",
-             r.clash) for r in report.rows]
-    result = {"rows": [{"identity": r.identity,
-                        "rule_a": _fmt(r.rule_a) if r.rule_a is not None else None,
-                        "rule_b": _fmt(r.rule_b) if r.rule_b is not None else None,
-                        "clash": r.clash} for r in report.rows],
-              "clash_count": len(report.clashes)}
-    return result, (("identity", "rule_a", "rule_b", "clash"), rows)
+    rows = [{**r._asdict(), "rule_a": _fmt(r.rule_a), "rule_b": _fmt(r.rule_b)}
+            for r in report.rows]
+    return {"rows": rows, "clash_count": len(report.clashes)}, None
 
 
 def _cmd_smoothed(args):
@@ -355,8 +345,7 @@ def _cmd_smoothed(args):
     cutoff = _resolve_cutoff(args.cutoff)
     _check_sum_caps(args.s, cutoff, args.N)
     val = smoothed.smoothed_sum(args.s, cutoff, args.N)
-    return ({"s": args.s, "cutoff": cutoff.label, "N": args.N, "value": val},
-            (("s", "cutoff", "N", "value"), [(args.s, cutoff.label, args.N, val)]))
+    return {"s": args.s, "cutoff": cutoff.label, "N": args.N, "value": val}, None
 
 
 def _cmd_extract(args):
@@ -372,8 +361,7 @@ def _cmd_extract(args):
     fit = smoothed.constant_extraction(args.s, cutoff, grid)
     result = fit.to_json_dict()
     result["error_estimate"] = fit.error_estimate
-    rows = [(N, r) for N, r in zip(fit.grid[:-1], fit.residuals)]
-    return result, (("N", "residual"), rows)
+    return result, list(zip(fit.grid[:-1], fit.residuals))
 
 
 def _cmd_grandi(args):
@@ -383,8 +371,7 @@ def _cmd_grandi(args):
     _check_sum_caps(0, cutoff, args.N)
     val, deviation = smoothed.grandi_with_deviation(cutoff, args.N)
     return ({"cutoff": cutoff.label, "N": args.N, "value": val,
-             "deviation_from_half": deviation},
-            (("cutoff", "N", "value"), [(cutoff.label, args.N, val)]))
+             "deviation_from_half": deviation}, None)
 
 
 def _cmd_scaling_demo(args):
@@ -393,9 +380,7 @@ def _cmd_scaling_demo(args):
     cutoff = _resolve_cutoff(args.cutoff)
     _check_sum_caps(1, cutoff, args.N)
     lhs, rhs, differ = smoothed.scaling_counterexample(cutoff, args.N)
-    return ({"cutoff": cutoff.label, "N": args.N, "lhs": lhs, "rhs": rhs, "differ": differ},
-            (("cutoff", "N", "lhs", "rhs", "differ"),
-             [(cutoff.label, args.N, lhs, rhs, differ)]))
+    return {"cutoff": cutoff.label, "N": args.N, "lhs": lhs, "rhs": rhs, "differ": differ}, None
 
 
 def _cmd_delta_seq(args):
@@ -409,9 +394,7 @@ def _cmd_delta_seq(args):
     val = smoothed.delta_pairing(args.j, phi, tol=args.tol)
     at_zero = float(phi(0.0))
     return ({"j": args.j, "testfn": args.testfn, "value": val,
-             "phi_at_zero": at_zero, "pairing_error": abs(val - at_zero)},
-            (("j", "testfn", "value", "phi_at_zero"),
-             [(args.j, args.testfn, val, at_zero)]))
+             "phi_at_zero": at_zero, "pairing_error": abs(val - at_zero)}, None)
 
 
 def _cmd_em_tail(args):
@@ -419,9 +402,8 @@ def _cmd_em_tail(args):
 
     cutoff = _resolve_cutoff(args.cutoff)
     _check_drift_caps(args.s, cutoff, [args.N])
-    header = ("s", "cutoff", "N", "lhs", "series", "residual")
-    row = (args.s, cutoff.label, args.N, *em.em_tail(args.s, cutoff, args.N))
-    return dict(zip(header, row)), (header, [row])
+    tail = em.em_tail(args.s, cutoff, args.N)
+    return {"s": args.s, "cutoff": cutoff.label, "N": args.N, **tail._asdict()}, None
 
 
 def _cmd_stirling(args):
@@ -432,14 +414,9 @@ def _cmd_stirling(args):
     if args.table:
         _check_cap("--table rows --n - 1", args.n - 1, MAX_STIRLING_ROWS)
     ns = range(2, args.n + 1) if args.table else [args.n]
-    rows = []
-    for n in ns:
-        g = em.stirling_g(n)
-        val, bound = em.stirling_series(n, args.terms)
-        rows.append((n, g, val, bound))
-    result = {"terms": args.terms,
-              "rows": [{"n": n, "g": g, "value": v, "bound": b} for n, g, v, b in rows]}
-    return result, (("n", "g", "value", "bound"), rows)
+    rows = [{"n": n, "g": em.stirling_g(n), **em.stirling_series(n, args.terms)._asdict()}
+            for n in ns]
+    return {"terms": args.terms, "rows": rows}, None
 
 
 def _cmd_em_diverge(args):
@@ -448,9 +425,7 @@ def _cmd_em_diverge(args):
     _check_cap("Bernoulli index 2 * --max-terms", 2 * args.max_terms, MAX_BERNOULLI_INDEX)
     scan = em.em_divergence_demo(args.n, args.max_terms)
     rows = [(m + 1, _fmt(t), float(abs(t))) for m, t in enumerate(scan.terms)]
-    return ({"n": args.n, "m_star": scan.m_star,
-             "terms": [_fmt(t) for t in scan.terms]},
-            (("m", "term", "magnitude"), rows))
+    return {"n": args.n, "m_star": scan.m_star, "terms": [_fmt(t) for t in scan.terms]}, rows
 
 
 def _make_casimir_config(args, scales) -> casimir.CasimirConfig:
@@ -511,7 +486,7 @@ def _cmd_casimir(args):
         "u_t": value,
         "u_t_error_estimate": rows[-1][2],
     }
-    return result, (("N", "value", "error_estimate"), rows)
+    return result, rows
 
 
 def _cmd_casimir_force(args):
@@ -522,7 +497,7 @@ def _cmd_casimir_force(args):
     closed = casimir.closed_form_force(args.d)
     result = {"force": force, "closed_form": closed,
               "relative_error": abs(force - closed) / abs(closed)}
-    return result, (("d", "force", "closed_form"), [(args.d, force, closed)])
+    return result, [(args.d, force, closed)]
 
 
 def _cmd_truncate(args):
@@ -531,14 +506,12 @@ def _cmd_truncate(args):
     alpha = Fraction(args.alpha)
     n_star = asymptotics.optimal_truncation(alpha)
     _check_cap("table rows floor(1/alpha) + 5", n_star + 5, MAX_TRUNCATE_ROWS)
-    rows = []
-    for n in range(1, n_star + 6):
-        log10_term = (math.lgamma(n + 1) + n * math.log(float(alpha))) / math.log(10.0)
-        rows.append((n, log10_term))
-    return ({"alpha": _fmt(alpha), "n_star": n_star}, (("N", "log10_term"), rows))
+    rows = [(n, (math.lgamma(n + 1) + n * math.log(float(alpha))) / math.log(10.0))
+            for n in range(1, n_star + 6)]
+    return {"alpha": _fmt(alpha), "n_star": n_star}, rows
 
 
-def _borel_geometric(key: str, x: float, tol: float) -> float:
+def _borel_geometric(key: str, x: float) -> float:
     """a_0 / (1 - r x), exact and rounded once, for a_n = a_0 r^n: a_0 is 0 for zero, else 1."""
     a0 = 0 if key == "zero" else 1
     if key in ("ones", "zero"):
@@ -557,10 +530,6 @@ def _borel_geometric(key: str, x: float, tol: float) -> float:
     if rx >= 1:
         raise BorelSummabilityError(f"the Borel transform exp({float(r)} z) of {key!r} is not "
                                     f"integrable against exp(-z/{x})")
-    # as on euler's quadrature path, an x whose 1/x or tol x / 2 leaves float64 range exits 1
-    if math.isinf(1 / x) or tol * x / 2 == 0:
-        raise NonFiniteResultError(f"borel at x = {x!r}, tol = {tol!r} leaves float64 range: "
-                                   "1/x or tol x / 2")
     return to_floats([a0 / (1 - rx)], f"the Borel sum of {key!r} at x = {x!r} is")[0]
 
 
@@ -574,17 +543,15 @@ def _cmd_borel(args):
             borel_transform=lambda z: 1.0 / (1.0 + z))
         val = asymptotics.borel_sum(oracle, args.x, args.tol)
     else:
-        val = _borel_geometric(key, args.x, args.tol)
-    return ({"coeffs": key, "x": args.x, "tol": args.tol, "value": val},
-            (("coeffs", "x", "value"), [(key, args.x, val)]))
+        val = _borel_geometric(key, args.x)
+    return {"coeffs": key, "x": args.x, "tol": args.tol, "value": val}, None
 
 
 def _cmd_gyro(args):
     from . import asymptotics
 
     val = asymptotics.gyro_partial(args.alpha, args.order)
-    return ({"alpha": args.alpha, "order": args.order, "value": val},
-            (("alpha", "order", "value"), [(args.alpha, args.order, val)]))
+    return {"alpha": args.alpha, "order": args.order, "value": val}, None
 
 
 def _cmd_flat_check(args):
@@ -592,9 +559,7 @@ def _cmd_flat_check(args):
 
     grid = _parse_grid(args.grid)
     probes = asymptotics.flat_derivative_probe(args.beta, args.n, grid)
-    rows = list(zip(grid, probes))
-    return ({"beta": args.beta, "n": args.n, "probes": probes, "grid": grid},
-            (("z", "probe"), rows))
+    return {"beta": args.beta, "n": args.n, "probes": probes, "grid": grid}, list(zip(grid, probes))
 
 
 def _flag(name: str, **kwargs):
@@ -610,65 +575,71 @@ _PLATE_FLAGS = [
     _flag("--lambda", dest="lam", type=_positive_float, default=1.0),
     _flag("--quad-tol", type=_positive_float, default=1e-9),
 ]
-# name -> (help, handler, flags), in the order of the parser's choices
+# name -> (help, columns, handler, flags), in the order of the parser's choices; the columns
+# are the CSV header, which docs/csv_layouts.md lists too (a test checks that both agree)
 _SUBCOMMANDS = {
-    "bernoulli": ("exact Bernoulli number B_k", _cmd_bernoulli,
+    "bernoulli": ("exact Bernoulli number B_k", "k,value", _cmd_bernoulli,
                   [_flag("--k", type=_int_at_least(0), required=True)]),
-    "faulhaber": ("exact power sum 1^s + ... + N^s", _cmd_faulhaber,
+    "faulhaber": ("exact power sum 1^s + ... + N^s", "s,N,value", _cmd_faulhaber,
                   [_flag("--s", type=_int_at_least(0), required=True),
                    _flag("--N", type=_int_at_least(1), required=True)]),
-    "sum": ("summability methods on a catalog series", _cmd_sum,
+    "sum": ("summability methods on a catalog series",
+            "series,method,verdict,value,error_estimate", _cmd_sum,
             [_flag("--method", choices=("cesaro", "abel", "ramanujan", "zeta-eta"),
                    required=True),
              _flag("--series", required=True, help=SERIES_GRAMMAR),
              _flag("--n", type=_int_at_least(2), default=10000, help="Cesaro window"),
              _flag("--tol", type=_positive_float, default=1e-3)]),
-    "ledger": ("two-rule-set divergent series catalog", _cmd_ledger, []),
-    "smoothed": ("smoothed monomial sum", _cmd_smoothed,
+    "ledger": ("two-rule-set divergent series catalog", "identity,rule_a,rule_b,clash",
+               _cmd_ledger, []),
+    "smoothed": ("smoothed monomial sum", "s,cutoff,N,value", _cmd_smoothed,
                  [_flag("--s", type=_int_at_least(0), required=True),
                   _flag("--cutoff", default="bump", help=CUTOFF_GRAMMAR),
                   _flag("--N", type=_float_at_least(1), required=True)]),
-    "extract": ("constant extraction over an N grid", _cmd_extract,
+    "extract": ("constant extraction over an N grid", "N,residual", _cmd_extract,
                 [_flag("--s", type=_int_at_least(0), required=True),
                  _flag("--cutoff", default="bump"),
                  _flag("--grid", default="100,200,400,800,1600", help=_GRID_HELP)]),
-    "grandi": ("smoothed Grandi sum", _cmd_grandi,
+    "grandi": ("smoothed Grandi sum", "cutoff,N,value", _cmd_grandi,
                [_flag("--cutoff", default="bump"),
                 _flag("--N", type=_float_at_least(1), default=1e4)]),
-    "scaling-demo": ("smoothed sums are not scale invariant", _cmd_scaling_demo,
+    "scaling-demo": ("smoothed sums are not scale invariant", "cutoff,N,lhs,rhs,differ",
+                     _cmd_scaling_demo,
                      [_flag("--cutoff", default="bump"),
                       _flag("--N", type=_float_at_least(2), default=100.0)]),
-    "delta-seq": ("Dirichlet kernel pairing", _cmd_delta_seq,
+    "delta-seq": ("Dirichlet kernel pairing", "j,testfn,value,phi_at_zero", _cmd_delta_seq,
                   [_flag("--j", type=_int_at_least(1), required=True),
                    _flag("--testfn", default="centered", help="centered | offset"),
                    _flag("--tol", type=_positive_float, default=1e-10)]),
-    "em-tail": ("Euler-Maclaurin tail identity", _cmd_em_tail,
+    "em-tail": ("Euler-Maclaurin tail identity", "s,cutoff,N,lhs,series,residual", _cmd_em_tail,
                 [_flag("--s", type=_int_at_least(1), required=True),
                  _flag("--cutoff", default="bump"),
                  _flag("--N", type=_int_at_least(1), required=True)]),
-    "stirling": ("Stirling series vs the exact gap", _cmd_stirling,
+    "stirling": ("Stirling series vs the exact gap", "n,g,value,bound", _cmd_stirling,
                  [_flag("--n", type=_int_at_least(1), required=True),
                   _flag("--terms", type=_int_at_least(1), default=2),
                   _flag("--table", action="store_true", help="rows for all 2..n")]),
-    "em-diverge": ("divergence onset of the Stirling series", _cmd_em_diverge,
+    "em-diverge": ("divergence onset of the Stirling series", "m,term,magnitude",
+                   _cmd_em_diverge,
                    [_flag("--n", type=_int_at_least(1), required=True),
                     _flag("--max-terms", type=_int_at_least(2), default=60)]),
-    "casimir": ("smoothed plate energy", _cmd_casimir,
+    "casimir": ("smoothed plate energy", "N,value,error_estimate", _cmd_casimir,
                 [*_PLATE_FLAGS,
                  _flag("--levels", type=_int_at_least(1), default=4,
                        help="N-halving rows in the convergence table")]),
-    "casimir-force": ("plate force per unit area, 3 E / d", _cmd_casimir_force, _PLATE_FLAGS),
-    "truncate": ("optimal truncation scan of N! alpha^N", _cmd_truncate,
+    "casimir-force": ("plate force per unit area, 3 E / d", "d,force,closed_form",
+                      _cmd_casimir_force, _PLATE_FLAGS),
+    "truncate": ("optimal truncation scan of N! alpha^N", "N,log10_term", _cmd_truncate,
                  [_flag("--alpha", type=_unit_rational, required=True,
                         help="rational in (0,1), e.g. 1/137")]),
-    "borel": ("Borel summation", _cmd_borel,
+    "borel": ("Borel summation", "coeffs,x,value", _cmd_borel,
               [_flag("--coeffs", required=True, help="ones | euler | zero | geometric:r"),
                _flag("--x", type=_positive_float, required=True),
                _flag("--tol", type=_positive_float, default=1e-9)]),
-    "gyro": ("gyromagnetic anomaly partial sums", _cmd_gyro,
+    "gyro": ("gyromagnetic anomaly partial sums", "alpha,order,value", _cmd_gyro,
              [_flag("--alpha", type=_float_at_least(0), required=True),
               _flag("--order", type=int, choices=(1, 2), required=True)]),
-    "flat-check": ("right derivatives of exp(-z^-beta) at 0", _cmd_flat_check,
+    "flat-check": ("right derivatives of exp(-z^-beta) at 0", "z,probe", _cmd_flat_check,
                    [_flag("--beta", type=_unit_float, required=True),
                     _flag("--n", type=_int_at_least(0), default=1),
                     _flag("--grid", default="1e-2,1e-3,1e-4,1e-5,1e-6")]),
@@ -693,7 +664,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     ap.add_argument("--output", default=None, help="write to file instead of stdout")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, handler, flags) in _SUBCOMMANDS.items():
+    for name, (help_text, _, handler, flags) in _SUBCOMMANDS.items():
         if only is None or name == only:
             p = sub.add_parser(name, help=help_text)
             for flag, kwargs in flags:
@@ -747,24 +718,33 @@ def _non_finite(value, where):
     return None
 
 
-def _check_finite(result, csv_block) -> None:
+def _check_finite(result, rows) -> None:
     """Raise NonFiniteResultError on an inf or nan anywhere in the output, whatever the format."""
-    hit = _non_finite(result, "result") or _non_finite(csv_block[1], "rows")
+    hit = _non_finite(result, "result") or _non_finite(rows, "rows")
     if hit:
         raise NonFiniteResultError(f"{hit[0]} = {hit[1]} is not a finite number "
                                    "(float64 overflow or an invalid operation)")
 
 
-def _emit(args, result, csv_block) -> str:
+def _result_rows(result, columns: str):
+    """The CSV rows that are the result's own fields, or those of the items of its "rows"
+    list, read by column; None is an empty field."""
+    return [["" if item[c] is None else item[c] for c in columns.split(",")]
+            for item in result.get("rows", [result])]
+
+
+def _emit(args, result, rows) -> str:
     config = _config_echo(args)
     if args.format == "json":
         import json
 
         return json.dumps({"config": config, "result": result},
                           sort_keys=True, allow_nan=False)
-    header, rows = csv_block
+    columns = _SUBCOMMANDS[args.subcommand][1]
     lines = [f"# {k}={v}" for k, v in sorted(config.items())]
-    lines.append(",".join(header))
+    lines.append(columns)
+    if rows is None:
+        rows = _result_rows(result, columns)
     for row in rows:
         lines.append(",".join(str(c) for c in row))
     return "\n".join(lines)
@@ -781,9 +761,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result, csv_block = args.handler(args)
-        _check_finite(result, csv_block)
-        text = _emit(args, result, csv_block)
+        result, rows = args.handler(args)
+        _check_finite(result, rows)
+        text = _emit(args, result, rows)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -174,7 +174,8 @@ def faulhaber(s: int, N: int) -> Fraction:
 
 
 def faulhaber_numerator(s: int, N: int, beta: Sequence[int]) -> int:
-    """(s + 1) D S_s(N) for S_s(N) = 1^s + ... + N^s, with (D, beta) = bernoulli_integers(K), K >= s.
+    """(s + 1) D S_s(N) for S_s(N) = 1^s + ... + N^s, with (D, beta) = bernoulli_integers(K),
+    K >= s.
 
     sum_{j=0}^{s} C(s+1, j) beta_j N^{s+1-j} by Horner's rule in N, the
     binomial row built on the way: integer products only, no gcd.

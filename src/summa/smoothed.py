@@ -308,7 +308,8 @@ def _poly_sum_parts(s: int, p: int, a: int, b: int) -> Tuple[int, int]:
 
 
 def _poly_sum(s: int, p: int, N) -> Fraction:
-    """sum_{n>=1} eta(n/N) n^s for poly:p, exact: eta(n/N) = (1 - n/N)^p below n = N, 0 from there."""
+    """sum_{n>=1} eta(n/N) n^s for poly:p, exact: eta(n/N) = (1 - n/N)^p below n = N, 0 from
+    there."""
     return Fraction(*_poly_sum_parts(s, p, *Fraction(N).as_integer_ratio()))
 
 
@@ -405,7 +406,8 @@ def drifts(s: int, cutoff: Cutoff, points: Sequence[float]) -> List[Fraction]:
 
 
 def working_digits(s: int, n_max: float) -> int:
-    """Decimal digits of the bump drifts up to N_max: 25 beyond the (s+1) log10 N_max that cancel."""
+    """Decimal digits of the bump drifts up to N_max: 25 beyond the (s+1) log10 N_max that
+    cancel."""
     return 25 + int(math.ceil((s + 1) * math.log10(max(n_max, 10.0))))
 
 

@@ -185,7 +185,8 @@ def zeta_via_eta(s: int) -> SummationOutcome:
     factor = 1 / (1 - Fraction(2) ** (1 - s))
     eta = abel_sum(get_series(f"alt-zeta:{s}"))
     return SummationOutcome("zeta-eta", FINITE, factor * eta.value,
-                            abs(float(factor)) * eta.error_estimate, {"s": s, "factor": str(factor)})
+                            abs(float(factor)) * eta.error_estimate,
+                            {"s": s, "factor": str(factor)})
 
 
 class LedgerRow(NamedTuple):

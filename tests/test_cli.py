@@ -106,6 +106,16 @@ class TestJsonOutputs:
         result = run_json(capsys, ["borel", "--coeffs", coeffs, "--x", x])["result"]
         assert result["value"] == want
 
+    @pytest.mark.parametrize("argv,want", [
+        (["--coeffs", "zero", "--x", "1e-320"], 0.0),
+        (["--coeffs", "ones", "--x", "1e-320"], 1.0),
+        (["--coeffs", "geometric:1/2", "--x", "1e-300", "--tol", "1e-300"], 1.0),
+    ])
+    def test_borel_geometric_family_runs_where_one_over_x_or_tol_x_leaves_float_range(
+            self, capsys, argv, want):
+        # a_0 / (1 - r x) needs neither 1/x nor tol x / 2, which euler's quadrature does
+        assert run_json(capsys, ["borel", *argv])["result"]["value"] == want
+
     @given(r=st.fractions(min_value=-10, max_value=10, max_denominator=1000),
            x=st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -193,6 +203,49 @@ class TestCsvOutputs:
             rows.append([l for l in out.splitlines() if not l.startswith("#")])
         assert rows[0] == rows[1] and len(rows[0]) == 1 + 6  # N = 12.5 .. 400
 
+    # one run of each subcommand; the first 12 print the result's own fields, or those of the
+    # items of its "rows" list, as their CSV rows
+    VIEW_ARGVS = [
+        ["bernoulli", "--k", "12"],
+        ["faulhaber", "--s", "3", "--N", "5"],
+        ["sum", "--method", "abel", "--series", "monomial:3"],  # value and error_estimate None
+        ["smoothed", "--s", "1", "--cutoff", "poly:3", "--N", "50"],
+        ["grandi", "--N", "500"],
+        ["scaling-demo", "--cutoff", "poly:1", "--N", "2"],
+        ["delta-seq", "--j", "25", "--testfn", "centered"],
+        ["em-tail", "--s", "1", "--cutoff", "bump", "--N", "50"],
+        ["borel", "--coeffs", "geometric:-1/2", "--x", "3"],
+        ["gyro", "--alpha", "0.007297", "--order", "1"],
+        ["ledger"],  # rule_a or rule_b None in four rows
+        ["stirling", "--n", "6", "--terms", "2", "--table"],
+        ["extract", "--s", "0", "--cutoff", "poly:4", "--grid", "50,100,200,400"],
+        ["em-diverge", "--n", "1", "--max-terms", "10"],
+        ["casimir", "--N", "160", "--levels", "2"],
+        ["casimir-force", "--cutoff", "poly:7", "--N", "1000"],
+        ["truncate", "--alpha", "1/8"],
+        ["flat-check", "--beta", "0.5", "--n", "1"],
+    ]
+
+    def test_csv_is_a_view_of_json(self, capsys):
+        assert sorted(argv[0] for argv in self.VIEW_ARGVS) == sorted(cli._SUBCOMMANDS)
+        for i, argv in enumerate(self.VIEW_ARGVS):
+            result = run_json(capsys, argv)["result"]
+            rc, out, err = run_capture(capsys, ["--format", "csv"] + argv)
+            assert rc == 0, err
+            header, *rows = [line.split(",") for line in out.splitlines()
+                             if not line.startswith("# ")]
+            own = i < 12  # every column is a field of the result or of its rows
+            items = result.get("rows", [result]) if own else [result] * len(rows)
+            assert len(items) == len(rows), argv
+            for item, row in zip(items, rows):
+                assert len(row) == len(header), argv
+                for column, cell in zip(header, row):
+                    if column in item:
+                        want = "" if item[column] is None else str(item[column])
+                        assert cell == want, (argv, column)
+                    else:
+                        assert not own, (argv, column)
+
     def test_truncate_scan(self, capsys):
         rc, out, _ = run_capture(capsys, ["--format", "csv", "truncate", "--alpha", "1/8"])
         lines = [l for l in out.strip().splitlines() if not l.startswith("#")]
@@ -269,8 +322,8 @@ class TestErrors:
         ["flat-check", "--beta", "0.5", "--n", "3", "--grid", "1e300"],  # h^3 overflows
         ["flat-check", "--beta", "0.5", "--n", "2000"],  # C(2000, 1000) is past float64
         ["gyro", "--alpha", "1e300", "--order", "2"],
-        ["borel", "--coeffs", "zero", "--x", "1e-320"],  # 1/x overflows
-        ["borel", "--coeffs", "geometric:1/2", "--x", "1e-300", "--tol", "1e-300"],  # tol x / 2
+        ["borel", "--coeffs", "euler", "--x", "1e-320"],  # 1/x overflows
+        ["borel", "--coeffs", "euler", "--x", "1e-300", "--tol", "1e-300"],  # tol x / 2
         ["casimir", "--d", "1e-300"],
         ["casimir-force", "--d", "1e300"],
         ["smoothed", "--s", str(10**400), "--N", "3.5"],  # eta(2/3.5) 2^s, decided in logs
@@ -707,6 +760,38 @@ class TestReadmeExamples:
         assert rc == 0, err
         header = next(line for line in out.splitlines() if not line.startswith("# "))
         assert header == layouts[argv[0]]
+
+
+SUPERSCRIPTS = "⁰¹²³⁴⁵⁶⁷⁸⁹"
+
+
+def work_caps():
+    """cap -> value, from the table in docs/work_caps.md: a product of factors joined by ·,
+    each an integer with thousands commas or a power such as 10⁶."""
+    caps = {}
+    for line in (DOCS / "work_caps.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `MAX_"):
+            value = 1
+            for factor in cells[1].replace(",", "").split("·"):
+                base = "".join(ch for ch in factor if ch not in SUPERSCRIPTS)
+                power = "".join(str(SUPERSCRIPTS.index(ch)) for ch in factor if ch in SUPERSCRIPTS)
+                value *= int(base) ** int(power or "1")
+            caps[cells[0].strip("`")] = value
+    return caps
+
+
+class TestDocsMatchCode:
+    def test_csv_layouts_lists_the_subcommand_table(self):
+        # the same subcommands in the same order, each with its columns
+        assert list(csv_layouts().items()) == [(name, columns) for name, (_, columns, *_)
+                                               in cli._SUBCOMMANDS.items()]
+
+    def test_work_caps_lists_every_cap(self):
+        # summa.cli's MAX_ constants in their order, then the library's MAX_SUM_BITS
+        code = {name: value for name, value in vars(cli).items() if name.startswith("MAX_")}
+        code["MAX_SUM_BITS"] = smoothed.MAX_SUM_BITS
+        assert list(work_caps().items()) == list(code.items())
 
 
 class TestOutputFile:
