@@ -134,7 +134,8 @@ def _check_sum_caps(s: int, cutoff, N: float) -> None:
 
 
 def _check_drift_caps(s: int, cutoff, points, halved: bool = False) -> None:
-    """The caps on --s and on the work of the exact drift D(N) at every N in ``points``;
+    """The caps on --s and on the work of the exact drift D(N) at every N in ``points``: the
+    Faulhaber caps for poly:p and the indicator (p = 0), the digits and work caps for the bump;
     ``halved``: the bump's drift also runs at N_max / 2, as ``constant_extraction`` does."""
     from .smoothed import working_digits
 
@@ -142,7 +143,7 @@ def _check_drift_caps(s: int, cutoff, points, halved: bool = False) -> None:
     n_max = max(points)
     if n_max > sys.float_info.max:  # em-tail's integer --N; extract's grid is float already
         raise UsageError(f"--N must be at most the largest float64, {sys.float_info.max:.6g}")
-    if cutoff.kind == "poly":
+    if cutoff.kind != "bump":
         _check_faulhaber_caps(s, cutoff, points)
     else:
         digits = working_digits(s, n_max)
@@ -228,11 +229,13 @@ def _unit_rational(text: str) -> str:
 
 
 def _parse_grid(text: str):
-    """Comma-separated grid points, each finite and > 0, else a usage error."""
+    """Comma-separated grid points, at least one, each finite and > 0, else a usage error."""
     try:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --grid {text!r}: expected comma-separated numbers") from exc
+    if not grid:
+        raise UsageError(f"bad --grid {text!r}: no points")
     if not all(math.isfinite(v) and v > 0 for v in grid):
         raise UsageError(f"bad --grid {text!r}: every point must be a finite number > 0")
     return grid

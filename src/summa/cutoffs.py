@@ -11,14 +11,14 @@ Two families are provided:
 
   so derivatives are exact up to floating evaluation of the formula.
 
-* ``poly:p``  eta(x) = (1 - x)^p on [0, 1], 0 beyond, p >= 1.  Smoothness
-  order p - 1 at the right endpoint; moments against x^s have the exact
-  closed form s! p! / (s + p + 1)!.
+* ``poly:p``  eta(x) = (1 - x)^p on [0, 1], 0 beyond.  Smoothness order
+  p - 1 at the right endpoint; moments against x^s have the exact closed
+  form s! p! / (s + p + 1)!.  At p = 0 it is the sharp indicator of [0, 1],
+  endpoint included (0^0 = 1), labelled "indicator": :func:`make_cutoff`
+  refuses it (it reproduces the partial-sum pathology), and
+  :func:`sharp_indicator` builds it explicitly for the contrast demonstrations.
 
-Both normalize eta(0) = 1.  The sharp indicator of [0, 1] is deliberately not
-constructible through :func:`make_cutoff` (it reproduces the partial-sum
-pathology); :func:`sharp_indicator` builds it explicitly for the contrast
-demonstrations.
+Both normalize eta(0) = 1.
 
 numpy is imported in the float evaluations only, so the exact paths (the
 moments, the mpmath and fixed-point values) run without it.
@@ -217,8 +217,8 @@ class Cutoff:
     eta into a given array), its analytic derivatives (``_deriv_array``) and
     its mpmath formula (``eval_mp``, the tests' reference: mpmath is a ``test`` extra);
     the bump also has a fixed-point integer pass (``eval_fixed``) for its exact drift.
-    ``smoothness_order`` is math.inf for the bump, p - 1 for poly:p and -1
-    for the sharp indicator.
+    ``smoothness_order`` is math.inf for the bump and p - 1 for poly:p, -1
+    for the sharp indicator at p = 0.
     """
 
     def __init__(self, kind: str, label: str, smoothness_order, p: int = 0):
@@ -255,9 +255,6 @@ class Cutoff:
         if not x.ndim:
             return float(self._eval_array(x.reshape(1), np.empty(1))[0])
         return self._eval_array(x, np.empty_like(x) if out is None else out)
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def deriv(self, k: int, x):
         """k-th derivative of eta at x (analytic formula, not differences)."""
@@ -330,12 +327,8 @@ class BumpCutoff(Cutoff):
 
 class PolyCutoff(Cutoff):
     def __init__(self, p: int):
-        if p < 1:
-            raise ValueError(
-                "poly cutoff needs order >= 1; order 0 is the discontinuous "
-                "indicator, which reproduces the sharp partial-sum pathology"
-            )
-        super().__init__("poly", f"poly:{p}", p - 1, p=p)
+        kind = "poly" if p else "indicator"
+        super().__init__(kind, f"poly:{p}" if p else kind, p - 1, p=p)
 
     def _eval_array(self, x, out):
         import numpy as np
@@ -345,7 +338,7 @@ class PolyCutoff(Cutoff):
             ys **= self.p
             return ys
 
-        return _on_support(x < 1.0, x, out, formula)
+        return _on_support(x <= 1.0, x, out, formula)
 
     def _deriv_array(self, k, xs):
         import numpy as np
@@ -361,35 +354,13 @@ class PolyCutoff(Cutoff):
     def eval_mp(self, x):
         import mpmath as mp
 
-        if x >= 1:
+        if x > 1:
             return mp.mpf(0)
         return (1 - mp.mpf(x)) ** self.p
 
     def mellin_exact(self, s: int) -> Fraction:
         return Fraction(math.factorial(s) * math.factorial(self.p),
                         math.factorial(s + self.p + 1))
-
-
-class IndicatorCutoff(Cutoff):
-    def __init__(self):
-        super().__init__("indicator", "indicator", -1)
-
-    def _eval_array(self, x, out):
-        import numpy as np
-
-        np.copyto(out, x <= 1.0)
-        return out
-
-    def _deriv_array(self, k, xs):  # pragma: no cover - guarded by require_smoothness
-        raise CutoffSmoothnessError("the sharp indicator has no derivatives")
-
-    def eval_mp(self, x):
-        import mpmath as mp
-
-        return mp.mpf(1) if x <= 1 else mp.mpf(0)
-
-    def mellin_exact(self, s: int) -> Fraction:
-        return Fraction(1, s + 1)
 
 
 def make_cutoff(kind: str, order: int | None = None) -> Cutoff:
@@ -409,13 +380,18 @@ def make_cutoff(kind: str, order: int | None = None) -> Cutoff:
     if kind == "poly":
         if order is None:
             raise ValueError("poly cutoff needs an order, e.g. make_cutoff('poly', 3)")
+        if order < 1:
+            raise ValueError(
+                "poly cutoff needs order >= 1; order 0 is the discontinuous "
+                "indicator, which reproduces the sharp partial-sum pathology"
+            )
         return PolyCutoff(order)
     raise ValueError(f"unknown cutoff kind {kind!r} (expected 'bump' or 'poly[:p]')")
 
 
 def sharp_indicator() -> Cutoff:
-    """The characteristic function of [0, 1]: the pathological reference case."""
-    return IndicatorCutoff()
+    """The characteristic function of [0, 1], poly:0: the pathological reference case."""
+    return PolyCutoff(0)
 
 
 def parse_cutoff(spec: str) -> Cutoff:

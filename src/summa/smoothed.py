@@ -29,14 +29,14 @@ coefficient is that same moment, in float64.  No path here imports mpmath.
 
 The same Faulhaber expansion makes every smoothed sum of poly:p exact: the
 sum itself, the Grandi sum and both sides of the scaling counterexample are
-rationals, each rounded once, at any N; the sharp indicator's are Faulhaber
-sums S_s(floor(N)).  The bump's sum is its Euler-Maclaurin expansion at 0,
-C_s N^(s+1) plus at most 15 zeta terms, wherever the remainder bound is at
-most 2^-62 of the value (``cutoffs.bump_em``, whose integrated s = 3 case is
-the plate energy u_t: from N ~ 370 at s = 0, ~ 388 at s = 1), and its Grandi
-sum is exactly 1/2 from N ~ 788.  Below that, the drifts' eta pass
-(``_kernels``) sums at most 3,386 terms, correctly rounded: from s = 89 on, a sum
-past N_0(s) certainly overflows.
+rationals, each rounded once, at any N.  The sharp indicator is poly:0, endpoint
+included, so its sums are Faulhaber sums S_s(floor(N)).  The bump's sum is its
+Euler-Maclaurin expansion at 0, C_s N^(s+1) plus at most 15 zeta terms,
+wherever the remainder bound is at most 2^-62 of the value (``cutoffs.bump_em``,
+whose integrated s = 3 case is the plate energy u_t: from N ~ 370 at s = 0,
+~ 388 at s = 1), and its Grandi sum is exactly 1/2 from N ~ 788.  Below that,
+the drifts' eta pass (``_kernels``) sums at most 3,386 terms, correctly rounded:
+from s = 89 on, a sum past N_0(s) certainly overflows.
 numpy is imported by the pairings and delta sequences only.
 """
 
@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 from .cutoffs import Cutoff, bump_deriv, bump_em, make_cutoff
 from .errors import CutoffSmoothnessError, NonFiniteResultError
-from .exact import bernoulli_integers, faulhaber, faulhaber_numerator, to_floats
+from .exact import bernoulli_integers, faulhaber_numerator, to_floats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,9 +75,9 @@ MAX_SUM_BITS = 4096
 
 
 def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
-    """sum_{n=1}^{ceil(N)} eta(n/N) n^s; terms with n/N >= 1 contribute 0.
+    """sum_{n>=1} eta(n/N) n^s; terms with n/N > 1 contribute 0.
 
-    For poly:p and the sharp indicator the exact rational, rounded once (``_exact_sum``).
+    For poly:p and the indicator (p = 0) the exact rational, rounded once (``_poly_sum``).
     For the bump an error where it certainly overflows, before any O(s) or O(N) work
     (``_bump_sum_bits``); past N_0(s) its expansion at 0 (``cutoffs.bump_em`` within
     ``_bump_sum_limit``) plus C_s N^(s+1), C_s ``_bump_moment`` at 30 digits, exact and
@@ -89,7 +89,7 @@ def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
     if N < 1:
         raise ValueError(f"smoothed_sum requires N >= 1, got {N}")
     if cutoff.kind != "bump":
-        exact = _exact_sum(s, cutoff, N)
+        exact = _poly_sum(s, cutoff.p, N)
     else:
         _bump_sum_bits(s, N)  # NonFiniteResultError where the sum certainly overflows
         terms = bump_em(s, N, _bump_sum_limit)
@@ -100,17 +100,6 @@ def smoothed_sum(s: int, cutoff: Cutoff, N: float) -> float:
         exact = Fraction(*terms) + _bump_moment(s, 20) * Fraction(N) ** (s + 1)
     value, = to_floats([exact], f"the smoothed sum of s = {s} on {cutoff.label} at N = {N} is")
     return value
-
-
-def _exact_sum(s: int, cutoff: Cutoff, N) -> Fraction:
-    """sum_{n>=1} eta(n/N) n^s exactly, for poly:p and the sharp indicator.
-
-    The indicator is 1 on [0, 1], endpoint included, so its sum is the
-    Faulhaber sum S_s(floor(N)).
-    """
-    if cutoff.kind == "indicator":
-        return faulhaber(s, math.floor(N))
-    return _poly_sum(s, cutoff.p, N)
 
 
 def _bump_sum_limit(s: int, x: float) -> Fraction:
@@ -285,16 +274,18 @@ def _dyadic(man: int, exp: int) -> Fraction:
 
 
 def _poly_sum_parts(s: int, p: int, a: int, b: int) -> Tuple[int, int]:
-    """(numerator, denominator) of sum_{1<=n<N} (1 - n/N)^p n^s at N = a/b > 0, unreduced.
+    """(numerator, denominator) of sum_{1<=n<=N} (1 - n/N)^p n^s at N = a/b > 0, unreduced.
 
-    O(p s) exact work, whatever N is.  With L = ceil(N) - 1 the last n < N,
-    the binomial expansion sum_k C(p,k) (-1/N)^k S_{s+k}(L) turns the sum
-    into Faulhaber power sums S_j(L) = 1^j + ... + L^j, all over one
-    denominator D W a^p: D that of the Bernoulli integers up to B_{s+p},
-    W = lcm(s+1, ..., s+p+1) that of the sums' 1/(j+1).  The numerator is an
-    integer sum, Horner's rule in a and -b over k.
+    O(p s) exact work, whatever N is.  The term n = N is 0^p N^s: 0 for
+    p >= 1, and the sharp indicator's closed endpoint at p = 0 (0^0 = 1).
+    With L = floor(N) the last n, the binomial expansion
+    sum_k C(p,k) (-1/N)^k S_{s+k}(L) turns the sum into Faulhaber power sums
+    S_j(L) = 1^j + ... + L^j, all over one denominator D W a^p: D that of the
+    Bernoulli integers up to B_{s+p}, W = lcm(s+1, ..., s+p+1) that of the
+    sums' 1/(j+1).  The numerator is an integer sum, Horner's rule in a and
+    -b over k.
     """
-    L = -(-a // b) - 1
+    L = a // b
     D, beta = bernoulli_integers(s + p)
     W = math.lcm(*range(s + 1, s + p + 2))
     total = 0
@@ -308,14 +299,14 @@ def _poly_sum_parts(s: int, p: int, a: int, b: int) -> Tuple[int, int]:
 
 
 def _poly_sum(s: int, p: int, N) -> Fraction:
-    """sum_{n>=1} eta(n/N) n^s for poly:p, exact: eta(n/N) = (1 - n/N)^p below n = N, 0 from
-    there."""
+    """sum_{n>=1} eta(n/N) n^s for poly:p, exact: eta(n/N) = (1 - n/N)^p up to n = N, 0
+    past it."""
     return Fraction(*_poly_sum_parts(s, p, *Fraction(N).as_integer_ratio()))
 
 
 def _drift_exact_poly(s: int, cutoff: Cutoff, N: float) -> Fraction:
-    """D(N) for poly:p: ``_poly_sum_parts`` and C_{eta,s} N^{s+1} over one denominator
-    D W a^p Cd b^(s+1), Cd that of C_{eta,s}, reduced once."""
+    """D(N) for poly:p and the indicator (p = 0): ``_poly_sum_parts`` and C_{eta,s} N^{s+1}
+    over one denominator D W a^p Cd b^(s+1), Cd that of C_{eta,s}, reduced once."""
     a, b = Fraction(N).as_integer_ratio()
     total, den = _poly_sum_parts(s, cutoff.p, a, b)
     C = cutoff.mellin_exact(s)
@@ -398,9 +389,9 @@ def _bump_drifts(s: int, cutoff: Cutoff, points: Sequence[float], dps: int) -> L
 
 
 def drifts(s: int, cutoff: Cutoff, points: Sequence[float]) -> List[Fraction]:
-    """D(N) = sum_{1<=n<N} eta(n/N) n^s - C_{eta,s} N^{s+1} at every N in ``points``, exact
-    for poly:p; for the bump, ``_bump_drifts`` at ``working_digits``."""
-    if cutoff.kind == "poly":
+    """D(N) = sum_{n>=1} eta(n/N) n^s - C_{eta,s} N^{s+1} at every N in ``points``, exact
+    for poly:p and the indicator; for the bump, ``_bump_drifts`` at ``working_digits``."""
+    if cutoff.kind != "bump":
         return [_drift_exact_poly(s, cutoff, N) for N in points]
     return _bump_drifts(s, cutoff, points, working_digits(s, max(points)))
 
@@ -461,7 +452,7 @@ def constant_extraction(s: int, cutoff: Cutoff, Ngrid: Sequence[float]) -> Asymp
     slope = _lsq_slope(xs, ys)
 
     # C_{eta,s}: the moment the drifts subtracted, exact for poly, the closed form for the bump
-    growth = float(cutoff.mellin_exact(s) if cutoff.kind == "poly"
+    growth = float(cutoff.mellin_exact(s) if cutoff.kind != "bump"
                    else _bump_moment(s, working_digits(s, grid[-1])))
     return AsymptoticFit(constant, growth, slope, grid, error_estimate, residuals)
 
@@ -498,7 +489,7 @@ def grandi_with_deviation(cutoff: Cutoff, N: float) -> Tuple[float, float]:
             "grandi_smoothed needs a cutoff twice continuously differentiable on (0,1); "
             "the sharp indicator does not qualify"
         )
-    if cutoff.kind == "poly":
+    if cutoff.kind != "bump":
         G = _poly_sum(0, cutoff.p, N) - 2 * _poly_sum(0, cutoff.p, Fraction(N) / 2)
         value, deviation = to_floats([G, abs(G - Fraction(1, 2))],
                                      f"the Grandi sum on {cutoff.label} at N = {N} is")
@@ -518,8 +509,8 @@ def scaling_counterexample(cutoff: Cutoff, N: float):
         sum_n 2n eta(2n/N) = 2 sum_n n eta(n/(N/2)),
 
     and it is computed that way.  Returns (lhs, rhs, differ) with
-    differ = |lhs - rhs| > 1e-12 max(1, |rhs|).  For poly:p and the sharp
-    indicator both sides are exact, each rounded once, and differ is decided
+    differ = |lhs - rhs| > 1e-12 max(1, |rhs|).  For poly:p and the indicator
+    (p = 0) both sides are exact, each rounded once, and differ is decided
     on the rationals.  For the bump each side is ``smoothed_sum`` at N/2 and N
     (N/2 is exact), doubled without rounding.
     """
@@ -527,8 +518,8 @@ def scaling_counterexample(cutoff: Cutoff, N: float):
         raise ValueError(f"scaling_counterexample requires N >= 2, got {N}")
     what = f"the scaling sums on {cutoff.label} at N = {N} are"
     if cutoff.kind != "bump":
-        lhs = 2 * _exact_sum(1, cutoff, Fraction(N) / 2)
-        rhs = 2 * _exact_sum(1, cutoff, N)
+        lhs = 2 * _poly_sum(1, cutoff.p, Fraction(N) / 2)
+        rhs = 2 * _poly_sum(1, cutoff.p, N)
         differ = abs(lhs - rhs) > Fraction(_SCALING_TOL) * max(1, abs(rhs))
         lhs, rhs = to_floats([lhs, rhs], what)
         return lhs, rhs, differ

@@ -318,6 +318,16 @@ class TestErrors:
         assert err.startswith("usage error: bad --grid") and "> 0" in err
 
     @pytest.mark.parametrize("argv", [
+        ["flat-check", "--beta", "0.5", "--grid", ","],
+        ["flat-check", "--beta", "0.5", "--grid", ""],
+        ["extract", "--s", "1", "--grid", ","],
+    ])
+    def test_a_grid_with_no_points_is_usage_error(self, capsys, argv):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error: bad --grid") and "no points" in err
+
+    @pytest.mark.parametrize("argv", [
         ["flat-check", "--beta", "0.5", "--n", "3", "--grid", "1e-200"],  # h^3 underflows
         ["flat-check", "--beta", "0.5", "--n", "3", "--grid", "1e300"],  # h^3 overflows
         ["flat-check", "--beta", "0.5", "--n", "2000"],  # C(2000, 1000) is past float64
@@ -483,6 +493,18 @@ class TestErrors:
     def test_indicator_sums_take_the_faulhaber_caps(self, capsys, argv, cap):
         rc, out, err = run_capture(capsys, argv)
         assert rc == 2 and out == "" and str(cap) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--s", "100", "--cutoff", "indicator"],
+        ["em-tail", "--s", "100", "--cutoff", "indicator", "--N", "10000"],
+        ["extract", "--s", "0", "--cutoff", "indicator", "--grid", "1,2,3,400000"],
+    ])
+    def test_indicator_drifts_pass_the_faulhaber_caps_and_are_refused_as_rough(self, capsys,
+                                                                               argv):
+        # the indicator is poly:0: no bump cap applies, and C^(s+2) refuses it (exit 1)
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: CutoffSmoothnessError: ") and "bump drift" not in err
 
     @pytest.mark.parametrize("name,cutoff", [("casimir", "poly:6"), ("casimir-force", "poly:6"),
                                              ("casimir", "indicator"), ("casimir", "bump"),

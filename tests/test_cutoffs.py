@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from summa.cutoffs import make_cutoff, parse_cutoff, sharp_indicator
+from summa.cutoffs import PolyCutoff, make_cutoff, parse_cutoff, sharp_indicator
 from summa.errors import CutoffSmoothnessError
 
 from _mellin import mellin
@@ -162,6 +163,12 @@ class TestParsingAndIndicator:
         assert parse_cutoff("indicator").kind == "indicator"
         with pytest.raises(CutoffSmoothnessError):
             chi.require_smoothness(0)
+
+    def test_indicator_is_poly_zero(self):
+        chi = sharp_indicator()
+        assert isinstance(chi, PolyCutoff) and chi.p == 0 and chi.label == "indicator"
+        assert chi.eval_mp(1) == 1 and chi.eval_mp(1.0001) == 0
+        assert [chi.mellin_exact(s) for s in range(4)] == [Fraction(1, s + 1) for s in range(4)]
 
     @given(st.floats(min_value=0.0, max_value=1.5, allow_nan=False))
     def test_scalar_eval_matches_array_eval(self, x):

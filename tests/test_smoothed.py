@@ -125,6 +125,12 @@ class TestExactIndicatorLane:
         assert smoothed_sum(3, sharp_indicator(), 1e7) == float(faulhaber(3, 10**7))
         assert scaling_counterexample(sharp_indicator(), 1e7 + 1.5)[1] == (10**7 + 1) * (10**7 + 2)
 
+    @pytest.mark.parametrize("s", [0, 1, 4, 9])
+    def test_drifts_are_the_faulhaber_sum_less_the_moment_term(self, s):
+        points = [1.0, 7.0, 7.5, 100.25, 1000.0, 1e7 + 1.5]
+        want = [faulhaber(s, math.floor(N)) - Fraction(N) ** (s + 1) / (s + 1) for N in points]
+        assert smoothed.drifts(s, sharp_indicator(), points) == want
+
 
 J = 30  # cutoffs._EM_ORDER, checked in TestBumpExpansion
 # the most terms a kernel sums for the bump (docs/work_caps.md): at s = 89, just below its
